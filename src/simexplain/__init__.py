@@ -43,7 +43,6 @@ from .saliency import (
     RiseCfg,
     SaliencyConfig,
     SlidingCfg,
-    dual_manipulate,
     generate,
     lime,
     mask_learn,
@@ -61,9 +60,7 @@ from .attrmodel import (
     train,
 )
 from .explain import (
-    CONFIDENCE_HEAVY_PHI,
     CONFIDENCE_ONLY_PHI,
-    DEFAULT_PHI,
     ExplainConfig,
     ExplanationResult,
     PhiWeights,
@@ -74,7 +71,6 @@ from .explain import (
     fit_phi,
 )
 from .metrics import (
-    MetricsReport,
     RemovalResult,
     attribute_removal_delta,
     average_precision,
@@ -82,7 +78,6 @@ from .metrics import (
     insertion_curve,
     map_metric,
     mean_average_precision,
-    top1_accuracy,
 )
 from .discovery import ClusterAssignment, DiscoveryConfig, discover, peak_bin, removal_eval_discovered
 from .synth import SyntheticSpec, generate_dataset, motif_scorer_for, planted_scorer_for

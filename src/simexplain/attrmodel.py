@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import MATCH_RESOLUTION, Dataset, ImageTensor, SaliencyMap, make_rng, normalize_map
+from .core import MATCH_RESOLUTION, Dataset, ImageTensor, SaliencyMap, make_rng
 from .errors import InvalidArgumentError, ParseError
 from .optim import Adam
 
@@ -117,11 +117,6 @@ class AttributeModel:
         logits = maps.mean(axis=(1, 2))
         return AttrPrediction(confidences=softmax(logits), maps=maps)
 
-    def normalized_maps(self, image) -> np.ndarray:
-        """Min-max normalized activation maps, ready for map matching."""
-        maps = self.forward(image).maps
-        return np.stack([normalize_map(m) for m in maps])
-
     @classmethod
     def init(cls, extractor: FeatureExtractor, n_attributes: int, seed: int = 0) -> "AttributeModel":
         rng = make_rng(seed, _STREAM_TRAIN, 0)
@@ -160,6 +155,13 @@ def huber_loss(confidences: np.ndarray, scaled_labels: np.ndarray) -> float:
     return float(per_attr.sum())
 
 
+def _nearest_map(m: np.ndarray, maps: Sequence[np.ndarray]) -> tuple[int, float]:
+    """Index of the map in ``maps`` closest to ``m`` in L2, and that distance."""
+    dists = [float(np.linalg.norm(m - n)) for n in maps]
+    j = int(np.argmin(dists))
+    return j, dists[j]
+
+
 def heatmap_loss(saliency_maps: Sequence[np.ndarray], gt_maps: Sequence[np.ndarray]) -> float:
     """Mean over saliency maps of the distance to the best-matching
     ground-truth activation map: (1/K) sum_m min_n ||m - n||_2."""
@@ -167,18 +169,12 @@ def heatmap_loss(saliency_maps: Sequence[np.ndarray], gt_maps: Sequence[np.ndarr
         raise InvalidArgumentError("need at least one saliency map")
     if not len(gt_maps):
         raise InvalidArgumentError("need at least one ground-truth activation map")
-    shape = np.asarray(saliency_maps[0]).shape
-    total = 0.0
-    for m in saliency_maps:
-        m = np.asarray(m, dtype=np.float64)
-        best = np.inf
-        for n in gt_maps:
-            n = np.asarray(n, dtype=np.float64)
-            if n.shape != m.shape or n.shape != shape:
-                raise InvalidArgumentError(f"map resolution mismatch: {n.shape} vs {m.shape}")
-            best = min(best, float(np.linalg.norm(m - n)))
-        total += best
-    return total / len(saliency_maps)
+    sal = [np.asarray(m, dtype=np.float64) for m in saliency_maps]
+    gts = [np.asarray(n, dtype=np.float64) for n in gt_maps]
+    for arr in sal + gts:
+        if arr.shape != sal[0].shape:
+            raise InvalidArgumentError(f"map resolution mismatch: {arr.shape} vs {sal[0].shape}")
+    return sum(_nearest_map(m, gts)[1] for m in sal) / len(sal)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +265,10 @@ def loss_and_grad(
             upstream = [np.zeros_like(maps_n[0]) for _ in s.gt_attrs]
             hm = 0.0
             for m in s.maps:
-                dists = [float(np.linalg.norm(m - nh)) for nh in normed]
-                j = int(np.argmin(dists))
-                hm += dists[j]
-                if dists[j] > 0.0:
-                    upstream[j] += (normed[j] - m) / dists[j]
+                j, dist = _nearest_map(m, normed)
+                hm += dist
+                if dist > 0.0:
+                    upstream[j] += (normed[j] - m) / dist
             scale = lam / len(s.maps)
             sample_loss += scale * hm
             for j, a_idx in enumerate(s.gt_attrs):
@@ -406,11 +401,18 @@ def save_model(path: str | Path, model: AttributeModel) -> None:
 
 
 def load_model(path: str | Path) -> AttributeModel:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot open model file: {exc}") from exc
+    with fh:
         magic = fh.read(5)
         if magic != MODEL_MAGIC:
             raise ParseError(f"{path}: bad magic, expected SANE1")
-        seed, h, w, c, n_filters, grid, A = struct.unpack("<QIIIIII", fh.read(32))
+        header = fh.read(32)
+        if len(header) != 32:
+            raise ParseError(f"{path}: truncated header")
+        seed, h, w, c, n_filters, grid, A = struct.unpack("<QIIIIII", header)
         w_bytes = fh.read(A * n_filters * 4)
         b_bytes = fh.read(A * 4)
         if len(w_bytes) != A * n_filters * 4 or len(b_bytes) != A * 4:

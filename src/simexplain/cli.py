@@ -28,6 +28,7 @@ from .dataio import dump_json, load_dataset, load_saliency, save_dataset, save_s
 from .discovery import DiscoveryConfig, discover, removal_eval_discovered
 from .errors import (
     ConvergenceError,
+    InvalidArgumentError,
     OptimizationError,
     ParseError,
     SimExplainError,
@@ -38,12 +39,13 @@ from .explain import (
     ExplainConfig,
     PhiWeights,
     Prior,
+    PriorEstimate,
     estimate_prior,
     explain_pair,
     fit_phi,
     pair_features,
 )
-from .external import ExternalScorer, serve_stdio, TcpServer
+from .external import ExternalScorer, TcpServer, _ScoreOnly, serve_stdio
 from .metrics import (
     attribute_removal_delta,
     deletion_curve,
@@ -118,13 +120,18 @@ def build_saliency_config(tree: dict | None, method: str | None = None,
 _RUN_CONFIG_KEYS = {"seed", "jobs", "saliency", "train", "synth", "discovery", "explain"}
 
 
+def _read_json(path: str | Path, what: str):
+    """Parse a user-supplied JSON file; a missing or malformed one is a ParseError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: {what} is not readable JSON: {exc}") from exc
+
+
 def load_run_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        tree = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: config is not valid JSON: {exc}") from exc
+    tree = _read_json(path, "config")
     if not isinstance(tree, dict):
         raise ParseError(f"{path}: config root must be an object")
     unknown = set(tree) - _RUN_CONFIG_KEYS
@@ -147,9 +154,21 @@ def _config_payload(obj) -> object:
     return obj
 
 
+def _with_flags(cfg, **flags):
+    """``cfg`` with every flag the user passed (not None) applied."""
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+
+
 def _echo_config(out: Path, resolved: dict) -> None:
     target = out / "run_config.json" if out.is_dir() else out.with_name(out.name + ".config.json")
     dump_json(target, _config_payload(resolved))
+
+
+def _write_result(out: Path, payload: dict, resolved: dict) -> None:
+    """Write a command's JSON result next to the echo of its configuration."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    dump_json(out, payload)
+    _echo_config(out, resolved)
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
@@ -209,6 +228,11 @@ def _resolve_scorer(args, dataset: Dataset | None) -> Scorer:
     return make_scorer(args.scorer, dataset, seed, getattr(args, "external_cmd", None))
 
 
+def _saliency_config(args, **flags) -> SaliencyConfig:
+    """The run config's saliency section under the command's own flags."""
+    return build_saliency_config(load_run_config(args.config).get("saliency"), seed=args.seed, **flags)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -250,25 +274,21 @@ def _select_pairs(dataset: Dataset, pair_arg: str | None, split: str | None, lim
 
 def cmd_saliency(args) -> dict:
     dataset = load_dataset(args.dataset)
-    scorer = _resolve_scorer(args, dataset)
-    cfg = build_saliency_config(load_run_config(args.config).get("saliency"),
-                                method=args.method,
-                                fixed_reference=not args.dual,
-                                seed=args.seed)
+    cfg = _saliency_config(args, method=args.method, fixed_reference=not args.dual)
     pairs = _select_pairs(dataset, args.pair, args.split, args.limit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one(pair: Pair) -> str:
-        smap = generate(scorer, dataset.image(pair.reference_id), dataset.image(pair.query_id), cfg)
-        stem = f"{pair.query_id}__{pair.reference_id}"
-        save_saliency(out / f"{stem}.smap", smap)
-        write_pgm(out / f"{stem}.pgm", smap.data)
-        return stem
+    with _resolve_scorer(args, dataset) as scorer:
+        def one(pair: Pair) -> str:
+            smap = generate(scorer, dataset.image(pair.reference_id), dataset.image(pair.query_id), cfg)
+            stem = f"{pair.query_id}__{pair.reference_id}"
+            save_saliency(out / f"{stem}.smap", smap)
+            write_pgm(out / f"{stem}.pgm", smap.data)
+            return stem
 
-    written = _parallel_map(one, pairs, args.jobs)
+        written = _parallel_map(one, pairs, args.jobs)
     _echo_config(out, {"command": "saliency", "saliency": _config_payload(cfg), "pairs": len(pairs)})
-    scorer.close()
     return {"out": str(out), "maps": len(written)}
 
 
@@ -288,15 +308,8 @@ def cmd_train_attr(args) -> dict:
     dataset = load_dataset(args.dataset)
     bank = load_saliency_bank(args.maps) if args.maps else {}
     tree = load_run_config(args.config).get("train", {})
-    cfg = _build_dataclass(TrainConfig, tree, "train")
-    cfg = dataclasses.replace(
-        cfg,
-        epochs=args.epochs if args.epochs is not None else cfg.epochs,
-        lr=args.lr if args.lr is not None else cfg.lr,
-        lam=args.lam if args.lam is not None else cfg.lam,
-        k_maps=args.k if args.k is not None else cfg.k_maps,
-        seed=args.seed,
-    )
+    cfg = _with_flags(_build_dataclass(TrainConfig, tree, "train"),
+                      epochs=args.epochs, lr=args.lr, lam=args.lam, k_maps=args.k, seed=args.seed)
     model = train(dataset, bank, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -306,88 +319,93 @@ def cmd_train_attr(args) -> dict:
     return {"model": str(out), "val_map": val_map}
 
 
+def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pairs: list[Pair],
+                     saliency_cfg: SaliencyConfig,
+                     grid_step: float = 0.05) -> tuple[PriorEstimate, PhiWeights]:
+    """Held-out pair features -> attribute prior -> phi grid search."""
+    features = pair_features(model, scorer, dataset, pairs, saliency_cfg)
+    estimate = estimate_prior(features, dataset.n_attributes)
+    return estimate, fit_phi(features, estimate.prior, grid_step)
+
+
 def cmd_prior(args) -> dict:
     dataset = load_dataset(args.dataset)
     model = load_model(args.model)
-    scorer = _resolve_scorer(args, dataset)
-    cfg = build_saliency_config(load_run_config(args.config).get("saliency"),
-                                method=args.method, seed=args.seed)
+    cfg = _saliency_config(args, method=args.method)
     pairs = dataset.pairs_for_split(args.split)
-    estimate = estimate_prior(model, scorer, dataset, pairs, cfg)
+    if not pairs:
+        raise InvalidArgumentError("prior estimation needs at least one validation pair")
+    with _resolve_scorer(args, dataset) as scorer:
+        estimate = estimate_prior(pair_features(model, scorer, dataset, pairs, cfg), dataset.n_attributes)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dump_json(out, {
+    _write_result(out, {
         "prior": [float(v) for v in estimate.prior.p],
         "n_used": estimate.n_used,
         "n_skipped": estimate.n_skipped,
-    })
-    _echo_config(out, {"command": "prior", "saliency": _config_payload(cfg), "split": args.split})
-    scorer.close()
+    }, {"command": "prior", "saliency": _config_payload(cfg), "split": args.split})
     return {"out": str(out), "n_used": estimate.n_used, "n_skipped": estimate.n_skipped}
 
 
 def _load_prior(path: str | None, n_attributes: int) -> Prior | None:
     if not path:
         return None
-    tree = json.loads(Path(path).read_text(encoding="utf-8"))
-    p = np.asarray(tree["prior"], dtype=np.float64)
+    tree = _read_json(path, "prior")
+    try:
+        p = np.asarray(tree["prior"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: 'prior' must be a list of numbers: {exc!r}") from exc
     if p.size != n_attributes:
         raise ParseError(f"{path}: prior length {p.size} does not match {n_attributes} attributes")
     return Prior(p)
 
 
 def _parse_phi(text: str | None, path: str | None) -> PhiWeights | None:
-    if text:
-        parts = [float(v) for v in text.split(",")]
+    if not text and not path:
+        return None
+    try:
+        if text:
+            parts = [float(v) for v in text.split(",")]
+        else:
+            tree = _read_json(path, "phi")
+            parts = [tree["phi1"], tree["phi2"], tree["phi3"]]
         if len(parts) != 3:
             raise ParseError("--phi must be three comma-separated floats")
         return PhiWeights(*parts)
-    if path:
-        tree = json.loads(Path(path).read_text(encoding="utf-8"))
-        return PhiWeights(tree["phi1"], tree["phi2"], tree["phi3"])
-    return None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"phi weights {text or path!r} are not three numbers: {exc!r}") from exc
 
 
 def cmd_fit_phi(args) -> dict:
     dataset = load_dataset(args.dataset)
     model = load_model(args.model)
-    scorer = _resolve_scorer(args, dataset)
-    cfg = build_saliency_config(load_run_config(args.config).get("saliency"),
-                                method=args.method, seed=args.seed)
-    pairs = dataset.pairs_for_split(args.split)
-    features = pair_features(model, scorer, dataset, pairs, cfg)
-    prior = estimate_prior(model, scorer, dataset, pairs, cfg, features=features).prior
-    phi = fit_phi(model, scorer, dataset, pairs, grid_step=args.grid_step,
-                  prior=prior, features=features)
+    cfg = _saliency_config(args, method=args.method)
+    with _resolve_scorer(args, dataset) as scorer:
+        estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split(args.split),
+                                         cfg, args.grid_step)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dump_json(out, {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3,
-                    "prior": [float(v) for v in prior.p]})
-    _echo_config(out, {"command": "fit-phi", "saliency": _config_payload(cfg),
-                       "split": args.split, "grid_step": args.grid_step})
-    scorer.close()
+    _write_result(out, {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3,
+                        "prior": [float(v) for v in estimate.prior.p]},
+                  {"command": "fit-phi", "saliency": _config_payload(cfg),
+                   "split": args.split, "grid_step": args.grid_step})
     return {"out": str(out), "phi": [phi.phi1, phi.phi2, phi.phi3]}
 
 
 def cmd_explain(args) -> dict:
     dataset = load_dataset(args.dataset)
     model = load_model(args.model)
-    scorer = _resolve_scorer(args, dataset)
-    saliency_cfg = build_saliency_config(load_run_config(args.config).get("saliency"),
-                                         method=args.method, seed=args.seed)
+    saliency_cfg = _saliency_config(args, method=args.method)
     phi = _parse_phi(args.phi, args.phi_file) or PhiWeights()
     prior = _load_prior(args.prior, dataset.n_attributes)
     cfg = ExplainConfig(saliency=saliency_cfg, phi=phi, prior=prior)
     [pair] = _select_pairs(dataset, args.pair, None, None)
-    result = explain_pair(
-        scorer, model,
-        dataset.image(pair.reference_id), dataset.image(pair.query_id), cfg,
-        query_id=pair.query_id, reference_id=pair.reference_id,
-    )
+    with _resolve_scorer(args, dataset) as scorer:
+        result = explain_pair(
+            scorer, model,
+            dataset.image(pair.reference_id), dataset.image(pair.query_id), cfg,
+            query_id=pair.query_id, reference_id=pair.reference_id,
+        )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     smap_path = out.with_suffix(".smap")
-    save_saliency(smap_path, result.saliency)
     payload = {
         "query": result.query_id,
         "reference": result.reference_id,
@@ -405,10 +423,9 @@ def cmd_explain(args) -> dict:
             for r in result.ranked
         ],
     }
-    dump_json(out, payload)
-    _echo_config(out, {"command": "explain", "saliency": _config_payload(saliency_cfg),
-                       "pair": args.pair})
-    scorer.close()
+    _write_result(out, payload, {"command": "explain", "saliency": _config_payload(saliency_cfg),
+                                 "pair": args.pair})
+    save_saliency(smap_path, result.saliency)
     return {"out": str(out), "top1": dataset.catalog.names[result.top1]}
 
 
@@ -423,15 +440,20 @@ def run_eval(
     insertion_step: float = 0.01,
     limit_pairs: int | None = None,
     jobs: int = 1,
+    prior: Prior | None = None,
+    phi: PhiWeights | None = None,
 ) -> dict:
-    """Shared evaluation harness behind `eval` and `pipeline`."""
+    """Shared evaluation harness behind `eval` and `pipeline`.
+
+    The `top1` and `removal` suites rank with the ``prior`` and ``phi``
+    the caller fitted on the validation pairs.
+    """
     report: dict = {"schema_version": 1, "saliency": {}, "attribute": {}, "counts": {}}
     test_pairs = dataset.pairs_for_split("test")
     if limit_pairs:
         test_pairs = test_pairs[:limit_pairs]
-    val_pairs = dataset.pairs_for_split("val")
     report["counts"]["test_pairs"] = len(test_pairs)
-    report["counts"]["val_pairs"] = len(val_pairs)
+    report["counts"]["val_pairs"] = len(dataset.pairs_for_split("val"))
 
     if "insertion" in suites or "deletion" in suites:
         for method_name in methods:
@@ -463,24 +485,16 @@ def run_eval(
                 entry["deletion_stderr"] = del_se
             report["saliency"][key] = entry
 
-    needs_rankings = {"top1", "removal"} & set(suites)
     if "map" in suites:
         report["attribute"]["map"] = map_metric(model, dataset, "test")
 
-    if needs_rankings:
-        val_features = pair_features(model, scorer, dataset, val_pairs, saliency_cfg)
-        prior = estimate_prior(model, scorer, dataset, val_pairs, saliency_cfg,
-                               features=val_features).prior
-        phi = fit_phi(model, scorer, dataset, val_pairs, prior=prior, features=val_features)
+    if {"top1", "removal"} & set(suites):
+        if prior is None or phi is None:
+            raise InvalidArgumentError("the top1 and removal suites need a fitted prior and phi")
         report["attribute"]["phi"] = [phi.phi1, phi.phi2, phi.phi3]
         test_features = pair_features(model, scorer, dataset, test_pairs, saliency_cfg)
-
-        def top_attr(f, weights: PhiWeights) -> int:
-            e = weights.phi1 * f.confidences + weights.phi2 * f.map_match + weights.phi3 * prior.p
-            return int(np.argsort(-e, kind="stable")[0])
-
-        full_attrs = [top_attr(f, phi) for f in test_features]
-        conf_attrs = [top_attr(f, CONFIDENCE_ONLY_PHI) for f in test_features]
+        full_attrs = [f.top1(prior, phi) for f in test_features]
+        conf_attrs = [f.top1(prior, CONFIDENCE_ONLY_PHI) for f in test_features]
         rng = np.random.default_rng([seed, 77])
         random_attrs = [int(rng.integers(dataset.n_attributes)) for _ in test_features]
         gt_sets = [f.gt.tolist() for f in test_features]
@@ -504,48 +518,40 @@ def run_eval(
 def cmd_eval(args) -> dict:
     dataset = load_dataset(args.dataset)
     model = load_model(args.model)
-    scorer = _resolve_scorer(args, dataset)
-    saliency_cfg = build_saliency_config(load_run_config(args.config).get("saliency"),
-                                         seed=args.seed)
+    saliency_cfg = _saliency_config(args)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     known = {"insertion", "deletion", "map", "top1", "removal"}
     unknown = set(suites) - known
     if unknown:
         raise ParseError(f"unknown suite(s): {', '.join(sorted(unknown))}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    report = run_eval(dataset, model, scorer, saliency_cfg, suites, methods,
-                      seed=args.seed, insertion_step=args.insertion_step,
-                      limit_pairs=args.limit, jobs=args.jobs)
+    with _resolve_scorer(args, dataset) as scorer:
+        prior = phi = None
+        if {"top1", "removal"} & set(suites):
+            estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"),
+                                             saliency_cfg)
+            prior = estimate.prior
+        report = run_eval(dataset, model, scorer, saliency_cfg, suites, methods,
+                          seed=args.seed, insertion_step=args.insertion_step,
+                          limit_pairs=args.limit, jobs=args.jobs, prior=prior, phi=phi)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dump_json(out, report)
-    _echo_config(out, {"command": "eval", "saliency": _config_payload(saliency_cfg),
-                       "suites": suites, "methods": methods, "seed": args.seed})
-    scorer.close()
+    _write_result(out, report, {"command": "eval", "saliency": _config_payload(saliency_cfg),
+                                "suites": suites, "methods": methods, "seed": args.seed})
     return {"out": str(out), **report.get("attribute", {})}
 
 
 def cmd_discover(args) -> dict:
     dataset = load_dataset(args.dataset)
-    scorer = _resolve_scorer(args, dataset)
-    saliency_cfg = build_saliency_config(load_run_config(args.config).get("saliency"),
-                                         method=args.method, seed=args.seed)
+    saliency_cfg = _saliency_config(args, method=args.method)
     tree = load_run_config(args.config).get("discovery", {})
     base = _build_dataclass(DiscoveryConfig, {k: v for k, v in tree.items() if k != "saliency"}, "discovery")
-    cfg = dataclasses.replace(
-        base,
-        k_nn=args.k if args.k is not None else base.k_nn,
-        n_clusters=args.clusters if args.clusters is not None else base.n_clusters,
-        top_n=args.top_n if args.top_n is not None else base.top_n,
-        patch=args.patch if args.patch is not None else base.patch,
-        seed=args.seed,
-        saliency=saliency_cfg,
-    )
-    assignment = discover(dataset, scorer, cfg)
-    deltas = removal_eval_discovered(assignment, scorer, dataset,
-                                     dataset.pairs_for_split("test"), seed=args.seed)
+    cfg = _with_flags(base, k_nn=args.k, n_clusters=args.clusters, top_n=args.top_n, patch=args.patch,
+                      seed=args.seed, saliency=saliency_cfg)
+    with _resolve_scorer(args, dataset) as scorer:
+        assignment = discover(dataset, scorer, cfg)
+        deltas = removal_eval_discovered(assignment, scorer, dataset,
+                                         dataset.pairs_for_split("test"), seed=args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "n_clusters": assignment.n_clusters,
         "labels_by_image": {k: list(v) for k, v in sorted(assignment.labels_by_image.items())},
@@ -557,10 +563,8 @@ def cmd_discover(args) -> dict:
         "removal": {k: {"delta": v.mean_delta, "n_used": v.n_used, "n_skipped": v.n_skipped}
                     for k, v in deltas.items()},
     }
-    dump_json(out, payload)
+    _write_result(out, payload, {"command": "discover", "discovery": _config_payload(cfg)})
     _write_montage(out.with_suffix(".pgm"), dataset, assignment)
-    _echo_config(out, {"command": "discover", "discovery": _config_payload(cfg)})
-    scorer.close()
     return {"out": str(out), "removal": payload["removal"]}
 
 
@@ -587,31 +591,28 @@ def _write_montage(path: Path, dataset: Dataset, assignment, per_cluster: int = 
 
 def cmd_bench(args) -> dict:
     dataset = load_dataset(args.dataset)
-    scorer = _resolve_scorer(args, dataset)
     pairs = dataset.pairs_for_split("test") or list(dataset.pairs)
     pair = pairs[0]
     ref, query = dataset.image(pair.reference_id), dataset.image(pair.query_id)
     table = []
-    for method_name in ("sliding_window", "rise", "lime", "mask"):
-        for fixed in (True, False):
-            if method_name == "lime" and not fixed:
-                continue
-            cfg = build_saliency_config(load_run_config(args.config).get("saliency"),
-                                        method=method_name, fixed_reference=fixed, seed=args.seed)
-            start = time.perf_counter()
-            try:
-                generate(scorer, ref, query, cfg)
-                elapsed = time.perf_counter() - start
-                table.append({"method": method_name, "fixed_reference": fixed,
-                              "seconds": round(elapsed, 4)})
-            except SimExplainError as exc:
-                table.append({"method": method_name, "fixed_reference": fixed,
-                              "error": str(exc)})
+    with _resolve_scorer(args, dataset) as scorer:
+        for method_name in ("sliding_window", "rise", "lime", "mask"):
+            for fixed in (True, False):
+                if method_name == "lime" and not fixed:
+                    continue
+                cfg = _saliency_config(args, method=method_name, fixed_reference=fixed)
+                start = time.perf_counter()
+                try:
+                    generate(scorer, ref, query, cfg)
+                    elapsed = time.perf_counter() - start
+                    table.append({"method": method_name, "fixed_reference": fixed,
+                                  "seconds": round(elapsed, 4)})
+                except SimExplainError as exc:
+                    table.append({"method": method_name, "fixed_reference": fixed,
+                                  "error": str(exc)})
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dump_json(out, {"pair": f"{pair.query_id}:{pair.reference_id}", "timings": table})
-    _echo_config(out, {"command": "bench", "seed": args.seed})
-    scorer.close()
+    _write_result(out, {"pair": f"{pair.query_id}:{pair.reference_id}", "timings": table},
+                  {"command": "bench", "seed": args.seed})
     return {"out": str(out), "timings": table}
 
 
@@ -629,24 +630,6 @@ def cmd_serve_stub(args) -> dict:
     return {}
 
 
-class _ScoreOnly(Scorer):
-    """Strips the embed capability from a wrapped scorer (stub testing)."""
-
-    def __init__(self, inner: Scorer):
-        self._inner = inner
-        self.dims = inner.dims
-
-    @property
-    def caps(self):
-        return dataclasses.replace(self._inner.caps, can_embed=False, can_grad=False)
-
-    def score(self, ref, query):
-        return self._inner.score(ref, query)
-
-    def score_batch(self, ref, queries):
-        return self._inner.score_batch(ref, queries)
-
-
 def cmd_pipeline(args) -> dict:
     """synth -> scorer -> saliency bank -> train-attr -> prior -> phi -> eval."""
     out = Path(args.out)
@@ -660,16 +643,11 @@ def cmd_pipeline(args) -> dict:
     dataset = generate_dataset(spec)
     save_dataset(dataset, out / "dataset")
 
-    scorer = _resolve_scorer(args, dataset)
     saliency_cfg = build_saliency_config(run_cfg.get("saliency"), seed=seed)
-    if args.rise_masks is not None:
-        saliency_cfg = dataclasses.replace(
-            saliency_cfg, rise=dataclasses.replace(saliency_cfg.rise, n_masks=args.rise_masks))
-
-    train_tree = run_cfg.get("train", {})
-    train_cfg = _build_dataclass(TrainConfig, train_tree, "train")
-    train_cfg = dataclasses.replace(train_cfg, seed=seed,
-                                    epochs=args.epochs if args.epochs is not None else train_cfg.epochs)
+    saliency_cfg = dataclasses.replace(saliency_cfg,
+                                       rise=_with_flags(saliency_cfg.rise, n_masks=args.rise_masks))
+    train_cfg = _with_flags(_build_dataclass(TrainConfig, run_cfg.get("train", {}), "train"),
+                            seed=seed, epochs=args.epochs)
 
     maps_dir = out / "maps"
     maps_dir.mkdir(exist_ok=True)
@@ -681,29 +659,27 @@ def cmd_pipeline(args) -> dict:
             continue
         per_query[p.query_id] = per_query.get(p.query_id, 0) + 1
         bank_pairs.append(p)
-
-    def bank_one(pair: Pair) -> None:
-        smap = generate(scorer, dataset.image(pair.reference_id), dataset.image(pair.query_id), saliency_cfg)
-        save_saliency(maps_dir / f"{pair.query_id}__{pair.reference_id}.smap", smap)
-
-    _parallel_map(bank_one, bank_pairs, args.jobs)
-
-    bank = load_saliency_bank(maps_dir)
-    model = train(dataset, bank, train_cfg)
-    save_model(out / "model.sane", model)
-
-    val_pairs = dataset.pairs_for_split("val")
-    val_features = pair_features(model, scorer, dataset, val_pairs, saliency_cfg)
-    estimate = estimate_prior(model, scorer, dataset, val_pairs, saliency_cfg, features=val_features)
-    dump_json(out / "prior.json", {"prior": [float(v) for v in estimate.prior.p],
-                                   "n_used": estimate.n_used, "n_skipped": estimate.n_skipped})
-    phi = fit_phi(model, scorer, dataset, val_pairs, prior=estimate.prior, features=val_features)
-    dump_json(out / "phi.json", {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3})
-
-    suites = ["insertion", "deletion", "map", "top1", "removal"]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    report = run_eval(dataset, model, scorer, saliency_cfg, suites, methods,
-                      seed=seed, limit_pairs=args.limit, jobs=args.jobs)
+
+    with _resolve_scorer(args, dataset) as scorer:
+        def bank_one(pair: Pair) -> None:
+            smap = generate(scorer, dataset.image(pair.reference_id), dataset.image(pair.query_id), saliency_cfg)
+            save_saliency(maps_dir / f"{pair.query_id}__{pair.reference_id}.smap", smap)
+
+        _parallel_map(bank_one, bank_pairs, args.jobs)
+
+        bank = load_saliency_bank(maps_dir)
+        model = train(dataset, bank, train_cfg)
+        save_model(out / "model.sane", model)
+
+        estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"), saliency_cfg)
+        dump_json(out / "prior.json", {"prior": [float(v) for v in estimate.prior.p],
+                                       "n_used": estimate.n_used, "n_skipped": estimate.n_skipped})
+        dump_json(out / "phi.json", {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3})
+
+        suites = ["insertion", "deletion", "map", "top1", "removal"]
+        report = run_eval(dataset, model, scorer, saliency_cfg, suites, methods,
+                          seed=seed, limit_pairs=args.limit, jobs=args.jobs, prior=estimate.prior, phi=phi)
     dump_json(out / "report.json", report)
     _echo_config(out, {
         "command": "pipeline",
@@ -713,7 +689,6 @@ def cmd_pipeline(args) -> dict:
         "train": _config_payload(train_cfg),
         "methods": methods,
     })
-    scorer.close()
     return {"out": str(out), "report": str(out / "report.json")}
 
 

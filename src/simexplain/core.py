@@ -390,11 +390,6 @@ def normalize_map(grid: np.ndarray | SaliencyMap) -> np.ndarray:
     return (g - lo) / (hi - lo)
 
 
-def is_degenerate(grid: np.ndarray) -> bool:
-    """True for the all-zero output of normalizing a constant map."""
-    return not np.asarray(grid).any()
-
-
 def to_match_resolution(grid: np.ndarray | SaliencyMap, grid_size: int = MATCH_RESOLUTION) -> np.ndarray:
     """Pool any grid to the canonical comparison resolution and normalize."""
     return normalize_map(resize_map(grid, grid_size, grid_size, mode="average_pool"))

@@ -59,12 +59,11 @@ class PhiWeights:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi1, self.phi2, self.phi3)
 
+    def combine(self, confidences: np.ndarray, map_match: np.ndarray, prior: Prior) -> np.ndarray:
+        """e_i = phi1 * confidence_i + phi2 * map_match_i + phi3 * prior_i."""
+        return self.phi1 * confidences + self.phi2 * map_match + self.phi3 * prior.p
 
-# Mixing weights that worked best in practice: map matching dominant with
-# a small prior bias, and a confidence-heavier variant for catalogs whose
-# classifier is strong.
-DEFAULT_PHI = PhiWeights(0.1, 0.9, 0.05)
-CONFIDENCE_HEAVY_PHI = PhiWeights(0.4, 0.6, 0.05)
+
 CONFIDENCE_ONLY_PHI = PhiWeights(1.0, 0.0, 0.0)
 
 
@@ -109,13 +108,16 @@ def explanation_scores(
     maps. A degenerate (all-zero) map zeroes the cosine term for every
     attribute via the guarded norms.
     """
-    m_flat = np.asarray(m_q, dtype=np.float64).ravel()
     conf = np.asarray(confidences, dtype=np.float64)
     A = conf.size
     if normalized_maps.shape[0] != A or prior.p.size != A:
         raise InvalidArgumentError("confidences, maps and prior must agree on the attribute count")
-    match = np.array([cosine(m_flat, normalized_maps[a].ravel()) for a in range(A)])
-    return phi.phi1 * conf + phi.phi2 * match + phi.phi3 * prior.p
+    return phi.combine(conf, _map_match(m_q, normalized_maps), prior)
+
+
+def _map_match(m_q: np.ndarray, normalized_maps: np.ndarray) -> np.ndarray:
+    m_flat = np.asarray(m_q, dtype=np.float64).ravel()
+    return np.array([cosine(m_flat, m.ravel()) for m in normalized_maps])
 
 
 def rank_attributes(e: np.ndarray) -> np.ndarray:
@@ -134,6 +136,21 @@ class PairFeatures:
     map_match: np.ndarray    # (A,) cosine of m_q vs each normalized activation map
     gt: np.ndarray           # ground-truth attribute indices of the query
 
+    def top1(self, prior: Prior, phi: PhiWeights) -> int:
+        """The attribute ranked first under ``phi`` and ``prior``."""
+        return int(rank_attributes(phi.combine(self.confidences, self.map_match, prior))[0])
+
+
+def _features_of(model: AttributeModel, scorer: Scorer, ref, query, saliency_cfg: SaliencyConfig,
+                 query_id: str, reference_id: str, gt: np.ndarray) -> tuple[SaliencyMap, PairFeatures]:
+    """saliency map -> match-resolution map -> attribute maps -> cosine match."""
+    smap = generate(scorer, ref, query, saliency_cfg)
+    m_q = smap.at_match_resolution(model.extractor.grid)
+    pred = model.forward(query)
+    maps = np.stack([normalize_map(m) for m in pred.maps])
+    return smap, PairFeatures(query_id=query_id, reference_id=reference_id, m_q=m_q,
+                              confidences=pred.confidences, map_match=_map_match(m_q, maps), gt=gt)
+
 
 def pair_features(
     model: AttributeModel,
@@ -142,24 +159,11 @@ def pair_features(
     pairs: Sequence[Pair],
     saliency_cfg: SaliencyConfig,
 ) -> list[PairFeatures]:
-    out = []
-    for pair in pairs:
-        query = dataset.image(pair.query_id)
-        ref = dataset.image(pair.reference_id)
-        smap = generate(scorer, ref, query, saliency_cfg)
-        m_q = smap.at_match_resolution(model.extractor.grid)
-        pred = model.forward(query)
-        maps = np.stack([normalize_map(m) for m in pred.maps])
-        match = np.array([cosine(m_q.ravel(), maps[a].ravel()) for a in range(maps.shape[0])])
-        out.append(PairFeatures(
-            query_id=pair.query_id,
-            reference_id=pair.reference_id,
-            m_q=m_q,
-            confidences=pred.confidences,
-            map_match=match,
-            gt=dataset.gt_attributes(pair.query_id),
-        ))
-    return out
+    return [
+        _features_of(model, scorer, dataset.image(p.reference_id), dataset.image(p.query_id), saliency_cfg,
+                     p.query_id, p.reference_id, dataset.gt_attributes(p.query_id))[1]
+        for p in pairs
+    ]
 
 
 @dataclass(frozen=True)
@@ -169,22 +173,10 @@ class PriorEstimate:
     n_skipped: int
 
 
-def estimate_prior(
-    model: AttributeModel,
-    scorer: Scorer,
-    dataset: Dataset,
-    pairs: Sequence[Pair],
-    saliency_cfg: SaliencyConfig,
-    features: Sequence[PairFeatures] | None = None,
-) -> PriorEstimate:
+def estimate_prior(features: Sequence[PairFeatures], n_attributes: int) -> PriorEstimate:
     """Count map-match winners among ground-truth attributes, add-one
     smoothed over the whole catalog so unseen attributes keep mass."""
-    if not pairs and features is None:
-        raise InvalidArgumentError("prior estimation needs at least one validation pair")
-    if features is None:
-        features = pair_features(model, scorer, dataset, pairs, saliency_cfg)
-    A = dataset.n_attributes
-    counts = np.zeros(A, dtype=np.float64)
+    counts = np.zeros(n_attributes, dtype=np.float64)
     skipped = 0
     for f in features:
         if f.gt.size == 0:
@@ -195,7 +187,7 @@ def estimate_prior(
     used = len(features) - skipped
     if skipped:
         log.warning("prior estimation skipped %d pair(s) without ground-truth attributes", skipped)
-    prior = Prior((counts + 1.0) / (counts.sum() + A))
+    prior = Prior((counts + 1.0) / (counts.sum() + n_attributes))
     return PriorEstimate(prior=prior, n_used=used, n_skipped=skipped)
 
 
@@ -209,41 +201,23 @@ def explain_pair(
     reference_id: str = "reference",
 ) -> ExplanationResult:
     """Full path: saliency map -> attribute prediction -> ranked scores."""
-    smap = generate(scorer, ref, query, cfg.saliency)
-    m_q = smap.at_match_resolution(model.extractor.grid)
-    pred = model.forward(query)
-    maps = np.stack([normalize_map(m) for m in pred.maps])
     prior = cfg.prior if cfg.prior is not None else Prior.uniform(model.n_attributes)
-    e = explanation_scores(m_q, pred.confidences, maps, prior, cfg.phi)
-    order = rank_attributes(e)
-    match = np.array([cosine(m_q.ravel(), maps[a].ravel()) for a in range(model.n_attributes)])
+    if prior.p.size != model.n_attributes:
+        raise InvalidArgumentError(f"prior has {prior.p.size} entries for {model.n_attributes} attributes")
+    smap, f = _features_of(model, scorer, ref, query, cfg.saliency, query_id, reference_id,
+                           gt=np.empty(0, dtype=np.intp))
+    e = cfg.phi.combine(f.confidences, f.map_match, prior)
     ranked = tuple(
         RankedAttribute(
             attribute=int(a),
             score=float(e[a]),
-            confidence=float(pred.confidences[a]),
-            map_match=float(match[a]),
+            confidence=float(f.confidences[a]),
+            map_match=float(f.map_match[a]),
             prior=float(prior.p[a]),
         )
-        for a in order
+        for a in rank_attributes(e)
     )
     return ExplanationResult(query_id=query_id, reference_id=reference_id, saliency=smap, ranked=ranked)
-
-
-def explain_pairs(
-    scorer: Scorer,
-    model: AttributeModel,
-    dataset: Dataset,
-    pairs: Sequence[Pair],
-    cfg: ExplainConfig,
-) -> list[ExplanationResult]:
-    return [
-        explain_pair(
-            scorer, model, dataset.image(p.reference_id), dataset.image(p.query_id), cfg,
-            query_id=p.query_id, reference_id=p.reference_id,
-        )
-        for p in pairs
-    ]
 
 
 def _accuracy_for_phi(features: Sequence[PairFeatures], prior: Prior, phi: PhiWeights) -> float:
@@ -252,22 +226,16 @@ def _accuracy_for_phi(features: Sequence[PairFeatures], prior: Prior, phi: PhiWe
     for f in features:
         if f.gt.size == 0:
             continue
-        e = phi.phi1 * f.confidences + phi.phi2 * f.map_match + phi.phi3 * prior.p
-        top = int(rank_attributes(e)[0])
-        hits += int(top in set(f.gt.tolist()))
+        hits += int(f.top1(prior, phi) in set(f.gt.tolist()))
         used += 1
     return hits / used if used else 0.0
 
 
 def fit_phi(
-    model: AttributeModel,
-    scorer: Scorer,
-    dataset: Dataset,
-    pairs: Sequence[Pair],
+    features: Sequence[PairFeatures],
+    prior: Prior,
     grid_step: float = 0.05,
     phi3_values: Sequence[float] = (0.0, 0.05, 0.1),
-    prior: Prior | None = None,
-    features: Sequence[PairFeatures] | None = None,
 ) -> PhiWeights:
     """Exhaustive grid search maximizing top-1 accuracy on held-out pairs.
 
@@ -276,11 +244,6 @@ def fit_phi(
     """
     if grid_step <= 0 or grid_step > 1:
         raise InvalidArgumentError("grid_step must lie in (0, 1]")
-    if features is None:
-        saliency_cfg = SaliencyConfig()
-        features = pair_features(model, scorer, dataset, pairs, saliency_cfg)
-    if prior is None:
-        prior = Prior.uniform(dataset.n_attributes)
 
     n_steps = int(round(1.0 / grid_step))
     axis = np.arange(n_steps + 1) * grid_step

@@ -18,6 +18,7 @@ failure (dead pipe, truncated line); error responses are never retried.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import queue
 import socket
@@ -188,9 +189,6 @@ class ExternalScorer(Scorer):
     def _encode_image(self, image) -> str:
         return encode_f32(_as_flat(image, self.dims))
 
-    def score(self, ref, query) -> float:
-        return float(self.score_batch(ref, [query])[0])
-
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
         ref_b64 = self._encode_image(ref)
         encoded = [self._encode_image(q) for q in queries]
@@ -224,6 +222,21 @@ class ExternalScorer(Scorer):
 # ---------------------------------------------------------------------------
 # Reference stub server wrapping an in-process scorer
 # ---------------------------------------------------------------------------
+
+
+class _ScoreOnly(Scorer):
+    """Strips the embed capability from a wrapped scorer (stub testing)."""
+
+    def __init__(self, inner: Scorer):
+        self._inner = inner
+        self.dims = inner.dims
+
+    @property
+    def caps(self):
+        return dataclasses.replace(self._inner.caps, can_embed=False, can_grad=False)
+
+    def score_batch(self, ref, queries):
+        return self._inner.score_batch(ref, queries)
 
 
 def _error_line(req_id: int, code: str, msg: str) -> str:

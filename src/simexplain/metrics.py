@@ -150,13 +150,6 @@ def top1_accuracy_from_attrs(pred_attrs: Sequence[int], gt_sets: Sequence[Sequen
     return 100.0 * hits / len(pred_attrs)
 
 
-def top1_accuracy(explanations: Sequence, dataset: Dataset) -> float:
-    """Top-1 accuracy (x100) of ExplanationResults against query GT."""
-    preds = [e.top1 for e in explanations]
-    gts = [dataset.gt_attributes(e.query_id).tolist() for e in explanations]
-    return top1_accuracy_from_attrs(preds, gts)
-
-
 # ---------------------------------------------------------------------------
 # Attribute removal
 # ---------------------------------------------------------------------------
@@ -257,20 +250,8 @@ def attribute_removal_delta(
 
 
 # ---------------------------------------------------------------------------
-# Report container
+# Summary statistics
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MetricsReport:
-    """All x100 values, mirroring the per-method / per-variant tables."""
-
-    saliency: dict  # method key -> {"insertion_auc": .., "deletion_auc": .., stderr fields}
-    attribute: dict  # {"map": .., "top1": {...}, "removal": {...}}
-    counts: dict
-
-    def as_dict(self) -> dict:
-        return {"saliency": self.saliency, "attribute": self.attribute, "counts": self.counts}
 
 
 def mean_and_stderr(values: Sequence[float]) -> tuple[float, float]:

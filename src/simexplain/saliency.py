@@ -18,7 +18,7 @@ as in fixed mode (fixed mode is the M=1 identity special case).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class SaliencyConfig:
     rise: RiseCfg = field(default_factory=RiseCfg)
     lime: LimeCfg = field(default_factory=LimeCfg)
     mask: MaskCfg = field(default_factory=MaskCfg)
-
-    def with_seed(self, seed: int) -> "SaliencyConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -603,8 +600,3 @@ def generate(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     images); an all-equal score response yields the degenerate zero map
     rather than an error."""
     return _GENERATORS[cfg.method](scorer, ref, query, cfg)
-
-
-def dual_manipulate(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
-    """Explicit dual-manipulation entry point (both images perturbed)."""
-    return generate(scorer, ref, query, replace(cfg, fixed_reference=False))

@@ -64,11 +64,6 @@ class Rect:
     def covers(self, row: int, col: int) -> bool:
         return self.top <= row < self.top + self.height and self.left <= col < self.left + self.width
 
-    def pixel_mask(self, rows: int, cols: int) -> np.ndarray:
-        m = np.zeros((rows, cols), dtype=bool)
-        m[self.top:self.top + self.height, self.left:self.left + self.width] = True
-        return m
-
 
 def cosine(u: np.ndarray, v: np.ndarray, eps: float = NORM_EPS) -> float:
     """Cosine similarity with epsilon-guarded norms (blank inputs give 0)."""
@@ -96,7 +91,7 @@ class Scorer:
         raise NotImplementedError
 
     def score(self, ref, query) -> float:
-        raise NotImplementedError
+        return float(self.score_batch(ref, [query])[0])
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
         raise NotImplementedError
@@ -150,26 +145,14 @@ class LinearEmbeddingScorer(Scorer):
         flat = _as_flat(image, self.dims)
         return Embedding(self._embed_flat(flat[None, :])[0])
 
-    def score(self, ref, query) -> float:
-        return float(self.score_batch(ref, [query])[0])
-
     def _ref_norm(self, ref_emb: np.ndarray) -> float:
         # same einsum path as the per-query norms so score(a, b) and
         # score(b, a) round identically
         return max(float(np.sqrt(np.einsum("d,d->", ref_emb, ref_emb, optimize=False))), NORM_EPS)
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
-        ref_emb = self.embed(ref).data
-        nu = self._ref_norm(ref_emb)
-        out = np.empty(len(queries), dtype=np.float64)
-        for start in range(0, len(queries), _CHUNK):
-            chunk = queries[start:start + _CHUNK]
-            flat = np.stack([_as_flat(q, self.dims) for q in chunk])
-            emb = self._embed_flat(flat)
-            dots = np.einsum("nd,d->n", emb, ref_emb, optimize=False)
-            norms = np.maximum(np.sqrt(np.einsum("nd,nd->n", emb, emb, optimize=False)), NORM_EPS)
-            out[start:start + len(chunk)] = dots / (norms * nu)
-        return np.clip(out, -1.0, 1.0)
+        flat = np.array([_as_flat(q, self.dims) for q in queries], dtype=np.float64)
+        return self.score_batch_flat(ref, flat.reshape(len(queries), self.weight.shape[1]))
 
     def score_batch_flat(self, ref, flat_queries: np.ndarray) -> np.ndarray:
         """score_batch over pre-flattened rows; avoids per-image stacking."""
@@ -257,11 +240,6 @@ class ConstantScorer(Scorer):
     @property
     def caps(self) -> ScorerCaps:
         return ScorerCaps(can_embed=False, can_grad=False, max_batch=4096)
-
-    def score(self, ref, query) -> float:
-        _as_flat(ref, self.dims)
-        _as_flat(query, self.dims)
-        return self.value
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
         _as_flat(ref, self.dims)

@@ -219,8 +219,8 @@ def test_criterion_5_trend_reproduction():
         val_pairs = ds.pairs_for_split("val")
         test_pairs = ds.pairs_for_split("test")
         val_features = pair_features(model, scorer, ds, val_pairs, scfg)
-        prior = estimate_prior(model, scorer, ds, val_pairs, scfg, features=val_features).prior
-        phi = fit_phi(model, scorer, ds, val_pairs, prior=prior, features=val_features)
+        prior = estimate_prior(val_features, ds.n_attributes).prior
+        phi = fit_phi(val_features, prior)
         test_features = pair_features(model, scorer, ds, test_pairs, scfg)
 
         def top_attr(f, weights):

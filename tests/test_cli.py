@@ -1,12 +1,17 @@
 import hashlib
 import json
+import shlex
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import simexplain as se
-from simexplain.cli import build_saliency_config, load_saliency_bank, main
+import simexplain.cli as cli
+from simexplain.cli import build_parser, build_saliency_config, load_saliency_bank, main
 from simexplain.dataio import load_dataset, load_saliency
 from simexplain.errors import ParseError
 from simexplain.synth import motif_slots
@@ -276,3 +281,85 @@ class TestCliPlumbing:
         a = (tmp_path / "x" / "run_config.json").read_bytes()
         b = (tmp_path / "y" / "run_config.json").read_bytes()
         assert a == b
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        """Every child process started during the test; killed afterwards."""
+        procs = []
+        real_popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            proc = real_popen(*args, **kwargs)
+            procs.append(proc)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        yield procs
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+    @pytest.mark.parametrize("command", [
+        ["saliency", "--method", "lime", "--dual", "--pair", "{pair}", "--out", "{tmp}/maps"],
+        ["discover", "--method", "sliding_window", "--k", "1", "--top-n", "1", "--clusters", "999",
+         "--out", "{tmp}/clusters.json"],
+    ])
+    def test_failed_command_closes_external_scorer(self, command, spawned, tmp_path):
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--n-images", "8", "--seed", "2"]) == 0
+        pair = load_dataset(data / "manifest.json").pairs[0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"saliency": {"sliding": {"windows_query": 9, "windows_ref": 4}}}))
+        stub = f"{shlex.quote(sys.executable)} -m simexplain serve-stub"
+        argv = [a.format(pair=f"{pair.query_id}:{pair.reference_id}", tmp=tmp_path) for a in command]
+        code = main([*argv, "--dataset", str(data / "manifest.json"), "--seed", "2", "--config", str(cfg),
+                     "--scorer", "external", "--external-cmd", stub])
+        assert code == 2
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None  # the stub child was shut down
+
+    @pytest.mark.parametrize("flags, files", [
+        (["--model", "{tmp}/missing.sane"], {}),
+        (["--model", "{tmp}/short.sane"], {"short.sane": b"SANE1\x00\x01"}),
+        (["--prior", "{tmp}/missing.json"], {}),
+        (["--prior", "{tmp}/p.json"], {"p.json": b"{"}),
+        (["--prior", "{tmp}/p.json"], {"p.json": b"{}"}),
+        (["--prior", "{tmp}/p.json"], {"p.json": b'{"prior": "abc"}'}),
+        (["--phi", "a,b,c"], {}),
+        (["--phi-file", "{tmp}/missing.json"], {}),
+        (["--phi-file", "{tmp}/f.json"], {"f.json": b'{"phi1": 0.1}'}),
+        (["--phi-file", "{tmp}/f.json"], {"f.json": b'{"phi1": "x", "phi2": 0, "phi3": 0}'}),
+    ])
+    def test_bad_user_files_are_parse_errors(self, flags, files, cli_workspace, tmp_path):
+        _, manifest, _, model = cli_workspace
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        pair = load_dataset(manifest).pairs_for_split("test")[0]
+        argv = ["explain", "--dataset", str(manifest), "--model", str(model),
+                "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
+                "--pair", f"{pair.query_id}:{pair.reference_id}", "--out", str(tmp_path / "e.json"),
+                *[f.format(tmp=tmp_path) for f in flags]]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ParseError):
+            args.func(args)
+        assert main(argv) == 2
+
+    def test_pipeline_generates_each_validation_map_once(self, tmp_path, monkeypatch):
+        seen = Counter()
+        real = cli.pair_features
+
+        def counting(model, scorer, dataset, pairs, saliency_cfg):
+            seen.update((p.query_id, p.reference_id) for p in pairs)
+            return real(model, scorer, dataset, pairs, saliency_cfg)
+
+        monkeypatch.setattr(cli, "pair_features", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"saliency": {"sliding": {"windows_query": 9, "windows_ref": 4}}}))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--out", str(out), "--n-images", "16", "--attributes", "3",
+                     "--epochs", "2", "--rise-masks", "20", "--methods", "sliding_window",
+                     "--limit", "2", "--seed", "3", "--jobs", "1", "--config", str(cfg)]) == 0
+        val = load_dataset(out / "dataset").pairs_for_split("val")
+        assert val
+        assert [seen[(p.query_id, p.reference_id)] for p in val] == [1] * len(val)

@@ -41,7 +41,6 @@ class TestPhiWeights:
 
     def test_documented_defaults(self):
         assert PhiWeights().as_tuple() == (0.1, 0.9, 0.05)
-        assert se.CONFIDENCE_HEAVY_PHI.as_tuple() == (0.4, 0.6, 0.05)
 
 
 class TestExplanationScores:
@@ -118,12 +117,12 @@ def _features(winners, A, n_per=1):
 class TestEstimatePrior:
     def test_single_attribute_dataset(self):
         feats = _features([0], A=1, n_per=7)
-        est = estimate_prior(None, None, _DatasetStub(1), [None] * 7, None, features=feats)
+        est = estimate_prior(feats, 1)
         np.testing.assert_array_equal(est.prior.p, [1.0])
 
     def test_smoothed_counts(self):
         feats = _features([0], 2, 30) + _features([1], 2, 10)
-        est = estimate_prior(None, None, _DatasetStub(2), [None] * 40, None, features=feats)
+        est = estimate_prior(feats, 2)
         np.testing.assert_allclose(est.prior.p, [31 / 42, 11 / 42], atol=1e-12)
         assert est.n_used == 40 and est.n_skipped == 0
 
@@ -131,14 +130,9 @@ class TestEstimatePrior:
         feats = _features([0], 2, 3)
         feats.append(PairFeatures("q", "r", np.zeros((7, 7)), np.full(2, 0.5),
                                   np.zeros(2), np.array([], dtype=np.intp)))
-        est = estimate_prior(None, None, _DatasetStub(2), [None] * 4, None, features=feats)
+        est = estimate_prior(feats, 2)
         assert est.n_skipped == 1
         assert est.n_used == 3
-
-
-class _DatasetStub:
-    def __init__(self, A):
-        self.n_attributes = A
 
 
 class TestFitPhi:
@@ -153,7 +147,7 @@ class TestFitPhi:
             match = np.full(A, 0.5)
             match[(gt[0] + 1) % A] = 1.0  # map match points at a wrong attribute
             feats.append(PairFeatures("q", "r", np.zeros((7, 7)), conf, match, gt))
-        phi = fit_phi(None, None, _DatasetStub(A), [None] * 16, features=feats)
+        phi = fit_phi(feats, Prior.uniform(A))
         hits = 0
         for f in feats:
             e = phi.phi1 * f.confidences + phi.phi2 * f.map_match
@@ -169,19 +163,19 @@ class TestFitPhi:
 
     def test_degenerate_step_returns_vertex(self):
         feats = _features([0], 2, 4)
-        phi = fit_phi(None, None, _DatasetStub(2), [None] * 4, grid_step=1.0, features=feats)
+        phi = fit_phi(feats, Prior.uniform(2), grid_step=1.0)
         assert phi is not None
         assert any(v != 0 for v in phi.as_tuple())
 
     def test_tie_prefers_larger_phi2(self):
         # all mixes score identically: every signal points at the only GT attr
         feats = _features([0], 1, 3)
-        phi = fit_phi(None, None, _DatasetStub(1), [None] * 3, grid_step=0.5, features=feats)
+        phi = fit_phi(feats, Prior.uniform(1), grid_step=0.5)
         assert phi.phi2 == 1.0
 
     def test_invalid_step(self):
         with pytest.raises(InvalidArgumentError):
-            fit_phi(None, None, _DatasetStub(2), [], grid_step=0.0, features=[])
+            fit_phi([], Prior.uniform(2), grid_step=0.0)
 
 
 class TestExplainPair:

@@ -120,7 +120,7 @@ class TestServerValidation:
         assert out["error"]["code"] == "bad_input"
 
     def test_embed_on_scoreonly(self, rng):
-        from simexplain.cli import _ScoreOnly
+        from simexplain.external import _ScoreOnly
         wrapped = _ScoreOnly(se.LinearToyScorer.random(DIMS, embed_dim=6, seed=31))
         out = self._call(wrapped, json.dumps(
             {"id": 1, "op": "embed", "image": encode_f32(rng.random(DIMS))}), [0])

@@ -177,7 +177,8 @@ class TestRise:
 
     def test_dual_mode_runs(self, planted, images):
         _, scorer = planted
-        smap = se.dual_manipulate(scorer, images[0], images[1], small_cfg(se.Method.RISE, seed=3))
+        smap = se.generate(scorer, images[0], images[1],
+                           small_cfg(se.Method.RISE, seed=3, fixed_reference=False))
         assert not smap.fixed_reference
         assert smap.normalized
 
