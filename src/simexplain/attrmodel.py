@@ -11,6 +11,7 @@ ground-truth activation map toward each precomputed saliency map.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -413,10 +414,14 @@ def load_model(path: str | Path) -> AttributeModel:
         if len(header) != 32:
             raise ParseError(f"{path}: truncated header")
         seed, h, w, c, n_filters, grid, A = struct.unpack("<QIIIIII", header)
+        if min(h, w, c, n_filters, grid, A) < 1 or h % grid or w % grid:
+            raise ParseError(f"{path}: bad header: {h}x{w}x{c} image, {n_filters} filters, "
+                             f"grid {grid}, {A} attributes")
+        size, expected = os.fstat(fh.fileno()).st_size, fh.tell() + 4 * A * (n_filters + 1)
+        if size != expected:
+            raise ParseError(f"{path}: {size} bytes, but its header promises {expected}")
         w_bytes = fh.read(A * n_filters * 4)
         b_bytes = fh.read(A * 4)
-        if len(w_bytes) != A * n_filters * 4 or len(b_bytes) != A * 4:
-            raise ParseError(f"{path}: truncated head parameters")
     extractor = FeatureExtractor((h, w, c), n_filters=n_filters, grid=grid, seed=seed)
     head_w = np.frombuffer(w_bytes, dtype="<f4").reshape(A, n_filters).astype(np.float64)
     head_b = np.frombuffer(b_bytes, dtype="<f4").astype(np.float64)

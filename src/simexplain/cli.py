@@ -1,5 +1,5 @@
 """simexplain command line: dataset generation, saliency maps, attribute
-model training, explanation, evaluation, discovery, benchmarking.
+model training, explanation, evaluation, discovery.
 
 Every command echoes its fully resolved configuration next to its
 outputs, never mutates inputs, and exits 0 on success, 2 on validation
@@ -15,7 +15,7 @@ import logging
 import os
 import shlex
 import sys
-import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -54,7 +54,7 @@ from .metrics import (
     mean_and_stderr,
     top1_accuracy_from_attrs,
 )
-from .saliency import LimeCfg, MaskCfg, RiseCfg, SaliencyConfig, SlidingCfg, generate
+from .saliency import SaliencyConfig, generate
 from .scorers import LinearToyScorer, Scorer, TripletToyScorer
 from .synth import SyntheticSpec, generate_dataset, motif_scorer_for, planted_scorer_for
 
@@ -73,51 +73,49 @@ _METHOD_NAMES = {
 # ---------------------------------------------------------------------------
 
 
-def _build_dataclass(dc_type, mapping: dict, where: str):
-    """Construct a flat config dataclass, rejecting unknown keys."""
-    known = {f.name for f in dataclasses.fields(dc_type)}
-    unknown = set(mapping) - known
-    if unknown:
-        raise ParseError(f"{where}: unknown config key(s): {', '.join(sorted(unknown))}")
-    return dc_type(**mapping)
-
-
-_NESTED_SALIENCY = {"sliding": SlidingCfg, "rise": RiseCfg, "lime": LimeCfg, "mask": MaskCfg}
-
-
 def _parse_method(name: str) -> Method:
     try:
         return _METHOD_NAMES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ParseError(f"unknown saliency method {name!r}; choose from {sorted(_METHOD_NAMES)}") from None
 
 
-def build_saliency_config(tree: dict | None, method: str | None = None,
-                          fixed_reference: bool | None = None, seed: int | None = None) -> SaliencyConfig:
-    tree = dict(tree or {})
-    unknown = set(tree) - ({"method", "fixed_reference", "seed"} | set(_NESTED_SALIENCY))
+# The sections of a --config file, in build order: discovery explains
+# with the saliency section.
+_SECTIONS = {"saliency": SaliencyConfig, "train": TrainConfig, "synth": SyntheticSpec,
+             "discovery": DiscoveryConfig}
+
+
+def build_config(dc_type, tree, where: str, **flags):
+    """``dc_type``'s defaults, the config-file section ``tree`` on top, and
+    every flag that is not None on top of that.
+
+    A nested dataclass field reads a subsection (its flags come as a dict)
+    and a ``Method`` field a method name. ``seed`` and a field holding a
+    whole run-config section are no config keys: the command sets them.
+    """
+    if not isinstance(tree, dict):
+        raise ParseError(f"{where}: config section must be an object")
+    hints = typing.get_type_hints(dc_type)
+    keys = {f.name for f in dataclasses.fields(dc_type)
+            if f.name != "seed" and hints[f.name] not in _SECTIONS.values()}
+    unknown = set(tree) - keys
     if unknown:
-        raise ParseError(f"saliency config: unknown key(s): {', '.join(sorted(unknown))}")
-    kwargs = {}
-    for key, dc in _NESTED_SALIENCY.items():
-        if key in tree:
-            kwargs[key] = _build_dataclass(dc, tree[key], f"saliency.{key}")
-    if "method" in tree:
-        kwargs["method"] = _parse_method(tree["method"])
-    if "fixed_reference" in tree:
-        kwargs["fixed_reference"] = bool(tree["fixed_reference"])
-    if "seed" in tree:
-        kwargs["seed"] = int(tree["seed"])
-    if method is not None:
-        kwargs["method"] = _parse_method(method)
-    if fixed_reference is not None:
-        kwargs["fixed_reference"] = fixed_reference
-    if seed is not None:
-        kwargs["seed"] = seed
-    return SaliencyConfig(**kwargs)
-
-
-_RUN_CONFIG_KEYS = {"seed", "jobs", "saliency", "train", "synth", "discovery", "explain"}
+        hint = " (--seed sets every seed)" if "seed" in unknown else ""
+        raise ParseError(f"{where}: unknown config key(s): {', '.join(sorted(unknown))}{hint}")
+    values = dict(tree)
+    for name, flag in flags.items():
+        if isinstance(flag, dict):
+            values[name] = build_config(hints[name], values.get(name, {}), f"{where}.{name}", **flag)
+        elif flag is not None:
+            values[name] = flag
+    for name, value in values.items():
+        kind = hints[name]
+        if kind is Method:
+            values[name] = _parse_method(value)
+        elif dataclasses.is_dataclass(kind) and not isinstance(value, kind):
+            values[name] = build_config(kind, value, f"{where}.{name}")
+    return dc_type(**values)
 
 
 def _read_json(path: str | Path, what: str):
@@ -128,16 +126,22 @@ def _read_json(path: str | Path, what: str):
         raise ParseError(f"{path}: {what} is not readable JSON: {exc}") from exc
 
 
-def load_run_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    tree = _read_json(path, "config")
+def run_config(args, **flags: dict) -> dict:
+    """Every section of the ``--config`` file built under ``--seed`` and
+    the command's flags for it (``flags[section]``), so a bad key in any
+    section fails every command."""
+    tree = {} if args.config is None else _read_json(args.config, "config")
     if not isinstance(tree, dict):
-        raise ParseError(f"{path}: config root must be an object")
-    unknown = set(tree) - _RUN_CONFIG_KEYS
+        raise ParseError(f"{args.config}: config root must be an object")
+    unknown = set(tree) - set(_SECTIONS)
     if unknown:
-        raise ParseError(f"{path}: unknown config section(s): {', '.join(sorted(unknown))}")
-    return tree
+        raise ParseError(f"{args.config}: unknown config section(s): {', '.join(sorted(unknown))}")
+    built: dict = {}
+    for name, dc_type in _SECTIONS.items():
+        extra = {"saliency": built["saliency"]} if name == "discovery" else {}
+        built[name] = build_config(dc_type, tree.get(name, {}), name, seed=args.seed,
+                                   **extra, **flags.get(name, {}))
+    return built
 
 
 def _config_payload(obj) -> object:
@@ -152,11 +156,6 @@ def _config_payload(obj) -> object:
     if isinstance(obj, (list, tuple)):
         return [_config_payload(v) for v in obj]
     return obj
-
-
-def _with_flags(cfg, **flags):
-    """``cfg`` with every flag the user passed (not None) applied."""
-    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _echo_config(out: Path, resolved: dict) -> None:
@@ -228,26 +227,16 @@ def _resolve_scorer(args, dataset: Dataset | None) -> Scorer:
     return make_scorer(args.scorer, dataset, seed, getattr(args, "external_cmd", None))
 
 
-def _saliency_config(args, **flags) -> SaliencyConfig:
-    """The run config's saliency section under the command's own flags."""
-    return build_saliency_config(load_run_config(args.config).get("saliency"), seed=args.seed, **flags)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_synth(args) -> dict:
-    spec = SyntheticSpec(
-        n_images=args.n_images,
-        side=args.side,
-        n_attributes=args.attributes,
-        noise=args.noise,
-        seed=args.seed,
-        max_attrs_per_image=args.max_attrs,
-        pairs_per_query=args.pairs_per_query,
-    )
+    spec = run_config(args, synth={
+        "n_images": args.n_images, "side": args.side, "n_attributes": args.attributes, "noise": args.noise,
+        "max_attrs_per_image": args.max_attrs, "pairs_per_query": args.pairs_per_query,
+    })["synth"]
     dataset = generate_dataset(spec)
     out = Path(args.out)
     manifest = save_dataset(dataset, out)
@@ -274,7 +263,7 @@ def _select_pairs(dataset: Dataset, pair_arg: str | None, split: str | None, lim
 
 def cmd_saliency(args) -> dict:
     dataset = load_dataset(args.dataset)
-    cfg = _saliency_config(args, method=args.method, fixed_reference=not args.dual)
+    cfg = run_config(args, saliency={"method": args.method, "fixed_reference": args.fixed_reference})["saliency"]
     pairs = _select_pairs(dataset, args.pair, args.split, args.limit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -307,9 +296,8 @@ def load_saliency_bank(maps_dir: str | Path) -> dict[str, list[SaliencyMap]]:
 def cmd_train_attr(args) -> dict:
     dataset = load_dataset(args.dataset)
     bank = load_saliency_bank(args.maps) if args.maps else {}
-    tree = load_run_config(args.config).get("train", {})
-    cfg = _with_flags(_build_dataclass(TrainConfig, tree, "train"),
-                      epochs=args.epochs, lr=args.lr, lam=args.lam, k_maps=args.k, seed=args.seed)
+    cfg = run_config(args, train={"epochs": args.epochs, "lr": args.lr, "lam": args.lam,
+                                  "k_maps": args.k})["train"]
     model = train(dataset, bank, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -331,7 +319,7 @@ def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pa
 def cmd_prior(args) -> dict:
     dataset = load_dataset(args.dataset)
     model = load_model(args.model)
-    cfg = _saliency_config(args, method=args.method)
+    cfg = run_config(args, saliency={"method": args.method})["saliency"]
     pairs = dataset.pairs_for_split(args.split)
     if not pairs:
         raise InvalidArgumentError("prior estimation needs at least one validation pair")
@@ -378,7 +366,7 @@ def _parse_phi(text: str | None, path: str | None) -> PhiWeights | None:
 def cmd_fit_phi(args) -> dict:
     dataset = load_dataset(args.dataset)
     model = load_model(args.model)
-    cfg = _saliency_config(args, method=args.method)
+    cfg = run_config(args, saliency={"method": args.method})["saliency"]
     with _resolve_scorer(args, dataset) as scorer:
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split(args.split),
                                          cfg, args.grid_step)
@@ -393,7 +381,7 @@ def cmd_fit_phi(args) -> dict:
 def cmd_explain(args) -> dict:
     dataset = load_dataset(args.dataset)
     model = load_model(args.model)
-    saliency_cfg = _saliency_config(args, method=args.method)
+    saliency_cfg = run_config(args, saliency={"method": args.method})["saliency"]
     phi = _parse_phi(args.phi, args.phi_file) or PhiWeights()
     prior = _load_prior(args.prior, dataset.n_attributes)
     cfg = ExplainConfig(saliency=saliency_cfg, phi=phi, prior=prior)
@@ -518,7 +506,7 @@ def run_eval(
 def cmd_eval(args) -> dict:
     dataset = load_dataset(args.dataset)
     model = load_model(args.model)
-    saliency_cfg = _saliency_config(args)
+    saliency_cfg = run_config(args)["saliency"]
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     known = {"insertion", "deletion", "map", "top1", "removal"}
     unknown = set(suites) - known
@@ -542,11 +530,9 @@ def cmd_eval(args) -> dict:
 
 def cmd_discover(args) -> dict:
     dataset = load_dataset(args.dataset)
-    saliency_cfg = _saliency_config(args, method=args.method)
-    tree = load_run_config(args.config).get("discovery", {})
-    base = _build_dataclass(DiscoveryConfig, {k: v for k, v in tree.items() if k != "saliency"}, "discovery")
-    cfg = _with_flags(base, k_nn=args.k, n_clusters=args.clusters, top_n=args.top_n, patch=args.patch,
-                      seed=args.seed, saliency=saliency_cfg)
+    cfg = run_config(args, saliency={"method": args.method}, discovery={
+        "k_nn": args.k, "n_clusters": args.clusters, "top_n": args.top_n, "patch": args.patch,
+    })["discovery"]
     with _resolve_scorer(args, dataset) as scorer:
         assignment = discover(dataset, scorer, cfg)
         deltas = removal_eval_discovered(assignment, scorer, dataset,
@@ -589,34 +575,8 @@ def _write_montage(path: Path, dataset: Dataset, assignment, per_cluster: int = 
         write_pgm(path, np.concatenate(rows, axis=0))
 
 
-def cmd_bench(args) -> dict:
-    dataset = load_dataset(args.dataset)
-    pairs = dataset.pairs_for_split("test") or list(dataset.pairs)
-    pair = pairs[0]
-    ref, query = dataset.image(pair.reference_id), dataset.image(pair.query_id)
-    table = []
-    with _resolve_scorer(args, dataset) as scorer:
-        for method_name in ("sliding_window", "rise", "lime", "mask"):
-            for fixed in (True, False):
-                if method_name == "lime" and not fixed:
-                    continue
-                cfg = _saliency_config(args, method=method_name, fixed_reference=fixed)
-                start = time.perf_counter()
-                try:
-                    generate(scorer, ref, query, cfg)
-                    elapsed = time.perf_counter() - start
-                    table.append({"method": method_name, "fixed_reference": fixed,
-                                  "seconds": round(elapsed, 4)})
-                except SimExplainError as exc:
-                    table.append({"method": method_name, "fixed_reference": fixed,
-                                  "error": str(exc)})
-    out = Path(args.out)
-    _write_result(out, {"pair": f"{pair.query_id}:{pair.reference_id}", "timings": table},
-                  {"command": "bench", "seed": args.seed})
-    return {"out": str(out), "timings": table}
-
-
 def cmd_serve_stub(args) -> dict:
+    run_config(args)
     h, w, c = (int(v) for v in args.dims.split(","))
     scorer = LinearToyScorer.random((h, w, c), embed_dim=args.embed_dim, seed=args.seed)
     if args.no_embed:
@@ -632,22 +592,14 @@ def cmd_serve_stub(args) -> dict:
 
 def cmd_pipeline(args) -> dict:
     """synth -> scorer -> saliency bank -> train-attr -> prior -> phi -> eval."""
+    seed = args.seed
+    run_cfg = run_config(args, synth={"n_images": args.n_images, "n_attributes": args.attributes},
+                         saliency={"rise": {"n_masks": args.rise_masks}}, train={"epochs": args.epochs})
+    spec, saliency_cfg, train_cfg = run_cfg["synth"], run_cfg["saliency"], run_cfg["train"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    run_cfg = load_run_config(args.config)
-    seed = args.seed
-
-    synth_tree = dict(run_cfg.get("synth", {}))
-    synth_tree.update(n_images=args.n_images, n_attributes=args.attributes, seed=seed)
-    spec = _build_dataclass(SyntheticSpec, synth_tree, "synth")
     dataset = generate_dataset(spec)
     save_dataset(dataset, out / "dataset")
-
-    saliency_cfg = build_saliency_config(run_cfg.get("saliency"), seed=seed)
-    saliency_cfg = dataclasses.replace(saliency_cfg,
-                                       rise=_with_flags(saliency_cfg.rise, n_masks=args.rise_masks))
-    train_cfg = _with_flags(_build_dataclass(TrainConfig, run_cfg.get("train", {}), "train"),
-                            seed=seed, epochs=args.epochs)
 
     maps_dir = out / "maps"
     maps_dir.mkdir(exist_ok=True)
@@ -715,21 +667,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic motif dataset")
     common(p, with_scorer=False)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-images", type=int, default=64)
-    p.add_argument("--side", type=int, default=56)
-    p.add_argument("--attributes", type=int, default=8)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--max-attrs", type=int, default=3)
-    p.add_argument("--pairs-per-query", type=int, default=3)
+    p.add_argument("--n-images", type=int, default=None)
+    p.add_argument("--side", type=int, default=None)
+    p.add_argument("--attributes", type=int, default=None)
+    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--max-attrs", type=int, default=None)
+    p.add_argument("--pairs-per-query", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("saliency", help="write saliency maps for pairs")
     common(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--method", default="rise", choices=sorted(_METHOD_NAMES))
+    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--fixed-ref", dest="dual", action="store_false", default=False)
-    group.add_argument("--dual", dest="dual", action="store_true")
+    group.add_argument("--fixed-ref", dest="fixed_reference", action="store_const", const=True, default=None)
+    group.add_argument("--dual", dest="fixed_reference", action="store_const", const=False)
     p.add_argument("--pair", default=None, help="query_id:reference_id")
     p.add_argument("--split", default=None, choices=["train", "val", "test"])
     p.add_argument("--limit", type=int, default=None)
@@ -751,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--method", default="rise", choices=sorted(_METHOD_NAMES))
+    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prior)
@@ -760,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--method", default="rise", choices=sorted(_METHOD_NAMES))
+    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--out", required=True)
@@ -770,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--method", default="rise", choices=sorted(_METHOD_NAMES))
+    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
     p.add_argument("--pair", required=True, help="query_id:reference_id")
     p.add_argument("--phi", default=None, help="phi1,phi2,phi3")
     p.add_argument("--phi-file", default=None)
@@ -792,19 +744,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="mine pseudo-attributes from salient patches")
     common(p, scorer_default="motif")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--method", default="rise", choices=sorted(_METHOD_NAMES))
+    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
     p.add_argument("--k", type=int, default=None, help="k-NN neighbors per query")
     p.add_argument("--clusters", type=int, default=None)
     p.add_argument("--top-n", type=int, default=None)
     p.add_argument("--patch", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_discover)
-
-    p = sub.add_parser("bench", help="wall-time table per saliency method")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve-stub", help="serve the reference external scorer")
     common(p, with_scorer=False)
@@ -818,8 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="synth through eval, end to end")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-images", type=int, default=64)
-    p.add_argument("--attributes", type=int, default=8)
+    p.add_argument("--n-images", type=int, default=None)
+    p.add_argument("--attributes", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--rise-masks", type=int, default=None)
     p.add_argument("--methods", default="rise,sliding_window")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-import queue
 import socket
 import subprocess
 import sys
@@ -130,56 +129,46 @@ _ERROR_MAP = {
 class ExternalScorer(Scorer):
     """Client for a scorer living in a child process or behind a TCP port.
 
-    Owns a pool of connections; each connection serializes its own
-    request/response stream, so concurrent submitters are safe. Batches
-    are chunked to the peer's max_batch and reassembled in order.
+    Owns one connection; a lock serializes its request/response stream, so
+    concurrent submitters are safe. Batches are chunked to the peer's
+    max_batch and reassembled in order. A constructor that fails closes
+    the connection (and so stops the child) before it raises.
     """
 
-    def __init__(
-        self,
-        command: Sequence[str] | None = None,
-        address: tuple[str, int] | None = None,
-        pool_size: int = 1,
-    ):
+    def __init__(self, command: Sequence[str] | None = None, address: tuple[str, int] | None = None):
         if (command is None) == (address is None):
             raise InvalidArgumentError("pass exactly one of command= or address=")
-        if pool_size < 1:
-            raise InvalidArgumentError("pool_size must be >= 1")
-        self._pool: queue.Queue[_Connection] = queue.Queue()
-        self._all: list[_Connection] = []
-        for _ in range(pool_size):
-            conn = _Connection(command, address)
-            self._all.append(conn)
-            self._pool.put(conn)
+        self._conn = _Connection(command, address)
         self._lock = threading.Lock()
-        hello = self._call({"op": "hello"})
-        caps = hello.get("caps", [])
-        self._caps = ScorerCaps(
-            can_embed="embed" in caps,
-            can_grad=False,
-            max_batch=int(hello.get("max_batch", 1)),
-        )
-        dims = hello.get("dims")
-        if not isinstance(dims, list) or len(dims) != 3:
-            raise TransportError(f"hello response carries no usable dims: {hello}")
-        self.dims = tuple(int(d) for d in dims)
+        try:
+            hello = self._call({"op": "hello"})
+            caps = hello.get("caps", [])
+            self._caps = ScorerCaps(
+                can_embed="embed" in caps,
+                can_grad=False,
+                max_batch=int(hello.get("max_batch", 1)),
+            )
+            dims = hello.get("dims")
+            if not isinstance(dims, list) or len(dims) != 3:
+                raise TransportError(f"hello response carries no usable dims: {hello}")
+            self.dims = tuple(int(d) for d in dims)
+        except BaseException:
+            self._conn.close()
+            raise
 
     @property
     def caps(self) -> ScorerCaps:
         return self._caps
 
     def _call(self, payload: dict) -> dict:
-        conn = self._pool.get()
-        try:
+        with self._lock:
             try:
-                msg = conn.roundtrip(payload)
+                msg = self._conn.roundtrip(payload)
             except TransportError:
                 # Single retry on a fresh connection; value disagreements
                 # and protocol errors are never retried.
-                conn.reset()
-                msg = conn.roundtrip(payload)
-        finally:
-            self._pool.put(conn)
+                self._conn.reset()
+                msg = self._conn.roundtrip(payload)
         if "error" in msg:
             err = msg["error"]
             exc_type = _ERROR_MAP.get(err.get("code"), TransportError)
@@ -214,9 +203,7 @@ class ExternalScorer(Scorer):
 
     def close(self) -> None:
         with self._lock:
-            for conn in self._all:
-                conn.close()
-            self._all.clear()
+            self._conn.close()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -169,15 +169,12 @@ def removal_delta_core(
     explained_attrs: Sequence[int],
     attr_labels: np.ndarray,
     corpus_ids: Sequence[str],
-    confidence_of: Callable[[str, int], float] | None = None,
-    confidence_threshold: float | None = None,
 ) -> RemovalResult:
     """Similarity drop when the explained attribute is "removed".
 
     For each pair, retrieve the corpus image most similar to the query
     (scorer embeddings, cosine) among images lacking the explained
-    attribute in ``attr_labels`` (plus, optionally, a low model
-    confidence for it), and report mean(s(ref, query) - s(ref,
+    attribute in ``attr_labels``, and report mean(s(ref, query) - s(ref,
     retrieved)) x100. Pairs with no eligible corpus image are skipped.
     """
     if len(explained_attrs) != len(pairs):
@@ -191,14 +188,8 @@ def removal_delta_core(
     skipped = 0
     for pair, attr in zip(pairs, explained_attrs):
         query_emb = scorer.embed(dataset.image(pair.query_id)).data
-        candidates = []
-        for cid in corpus_ids:
-            if cid == pair.query_id or attr_labels[dataset.row(cid), attr]:
-                continue
-            if confidence_of is not None and confidence_threshold is not None:
-                if confidence_of(cid, attr) >= confidence_threshold:
-                    continue
-            candidates.append(cid)
+        candidates = [cid for cid in corpus_ids
+                      if cid != pair.query_id and not attr_labels[dataset.row(cid), attr]]
         if not candidates:
             skipped += 1
             continue
@@ -220,33 +211,11 @@ def attribute_removal_delta(
     pairs: Sequence[Pair],
     explained_attrs: Sequence[int],
     corpus_ids: Sequence[str] | None = None,
-    model=None,
-    use_confidence_gate: bool = False,
 ) -> RemovalResult:
-    """Ground-truth-label removal metric over a test corpus.
-
-    With ``use_confidence_gate`` the retrieved image must additionally
-    have model confidence below 0.5/A for the removed attribute.
-    """
+    """Ground-truth-label removal metric over a test corpus."""
     if corpus_ids is None:
         corpus_ids = dataset.image_ids_for_split("test")
-    confidence_of = None
-    threshold = None
-    if use_confidence_gate:
-        if model is None:
-            raise InvalidArgumentError("confidence gating needs the attribute model")
-        cache: dict[str, np.ndarray] = {}
-
-        def confidence_of(cid: str, attr: int) -> float:
-            if cid not in cache:
-                cache[cid] = model.forward(dataset.image(cid)).confidences
-            return float(cache[cid][attr])
-
-        threshold = 0.5 / dataset.n_attributes
-    return removal_delta_core(
-        scorer, dataset, pairs, explained_attrs, dataset.labels, corpus_ids,
-        confidence_of=confidence_of, confidence_threshold=threshold,
-    )
+    return removal_delta_core(scorer, dataset, pairs, explained_attrs, dataset.labels, corpus_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,11 @@ _CHUNK = 512
 
 @dataclass(frozen=True)
 class ScorerCaps:
-    can_score: bool = True
     can_embed: bool = False
     can_grad: bool = False
     max_batch: int = 1024
 
     def __post_init__(self):
-        if not self.can_score:
-            raise InvalidArgumentError("every scorer must support score()")
         if self.max_batch < 1:
             raise InvalidArgumentError("max_batch must be >= 1")
 
@@ -195,11 +192,6 @@ class LinearToyScorer(LinearEmbeddingScorer):
     the score.
     """
 
-    def __init__(self, weight: np.ndarray, dims: tuple[int, int, int],
-                 plant_regions: tuple[Rect, ...] = ()):
-        super().__init__(weight, dims)
-        self.plant_regions = tuple(plant_regions)
-
     @classmethod
     def random(cls, dims: tuple[int, int, int], embed_dim: int = 16, seed: int = 0) -> "LinearToyScorer":
         h, w, c = dims
@@ -227,7 +219,7 @@ class LinearToyScorer(LinearEmbeddingScorer):
         for r in regions:
             patch = rng.normal(size=(embed_dim, r.height, r.width, c))
             weight[:, r.top:r.top + r.height, r.left:r.left + r.width, :] = patch
-        return cls(weight.reshape(embed_dim, -1), dims, plant_regions=tuple(regions))
+        return cls(weight.reshape(embed_dim, -1), dims)
 
 
 class ConstantScorer(Scorer):

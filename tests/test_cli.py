@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,8 @@ import pytest
 
 import simexplain as se
 import simexplain.cli as cli
-from simexplain.cli import build_parser, build_saliency_config, load_saliency_bank, main
+from simexplain.attrmodel import load_model
+from simexplain.cli import build_config, build_parser, load_saliency_bank, main
 from simexplain.dataio import load_dataset, load_saliency
 from simexplain.errors import ParseError
 from simexplain.synth import motif_slots
@@ -167,18 +169,6 @@ class TestCliCommands:
         assert set(report["attribute"]["removal"]) == {"random", "confidence_only", "full"}
         assert (tmp_path / "report.json.config.json").exists()
 
-    def test_bench_table(self, cli_workspace, tmp_path):
-        _, manifest, _, _ = cli_workspace
-        out = tmp_path / "bench.json"
-        code = main(["bench", "--dataset", str(manifest), "--scorer", "motif",
-                     "--seed", "1", "--config", str(self._fast_config(tmp_path)),
-                     "--out", str(out)])
-        assert code == 0
-        table = json.loads(out.read_text())["timings"]
-        methods = {(row["method"], row["fixed_reference"]) for row in table}
-        assert ("lime", False) not in methods
-        assert ("sliding_window", True) in methods
-
     @staticmethod
     def _fast_config(tmp_path):
         cfg = {"saliency": {"sliding": {"windows_query": 36, "windows_ref": 4},
@@ -252,20 +242,82 @@ class TestCliPlumbing:
         cfg.write_text(json.dumps({"saliency": {"rize": {}}}))
         code = main(["synth", "--out", str(tmp_path / "d"), "--seed", "1",
                      "--config", str(cfg)])
-        # synth ignores the saliency section, but loading still validates it
-        assert code in (0, 2)
+        # synth does not use the saliency section, but every command validates it
+        assert code == 2
         with pytest.raises(ParseError):
-            build_saliency_config({"rize": {}})
+            build_config(se.SaliencyConfig, {"rize": {}}, "saliency")
 
     def test_nested_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="n_maskz"):
-            build_saliency_config({"rise": {"n_maskz": 10}})
+            build_config(se.SaliencyConfig, {"rise": {"n_maskz": 10}}, "saliency")
 
     def test_config_values_applied(self):
-        cfg = build_saliency_config({"rise": {"n_masks": 123}, "method": "rise"}, seed=5)
-        assert cfg.rise.n_masks == 123
+        cfg = build_config(se.SaliencyConfig, {"rise": {"n_masks": 123}, "method": "rise"}, "saliency",
+                           seed=5, rise={"grid": 4})
+        assert cfg.rise.n_masks == 123 and cfg.rise.grid == 4
         assert cfg.seed == 5
         assert cfg.method is se.Method.RISE
+
+    _FAST = {"sliding": {"windows_query": 9, "windows_ref": 4}, "rise": {"n_masks": 20, "n_ref_masks": 2}}
+    _SALIENCY = ["saliency", "--dataset", "{manifest}", "--scorer", "motif", "--pair", "{pair}",
+                 "--out", "{tmp}/maps"]
+    _DISCOVER = ["discover", "--dataset", "{manifest}", "--scorer", "motif", "--k", "1", "--top-n", "1",
+                 "--clusters", "2", "--out", "{tmp}/clusters.json"]
+    _SYNTH = ["synth", "--n-images", "8", "--out", "{tmp}/d"]
+
+    # (argv, config, expected): the expected values of the echoed run
+    # config by dotted key, or 2 for a config error. Defaults sit under
+    # the file, the file under the flags the user passed.
+    @pytest.mark.parametrize("argv, config, expected", [
+        (_SALIENCY, {"saliency": {**_FAST, "method": "sliding_window"}},
+         {"maps/run_config.json": {"saliency.method": "sliding_window", "saliency.fixed_reference": True}}),
+        (_SALIENCY + ["--method", "rise"], {"saliency": {**_FAST, "method": "sliding_window"}},
+         {"maps/run_config.json": {"saliency.method": "rise"}}),
+        (["prior", "--dataset", "{manifest}", "--model", "{model}", "--scorer", "motif",
+          "--out", "{tmp}/prior.json"], {"saliency": {**_FAST, "method": "sliding_window"}},
+         {"prior.json.config.json": {"saliency.method": "sliding_window"}}),
+        (_DISCOVER, {"saliency": {**_FAST, "method": "sliding_window"}},
+         {"clusters.json.config.json": {"discovery.saliency.method": "sliding_window"}}),
+        (_SALIENCY, {"saliency": {**_FAST, "method": "sliding_window", "fixed_reference": False}},
+         {"maps/run_config.json": {"saliency.fixed_reference": False}}),
+        (_SALIENCY + ["--fixed-ref"], {"saliency": {**_FAST, "method": "sliding_window", "fixed_reference": False}},
+         {"maps/run_config.json": {"saliency.fixed_reference": True}}),
+        (["synth", "--out", "{tmp}/d"], {"synth": {"n_images": 12}}, {"d/run_config.json": {"spec.n_images": 12}}),
+        (_SYNTH, None, 2),
+        (["pipeline", "--out", "{tmp}/run", "--epochs", "2", "--methods", "sliding_window", "--limit", "1",
+          "--jobs", "1"], {"synth": {"n_images": 16, "n_attributes": 3}, "saliency": _FAST},
+         {"run/run_config.json": {"spec.n_images": 16, "spec.n_attributes": 3, "saliency.rise.n_masks": 20}}),
+        (_SYNTH, {"saliency": {"seed": 3}}, 2),
+        (_SYNTH, {"train": {"seed": 3}}, 2),
+        (_SYNTH, {"synth": {"seed": 3}}, 2),
+        (_SYNTH, {"discovery": {"seed": 3}}, 2),
+        (_SYNTH, {"seed": 3}, 2),
+        (_SYNTH, {"jobs": 2}, 2),
+        (_SYNTH, {"explain": {}}, 2),
+        (_DISCOVER, {"saliency": _FAST, "discovery": {"saliency": {"method": "sliding_window"}}}, 2),
+    ])
+    def test_config_rule(self, argv, config, expected, cli_workspace, tmp_path):
+        _, manifest, _, model = cli_workspace
+        pair = load_dataset(manifest).pairs_for_split("test")[0]
+        cfg = tmp_path / "cfg.json"
+        if config is not None:  # no file at all must fail too
+            cfg.write_text(json.dumps(config))
+        argv = [a.format(manifest=manifest, model=model, pair=f"{pair.query_id}:{pair.reference_id}",
+                         tmp=tmp_path) for a in argv] + ["--seed", "11", "--config", str(cfg)]
+        if expected == 2:
+            args = build_parser().parse_args(argv)
+            with pytest.raises(ParseError):
+                args.func(args)
+            assert main(argv) == 2
+            return
+        assert main(argv) == 0
+        for echo, values in expected.items():
+            tree = json.loads((tmp_path / echo).read_text())
+            for dotted, want in values.items():
+                got = tree
+                for key in dotted.split("."):
+                    got = got[key]
+                assert got == want, dotted
 
     def test_json_output_mode(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "d"), "--n-images", "16",
@@ -344,6 +396,32 @@ class TestCliPlumbing:
         with pytest.raises(ParseError):
             args.func(args)
         assert main(argv) == 2
+
+    # (header field offset or None for one trailing byte, value)
+    @pytest.mark.parametrize("offset, value", [
+        (29, 0),         # grid 0
+        (29, 5),         # grid 5 does not divide the 56-pixel sides
+        (33, 0),         # no attributes
+        (25, 0),         # no filters
+        (25, 2 ** 31),   # a head far larger than the file
+        (None, None),    # one trailing byte
+    ])
+    def test_bad_model_header_is_parse_error(self, offset, value, cli_workspace, tmp_path):
+        _, manifest, _, model = cli_workspace
+        raw = bytearray(model.read_bytes())
+        if offset is None:
+            raw += b"\0"
+        else:
+            raw[offset:offset + 4] = struct.pack("<I", value)
+        bad = tmp_path / "bad.sane"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ParseError):
+            load_model(bad)
+        pair = load_dataset(manifest).pairs_for_split("test")[0]
+        assert main(["explain", "--dataset", str(manifest), "--model", str(bad),
+                     "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
+                     "--pair", f"{pair.query_id}:{pair.reference_id}",
+                     "--out", str(tmp_path / "e.json")]) == 2
 
     def test_pipeline_generates_each_validation_map_once(self, tmp_path, monkeypatch):
         seen = Counter()

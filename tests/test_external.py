@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 import threading
 
@@ -132,23 +133,32 @@ class TestTcp:
         server = TcpServer(se.LinearToyScorer.random(DIMS, embed_dim=6, seed=31), max_batch=16)
         server.start_background()
         try:
-            with ExternalScorer(address=("127.0.0.1", server.port), pool_size=2) as ext:
+            with ExternalScorer(address=("127.0.0.1", server.port)) as ext:
                 ref = rng.random(DIMS).astype(np.float32)
                 queries = [rng.random(DIMS).astype(np.float32) for _ in range(24)]
                 want = reference.score_batch(ref, queries)
 
-                results = [None, None]
+                # more submitters than cores, switching often, share the one
+                # connection: an interleaved request would mismatch its id
+                results = [None] * 4
 
                 def worker(k):
                     results[k] = ext.score_batch(ref, queries)
 
-                threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(results))]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(t.is_alive() for t in threads)
                 np.testing.assert_allclose(results[0], want, atol=1e-6)
-                np.testing.assert_array_equal(results[0], results[1])
+                for got in results[1:]:
+                    np.testing.assert_array_equal(results[0], got)
         finally:
             server.stop()
 
@@ -163,3 +173,28 @@ class TestClientValidation:
     def test_dead_command_is_transport_error(self):
         with pytest.raises((TransportError, OSError)):
             ExternalScorer(command=[sys.executable, "-c", "raise SystemExit(1)"])
+
+    def test_failed_hello_stops_the_child(self, monkeypatch):
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(real_popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        # answers the hello without dims, then waits for its stdin to close
+        peer = ("import sys\n"
+                "sys.stdin.readline()\n"
+                "print('{\"id\": 1, \"caps\": [\"score\"], \"max_batch\": 4}', flush=True)\n"
+                "sys.stdin.read()\n")
+        try:
+            with pytest.raises(TransportError, match="dims"):
+                ExternalScorer(command=[sys.executable, "-c", peer])
+            assert len(spawned) == 1
+            assert spawned[0].poll() is not None
+        finally:
+            for proc in spawned:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)

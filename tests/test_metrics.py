@@ -200,11 +200,6 @@ class TestRemoval:
         rev = attribute_removal_delta(scorer, ds, pairs[::-1], attrs[::-1], corpus_ids=corpus)
         assert fwd.mean_delta == pytest.approx(rev.mean_delta, abs=1e-12)
 
-    def test_confidence_gate_needs_model(self, setup):
-        ds, scorer = setup
-        with pytest.raises(InvalidArgumentError):
-            attribute_removal_delta(scorer, ds, ds.pairs[:1], [0], use_confidence_gate=True)
-
     def test_length_mismatch(self, setup):
         ds, scorer = setup
         with pytest.raises(InvalidArgumentError):
