@@ -401,7 +401,9 @@ def save_model(path: str | Path, model: AttributeModel) -> None:
         fh.write(np.ascontiguousarray(model.head_bias, dtype="<f4").tobytes())
 
 
-def load_model(path: str | Path) -> AttributeModel:
+def load_model(path: str | Path, dims: tuple[int, int, int]) -> AttributeModel:
+    """Read a SANE1 model that serves images of shape ``dims``; a header
+    promising other sides is refused before anything is allocated."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -417,6 +419,8 @@ def load_model(path: str | Path) -> AttributeModel:
         if min(h, w, c, n_filters, grid, A) < 1 or h % grid or w % grid:
             raise ParseError(f"{path}: bad header: {h}x{w}x{c} image, {n_filters} filters, "
                              f"grid {grid}, {A} attributes")
+        if (h, w, c) != tuple(dims):
+            raise ParseError(f"{path}: model is for {h}x{w}x{c} images, not {'x'.join(map(str, dims))}")
         size, expected = os.fstat(fh.fileno()).st_size, fh.tell() + 4 * A * (n_filters + 1)
         if size != expected:
             raise ParseError(f"{path}: {size} bytes, but its header promises {expected}")

@@ -86,13 +86,35 @@ _SECTIONS = {"saliency": SaliencyConfig, "train": TrainConfig, "synth": Syntheti
              "discovery": DiscoveryConfig}
 
 
+# The value types a leaf field of each type accepts: no bool passes for a
+# number, though an int passes for a float.
+_LEAF_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _leaf(value, kind, where: str):
+    """A config-file value as field type ``kind``: a ``Method`` field takes
+    a method name, a tuple field a list of its length, checked item by
+    item, and any other field a value of its type."""
+    if kind is Method:
+        return _parse_method(value)
+    if typing.get_origin(kind) is tuple:
+        items = typing.get_args(kind)
+        if not isinstance(value, (list, tuple)) or len(value) != len(items):
+            raise ParseError(f"{where}: expected a list of {len(items)} values, got {value!r}")
+        return tuple(_leaf(v, k, f"{where}[{i}]") for i, (v, k) in enumerate(zip(value, items)))
+    if not isinstance(value, _LEAF_TYPES[kind]) or (isinstance(value, bool) and kind is not bool):
+        raise ParseError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def build_config(dc_type, tree, where: str, **flags):
     """``dc_type``'s defaults, the config-file section ``tree`` on top, and
     every flag that is not None on top of that.
 
     A nested dataclass field reads a subsection (its flags come as a dict)
-    and a ``Method`` field a method name. ``seed`` and a field holding a
-    whole run-config section are no config keys: the command sets them.
+    and every other field a value of its type (see ``_leaf``), even where
+    a flag overrides it. ``seed`` and a field holding a whole run-config
+    section are no config keys: the command sets them.
     """
     if not isinstance(tree, dict):
         raise ParseError(f"{where}: config section must be an object")
@@ -103,17 +125,16 @@ def build_config(dc_type, tree, where: str, **flags):
     if unknown:
         hint = " (--seed sets every seed)" if "seed" in unknown else ""
         raise ParseError(f"{where}: unknown config key(s): {', '.join(sorted(unknown))}{hint}")
-    values = dict(tree)
+    values = {name: value if dataclasses.is_dataclass(hints[name])
+              else _leaf(value, hints[name], f"{where}.{name}") for name, value in tree.items()}
     for name, flag in flags.items():
         if isinstance(flag, dict):
             values[name] = build_config(hints[name], values.get(name, {}), f"{where}.{name}", **flag)
         elif flag is not None:
-            values[name] = flag
+            values[name] = _parse_method(flag) if hints[name] is Method else flag
     for name, value in values.items():
         kind = hints[name]
-        if kind is Method:
-            values[name] = _parse_method(value)
-        elif dataclasses.is_dataclass(kind) and not isinstance(value, kind):
+        if dataclasses.is_dataclass(kind) and not isinstance(value, kind):
             values[name] = build_config(kind, value, f"{where}.{name}")
     return dc_type(**values)
 
@@ -318,7 +339,7 @@ def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pa
 
 def cmd_prior(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model)
+    model = load_model(args.model, dataset.images[0][1].shape)
     cfg = run_config(args, saliency={"method": args.method})["saliency"]
     pairs = dataset.pairs_for_split(args.split)
     if not pairs:
@@ -365,7 +386,7 @@ def _parse_phi(text: str | None, path: str | None) -> PhiWeights | None:
 
 def cmd_fit_phi(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model)
+    model = load_model(args.model, dataset.images[0][1].shape)
     cfg = run_config(args, saliency={"method": args.method})["saliency"]
     with _resolve_scorer(args, dataset) as scorer:
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split(args.split),
@@ -380,7 +401,7 @@ def cmd_fit_phi(args) -> dict:
 
 def cmd_explain(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model)
+    model = load_model(args.model, dataset.images[0][1].shape)
     saliency_cfg = run_config(args, saliency={"method": args.method})["saliency"]
     phi = _parse_phi(args.phi, args.phi_file) or PhiWeights()
     prior = _load_prior(args.prior, dataset.n_attributes)
@@ -505,7 +526,7 @@ def run_eval(
 
 def cmd_eval(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model)
+    model = load_model(args.model, dataset.images[0][1].shape)
     saliency_cfg = run_config(args)["saliency"]
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     known = {"insertion", "deletion", "map", "top1", "removal"}

@@ -13,6 +13,7 @@ connection; the peer answers every request with the same id, in order.
 
 The client retries a request exactly once, and only after a transport
 failure (dead pipe, truncated line); error responses are never retried.
+A score that is not a finite number in [-1, 1] is a transport error.
 """
 
 from __future__ import annotations
@@ -189,6 +190,10 @@ class ExternalScorer(Scorer):
             got = msg.get("scores")
             if not isinstance(got, list) or len(got) != len(chunk):
                 raise TransportError(f"score_batch returned {got!r} for a chunk of {len(chunk)}")
+            bad = [s for s in got
+                   if isinstance(s, bool) or not isinstance(s, (int, float)) or not -1.0 <= s <= 1.0]
+            if bad:
+                raise TransportError(f"score_batch returned scores that are not numbers in [-1, 1]: {bad[:3]!r}")
             scores[start:start + len(chunk)] = got
         return scores
 

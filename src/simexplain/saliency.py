@@ -13,6 +13,12 @@ In fixed-reference mode only the query is manipulated. In dual mode each
 query manipulation is scored against M reference manipulations and the
 attributed score is their mean, after which aggregation proceeds exactly
 as in fixed mode (fixed mode is the M=1 identity special case).
+
+With an embedding scorer (one with ``embed_batch_flat``) the N query
+manipulations are embedded once and scored against each reference
+manipulation, so dual mode does fixed mode's scorer work plus M reference
+embeddings. A score-only scorer (external, or one without that method)
+scores the whole stack once per reference manipulation: M x N images.
 """
 
 from __future__ import annotations
@@ -140,10 +146,18 @@ def _image_array(image, dims: tuple[int, int, int] | None = None) -> np.ndarray:
 
 
 def _mean_scores(scorer: Scorer, ref_variants: list[np.ndarray], stack: np.ndarray) -> np.ndarray:
-    """Attributed score per query variant: mean over reference variants."""
+    """Attributed score per query variant: mean over reference variants.
+
+    A scorer that can embed a flat batch embeds the stack once and scores
+    those rows against each reference variant; any other scorer scores
+    the whole stack once per variant.
+    """
+    embed = getattr(scorer, "embed_batch_flat", None)
+    rows = None if embed is None else embed(stack.reshape(stack.shape[0], -1))
     total = np.zeros(stack.shape[0], dtype=np.float64)
     for ref_v in ref_variants:
-        total += score_image_stack(scorer, ref_v, stack)
+        total += (score_image_stack(scorer, ref_v, stack) if rows is None
+                  else scorer.score_batch_flat(ref_v, rows))
     return total / len(ref_variants)
 
 
@@ -223,14 +237,17 @@ def _window_origins(extent: int, side: int, n: int) -> np.ndarray:
     return np.rint(np.arange(n) * ((extent - side) / (n - 1))).astype(np.intp)
 
 
-def _occlusion_variants(img: np.ndarray, n_windows: int, area_frac: float):
-    """Zero-filled square occlusions on a regular origin lattice."""
+def _occlusion_variants(img: np.ndarray, n_windows: int, area_frac: float, with_original: bool = False):
+    """Zero-filled square occlusions on a regular origin lattice, followed
+    by the unoccluded image itself when ``with_original`` is set."""
     h, w, _ = img.shape
     g = max(int(round(math.sqrt(n_windows))), 1)
     side = _window_side(area_frac, h, w)
     rows = _window_origins(h, side, g)
     cols = _window_origins(w, side, g)
-    variants = np.empty((g * g, *img.shape), dtype=np.float64)
+    variants = np.empty((g * g + int(with_original), *img.shape), dtype=np.float64)
+    if with_original:
+        variants[-1] = img
     boxes = []
     k = 0
     for r in rows:
@@ -256,11 +273,10 @@ def sliding_window(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyM
         ref_occl, _ = _occlusion_variants(ref, cfg.sliding.windows_ref, cfg.sliding.window_area_frac)
         ref_variants = list(ref_occl)
 
-    variants, boxes = _occlusion_variants(query, cfg.sliding.windows_query, cfg.sliding.window_area_frac)
-    occluded = _mean_scores(scorer, ref_variants, variants)
-    base = float(_mean_scores(scorer, ref_variants, query[None, :, :, :])[0])
-
-    all_scores = np.append(occluded, base)
+    variants, boxes = _occlusion_variants(query, cfg.sliding.windows_query, cfg.sliding.window_area_frac,
+                                          with_original=True)
+    all_scores = _mean_scores(scorer, ref_variants, variants)
+    occluded, base = all_scores[:-1], float(all_scores[-1])
     if _degenerate_result(all_scores):
         return _finish(np.zeros((h, w)), Method.SLIDING_WINDOW, cfg)
 

@@ -5,6 +5,8 @@ All built-in scorers are linear embeddings compared with epsilon-guarded
 cosine similarity. Embeddings are computed with non-optimized einsum on
 purpose: its per-row accumulation order is independent of batch size, so
 score(), score_batch() and any chunking of it are bitwise identical.
+The same holds for a stack embedded once with ``embed_batch_flat`` and
+then scored against many references with ``score_batch_flat``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,19 @@ class Embedding:
     @property
     def dim(self) -> int:
         return self.data.size
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddedRows:
+    """A stack of query rows embedded once: the (N, D) embeddings and their
+    guarded norms, ready to be scored against any number of references."""
+
+    emb: np.ndarray    # (N, D)
+    norms: np.ndarray  # (N,), each max(|emb_i|, NORM_EPS)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.emb.shape
 
 
 @dataclass(frozen=True)
@@ -151,17 +166,31 @@ class LinearEmbeddingScorer(Scorer):
         flat = np.array([_as_flat(q, self.dims) for q in queries], dtype=np.float64)
         return self.score_batch_flat(ref, flat.reshape(len(queries), self.weight.shape[1]))
 
-    def score_batch_flat(self, ref, flat_queries: np.ndarray) -> np.ndarray:
-        """score_batch over pre-flattened rows; avoids per-image stacking."""
+    def embed_batch_flat(self, flat_queries: np.ndarray) -> EmbeddedRows:
+        """Embed pre-flattened rows once, in _CHUNK-row blocks."""
+        n = flat_queries.shape[0]
+        emb = np.empty((n, self.embed_dim), dtype=np.float64)
+        norms = np.empty(n, dtype=np.float64)
+        for start in range(0, n, _CHUNK):
+            block = self._embed_flat(flat_queries[start:start + _CHUNK].astype(np.float64, copy=False))
+            emb[start:start + block.shape[0]] = block
+            norms[start:start + block.shape[0]] = np.maximum(
+                np.sqrt(np.einsum("nd,nd->n", block, block, optimize=False)), NORM_EPS)
+        return EmbeddedRows(emb, norms)
+
+    def score_batch_flat(self, ref, queries) -> np.ndarray:
+        """score_batch over pre-flattened rows, or over rows that
+        embed_batch_flat already embedded; both give the same bits."""
+        if not isinstance(queries, EmbeddedRows):
+            queries = self.embed_batch_flat(queries)
         ref_emb = self.embed(ref).data
         nu = self._ref_norm(ref_emb)
-        n = flat_queries.shape[0]
+        n = queries.shape[0]
         out = np.empty(n, dtype=np.float64)
         for start in range(0, n, _CHUNK):
-            emb = self._embed_flat(flat_queries[start:start + _CHUNK].astype(np.float64, copy=False))
-            dots = np.einsum("nd,d->n", emb, ref_emb, optimize=False)
-            norms = np.maximum(np.sqrt(np.einsum("nd,nd->n", emb, emb, optimize=False)), NORM_EPS)
-            out[start:start + emb.shape[0]] = dots / (norms * nu)
+            rows = slice(start, start + _CHUNK)
+            dots = np.einsum("nd,d->n", queries.emb[rows], ref_emb, optimize=False)
+            out[rows] = dots / (queries.norms[rows] * nu)
         return np.clip(out, -1.0, 1.0)
 
     def grad_query(self, ref, query) -> np.ndarray:

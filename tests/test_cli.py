@@ -295,6 +295,16 @@ class TestCliPlumbing:
         (_SYNTH, {"jobs": 2}, 2),
         (_SYNTH, {"explain": {}}, 2),
         (_DISCOVER, {"saliency": _FAST, "discovery": {"saliency": {"method": "sliding_window"}}}, 2),
+        (_SYNTH, {"synth": {"n_images": "12"}}, 2),
+        (_SYNTH, {"saliency": {"rise": {"n_masks": 2.5}}}, 2),
+        (_SYNTH, {"saliency": {"fixed_reference": "no"}}, 2),
+        (_SYNTH, {"saliency": {"rise": {"n_masks": True}}}, 2),
+        (_SYNTH, {"synth": {"noise": False}}, 2),
+        (_SYNTH, {"saliency": {"lime": {"segmentation": 1}}}, 2),
+        (_SYNTH, {"synth": {"split_fracs": [0.6, 0.4]}}, 2),
+        (_SYNTH, {"synth": {"split_fracs": [0.6, "0.2", 0.2]}}, 2),
+        (["synth", "--out", "{tmp}/d", "--n-images", "8"], {"synth": {"noise": 0, "split_fracs": [0.5, 0.25, 0.25]}},
+         {"d/run_config.json": {"spec.noise": 0, "spec.split_fracs": [0.5, 0.25, 0.25]}}),
     ])
     def test_config_rule(self, argv, config, expected, cli_workspace, tmp_path):
         _, manifest, _, model = cli_workspace
@@ -397,27 +407,32 @@ class TestCliPlumbing:
             args.func(args)
         assert main(argv) == 2
 
-    # (header field offset or None for one trailing byte, value)
-    @pytest.mark.parametrize("offset, value", [
-        (29, 0),         # grid 0
-        (29, 5),         # grid 5 does not divide the 56-pixel sides
-        (33, 0),         # no attributes
-        (25, 0),         # no filters
-        (25, 2 ** 31),   # a head far larger than the file
-        (None, None),    # one trailing byte
+    # {header field offset: new value}, or None for one trailing byte
+    @pytest.mark.parametrize("fields", [
+        pytest.param({29: 0}, id="29-0"),          # grid 0
+        pytest.param({29: 5}, id="29-5"),          # grid 5 does not divide the 56-pixel sides
+        pytest.param({33: 0}, id="33-0"),          # no attributes
+        pytest.param({25: 0}, id="25-0"),          # no filters
+        pytest.param({25: 2 ** 31}, id="25-2147483648"),  # a head far larger than the file
+        pytest.param(None, id="None-None"),        # one trailing byte
+        pytest.param({13: 112}, id="112x56-image"),  # not the dataset's 56x56 images
+        # 32768x32768 images in a file of consistent size: refused before allocating
+        pytest.param({13: 2 ** 15, 17: 2 ** 15, 29: 1}, id="32768x32768-image"),
     ])
-    def test_bad_model_header_is_parse_error(self, offset, value, cli_workspace, tmp_path):
+    def test_bad_model_header_is_parse_error(self, fields, cli_workspace, tmp_path):
         _, manifest, _, model = cli_workspace
         raw = bytearray(model.read_bytes())
-        if offset is None:
+        if fields is None:
             raw += b"\0"
         else:
-            raw[offset:offset + 4] = struct.pack("<I", value)
+            for offset, value in fields.items():
+                raw[offset:offset + 4] = struct.pack("<I", value)
         bad = tmp_path / "bad.sane"
         bad.write_bytes(bytes(raw))
+        dataset = load_dataset(manifest)
         with pytest.raises(ParseError):
-            load_model(bad)
-        pair = load_dataset(manifest).pairs_for_split("test")[0]
+            load_model(bad, dataset.images[0][1].shape)
+        pair = dataset.pairs_for_split("test")[0]
         assert main(["explain", "--dataset", str(manifest), "--model", str(bad),
                      "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
                      "--pair", f"{pair.query_id}:{pair.reference_id}",

@@ -134,7 +134,7 @@ class TestModelFile:
         model = AttributeModel(extractor, rng.normal(size=(3, 6)), rng.normal(size=3))
         path = tmp_path / "model.sane"
         save_model(path, model)
-        loaded = load_model(path)
+        loaded = load_model(path, (14, 14, 2))
         assert loaded.extractor.seed == 9
         np.testing.assert_array_equal(loaded.extractor.weight, extractor.weight)
         np.testing.assert_allclose(loaded.head_weights, model.head_weights, atol=1e-7)
@@ -144,4 +144,4 @@ class TestModelFile:
         path = tmp_path / "model.sane"
         path.write_bytes(b"WRONG" + b"\x00" * 40)
         with pytest.raises(ParseError, match="magic"):
-            load_model(path)
+            load_model(path, (14, 14, 2))

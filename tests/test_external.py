@@ -129,6 +129,26 @@ class TestServerValidation:
 
 
 class TestTcp:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5, -2.0])
+    def test_score_outside_cosine_range_is_transport_error(self, reference, rng, bad):
+        class Broken(se.Scorer):
+            dims = DIMS
+            caps = se.ScorerCaps()
+
+            def score_batch(self, ref, queries):
+                scores = reference.score_batch(ref, queries)
+                scores[-1] = bad
+                return scores
+
+        server = TcpServer(Broken(), max_batch=16)
+        server.start_background()
+        try:
+            with ExternalScorer(address=("127.0.0.1", server.port)) as ext:
+                with pytest.raises(TransportError, match="-1, 1"):
+                    ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(3)])
+        finally:
+            server.stop()
+
     def test_roundtrip_and_pool(self, reference, rng):
         server = TcpServer(se.LinearToyScorer.random(DIMS, embed_dim=6, seed=31), max_batch=16)
         server.start_background()

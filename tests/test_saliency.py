@@ -196,6 +196,32 @@ class TestRise:
         assert np.argmax(raw) == np.argmax(published.data)
 
 
+class TestDualEmbedOnce:
+    @pytest.mark.parametrize("method, n_query, n_ref", [
+        (se.Method.RISE, 200, 6),
+        (se.Method.SLIDING_WINDOW, 81 + 1, 9),  # the windows plus the unoccluded query
+    ])
+    def test_embedded_path_equals_per_reference_loop(self, method, n_query, n_ref, planted, images,
+                                                     monkeypatch):
+        from simexplain.external import _ScoreOnly
+
+        _, scorer = planted
+        cfg = small_cfg(method, seed=3, fixed_reference=False)
+        reference_path = se.generate(_ScoreOnly(scorer), images[0], images[1], cfg)
+        embedded = []
+        project = scorer._embed_flat
+
+        def counting(flat):
+            embedded.append(flat.shape[0])
+            return project(flat)
+
+        monkeypatch.setattr(scorer, "_embed_flat", counting)
+        fast = se.generate(scorer, images[0], images[1], cfg)
+        assert fast.data.tobytes() == reference_path.data.tobytes()
+        # each query variant and each reference variant is embedded once
+        assert sum(embedded) == n_query + n_ref
+
+
 class TestLime:
     def test_grid_segments_cover_all(self):
         seg = grid_segments(28, 28, 49)

@@ -57,6 +57,18 @@ class TestBatching:
         listed = linear.score_batch(ref, list(stack))
         np.testing.assert_array_equal(flat, listed)
 
+    def test_embedded_rows_score_like_pixel_rows(self, linear, rng):
+        ref = rng.random(DIMS)
+        flat = rng.random((700, *DIMS)).reshape(700, -1)  # crosses the internal chunk size
+        flat[[3, 600]] = 0.0  # blank rows: guarded norms, zero scores
+        flat[4] = -flat[5]
+        rows = linear.embed_batch_flat(flat)
+        assert rows.shape == (700, linear.embed_dim)
+        embedded = linear.score_batch_flat(ref, rows)
+        pixels = linear.score_batch_flat(ref, flat)
+        np.testing.assert_array_equal(embedded, pixels)
+        assert embedded.tobytes() == pixels.tobytes()  # signed zeros too
+
     def test_score_image_stack_helper(self, linear, rng):
         ref = rng.random(DIMS)
         stack = rng.random((5, *DIMS))
