@@ -336,7 +336,7 @@ def train(
     """
     from .metrics import mean_average_precision
 
-    dims = dataset.images[0][1].shape
+    dims = dataset.dims
     if extractor is None:
         extractor = FeatureExtractor(dims, n_filters=cfg.n_filters, seed=cfg.seed)
 

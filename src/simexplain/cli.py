@@ -222,7 +222,7 @@ def make_scorer(name: str, dataset: Dataset | None, seed: int, external_cmd: str
         return ExternalScorer(command=shlex.split(external_cmd))
     if dataset is None:
         raise ParseError(f"scorer {name!r} needs a dataset")
-    dims = dataset.images[0][1].shape
+    dims = dataset.dims
     if name == "triplet":
         return TripletToyScorer.train_on(dataset, embed_dim=embed_dim, seed=seed)
     if name == "planted":
@@ -339,7 +339,7 @@ def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pa
 
 def cmd_prior(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model, dataset.images[0][1].shape)
+    model = load_model(args.model, dataset.dims)
     cfg = run_config(args, saliency={"method": args.method})["saliency"]
     pairs = dataset.pairs_for_split(args.split)
     if not pairs:
@@ -386,7 +386,7 @@ def _parse_phi(text: str | None, path: str | None) -> PhiWeights | None:
 
 def cmd_fit_phi(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model, dataset.images[0][1].shape)
+    model = load_model(args.model, dataset.dims)
     cfg = run_config(args, saliency={"method": args.method})["saliency"]
     with _resolve_scorer(args, dataset) as scorer:
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split(args.split),
@@ -401,7 +401,7 @@ def cmd_fit_phi(args) -> dict:
 
 def cmd_explain(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model, dataset.images[0][1].shape)
+    model = load_model(args.model, dataset.dims)
     saliency_cfg = run_config(args, saliency={"method": args.method})["saliency"]
     phi = _parse_phi(args.phi, args.phi_file) or PhiWeights()
     prior = _load_prior(args.prior, dataset.n_attributes)
@@ -526,7 +526,7 @@ def run_eval(
 
 def cmd_eval(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model, dataset.images[0][1].shape)
+    model = load_model(args.model, dataset.dims)
     saliency_cfg = run_config(args)["saliency"]
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     known = {"insertion", "deletion", "map", "top1", "removal"}

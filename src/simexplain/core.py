@@ -204,6 +204,9 @@ class Dataset:
             raise IntegrityError(
                 f"label matrix shape {labels.shape} does not match {len(images)} images x {len(self.catalog)} attributes"
             )
+        shapes = {img.shape for _, img in images}
+        if len(shapes) > 1:
+            raise IntegrityError(f"dataset images differ in shape: {', '.join(map(str, sorted(shapes)))}")
         if labels.size and not np.isin(labels, (0, 1)).all():
             raise InvalidDataError("label values must be 0 or 1")
         known = set(ids)
@@ -232,6 +235,13 @@ class Dataset:
     @property
     def n_attributes(self) -> int:
         return len(self.catalog)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """The (H, W, C) shape that every image of the dataset has."""
+        if not self.images:
+            raise IntegrityError("dataset has no images")
+        return self.images[0][1].shape
 
     def image(self, image_id: str) -> ImageTensor:
         try:
@@ -301,6 +311,15 @@ def _as_grid(grid: np.ndarray | SaliencyMap) -> np.ndarray:
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidArgumentError(f"expected a nonempty 2-D grid, got shape {arr.shape}")
     return arr
+
+
+def _as_image(image, dims: tuple[int, int, int]) -> np.ndarray:
+    """An ImageTensor or array as a float64 (H, W, C) array, checked to
+    have the scorer's dims."""
+    arr = image.data if isinstance(image, ImageTensor) else np.asarray(image)
+    if arr.shape != tuple(dims):
+        raise InvalidArgumentError(f"image shape {arr.shape} does not match scorer dims {tuple(dims)}")
+    return arr.astype(np.float64, copy=False)
 
 
 def _axis_positions(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

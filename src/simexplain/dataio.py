@@ -15,6 +15,7 @@ bit-exactly across platforms and implementations.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -32,6 +33,16 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     if len(buf) != n:
         raise ParseError(f"truncated file while reading {what}")
     return buf
+
+
+def _read_payload(fh, n_floats: int, path) -> bytes:
+    """The f32 payload that ends the file, once the file size agrees with
+    the header's claim; a lying, truncated or padded header is a ParseError."""
+    size, expected = os.fstat(fh.fileno()).st_size, fh.tell() + 4 * n_floats
+    if size != expected:
+        problem = "truncated file" if size < expected else "trailing bytes after data"
+        raise ParseError(f"{path}: {problem}: {size} bytes, but its header promises {expected}")
+    return _read_exact(fh, 4 * n_floats, "data")
 
 
 def save_grid(path: str | Path, data: np.ndarray) -> None:
@@ -55,9 +66,7 @@ def load_grid(path: str | Path) -> np.ndarray:
         rows, cols, ch = struct.unpack("<III", _read_exact(fh, 12, "dims"))
         if min(rows, cols, ch) < 1:
             raise ParseError(f"{path}: dims field has zero entry ({rows}, {cols}, {ch})")
-        payload = _read_exact(fh, rows * cols * ch * 4, "data")
-        if fh.read(1):
-            raise ParseError(f"{path}: trailing bytes after data")
+        payload = _read_payload(fh, rows * cols * ch, path)
     return np.frombuffer(payload, dtype="<f4").reshape(rows, cols, ch).copy()
 
 
@@ -90,9 +99,7 @@ def load_saliency(path: str | Path) -> SaliencyMap:
             method = Method(method_b)
         except ValueError:
             raise ParseError(f"{path}: unknown method byte {method_b}") from None
-        payload = _read_exact(fh, rows * cols * 4, "data")
-        if fh.read(1):
-            raise ParseError(f"{path}: trailing bytes after data")
+        payload = _read_payload(fh, rows * cols, path)
     data = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
     return SaliencyMap(data, method=method, fixed_reference=bool(fixed_b), normalized=bool(norm_b))
 

@@ -29,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _as_image
 from .errors import InvalidArgumentError, TransportError, UnsupportedError
-from .scorers import Embedding, Scorer, ScorerCaps, _as_flat
+from .scorers import Embedding, Scorer, ScorerCaps
 
 
 def encode_f32(arr: np.ndarray) -> str:
@@ -116,9 +117,15 @@ class _Connection:
             msg = json.loads(answer)
         except json.JSONDecodeError as exc:
             raise TransportError(f"peer sent a non-JSON line: {answer[:80]!r}") from exc
+        if not isinstance(msg, dict):
+            raise TransportError(f"peer sent a line that is not a JSON object: {answer[:80]!r}")
         if msg.get("id") != req_id:
             raise TransportError(f"response id {msg.get('id')} does not match request id {req_id}")
         return msg
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 _ERROR_MAP = {
@@ -144,15 +151,14 @@ class ExternalScorer(Scorer):
         try:
             hello = self._call({"op": "hello"})
             caps = hello.get("caps", [])
-            self._caps = ScorerCaps(
-                can_embed="embed" in caps,
-                can_grad=False,
-                max_batch=int(hello.get("max_batch", 1)),
-            )
+            max_batch = hello.get("max_batch", 1)
+            if not isinstance(caps, list) or not _is_count(max_batch):
+                raise TransportError(f"hello response carries no usable caps or max_batch: {hello}")
+            self._caps = ScorerCaps(can_embed="embed" in caps, can_grad=False, max_batch=max_batch)
             dims = hello.get("dims")
-            if not isinstance(dims, list) or len(dims) != 3:
+            if not isinstance(dims, list) or len(dims) != 3 or not all(map(_is_count, dims)):
                 raise TransportError(f"hello response carries no usable dims: {hello}")
-            self.dims = tuple(int(d) for d in dims)
+            self.dims = tuple(dims)
         except BaseException:
             self._conn.close()
             raise
@@ -172,12 +178,14 @@ class ExternalScorer(Scorer):
                 msg = self._conn.roundtrip(payload)
         if "error" in msg:
             err = msg["error"]
+            if not isinstance(err, dict):
+                raise TransportError(f"peer error: {err!r}")
             exc_type = _ERROR_MAP.get(err.get("code"), TransportError)
             raise exc_type(f"peer error: {err.get('msg', err)}")
         return msg
 
     def _encode_image(self, image) -> str:
-        return encode_f32(_as_flat(image, self.dims))
+        return encode_f32(_as_image(image, self.dims))
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
         ref_b64 = self._encode_image(ref)
@@ -201,10 +209,13 @@ class ExternalScorer(Scorer):
         if not self._caps.can_embed:
             raise UnsupportedError("external scorer does not advertise embed")
         msg = self._call({"op": "embed", "image": self._encode_image(image)})
-        vec = decode_f32(msg.get("data", ""))
-        if msg.get("dim") != vec.size:
-            raise TransportError(f"embed dim field {msg.get('dim')} mismatches payload size {vec.size}")
-        return Embedding(vec)
+        try:
+            emb = Embedding(decode_f32(msg.get("data", "")))
+        except InvalidArgumentError as exc:
+            raise TransportError(f"embed returned no usable embedding: {exc}") from exc
+        if msg.get("dim") != emb.dim:
+            raise TransportError(f"embed dim field {msg.get('dim')} mismatches payload size {emb.dim}")
+        return emb
 
     def close(self) -> None:
         with self._lock:

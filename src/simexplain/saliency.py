@@ -14,11 +14,13 @@ query manipulation is scored against M reference manipulations and the
 attributed score is their mean, after which aggregation proceeds exactly
 as in fixed mode (fixed mode is the M=1 identity special case).
 
-With an embedding scorer (one with ``embed_batch_flat``) the N query
-manipulations are embedded once and scored against each reference
-manipulation, so dual mode does fixed mode's scorer work plus M reference
-embeddings. A score-only scorer (external, or one without that method)
-scores the whole stack once per reference manipulation: M x N images.
+Sliding window, RISE and LIME score their stacks through one helper,
+``_mean_scores``. With an embedding scorer (one with ``embed_batch_flat``)
+it embeds the N query manipulations once and scores them against each
+reference manipulation, so dual mode does fixed mode's scorer work plus M
+reference embeddings; any other scorer (external, score-only) scores the
+whole stack once per reference manipulation: M x N images. The learned
+mask asks ``score_and_grads`` once per Adam step.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ImageTensor, Method, SaliencyMap, make_rng, normalize_map
+from .core import Method, SaliencyMap, _as_image, make_rng, normalize_map
 from .errors import InvalidArgumentError, OptimizationError, UnsupportedError
 from .optim import Adam, lasso_coordinate_descent
 from .scorers import Scorer, score_image_stack
@@ -135,16 +137,6 @@ class MaskSet:
         return self.lowres.shape[0]
 
 
-def _image_array(image, dims: tuple[int, int, int] | None = None) -> np.ndarray:
-    arr = image.data if isinstance(image, ImageTensor) else np.asarray(image)
-    arr = arr.astype(np.float64, copy=False)
-    if arr.ndim != 3:
-        raise InvalidArgumentError(f"expected an (H, W, C) image, got shape {arr.shape}")
-    if dims is not None and arr.shape != tuple(dims):
-        raise InvalidArgumentError(f"image shape {arr.shape} does not match scorer dims {dims}")
-    return arr
-
-
 def _mean_scores(scorer: Scorer, ref_variants: list[np.ndarray], stack: np.ndarray) -> np.ndarray:
     """Attributed score per query variant: mean over reference variants.
 
@@ -211,8 +203,7 @@ def _rise_ref_variants(scorer, ref: np.ndarray, cfg: SaliencyConfig) -> list[np.
 
 def rise(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     """Score-weighted average of random keep masks."""
-    ref = _image_array(ref, scorer.dims)
-    query = _image_array(query, scorer.dims)
+    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
     h, w, _ = query.shape
     masks = sample_rise_masks(cfg.rise, h, w, cfg.seed)
     stack = query[None, :, :, :] * masks.upsampled[:, :, :, None]
@@ -263,8 +254,7 @@ def _occlusion_variants(img: np.ndarray, n_windows: int, area_frac: float, with_
 def sliding_window(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     """Per-pixel similarity drop, averaged over every occlusion covering
     the pixel: saliency = s_full - mean(s_occluded)."""
-    ref = _image_array(ref, scorer.dims)
-    query = _image_array(query, scorer.dims)
+    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
     h, w, _ = query.shape
 
     if cfg.fixed_reference:
@@ -346,8 +336,7 @@ def lime(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     """
     if not cfg.fixed_reference:
         raise UnsupportedError("the superpixel surrogate is defined for fixed-reference mode only")
-    ref = _image_array(ref, scorer.dims)
-    query = _image_array(query, scorer.dims)
+    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
     h, w, _ = query.shape
 
     if cfg.lime.segmentation == "grid":
@@ -360,7 +349,7 @@ def lime(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     keep = (rng.random((cfg.lime.n_samples, n_seg)) < cfg.lime.keep_prob).astype(np.float64)
     pixel_keep = keep[:, segments.ravel()].reshape(cfg.lime.n_samples, h, w)
     stack = query[None, :, :, :] * pixel_keep[:, :, :, None]
-    scores = score_image_stack(scorer, ref, stack)
+    scores = _mean_scores(scorer, [ref], stack)
     if _degenerate_result(scores):
         return _finish(np.zeros((h, w)), Method.LIME, cfg)
 
@@ -436,7 +425,8 @@ class MaskObjective:
                                    + l1_weight * (sum(1 - m_q) [+ sum(1 - m_r)])
 
     where query' = q * M + base * (1 - M). In dual mode theta holds the
-    query mask logits followed by the reference mask logits.
+    query mask logits followed by the reference mask logits. Each step asks
+    the scorer once, for the score and the pixel gradients of both images.
     """
 
     def __init__(self, scorer: Scorer, ref: np.ndarray, query: np.ndarray,
@@ -444,13 +434,15 @@ class MaskObjective:
         self.scorer = scorer
         self.cfg = cfg
         self.dual = dual
-        self.query = query
         self.ref = ref
         h, w, _ = query.shape
         self.U = _upsample_matrix(cfg.grid, h, w)
         rng = make_rng(seed, _STREAM_MASK_NOISE)
-        self.base_query = self._perturb_base(query, rng)
-        self.base_ref = self._perturb_base(ref, rng) if dual else None
+        # (image, perturbation base) of each masked part: the query, then
+        # the reference in dual mode
+        self.parts = [(query, self._perturb_base(query, rng))]
+        if dual:
+            self.parts.append((ref, self._perturb_base(ref, rng)))
         self._use_fd = not scorer.caps.can_grad
         if self._use_fd and not cfg.fd_fallback:
             raise UnsupportedError(
@@ -466,34 +458,17 @@ class MaskObjective:
 
     @property
     def n_params(self) -> int:
-        g2 = self.cfg.grid * self.cfg.grid
-        return 2 * g2 if self.dual else g2
+        return len(self.parts) * self.cfg.grid * self.cfg.grid
 
     def _compose(self, img: np.ndarray, base: np.ndarray, m: np.ndarray) -> np.ndarray:
         h, w, _ = img.shape
         M = (self.U @ m.ravel()).reshape(h, w, 1)
         return img * M + base * (1.0 - M)
 
-    def _split(self, theta: np.ndarray) -> list[np.ndarray]:
-        g = self.cfg.grid
-        parts = [theta[: g * g].reshape(g, g)]
-        if self.dual:
-            parts.append(theta[g * g:].reshape(g, g))
-        return parts
-
-    def _score_and_pixel_grads(self, perturbed_q, perturbed_r, want_grad: bool):
-        if perturbed_r is None:
-            ref_img = self.ref
-        else:
-            ref_img = perturbed_r
-        score = self.scorer.score(ref_img, perturbed_q)
-        if not want_grad:
-            return score, None, None
-        if self._use_fd:
-            return score, None, None
-        gq = self.scorer.grad_query(ref_img, perturbed_q)
-        gr = self.scorer.grad_query(perturbed_q, ref_img) if self.dual else None
-        return score, gq, gr
+    def _perturbed(self, masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(reference, query) as the scorer sees them under the masks."""
+        images = [self._compose(img, base, m) for (img, base), m in zip(self.parts, masks)]
+        return (images[1] if self.dual else self.ref), images[0]
 
     def value(self, theta: np.ndarray) -> float:
         return self._evaluate(theta, want_grad=False)[0]
@@ -502,12 +477,14 @@ class MaskObjective:
         return self._evaluate(theta, want_grad=True)
 
     def _evaluate(self, theta: np.ndarray, want_grad: bool):
+        g = self.cfg.grid
         theta = np.asarray(theta, dtype=np.float64)
-        masks = [_sigmoid(p) for p in self._split(theta)]
-        perturbed_q = self._compose(self.query, self.base_query, masks[0])
-        perturbed_r = self._compose(self.ref, self.base_ref, masks[1]) if self.dual else None
-
-        score, gq, gr = self._score_and_pixel_grads(perturbed_q, perturbed_r, want_grad)
+        masks = [_sigmoid(p.reshape(g, g)) for p in np.split(theta, len(self.parts))]
+        ref_img, query_img = self._perturbed(masks)
+        if want_grad and not self._use_fd:
+            score, d_ref, d_query = self.scorer.score_and_grads(ref_img, query_img)
+        else:
+            score = self.scorer.score(ref_img, query_img)
         value = self.cfg.preserve_sign * score
         tv_parts = [_tv_value_grad(m) for m in masks]
         for m, (tv_val, _) in zip(masks, tv_parts):
@@ -519,16 +496,11 @@ class MaskObjective:
             return value, np.zeros_like(theta)
         reg_grads = [self.cfg.tv_weight * tv_grad - self.cfg.l1_weight for _, tv_grad in tv_parts]
 
-        score_grads = []
         if self._use_fd:
             score_grads = self._fd_score_grads(masks, score)
         else:
-            pairs = [(gq, self.query, self.base_query)]
-            if self.dual:
-                pairs.append((gr, self.ref, self.base_ref))
-            for g_pix, img, base in pairs:
-                d_mask_pixels = (g_pix * (img - base)).sum(axis=2)
-                score_grads.append((self.U.T @ d_mask_pixels.ravel()).reshape(masks[0].shape))
+            score_grads = [(self.U.T @ (g_pix * (img - base)).sum(axis=2).ravel()).reshape(g, g)
+                           for (img, base), g_pix in zip(self.parts, (d_query, d_ref))]
 
         grad_parts = []
         for m, s_grad, r_grad in zip(masks, score_grads, reg_grads):
@@ -539,21 +511,15 @@ class MaskObjective:
     def _fd_score_grads(self, masks: list[np.ndarray], base_score: float, h_step: float = 1e-3):
         """Forward differences of the score term directly on mask cells."""
         grads = []
-        imgs = [(self.query, self.base_query)]
-        if self.dual:
-            imgs.append((self.ref, self.base_ref))
-        for which, (img, base) in enumerate(imgs):
-            grad = np.zeros_like(masks[which])
-            for idx in np.ndindex(*masks[which].shape):
+        for which, mask in enumerate(masks):
+            grad = np.zeros_like(mask)
+            for idx in np.ndindex(*mask.shape):
                 bumped = [m.copy() for m in masks]
                 bumped[which][idx] = min(bumped[which][idx] + h_step, 1.0)
-                step = bumped[which][idx] - masks[which][idx]
+                step = bumped[which][idx] - mask[idx]
                 if step <= 0:
                     continue
-                pq = self._compose(self.query, self.base_query, bumped[0])
-                pr = self._compose(self.ref, self.base_ref, bumped[1]) if self.dual else None
-                s = self.scorer.score(pr if pr is not None else self.ref, pq)
-                grad[idx] = (s - base_score) / step
+                grad[idx] = (self.scorer.score(*self._perturbed(bumped)) - base_score) / step
             grads.append(grad)
         return grads
 
@@ -565,8 +531,7 @@ def mask_learn(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     steps oscillate around sharp valleys (e.g. under a dominating TV
     weight), and the best iterate is the meaningful solution there.
     """
-    ref = _image_array(ref, scorer.dims)
-    query = _image_array(query, scorer.dims)
+    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
     problem = MaskObjective(scorer, ref, query, cfg.mask, dual=not cfg.fixed_reference, seed=cfg.seed)
     theta = np.zeros(problem.n_params)
     opt = Adam(lr=cfg.mask.lr)

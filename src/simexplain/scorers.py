@@ -1,12 +1,15 @@
 """Similarity scorers: in-process toy embedding models behind the uniform
 score / embed / gradient interface that the perturbation methods consume.
 
+Every scorer answers ``score_batch_flat`` over flattened pixel rows (the
+base class forwards it to ``score_batch``); gradient-capable ones answer
+``score_and_grads`` with the score and the pixel gradients of both images.
 All built-in scorers are linear embeddings compared with epsilon-guarded
 cosine similarity. Embeddings are computed with non-optimized einsum on
 purpose: its per-row accumulation order is independent of batch size, so
 score(), score_batch() and any chunking of it are bitwise identical.
 The same holds for a stack embedded once with ``embed_batch_flat`` and
-then scored against many references with ``score_batch_flat``.
+then scored against many references, and for ``score_and_grads``' score.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ImageTensor, make_rng
+from .core import _as_image, make_rng
 from .errors import InvalidArgumentError, UnsupportedError
 
 NORM_EPS = 1e-12
@@ -86,13 +89,6 @@ def cosine(u: np.ndarray, v: np.ndarray, eps: float = NORM_EPS) -> float:
     return float(np.clip((u @ v) / (nu * nv), -1.0, 1.0))
 
 
-def _as_flat(image, expected_shape: tuple[int, int, int]) -> np.ndarray:
-    arr = image.data if isinstance(image, ImageTensor) else np.asarray(image)
-    if arr.shape != expected_shape:
-        raise InvalidArgumentError(f"image shape {arr.shape} does not match scorer dims {expected_shape}")
-    return arr.astype(np.float64, copy=False).reshape(-1)
-
-
 class Scorer:
     """Interface of the similarity model under explanation."""
 
@@ -108,10 +104,15 @@ class Scorer:
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
         raise NotImplementedError
 
+    def score_batch_flat(self, ref, rows: np.ndarray) -> np.ndarray:
+        """score_batch over (N, H*W*C) pixel rows, order preserved."""
+        return self.score_batch(ref, list(np.asarray(rows).reshape(-1, *self.dims)))
+
     def embed(self, image) -> Embedding:
         raise UnsupportedError(f"{type(self).__name__} cannot embed")
 
-    def grad_query(self, ref, query) -> np.ndarray:
+    def score_and_grads(self, ref, query) -> tuple[float, np.ndarray, np.ndarray]:
+        """score(ref, query) and its (H, W, C) gradients d/d ref and d/d query."""
         raise UnsupportedError(f"{type(self).__name__} has no gradient capability")
 
     def close(self) -> None:
@@ -154,8 +155,8 @@ class LinearEmbeddingScorer(Scorer):
         return np.einsum("np,dp->nd", flat_batch, self.weight, optimize=False)
 
     def embed(self, image) -> Embedding:
-        flat = _as_flat(image, self.dims)
-        return Embedding(self._embed_flat(flat[None, :])[0])
+        flat = _as_image(image, self.dims).reshape(1, -1)
+        return Embedding(self._embed_flat(flat)[0])
 
     def _ref_norm(self, ref_emb: np.ndarray) -> float:
         # same einsum path as the per-query norms so score(a, b) and
@@ -163,7 +164,7 @@ class LinearEmbeddingScorer(Scorer):
         return max(float(np.sqrt(np.einsum("d,d->", ref_emb, ref_emb, optimize=False))), NORM_EPS)
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
-        flat = np.array([_as_flat(q, self.dims) for q in queries], dtype=np.float64)
+        flat = np.array([_as_image(q, self.dims) for q in queries], dtype=np.float64)
         return self.score_batch_flat(ref, flat.reshape(len(queries), self.weight.shape[1]))
 
     def embed_batch_flat(self, flat_queries: np.ndarray) -> EmbeddedRows:
@@ -183,7 +184,9 @@ class LinearEmbeddingScorer(Scorer):
         embed_batch_flat already embedded; both give the same bits."""
         if not isinstance(queries, EmbeddedRows):
             queries = self.embed_batch_flat(queries)
-        ref_emb = self.embed(ref).data
+        return self._cosines(self.embed(ref).data, queries)
+
+    def _cosines(self, ref_emb: np.ndarray, queries: EmbeddedRows) -> np.ndarray:
         nu = self._ref_norm(ref_emb)
         n = queries.shape[0]
         out = np.empty(n, dtype=np.float64)
@@ -193,24 +196,14 @@ class LinearEmbeddingScorer(Scorer):
             out[rows] = dots / (queries.norms[rows] * nu)
         return np.clip(out, -1.0, 1.0)
 
-    def grad_query(self, ref, query) -> np.ndarray:
-        """d score / d query pixels, shape (H, W, C).
-
-        With u = W.ref fixed and v = W.query, the guarded cosine has
-        dc/dv = u/(|u||v|) - c v/|v|^2; below the norm guard the
-        denominator freezes and the score is linear in v.
-        """
-        u = self.embed(ref).data
-        v = self.embed(query).data
-        nu = max(float(np.sqrt(u @ u)), NORM_EPS)
-        raw_nv = float(np.sqrt(v @ v))
-        nv = max(raw_nv, NORM_EPS)
-        dot = float(u @ v)
-        dc_dv = u / (nu * nv)
-        if raw_nv > NORM_EPS:
-            dc_dv = dc_dv - (dot / (nu * nv)) * v / (nv * nv)
-        grad_flat = dc_dv @ self.weight
-        return grad_flat.reshape(self.dims)
+    def score_and_grads(self, ref, query) -> tuple[float, np.ndarray, np.ndarray]:
+        """score(ref, query), bit for bit, with its pixel gradients with
+        respect to ref and query, each (H, W, C); each image is embedded once."""
+        rows = self.embed_batch_flat(_as_image(query, self.dims).reshape(1, -1))
+        ref_emb = self.embed(ref).data
+        score = float(self._cosines(ref_emb, rows)[0])
+        d_ref, d_query, _ = _cosine_grad_pair(ref_emb, rows.emb[0])
+        return score, (d_ref @ self.weight).reshape(self.dims), (d_query @ self.weight).reshape(self.dims)
 
 
 class LinearToyScorer(LinearEmbeddingScorer):
@@ -263,32 +256,33 @@ class ConstantScorer(Scorer):
         return ScorerCaps(can_embed=False, can_grad=False, max_batch=4096)
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
-        _as_flat(ref, self.dims)
+        _as_image(ref, self.dims)
         for q in queries:
-            _as_flat(q, self.dims)
+            _as_image(q, self.dims)
         return np.full(len(queries), self.value, dtype=np.float64)
 
 
 def score_image_stack(scorer: Scorer, ref, stack: np.ndarray) -> np.ndarray:
-    """Score an (N, H, W, C) stack against one reference, order preserved.
-
-    Uses the flat fast path when the scorer provides one; both paths are
-    bitwise identical for the built-in scorers.
-    """
-    flat = np.asarray(stack).reshape(stack.shape[0], -1)
-    fast = getattr(scorer, "score_batch_flat", None)
-    if fast is not None:
-        return fast(ref, flat)
-    return scorer.score_batch(ref, list(stack))
+    """Score an (N, H, W, C) stack against one reference, order preserved."""
+    return scorer.score_batch_flat(ref, np.asarray(stack).reshape(stack.shape[0], -1))
 
 
 def _cosine_grad_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """d cos(u, v) / du and / dv plus the cosine value, norms assumed > eps."""
-    nu = max(float(np.sqrt(u @ u)), NORM_EPS)
-    nv = max(float(np.sqrt(v @ v)), NORM_EPS)
+    """d cos(u, v) / du and / dv plus the cosine value.
+
+    With guarded norms, dc/dv = u/(|u||v|) - c v/|v|^2 and symmetrically
+    for u; below the norm guard a norm freezes, the score is linear in
+    that side and its second term drops.
+    """
+    raw_nu, raw_nv = float(np.sqrt(u @ u)), float(np.sqrt(v @ v))
+    nu, nv = max(raw_nu, NORM_EPS), max(raw_nv, NORM_EPS)
     c = float(u @ v) / (nu * nv)
-    du = v / (nu * nv) - c * u / (nu * nu)
-    dv = u / (nu * nv) - c * v / (nv * nv)
+    du = v / (nu * nv)
+    dv = u / (nu * nv)
+    if raw_nu > NORM_EPS:
+        du = du - c * u / (nu * nu)
+    if raw_nv > NORM_EPS:
+        dv = dv - c * v / (nv * nv)
     return du, dv, c
 
 
@@ -315,7 +309,7 @@ class TripletToyScorer(LinearEmbeddingScorer):
         seed: int = 0,
     ) -> "TripletToyScorer":
         rng = make_rng(seed, 0x7219)
-        h, w, c = dataset.images[0][1].shape
+        h, w, c = dataset.dims
         flats = {img_id: img.data.astype(np.float64).reshape(-1) for img_id, img in dataset.images}
         ids = [img_id for img_id, _ in dataset.images]
 

@@ -176,7 +176,7 @@ def planted_scorer_for(dataset: Dataset, embed_dim: int = 16, seed: int = 0,
     slots = slots_from_meta(dataset)
     if attribute is None:
         attribute = int(dataset.meta.get("similarity_attribute", 0))
-    dims = dataset.images[0][1].shape
+    dims = dataset.dims
     return LinearToyScorer.planted(dims, slots[attribute], embed_dim=embed_dim, seed=seed)
 
 
@@ -185,5 +185,5 @@ def motif_scorer_for(dataset: Dataset, embed_dim: int = 24, seed: int = 0,
     """Scorer keyed to every motif slot (or a chosen subset)."""
     slots = slots_from_meta(dataset)
     chosen = sorted(slots) if attributes is None else list(attributes)
-    dims = dataset.images[0][1].shape
+    dims = dataset.dims
     return LinearToyScorer.planted(dims, [slots[a] for a in chosen], embed_dim=embed_dim, seed=seed)

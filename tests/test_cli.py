@@ -14,8 +14,8 @@ import simexplain as se
 import simexplain.cli as cli
 from simexplain.attrmodel import load_model
 from simexplain.cli import build_config, build_parser, load_saliency_bank, main
-from simexplain.dataio import load_dataset, load_saliency
-from simexplain.errors import ParseError
+from simexplain.dataio import GRID_MAGIC, SMAP_MAGIC, load_dataset, load_saliency, save_grid
+from simexplain.errors import IntegrityError, ParseError
 from simexplain.synth import motif_slots
 
 
@@ -437,6 +437,32 @@ class TestCliPlumbing:
                      "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
                      "--pair", f"{pair.query_id}:{pair.reference_id}",
                      "--out", str(tmp_path / "e.json")]) == 2
+
+    @pytest.mark.parametrize("error", [IntegrityError, ParseError], ids=["28x28x3-image", "lying-header"])
+    def test_bad_image_file_is_validation_error(self, error, tmp_path):
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--n-images", "16", "--seed", "2"]) == 0
+        manifest = data / "manifest.json"
+        first = data / json.loads(manifest.read_text())["images"][0]["path"]
+        if error is IntegrityError:  # one image smaller than the other 56x56 ones
+            save_grid(first, np.zeros((28, 28, 3)))
+        else:  # a header claiming 65535^3 floats, about 2^50 bytes
+            first.write_bytes(GRID_MAGIC + struct.pack("<III", 65535, 65535, 65535) + b"\0" * 16)
+        with pytest.raises(error):
+            load_dataset(manifest)
+        assert main(["saliency", "--dataset", str(manifest), "--method", "sliding_window",
+                     "--scorer", "triplet", "--seed", "2", "--split", "train", "--limit", "1",
+                     "--out", str(tmp_path / "maps"), "--jobs", "1"]) == 2
+
+    def test_lying_map_header_is_parse_error(self, cli_workspace, tmp_path):
+        _, manifest, _, _ = cli_workspace
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        pair = load_dataset(manifest).pairs_for_split("train")[0]
+        (maps / f"{pair.query_id}__{pair.reference_id}.smap").write_bytes(
+            SMAP_MAGIC + struct.pack("<IIBBB", 4_000_000_000, 4_000_000_000, 1, 1, 1))
+        assert main(["train-attr", "--dataset", str(manifest), "--maps", str(maps),
+                     "--out", str(tmp_path / "m.sane"), "--epochs", "1", "--seed", "11"]) == 2
 
     def test_pipeline_generates_each_validation_map_once(self, tmp_path, monkeypatch):
         seen = Counter()

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ class TestGridFile:
         with pytest.raises(ParseError, match="trailing"):
             dataio.load_grid(path)
 
+    def test_header_larger_than_file(self, tmp_path):
+        # 33 bytes whose header claims 65535^3 floats, about 2^50 bytes
+        path = tmp_path / "lie.grid"
+        path.write_bytes(dataio.GRID_MAGIC + struct.pack("<III", 65535, 65535, 65535) + b"\0" * 16)
+        with pytest.raises(ParseError, match="header promises"):
+            dataio.load_grid(path)
+
 
 class TestSaliencyFile:
     def test_roundtrip_identity(self, tmp_path, rng):
@@ -64,6 +72,12 @@ class TestSaliencyFile:
         raw[13] = 99  # method byte follows magic(5) + dims(8)
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError, match="method"):
+            dataio.load_saliency(path)
+
+    def test_header_larger_than_file(self, tmp_path):
+        path = tmp_path / "lie.smap"
+        path.write_bytes(dataio.SMAP_MAGIC + struct.pack("<IIBBB", 4_000_000_000, 4_000_000_000, 1, 1, 1))
+        with pytest.raises(ParseError, match="header promises"):
             dataio.load_saliency(path)
 
 

@@ -19,6 +19,23 @@ def stub_command(*extra):
             "--max-batch", "16", *extra]
 
 
+HELLO = {"caps": ["score", "embed"], "max_batch": 4, "dims": list(DIMS)}
+
+
+def scripted_peer(hello, reply=None):
+    """A stdio peer answering hello with `hello` and any other request with
+    `reply`; the request id is added to each reply that is a JSON object."""
+    script = ("import json, sys\n"
+              f"hello, reply = json.loads({json.dumps([hello, reply])!r})\n"
+              "for line in sys.stdin:\n"
+              "    req = json.loads(line)\n"
+              "    out = hello if req['op'] == 'hello' else reply\n"
+              "    if isinstance(out, dict):\n"
+              "        out = {'id': req['id'], **out}\n"
+              "    print(json.dumps(out), flush=True)\n")
+    return [sys.executable, "-c", script]
+
+
 @pytest.fixture(scope="module")
 def reference():
     return se.LinearToyScorer.random(DIMS, embed_dim=6, seed=31)
@@ -218,3 +235,20 @@ class TestClientValidation:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10)
+
+    @pytest.mark.parametrize("reply", [[1, 2], {"error": "boom"}], ids=["list", "error-string"])
+    def test_malformed_reply_is_transport_error(self, reply, rng):
+        with ExternalScorer(command=scripted_peer(HELLO, reply)) as ext:
+            with pytest.raises(TransportError):
+                ext.score_batch(rng.random(DIMS), [rng.random(DIMS)])
+
+    @pytest.mark.parametrize("data", [5, "!!notb64", encode_f32(np.full(3, np.nan))],
+                             ids=["number", "not-base64", "nan"])
+    def test_unusable_embedding_is_transport_error(self, data, rng):
+        with ExternalScorer(command=scripted_peer(HELLO, {"dim": 3, "data": data})) as ext:
+            with pytest.raises(TransportError, match="embedding"):
+                ext.embed(rng.random(DIMS))
+
+    def test_unusable_max_batch_is_transport_error(self):
+        with pytest.raises(TransportError, match="max_batch"):
+            ExternalScorer(command=scripted_peer({**HELLO, "max_batch": "many"}))

@@ -340,6 +340,22 @@ class TestMask:
         cos = float(g_true @ g_fd / (np.linalg.norm(g_true) * np.linalg.norm(g_fd)))
         assert cos > 0.99
 
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_each_step_embeds_each_image_once(self, fixed, planted, images, monkeypatch):
+        _, scorer = planted
+        embedded = []
+        project = scorer._embed_flat
+
+        def counting(flat):
+            embedded.append(flat.shape[0])
+            return project(flat)
+
+        monkeypatch.setattr(scorer, "_embed_flat", counting)
+        cfg = small_cfg(se.Method.MASK, fixed_reference=fixed, mask=se.MaskCfg(grid=5, iters=20))
+        se.mask_learn(scorer, images[0], images[1], cfg)
+        # reference and query once per Adam step, and once more for the final iterate
+        assert sum(embedded) == 2 * 20 + 2
+
     def test_dual_mask_runs(self, planted, images):
         _, scorer = planted
         cfg = small_cfg(se.Method.MASK, fixed_reference=False,

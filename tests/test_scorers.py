@@ -91,19 +91,31 @@ class TestEmbedAndGrad:
 
     def test_gradient_matches_central_differences(self, linear, rng):
         ref, query = rng.random(DIMS), rng.random(DIMS)
-        grad = linear.grad_query(ref, query)
+        _, d_ref, d_query = linear.score_and_grads(ref, query)
         eps = 1e-3
-        for _ in range(10):
-            i, j, c = (int(rng.integers(d)) for d in DIMS)
-            qp, qm = query.copy(), query.copy()
-            qp[i, j, c] += eps
-            qm[i, j, c] -= eps
-            fd = (linear.score(ref, qp) - linear.score(ref, qm)) / (2 * eps)
-            assert abs(fd - grad[i, j, c]) <= 1e-4 * max(abs(fd), 1e-8)
+        for side, grad in (("query", d_query), ("ref", d_ref)):
+            for _ in range(10):
+                i, j, c = (int(rng.integers(d)) for d in DIMS)
+                plus = {"ref": ref.copy(), "query": query.copy()}
+                minus = {"ref": ref.copy(), "query": query.copy()}
+                plus[side][i, j, c] += eps
+                minus[side][i, j, c] -= eps
+                fd = (linear.score(plus["ref"], plus["query"])
+                      - linear.score(minus["ref"], minus["query"])) / (2 * eps)
+                assert abs(fd - grad[i, j, c]) <= 1e-4 * max(abs(fd), 1e-8)
 
     def test_zero_query_gradient_finite(self, linear, rng):
-        grad = linear.grad_query(rng.random(DIMS), np.zeros(DIMS))
-        assert np.all(np.isfinite(grad))
+        for ref, query in ((rng.random(DIMS), np.zeros(DIMS)), (np.zeros(DIMS), rng.random(DIMS))):
+            score, d_ref, d_query = linear.score_and_grads(ref, query)
+            assert score == 0.0
+            assert np.all(np.isfinite(d_ref)) and np.all(np.isfinite(d_query))
+
+    def test_score_and_grads_score_is_score(self, linear, rng):
+        pairs = [(rng.random(DIMS), rng.random(DIMS)) for _ in range(20)]
+        pairs += [(np.zeros(DIMS), rng.random(DIMS)), (rng.random(DIMS), np.zeros(DIMS))]
+        for ref, query in pairs:
+            got = np.float64(linear.score_and_grads(ref, query)[0])
+            assert got.tobytes() == np.float64(linear.score(ref, query)).tobytes()
 
     def test_dim_mismatch_rejected(self, linear, rng):
         with pytest.raises(InvalidArgumentError):
@@ -114,7 +126,7 @@ class TestEmbedAndGrad:
         with pytest.raises(UnsupportedError):
             const.embed(rng.random(DIMS))
         with pytest.raises(UnsupportedError):
-            const.grad_query(rng.random(DIMS), rng.random(DIMS))
+            const.score_and_grads(rng.random(DIMS), rng.random(DIMS))
 
 
 class TestPlantedScorer:
