@@ -205,8 +205,29 @@ def _parallel_map(fn, items, jobs: int) -> list:
     return results
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a count, so 0 or -1 exits 2 instead of meaning "all"."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _dims(text: str) -> tuple[int, int, int]:
+    """An argparse type: H,W,C as exactly three positive integers."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected H,W,C as three positive integers, got {text!r}")
+    return tuple(_positive_int(v) for v in parts)
+
+
 def _default_jobs() -> int:
     return min(4, os.cpu_count() or 1)
+
+
+def _maps(scorer: Scorer, dataset: Dataset, pairs: list[Pair], cfg: SaliencyConfig, jobs: int) -> list[SaliencyMap]:
+    """The saliency map of each pair under ``cfg``, in pair order."""
+    return _parallel_map(
+        lambda p: generate(scorer, dataset.image(p.reference_id), dataset.image(p.query_id), cfg), pairs, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +299,7 @@ def _select_pairs(dataset: Dataset, pair_arg: str | None, split: str | None, lim
             raise ParseError("--pair must look like query_id:reference_id") from None
         split_of = next((p.split for p in dataset.pairs if p.query_id == q and p.reference_id == r), "test")
         return [Pair(q, r, split_of)]
-    pairs = dataset.pairs_for_split(split or "test")
-    return pairs[:limit] if limit else pairs
+    return dataset.pairs_for_split(split or "test")[:limit]
 
 
 def cmd_saliency(args) -> dict:
@@ -290,16 +310,13 @@ def cmd_saliency(args) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     with _resolve_scorer(args, dataset) as scorer:
-        def one(pair: Pair) -> str:
-            smap = generate(scorer, dataset.image(pair.reference_id), dataset.image(pair.query_id), cfg)
-            stem = f"{pair.query_id}__{pair.reference_id}"
-            save_saliency(out / f"{stem}.smap", smap)
-            write_pgm(out / f"{stem}.pgm", smap.data)
-            return stem
-
-        written = _parallel_map(one, pairs, args.jobs)
+        maps = _maps(scorer, dataset, pairs, cfg, args.jobs)
+    for pair, smap in zip(pairs, maps):
+        stem = f"{pair.query_id}__{pair.reference_id}"
+        save_saliency(out / f"{stem}.smap", smap)
+        write_pgm(out / f"{stem}.pgm", smap.data)
     _echo_config(out, {"command": "saliency", "saliency": _config_payload(cfg), "pairs": len(pairs)})
-    return {"out": str(out), "maps": len(written)}
+    return {"out": str(out), "maps": len(maps)}
 
 
 def load_saliency_bank(maps_dir: str | Path) -> dict[str, list[SaliencyMap]]:
@@ -329,10 +346,10 @@ def cmd_train_attr(args) -> dict:
 
 
 def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pairs: list[Pair],
-                     saliency_cfg: SaliencyConfig,
+                     saliency_cfg: SaliencyConfig, jobs: int,
                      grid_step: float = 0.05) -> tuple[PriorEstimate, PhiWeights]:
     """Held-out pair features -> attribute prior -> phi grid search."""
-    features = pair_features(model, scorer, dataset, pairs, saliency_cfg)
+    features = pair_features(model, _maps(scorer, dataset, pairs, saliency_cfg, jobs), dataset, pairs)
     estimate = estimate_prior(features, dataset.n_attributes)
     return estimate, fit_phi(features, estimate.prior, grid_step)
 
@@ -345,7 +362,8 @@ def cmd_prior(args) -> dict:
     if not pairs:
         raise InvalidArgumentError("prior estimation needs at least one validation pair")
     with _resolve_scorer(args, dataset) as scorer:
-        estimate = estimate_prior(pair_features(model, scorer, dataset, pairs, cfg), dataset.n_attributes)
+        maps = _maps(scorer, dataset, pairs, cfg, args.jobs)
+    estimate = estimate_prior(pair_features(model, maps, dataset, pairs), dataset.n_attributes)
     out = Path(args.out)
     _write_result(out, {
         "prior": [float(v) for v in estimate.prior.p],
@@ -390,7 +408,7 @@ def cmd_fit_phi(args) -> dict:
     cfg = run_config(args, saliency={"method": args.method})["saliency"]
     with _resolve_scorer(args, dataset) as scorer:
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split(args.split),
-                                         cfg, args.grid_step)
+                                         cfg, args.jobs, args.grid_step)
     out = Path(args.out)
     _write_result(out, {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3,
                         "prior": [float(v) for v in estimate.prior.p]},
@@ -420,17 +438,7 @@ def cmd_explain(args) -> dict:
         "reference": result.reference_id,
         "saliency_path": smap_path.name,
         "phi": {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3},
-        "ranked": [
-            {
-                "attribute": r.attribute,
-                "name": dataset.catalog.names[r.attribute],
-                "score": r.score,
-                "confidence": r.confidence,
-                "map_match": r.map_match,
-                "prior": r.prior,
-            }
-            for r in result.ranked
-        ],
+        "ranked": [{**dataclasses.asdict(r), "name": dataset.catalog.names[r.attribute]} for r in result.ranked],
     }
     _write_result(out, payload, {"command": "explain", "saliency": _config_payload(saliency_cfg),
                                  "pair": args.pair})
@@ -455,44 +463,40 @@ def run_eval(
     """Shared evaluation harness behind `eval` and `pipeline`.
 
     The `top1` and `removal` suites rank with the ``prior`` and ``phi``
-    the caller fitted on the validation pairs.
+    the caller fitted on the validation pairs. Each saliency config's
+    test maps are made once and shared by every suite that reads them.
     """
     report: dict = {"schema_version": 1, "saliency": {}, "attribute": {}, "counts": {}}
-    test_pairs = dataset.pairs_for_split("test")
-    if limit_pairs:
-        test_pairs = test_pairs[:limit_pairs]
+    test_pairs = dataset.pairs_for_split("test")[:limit_pairs]
     report["counts"]["test_pairs"] = len(test_pairs)
     report["counts"]["val_pairs"] = len(dataset.pairs_for_split("val"))
+    test_maps: dict[SaliencyConfig, list[SaliencyMap]] = {}
 
-    if "insertion" in suites or "deletion" in suites:
-        for method_name in methods:
-            # a "_dual" suffix evaluates the both-images-manipulated variant,
-            # so fixed and dual rows can sit side by side in one report
-            dual = method_name.endswith("_dual")
-            base_name = method_name[: -len("_dual")] if dual else method_name
-            cfg = dataclasses.replace(saliency_cfg, method=_parse_method(base_name),
-                                      fixed_reference=saliency_cfg.fixed_reference and not dual)
+    def maps_for(cfg: SaliencyConfig) -> list[SaliencyMap]:
+        if cfg not in test_maps:
+            test_maps[cfg] = _maps(scorer, dataset, test_pairs, cfg, jobs)
+        return test_maps[cfg]
 
-            def curves(pair: Pair):
-                ref = dataset.image(pair.reference_id)
-                query = dataset.image(pair.query_id)
-                smap = generate(scorer, ref, query, cfg)
-                ins = insertion_curve(scorer, ref, query, smap, insertion_step).auc
-                dele = deletion_curve(scorer, ref, query, smap, insertion_step).auc
-                return ins, dele
+    curve_suites = [(name, fn) for name, fn in (("insertion", insertion_curve), ("deletion", deletion_curve))
+                    if name in suites]
+    for method_name in (methods if curve_suites else []):
+        # a "_dual" suffix evaluates the both-images-manipulated variant,
+        # so fixed and dual rows can sit side by side in one report
+        dual = method_name.endswith("_dual")
+        base_name = method_name[: -len("_dual")] if dual else method_name
+        cfg = dataclasses.replace(saliency_cfg, method=_parse_method(base_name),
+                                  fixed_reference=saliency_cfg.fixed_reference and not dual)
 
-            results = _parallel_map(curves, test_pairs, jobs)
-            ins_mean, ins_se = mean_and_stderr([r[0] * 100 for r in results])
-            del_mean, del_se = mean_and_stderr([r[1] * 100 for r in results])
-            key = f"{base_name}_{'fixed' if cfg.fixed_reference else 'dual'}"
-            entry = {}
-            if "insertion" in suites:
-                entry["insertion_auc"] = ins_mean
-                entry["insertion_stderr"] = ins_se
-            if "deletion" in suites:
-                entry["deletion_auc"] = del_mean
-                entry["deletion_stderr"] = del_se
-            report["saliency"][key] = entry
+        def curves(pair_map: tuple[Pair, SaliencyMap]) -> list[float]:
+            pair, smap = pair_map
+            ref, query = dataset.image(pair.reference_id), dataset.image(pair.query_id)
+            return [fn(scorer, ref, query, smap, insertion_step).auc * 100 for _, fn in curve_suites]
+
+        results = _parallel_map(curves, list(zip(test_pairs, maps_for(cfg))), jobs)
+        entry = {}
+        for k, (name, _) in enumerate(curve_suites):
+            entry[f"{name}_auc"], entry[f"{name}_stderr"] = mean_and_stderr([r[k] for r in results])
+        report["saliency"][f"{base_name}_{'fixed' if cfg.fixed_reference else 'dual'}"] = entry
 
     if "map" in suites:
         report["attribute"]["map"] = map_metric(model, dataset, "test")
@@ -501,7 +505,7 @@ def run_eval(
         if prior is None or phi is None:
             raise InvalidArgumentError("the top1 and removal suites need a fitted prior and phi")
         report["attribute"]["phi"] = [phi.phi1, phi.phi2, phi.phi3]
-        test_features = pair_features(model, scorer, dataset, test_pairs, saliency_cfg)
+        test_features = pair_features(model, maps_for(saliency_cfg), dataset, test_pairs)
         full_attrs = [f.top1(prior, phi) for f in test_features]
         conf_attrs = [f.top1(prior, CONFIDENCE_ONLY_PHI) for f in test_features]
         rng = np.random.default_rng([seed, 77])
@@ -538,7 +542,7 @@ def cmd_eval(args) -> dict:
         prior = phi = None
         if {"top1", "removal"} & set(suites):
             estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"),
-                                             saliency_cfg)
+                                             saliency_cfg, args.jobs)
             prior = estimate.prior
         report = run_eval(dataset, model, scorer, saliency_cfg, suites, methods,
                           seed=args.seed, insertion_step=args.insertion_step,
@@ -598,8 +602,7 @@ def _write_montage(path: Path, dataset: Dataset, assignment, per_cluster: int = 
 
 def cmd_serve_stub(args) -> dict:
     run_config(args)
-    h, w, c = (int(v) for v in args.dims.split(","))
-    scorer = LinearToyScorer.random((h, w, c), embed_dim=args.embed_dim, seed=args.seed)
+    scorer = LinearToyScorer.random(args.dims, embed_dim=args.embed_dim, seed=args.seed)
     if args.no_embed:
         scorer = _ScoreOnly(scorer)
     if args.tcp_port is not None:
@@ -635,17 +638,15 @@ def cmd_pipeline(args) -> dict:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
 
     with _resolve_scorer(args, dataset) as scorer:
-        def bank_one(pair: Pair) -> None:
-            smap = generate(scorer, dataset.image(pair.reference_id), dataset.image(pair.query_id), saliency_cfg)
+        for pair, smap in zip(bank_pairs, _maps(scorer, dataset, bank_pairs, saliency_cfg, args.jobs)):
             save_saliency(maps_dir / f"{pair.query_id}__{pair.reference_id}.smap", smap)
-
-        _parallel_map(bank_one, bank_pairs, args.jobs)
 
         bank = load_saliency_bank(maps_dir)
         model = train(dataset, bank, train_cfg)
         save_model(out / "model.sane", model)
 
-        estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"), saliency_cfg)
+        estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"), saliency_cfg,
+                                         args.jobs)
         dump_json(out / "prior.json", {"prior": [float(v) for v in estimate.prior.p],
                                        "n_used": estimate.n_used, "n_skipped": estimate.n_skipped})
         dump_json(out / "phi.json", {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3})
@@ -679,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scorer_default="triplet", with_scorer=True):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="JSON run-config file")
-        p.add_argument("--jobs", type=int, default=_default_jobs())
+        p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
         p.add_argument("--json", action="store_true", help="print a machine-readable result line")
         p.add_argument("--verbose", action="store_true")
         if with_scorer:
@@ -705,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--dual", dest="fixed_reference", action="store_const", const=False)
     p.add_argument("--pair", default=None, help="query_id:reference_id")
     p.add_argument("--split", default=None, choices=["train", "val", "test"])
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_saliency)
 
@@ -758,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="insertion,deletion,map,top1,removal")
     p.add_argument("--methods", default="rise,sliding_window")
     p.add_argument("--insertion-step", type=float, default=0.01)
-    p.add_argument("--limit", type=int, default=None, help="cap on test pairs")
+    p.add_argument("--limit", type=_positive_int, default=None, help="cap on test pairs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -775,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve-stub", help="serve the reference external scorer")
     common(p, with_scorer=False)
-    p.add_argument("--dims", default="56,56,3")
+    p.add_argument("--dims", type=_dims, default="56,56,3")
     p.add_argument("--embed-dim", type=int, default=16)
     p.add_argument("--max-batch", type=int, default=64)
     p.add_argument("--tcp-port", type=int, default=None)
@@ -790,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--rise-masks", type=int, default=None)
     p.add_argument("--methods", default="rise,sliding_window")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_positive_int, default=None)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -136,6 +136,18 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig) -> ClusterA
         raise InvalidArgumentError("discovery needs an embedding-capable scorer")
     ids = [img_id for img_id, _ in dataset.images]
     embeddings = np.stack([scorer.embed(img).data for _, img in dataset.images])
+    h, w, _ = dataset.dims
+    peaks: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
+
+    def peaks_of(ri: int, qi: int) -> tuple[int, tuple[int, int]]:
+        """The peak bin and the upsampled argmax pixel of the map of
+        reference ``ri`` and query ``qi``. A query-side map of one query is
+        the reference-side map of a mutual neighbour, so each is made once."""
+        if (ri, qi) not in peaks:
+            smap = generate(scorer, dataset.image(ids[ri]), dataset.image(ids[qi]), cfg.saliency)
+            up = resize_map(smap.data, h, w, mode="bilinear")
+            peaks[ri, qi] = peak_bin(smap, cfg.peak_grid), divmod(int(np.argmax(up)), w)
+        return peaks[ri, qi]
 
     patch_embs: list[np.ndarray] = []
     patch_meta: list[tuple[str, str, tuple[int, int]]] = []
@@ -144,29 +156,17 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig) -> ClusterA
             cosine(embeddings[qi], embeddings[ri]) if ri != qi else -np.inf
             for ri in range(len(ids))
         ])
-        neighbor_idx = np.argsort(-sims, kind="stable")[: cfg.k_nn]
-
-        query_img = dataset.image(query_id)
-        bins = []
-        for ri in neighbor_idx:
-            smap = generate(scorer, dataset.image(ids[ri]), query_img, cfg.saliency)
-            bins.append(peak_bin(smap, cfg.peak_grid))
-        modal_bin, _ = Counter(bins).most_common(1)[0]
-        # Counter ties keep insertion order; pin the smallest bin instead.
-        best_count = Counter(bins)[modal_bin]
-        modal_bin = min(b for b in bins if Counter(bins)[b] == best_count)
+        neighbor_idx = [int(ri) for ri in np.argsort(-sims, kind="stable")[: cfg.k_nn]]
+        bins = [peaks_of(ri, qi)[0] for ri in neighbor_idx]
+        counts = Counter(bins)
+        # the most common bin; ties go to the smallest
+        modal_bin = min(counts, key=lambda b: (-counts[b], b))
 
         kept = [ri for ri, b in zip(neighbor_idx, bins) if b == modal_bin][: cfg.top_n]
         for ri in kept:
             ref_id = ids[ri]
-            ref_img = dataset.image(ref_id)
-            ref_map = generate(scorer, query_img, ref_img, cfg.saliency)
-            h, w, _ = ref_img.shape
-            up = resize_map(ref_map.data, h, w, mode="bilinear")
-            peak_flat = int(np.argmax(up))
-            center = divmod(peak_flat, w)
             emb, topleft = _upsampled_patch_embedding(
-                scorer, ref_img.data.astype(np.float64), center, cfg.patch
+                scorer, dataset.image(ref_id).data.astype(np.float64), peaks_of(qi, ri)[1], cfg.patch
             )
             patch_embs.append(emb)
             patch_meta.append((ref_id, query_id, topleft))

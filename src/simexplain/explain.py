@@ -141,28 +141,27 @@ class PairFeatures:
         return int(rank_attributes(phi.combine(self.confidences, self.map_match, prior))[0])
 
 
-def _features_of(model: AttributeModel, scorer: Scorer, ref, query, saliency_cfg: SaliencyConfig,
-                 query_id: str, reference_id: str, gt: np.ndarray) -> tuple[SaliencyMap, PairFeatures]:
+def _features_of(model: AttributeModel, smap: SaliencyMap, query, query_id: str, reference_id: str,
+                 gt: np.ndarray) -> PairFeatures:
     """saliency map -> match-resolution map -> attribute maps -> cosine match."""
-    smap = generate(scorer, ref, query, saliency_cfg)
     m_q = smap.at_match_resolution(model.extractor.grid)
     pred = model.forward(query)
     maps = np.stack([normalize_map(m) for m in pred.maps])
-    return smap, PairFeatures(query_id=query_id, reference_id=reference_id, m_q=m_q,
-                              confidences=pred.confidences, map_match=_map_match(m_q, maps), gt=gt)
+    return PairFeatures(query_id=query_id, reference_id=reference_id, m_q=m_q,
+                        confidences=pred.confidences, map_match=_map_match(m_q, maps), gt=gt)
 
 
 def pair_features(
     model: AttributeModel,
-    scorer: Scorer,
+    maps: Sequence[SaliencyMap],
     dataset: Dataset,
     pairs: Sequence[Pair],
-    saliency_cfg: SaliencyConfig,
 ) -> list[PairFeatures]:
+    """Each pair's features from its saliency map; ``maps[i]`` belongs to ``pairs[i]``."""
     return [
-        _features_of(model, scorer, dataset.image(p.reference_id), dataset.image(p.query_id), saliency_cfg,
-                     p.query_id, p.reference_id, dataset.gt_attributes(p.query_id))[1]
-        for p in pairs
+        _features_of(model, smap, dataset.image(p.query_id), p.query_id, p.reference_id,
+                     dataset.gt_attributes(p.query_id))
+        for smap, p in zip(maps, pairs, strict=True)
     ]
 
 
@@ -204,8 +203,8 @@ def explain_pair(
     prior = cfg.prior if cfg.prior is not None else Prior.uniform(model.n_attributes)
     if prior.p.size != model.n_attributes:
         raise InvalidArgumentError(f"prior has {prior.p.size} entries for {model.n_attributes} attributes")
-    smap, f = _features_of(model, scorer, ref, query, cfg.saliency, query_id, reference_id,
-                           gt=np.empty(0, dtype=np.intp))
+    smap = generate(scorer, ref, query, cfg.saliency)
+    f = _features_of(model, smap, query, query_id, reference_id, gt=np.empty(0, dtype=np.intp))
     e = cfg.phi.combine(f.confidences, f.map_match, prior)
     ranked = tuple(
         RankedAttribute(

@@ -189,11 +189,11 @@ class ExternalScorer(Scorer):
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
         ref_b64 = self._encode_image(ref)
-        encoded = [self._encode_image(q) for q in queries]
-        scores = np.empty(len(encoded), dtype=np.float64)
+        scores = np.empty(len(queries), dtype=np.float64)
         step = self._caps.max_batch
-        for start in range(0, len(encoded), step):
-            chunk = encoded[start:start + step]
+        for start in range(0, len(queries), step):
+            # encode one chunk at a time: a RISE stack as base64 is ~100 MB
+            chunk = [self._encode_image(q) for q in queries[start:start + step]]
             msg = self._call({"op": "score_batch", "ref": ref_b64, "queries": chunk})
             got = msg.get("scores")
             if not isinstance(got, list) or len(got) != len(chunk):

@@ -20,6 +20,11 @@ def build_bank(dataset, scorer, cfg, k=5):
     return bank
 
 
+def maps_of(dataset, scorer, pairs, cfg):
+    """The saliency map of each pair, in pair order."""
+    return [se.generate(scorer, dataset.image(p.reference_id), dataset.image(p.query_id), cfg) for p in pairs]
+
+
 @pytest.fixture(scope="session")
 def small_dataset():
     return se.generate_dataset(se.SyntheticSpec(n_images=24, seed=3))

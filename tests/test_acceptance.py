@@ -32,7 +32,7 @@ from simexplain.optim import lasso_coordinate_descent, soft_threshold
 from simexplain.saliency import MaskObjective
 from simexplain.scorers import cosine
 
-from conftest import build_bank
+from conftest import build_bank, maps_of
 
 
 @contextmanager
@@ -218,10 +218,10 @@ def test_criterion_5_trend_reproduction():
 
         val_pairs = ds.pairs_for_split("val")
         test_pairs = ds.pairs_for_split("test")
-        val_features = pair_features(model, scorer, ds, val_pairs, scfg)
+        val_features = pair_features(model, maps_of(ds, scorer, val_pairs, scfg), ds, val_pairs)
         prior = estimate_prior(val_features, ds.n_attributes).prior
         phi = fit_phi(val_features, prior)
-        test_features = pair_features(model, scorer, ds, test_pairs, scfg)
+        test_features = pair_features(model, maps_of(ds, scorer, test_pairs, scfg), ds, test_pairs)
 
         def top_attr(f, weights):
             e = (weights.phi1 * f.confidences + weights.phi2 * f.map_match

@@ -12,6 +12,8 @@ import pytest
 
 import simexplain as se
 import simexplain.cli as cli
+import simexplain.discovery as se_discovery
+import simexplain.explain as se_explain
 from simexplain.attrmodel import load_model
 from simexplain.cli import build_config, build_parser, load_saliency_bank, main
 from simexplain.dataio import GRID_MAGIC, SMAP_MAGIC, load_dataset, load_saliency, save_grid
@@ -468,9 +470,9 @@ class TestCliPlumbing:
         seen = Counter()
         real = cli.pair_features
 
-        def counting(model, scorer, dataset, pairs, saliency_cfg):
+        def counting(model, maps, dataset, pairs):
             seen.update((p.query_id, p.reference_id) for p in pairs)
-            return real(model, scorer, dataset, pairs, saliency_cfg)
+            return real(model, maps, dataset, pairs)
 
         monkeypatch.setattr(cli, "pair_features", counting)
         cfg = tmp_path / "cfg.json"
@@ -482,3 +484,81 @@ class TestCliPlumbing:
         val = load_dataset(out / "dataset").pairs_for_split("val")
         assert val
         assert [seen[(p.query_id, p.reference_id)] for p in val] == [1] * len(val)
+
+    @staticmethod
+    def _record_maps(monkeypatch) -> list:
+        """Record the (reference, query, config) key of every map a command
+        makes, wherever it makes it."""
+        made = []
+        for module in (cli, se_explain, se_discovery):
+            def recording(scorer, ref, query, cfg, _real=module.generate):
+                made.append((ref.data.tobytes(), query.data.tobytes(), cfg))
+                return _real(scorer, ref, query, cfg)
+
+            monkeypatch.setattr(module, "generate", recording)
+        return made
+
+    def test_pipeline_makes_each_map_once(self, tmp_path, monkeypatch):
+        made = self._record_maps(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"saliency": {"sliding": {"windows_query": 9, "windows_ref": 4}}}))
+        # the rise row's test maps are also the ones the top1/removal suites rank
+        assert main(["pipeline", "--out", str(tmp_path / "run"), "--n-images", "16", "--attributes", "3",
+                     "--epochs", "2", "--rise-masks", "20", "--methods", "rise,sliding_window",
+                     "--limit", "2", "--seed", "3", "--jobs", "2", "--config", str(cfg)]) == 0
+        assert made and max(Counter(made).values()) == 1
+
+    def test_eval_makes_each_map_once(self, cli_workspace, tmp_path, monkeypatch):
+        _, manifest, _, model = cli_workspace
+        made = self._record_maps(monkeypatch)
+        cfg = TestCliCommands._fast_config(tmp_path)
+        assert main(["eval", "--dataset", str(manifest), "--model", str(model),
+                     "--scorer", "motif", "--seed", "11", "--suite", "insertion,top1",
+                     "--methods", "rise,rise_dual,sliding_window", "--insertion-step", "0.25",
+                     "--limit", "2", "--jobs", "1", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert made and max(Counter(made).values()) == 1
+
+    @pytest.mark.parametrize("curve_suite", ["insertion", "deletion"])
+    def test_eval_scores_only_the_curves_it_reports(self, curve_suite, cli_workspace, tmp_path, monkeypatch):
+        _, manifest, _, model = cli_workspace
+        called = []
+        for name in ("insertion_curve", "deletion_curve"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _n=name, _real=real: called.append(_n) or _real(*a))
+        out = tmp_path / "r.json"
+        assert main(["eval", "--dataset", str(manifest), "--model", str(model),
+                     "--scorer", "motif", "--seed", "11", "--suite", curve_suite,
+                     "--methods", "sliding_window", "--insertion-step", "0.25",
+                     "--limit", "2", "--jobs", "1", "--config", str(TestCliCommands._fast_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        assert called == [f"{curve_suite}_curve"] * 2
+        assert set(json.loads(out.read_text())["saliency"]["sliding_window_fixed"]) == {
+            f"{curve_suite}_auc", f"{curve_suite}_stderr"}
+
+    # The arguments each command needs besides the one under test.
+    _REQUIRED = {
+        "synth": ["--out", "o"],
+        "saliency": ["--dataset", "d", "--out", "o"],
+        "train-attr": ["--dataset", "d", "--out", "o"],
+        "prior": ["--dataset", "d", "--model", "m", "--out", "o"],
+        "fit-phi": ["--dataset", "d", "--model", "m", "--out", "o"],
+        "explain": ["--dataset", "d", "--model", "m", "--pair", "a:b", "--out", "o"],
+        "eval": ["--dataset", "d", "--model", "m", "--out", "o"],
+        "discover": ["--dataset", "d", "--out", "o"],
+        "serve-stub": [],
+        "pipeline": ["--out", "o"],
+    }
+
+    @pytest.mark.parametrize("command, flag, bad, good", [
+        *[(command, "--jobs", bad, "2") for command in _REQUIRED for bad in ("0", "-1")],
+        *[(command, "--limit", bad, "2") for command in ("saliency", "eval", "pipeline") for bad in ("0", "-1")],
+        *[("serve-stub", "--dims", bad, "56,56,3") for bad in ("56,56", "56,56,x", "56,0,3", "56,56,3,1")],
+    ])
+    def test_out_of_range_input_exits_2(self, command, flag, bad, good, capsys):
+        argv = [command, *self._REQUIRED[command], flag]
+        build_parser().parse_args(argv + [good])  # everything else parses
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [bad])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import simexplain as se
+import simexplain.discovery as discovery
 from simexplain.discovery import (
     ClusterAssignment,
     DiscoveryConfig,
@@ -133,6 +134,27 @@ class TestDiscover:
         greedy = dataclasses.replace(cfg, n_clusters=10_000)
         with pytest.raises(InvalidArgumentError, match="k_nn"):
             discover(ds, scorer, greedy)
+
+    def test_each_ordered_pair_map_made_once(self, monkeypatch):
+        ds = se.generate_dataset(se.SyntheticSpec(n_images=12, seed=2, n_attributes=2,
+                                                  max_attrs_per_image=1, pairs_per_query=3))
+        scorer = se.motif_scorer_for(ds, seed=5)
+        scfg = dataclasses.replace(se.SaliencyConfig(seed=2), method=se.Method.SLIDING_WINDOW,
+                                   sliding=dataclasses.replace(se.SaliencyConfig().sliding,
+                                                               windows_query=9, windows_ref=4))
+        made = []
+        real = discovery.generate
+
+        def recording(scorer, ref, query, cfg):
+            made.append((ref.data.tobytes(), query.data.tobytes()))
+            return real(scorer, ref, query, cfg)
+
+        monkeypatch.setattr(discovery, "generate", recording)
+        cfg = DiscoveryConfig(k_nn=4, top_n=3, n_clusters=2, seed=2, saliency=scfg)
+        assignment = discover(ds, scorer, cfg)
+        assert len(made) == len(set(made))
+        # mutual neighbours: some patches come from query-side maps, made once
+        assert len(made) < ds.n_images * cfg.k_nn + len(assignment.patches)
 
 
 class TestRemovalEval:

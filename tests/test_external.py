@@ -70,6 +70,17 @@ class TestStdioRoundTrip:
             np.testing.assert_allclose(ext.score_batch(ref, queries),
                                        reference.score_batch(ref, queries), atol=1e-6)
 
+    def test_each_chunk_is_encoded_just_before_its_request(self, rng):
+        # 40 queries at max_batch=16: the reference, then each chunk's
+        # queries, are base64-encoded right before the request that sends them
+        events = []
+        with ExternalScorer(command=stub_command()) as ext:
+            encode, call = ext._encode_image, ext._call
+            ext._encode_image = lambda image: events.append("encode") or encode(image)
+            ext._call = lambda payload: events.append("call") or call(payload)
+            ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(40)])
+        assert events == ["encode"] * 17 + ["call"] + ["encode"] * 16 + ["call"] + ["encode"] * 8 + ["call"]
+
     def test_embed_roundtrip(self, reference, rng):
         with ExternalScorer(command=stub_command()) as ext:
             img = rng.random(DIMS).astype(np.float32)
