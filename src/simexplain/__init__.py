@@ -39,15 +39,10 @@ from .external import ExternalScorer
 from .saliency import (
     LimeCfg,
     MaskCfg,
-    MaskSet,
     RiseCfg,
     SaliencyConfig,
     SlidingCfg,
     generate,
-    lime,
-    mask_learn,
-    rise,
-    sliding_window,
 )
 from .attrmodel import (
     AttributeModel,

@@ -19,8 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import MATCH_RESOLUTION, Dataset, ImageTensor, SaliencyMap, make_rng
-from .errors import InvalidArgumentError, ParseError
+from .core import (MATCH_RESOLUTION, Dataset, SaliencyMap, _as_image, make_rng, normalize_map,
+                   to_match_resolution)
+from .errors import InvalidArgumentError, InvalidDataError, ParseError
 from .optim import Adam
 
 log = logging.getLogger(__name__)
@@ -57,13 +58,10 @@ class FeatureExtractor:
 
     def features(self, image) -> np.ndarray:
         """ReLU filter responses per block, shape (n_filters, grid, grid)."""
-        arr = image.data if isinstance(image, ImageTensor) else np.asarray(image)
-        if arr.shape != self.dims:
-            raise InvalidArgumentError(f"image shape {arr.shape} does not match extractor dims {self.dims}")
         g = self.grid
         bh, bw = self.block
         patches = (
-            arr.astype(np.float64, copy=False)
+            _as_image(image, self.dims)
             .reshape(g, bh, g, bw, self.dims[2])
             .transpose(0, 2, 1, 3, 4)
             .reshape(g * g, -1)
@@ -259,10 +257,7 @@ def loss_and_grad(
 
         if lam > 0.0 and s.maps and len(s.gt_attrs):
             maps_n = np.einsum("ad,dij->aij", head_w[s.gt_attrs], z) + head_b[s.gt_attrs, None, None]
-            normed = []
-            for a in range(len(s.gt_attrs)):
-                lo, hi = maps_n[a].min(), maps_n[a].max()
-                normed.append((maps_n[a] - lo) / (hi - lo) if hi > lo else np.zeros_like(maps_n[a]))
+            normed = [normalize_map(m) for m in maps_n]
             upstream = [np.zeros_like(maps_n[0]) for _ in s.gt_attrs]
             hm = 0.0
             for m in s.maps:
@@ -303,7 +298,7 @@ def build_samples(
         if saliency_bank:
             for entry in list(saliency_bank.get(img_id, ()))[:k_maps]:
                 if isinstance(entry, SaliencyMap):
-                    maps.append(entry.at_match_resolution(extractor.grid))
+                    maps.append(to_match_resolution(entry, extractor.grid))
                 else:
                     arr = np.asarray(entry, dtype=np.float64)
                     if arr.shape != (extractor.grid, extractor.grid):
@@ -426,7 +421,9 @@ def load_model(path: str | Path, dims: tuple[int, int, int]) -> AttributeModel:
             raise ParseError(f"{path}: {size} bytes, but its header promises {expected}")
         w_bytes = fh.read(A * n_filters * 4)
         b_bytes = fh.read(A * 4)
+    head_w = np.frombuffer(w_bytes, dtype="<f4").reshape(A, n_filters)
+    head_b = np.frombuffer(b_bytes, dtype="<f4")
+    if not (np.all(np.isfinite(head_w)) and np.all(np.isfinite(head_b))):
+        raise InvalidDataError(f"{path}: head weights are not all finite")
     extractor = FeatureExtractor((h, w, c), n_filters=n_filters, grid=grid, seed=seed)
-    head_w = np.frombuffer(w_bytes, dtype="<f4").reshape(A, n_filters).astype(np.float64)
-    head_b = np.frombuffer(b_bytes, dtype="<f4").astype(np.float64)
     return AttributeModel(extractor, head_w, head_b)

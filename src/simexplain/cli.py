@@ -60,12 +60,7 @@ from .synth import SyntheticSpec, generate_dataset, motif_scorer_for, planted_sc
 
 log = logging.getLogger(__name__)
 
-_METHOD_NAMES = {
-    "sliding_window": Method.SLIDING_WINDOW,
-    "rise": Method.RISE,
-    "lime": Method.LIME,
-    "mask": Method.MASK,
-}
+_METHOD_NAMES = {m.name.lower(): m for m in Method}
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +200,25 @@ def _parallel_map(fn, items, jobs: int) -> list:
     return results
 
 
+def _parse_methods(text: str) -> list[tuple[str, Method, bool]]:
+    """``--methods`` as (name, method, dual) entries. A "_dual" suffix
+    evaluates the both-images-manipulated variant, so fixed and dual rows
+    can sit side by side in one report."""
+    names = [m.strip() for m in text.split(",") if m.strip()]
+    return [(name, _parse_method(name.removesuffix("_dual")), name.endswith("_dual")) for name in names]
+
+
 def _positive_int(text: str) -> int:
     """An argparse type: a count, so 0 or -1 exits 2 instead of meaning "all"."""
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _port(text: str) -> int:
+    """An argparse type: a TCP port number, 0 (any free port) to 65535."""
+    if not text.strip().isdigit() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"expected a port number from 0 to 65535, got {text!r}")
     return int(text)
 
 
@@ -452,7 +462,7 @@ def run_eval(
     scorer: Scorer,
     saliency_cfg: SaliencyConfig,
     suites: list[str],
-    methods: list[str],
+    methods: list[tuple[str, Method, bool]],
     seed: int,
     insertion_step: float = 0.01,
     limit_pairs: int | None = None,
@@ -462,9 +472,10 @@ def run_eval(
 ) -> dict:
     """Shared evaluation harness behind `eval` and `pipeline`.
 
-    The `top1` and `removal` suites rank with the ``prior`` and ``phi``
-    the caller fitted on the validation pairs. Each saliency config's
-    test maps are made once and shared by every suite that reads them.
+    ``methods`` holds the parsed ``--methods`` entries. The `top1` and
+    `removal` suites rank with the ``prior`` and ``phi`` the caller fitted
+    on the validation pairs. Each saliency config's test maps are made once
+    and shared by every suite that reads them.
     """
     report: dict = {"schema_version": 1, "saliency": {}, "attribute": {}, "counts": {}}
     test_pairs = dataset.pairs_for_split("test")[:limit_pairs]
@@ -479,12 +490,8 @@ def run_eval(
 
     curve_suites = [(name, fn) for name, fn in (("insertion", insertion_curve), ("deletion", deletion_curve))
                     if name in suites]
-    for method_name in (methods if curve_suites else []):
-        # a "_dual" suffix evaluates the both-images-manipulated variant,
-        # so fixed and dual rows can sit side by side in one report
-        dual = method_name.endswith("_dual")
-        base_name = method_name[: -len("_dual")] if dual else method_name
-        cfg = dataclasses.replace(saliency_cfg, method=_parse_method(base_name),
+    for _, method, dual in (methods if curve_suites else []):
+        cfg = dataclasses.replace(saliency_cfg, method=method,
                                   fixed_reference=saliency_cfg.fixed_reference and not dual)
 
         def curves(pair_map: tuple[Pair, SaliencyMap]) -> list[float]:
@@ -496,7 +503,7 @@ def run_eval(
         entry = {}
         for k, (name, _) in enumerate(curve_suites):
             entry[f"{name}_auc"], entry[f"{name}_stderr"] = mean_and_stderr([r[k] for r in results])
-        report["saliency"][f"{base_name}_{'fixed' if cfg.fixed_reference else 'dual'}"] = entry
+        report["saliency"][f"{method.name.lower()}_{'fixed' if cfg.fixed_reference else 'dual'}"] = entry
 
     if "map" in suites:
         report["attribute"]["map"] = map_metric(model, dataset, "test")
@@ -529,6 +536,7 @@ def run_eval(
 
 
 def cmd_eval(args) -> dict:
+    methods = _parse_methods(args.methods)
     dataset = load_dataset(args.dataset)
     model = load_model(args.model, dataset.dims)
     saliency_cfg = run_config(args)["saliency"]
@@ -537,7 +545,6 @@ def cmd_eval(args) -> dict:
     unknown = set(suites) - known
     if unknown:
         raise ParseError(f"unknown suite(s): {', '.join(sorted(unknown))}")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     with _resolve_scorer(args, dataset) as scorer:
         prior = phi = None
         if {"top1", "removal"} & set(suites):
@@ -549,7 +556,7 @@ def cmd_eval(args) -> dict:
                           limit_pairs=args.limit, jobs=args.jobs, prior=prior, phi=phi)
     out = Path(args.out)
     _write_result(out, report, {"command": "eval", "saliency": _config_payload(saliency_cfg),
-                                "suites": suites, "methods": methods, "seed": args.seed})
+                                "suites": suites, "methods": [m[0] for m in methods], "seed": args.seed})
     return {"out": str(out), **report.get("attribute", {})}
 
 
@@ -617,6 +624,7 @@ def cmd_serve_stub(args) -> dict:
 def cmd_pipeline(args) -> dict:
     """synth -> scorer -> saliency bank -> train-attr -> prior -> phi -> eval."""
     seed = args.seed
+    methods = _parse_methods(args.methods)
     run_cfg = run_config(args, synth={"n_images": args.n_images, "n_attributes": args.attributes},
                          saliency={"rise": {"n_masks": args.rise_masks}}, train={"epochs": args.epochs})
     spec, saliency_cfg, train_cfg = run_cfg["synth"], run_cfg["saliency"], run_cfg["train"]
@@ -635,7 +643,6 @@ def cmd_pipeline(args) -> dict:
             continue
         per_query[p.query_id] = per_query.get(p.query_id, 0) + 1
         bank_pairs.append(p)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
 
     with _resolve_scorer(args, dataset) as scorer:
         for pair, smap in zip(bank_pairs, _maps(scorer, dataset, bank_pairs, saliency_cfg, args.jobs)):
@@ -661,7 +668,7 @@ def cmd_pipeline(args) -> dict:
         "spec": _config_payload(spec),
         "saliency": _config_payload(saliency_cfg),
         "train": _config_payload(train_cfg),
-        "methods": methods,
+        "methods": [m[0] for m in methods],
     })
     return {"out": str(out), "report": str(out / "report.json")}
 
@@ -777,9 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve-stub", help="serve the reference external scorer")
     common(p, with_scorer=False)
     p.add_argument("--dims", type=_dims, default="56,56,3")
-    p.add_argument("--embed-dim", type=int, default=16)
-    p.add_argument("--max-batch", type=int, default=64)
-    p.add_argument("--tcp-port", type=int, default=None)
+    p.add_argument("--embed-dim", type=_positive_int, default=16)
+    p.add_argument("--max-batch", type=_positive_int, default=64)
+    p.add_argument("--tcp-port", type=_port, default=None)
     p.add_argument("--no-embed", action="store_true")
     p.set_defaults(func=cmd_serve_stub)
 

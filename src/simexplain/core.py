@@ -119,21 +119,6 @@ class SaliencyMap:
         """True for the all-zero constant map produced by a no-signal input."""
         return self.normalized and not self.data.any()
 
-    def normalize(self) -> "SaliencyMap":
-        if self.normalized:
-            return self
-        return SaliencyMap(
-            normalize_map(self.data),
-            method=self.method,
-            fixed_reference=self.fixed_reference,
-            normalized=True,
-        )
-
-    def at_match_resolution(self, grid: int = MATCH_RESOLUTION) -> np.ndarray:
-        """Average-pool to the canonical comparison grid and re-normalize."""
-        pooled = resize_map(self.data, grid, grid, mode="average_pool")
-        return normalize_map(pooled)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SaliencyMap)
@@ -154,8 +139,8 @@ class AttributeCatalog:
         names = tuple(self.names)
         if not names:
             raise InvalidArgumentError("catalog must contain at least one attribute")
-        if any(not n for n in names):
-            raise InvalidArgumentError("attribute names must be nonempty")
+        if any(not isinstance(n, str) or not n for n in names):
+            raise InvalidArgumentError("attribute names must be nonempty strings")
         if len(set(names)) != len(names):
             raise InvalidArgumentError("attribute names must be unique")
         object.__setattr__(self, "names", names)
@@ -315,10 +300,10 @@ def _as_grid(grid: np.ndarray | SaliencyMap) -> np.ndarray:
 
 def _as_image(image, dims: tuple[int, int, int]) -> np.ndarray:
     """An ImageTensor or array as a float64 (H, W, C) array, checked to
-    have the scorer's dims."""
+    have the dims of the scorer or model that reads it."""
     arr = image.data if isinstance(image, ImageTensor) else np.asarray(image)
     if arr.shape != tuple(dims):
-        raise InvalidArgumentError(f"image shape {arr.shape} does not match scorer dims {tuple(dims)}")
+        raise InvalidArgumentError(f"image shape {arr.shape} does not match dims {tuple(dims)}")
     return arr.astype(np.float64, copy=False)
 
 

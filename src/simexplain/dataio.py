@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AttributeCatalog, Dataset, ImageTensor, Method, Pair, SaliencyMap
-from .errors import IntegrityError, ParseError
+from .core import SPLITS, AttributeCatalog, Dataset, ImageTensor, Method, Pair, SaliencyMap
+from .errors import IntegrityError, InvalidArgumentError, ParseError
 
 GRID_MAGIC = b"GRID1"
 SMAP_MAGIC = b"SMAP1"
@@ -99,6 +99,8 @@ def load_saliency(path: str | Path) -> SaliencyMap:
             method = Method(method_b)
         except ValueError:
             raise ParseError(f"{path}: unknown method byte {method_b}") from None
+        if fixed_b > 1 or norm_b > 1:
+            raise ParseError(f"{path}: flag bytes must be 0 or 1, got {fixed_b} and {norm_b}")
         payload = _read_payload(fh, rows * cols, path)
     data = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
     return SaliencyMap(data, method=method, fixed_reference=bool(fixed_b), normalized=bool(norm_b))
@@ -117,13 +119,30 @@ def write_pgm(path: str | Path, grid: np.ndarray) -> None:
 # Dataset manifest
 # ---------------------------------------------------------------------------
 
-_MANIFEST_KEYS = {"catalog", "images", "labels", "pairs", "meta"}
+# Each manifest field and the JSON type it must have.
+_MANIFEST_FIELDS = {"catalog": list, "images": list, "labels": str, "pairs": str, "meta": dict}
 
 
-def _require(tree: dict, key: str, path) -> object:
-    if key not in tree:
+def _field(tree: dict, key: str, path, default=None) -> object:
+    """A manifest field, checked to have its type; only a field with a
+    default may be absent."""
+    if key not in tree and default is None:
         raise ParseError(f"{path}: manifest missing required field '{key}'")
-    return tree[key]
+    value = tree.get(key, default)
+    if not isinstance(value, _MANIFEST_FIELDS[key]):
+        raise ParseError(f"{path}: manifest field '{key}' must be a JSON {_MANIFEST_FIELDS[key].__name__}")
+    return value
+
+
+def _read_text(path: Path, what: str) -> str:
+    """A UTF-8 text file of the dataset; a missing, unreadable or
+    undecodable one is a ParseError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"{what} file missing: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: unreadable {what} file: {exc}") from exc
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
@@ -137,45 +156,41 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
     try:
-        tree = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ParseError(f"manifest file missing: {manifest_path}") from None
+        tree = json.loads(_read_text(manifest_path, "manifest"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}: not valid JSON: {exc}") from exc
     if not isinstance(tree, dict):
         raise ParseError(f"{manifest_path}: manifest root must be an object")
-    unknown = set(tree) - _MANIFEST_KEYS
+    unknown = set(tree) - set(_MANIFEST_FIELDS)
     if unknown:
         raise ParseError(f"{manifest_path}: unknown manifest field(s): {', '.join(sorted(unknown))}")
 
-    catalog = AttributeCatalog(tuple(_require(tree, "catalog", manifest_path)))
+    try:
+        catalog = AttributeCatalog(tuple(_field(tree, "catalog", manifest_path)))
+    except InvalidArgumentError as exc:
+        raise ParseError(f"{manifest_path}: bad catalog: {exc}") from exc
     base = manifest_path.parent
 
-    entries = _require(tree, "images", manifest_path)
     images = []
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
-            raise ParseError(f"{manifest_path}: images[{k}] must carry 'id' and 'path'")
+    for k, entry in enumerate(_field(tree, "images", manifest_path)):
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(key), str) for key in ("id", "path")):
+            raise ParseError(f"{manifest_path}: images[{k}] must carry a string 'id' and 'path'")
         img_path = base / entry["path"]
-        if not img_path.exists():
+        if not img_path.is_file():
             raise IntegrityError(f"{manifest_path}: image file missing for id {entry['id']}: {img_path}")
-        images.append((str(entry["id"]), load_image(img_path)))
+        images.append((entry["id"], load_image(img_path)))
 
-    labels_path = base / _require(tree, "labels", manifest_path)
+    labels_path = base / _field(tree, "labels", manifest_path)
     labels = _load_label_matrix(labels_path, n_rows=len(images), n_cols=len(catalog))
 
-    pairs_path = base / _require(tree, "pairs", manifest_path)
-    pairs = _load_pairs(pairs_path)
-
-    meta = tree.get("meta", {})
+    pairs = _load_pairs(base / _field(tree, "pairs", manifest_path))
+    meta = _field(tree, "meta", manifest_path, default={})
     return Dataset(images=tuple(images), labels=labels, pairs=pairs, catalog=catalog, meta=meta)
 
 
 def _load_label_matrix(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
-    if not path.exists():
-        raise ParseError(f"label matrix file missing: {path}")
     rows = []
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    for ln, line in enumerate(_read_text(path, "label matrix").splitlines()):
         line = line.strip()
         if not line:
             continue
@@ -195,16 +210,14 @@ def _load_label_matrix(path: Path, n_rows: int, n_cols: int) -> np.ndarray:
 
 
 def _load_pairs(path: Path) -> tuple[Pair, ...]:
-    if not path.exists():
-        raise ParseError(f"pair list file missing: {path}")
     pairs = []
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    for ln, line in enumerate(_read_text(path, "pair list").splitlines()):
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{ln + 1}: expected 'query_id,reference_id,split'")
+        if len(parts) != 3 or parts[2] not in SPLITS:
+            raise ParseError(f"{path}:{ln + 1}: expected 'query_id,reference_id,split', split in {SPLITS}")
         pairs.append(Pair(parts[0], parts[1], parts[2]))
     return tuple(pairs)
 

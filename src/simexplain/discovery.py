@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, SaliencyMap, make_rng, pool_boundaries, resize_map
+from .core import Dataset, _as_grid, make_rng, pool_boundaries, resize_map
 from .errors import InvalidArgumentError
 from .metrics import RemovalResult, removal_delta_core
 from .saliency import SaliencyConfig, generate
@@ -62,7 +62,7 @@ class ClusterAssignment:
 def peak_bin(smap, grid: int) -> int:
     """Grid cell (raster index) containing the argmax pixel; ties resolve
     to the first pixel in raster order."""
-    data = smap.data if isinstance(smap, SaliencyMap) else np.asarray(smap)
+    data = _as_grid(smap)
     rows, cols = data.shape
     flat_idx = int(np.argmax(data))
     r, c = divmod(flat_idx, cols)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .attrmodel import AttributeModel
-from .core import Dataset, Pair, SaliencyMap, normalize_map
+from .core import Dataset, Pair, SaliencyMap, normalize_map, to_match_resolution
 from .errors import InvalidArgumentError
 from .saliency import SaliencyConfig, generate
 from .scorers import Scorer, cosine
@@ -144,7 +144,7 @@ class PairFeatures:
 def _features_of(model: AttributeModel, smap: SaliencyMap, query, query_id: str, reference_id: str,
                  gt: np.ndarray) -> PairFeatures:
     """saliency map -> match-resolution map -> attribute maps -> cosine match."""
-    m_q = smap.at_match_resolution(model.extractor.grid)
+    m_q = to_match_resolution(smap, model.extractor.grid)
     pred = model.forward(query)
     maps = np.stack([normalize_map(m) for m in pred.maps])
     return PairFeatures(query_id=query_id, reference_id=reference_id, m_q=m_q,

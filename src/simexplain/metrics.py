@@ -14,16 +14,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Curve, Dataset, ImageTensor, Pair, SaliencyMap, resize_map, trapezoid_auc
+from .core import Curve, Dataset, Pair, _as_grid, _as_image, resize_map, trapezoid_auc
 from .errors import InvalidArgumentError
-from .scorers import Scorer, cosine, score_image_stack
+from .saliency import score_masked
+from .scorers import Scorer, cosine
 
 log = logging.getLogger(__name__)
 
 
 def _pixel_order(smap, height: int, width: int) -> np.ndarray:
     """Pixel indices by saliency descending; raster order breaks ties."""
-    grid = smap.data if isinstance(smap, SaliencyMap) else np.asarray(smap)
+    grid = _as_grid(smap)
     if grid.shape != (height, width):
         grid = resize_map(grid, height, width, mode="bilinear")
     return np.argsort(-grid.ravel(), kind="stable")
@@ -55,25 +56,17 @@ def _composite_curve(
     step_frac: float,
     keep_selected: bool,
 ) -> Curve:
-    query_arr = query.data if isinstance(query, ImageTensor) else np.asarray(query)
-    query_arr = query_arr.astype(np.float64, copy=False)
-    h, w, c = query_arr.shape
-    order = _pixel_order(smap, h, w)
+    """Score the query with its top-k% salient pixels kept (insertion) or
+    zeroed (deletion) at each step of the sweep."""
+    query_arr = _as_image(query, scorer.dims)
+    h, w, _ = query_arr.shape
+    rank = np.empty(h * w, dtype=np.intp)
+    rank[_pixel_order(smap, h, w)] = np.arange(h * w)
     fractions = _step_fractions(step_frac)
-    counts = np.rint(fractions * h * w).astype(np.intp)
-
-    flat_query = query_arr.reshape(-1, c)
-    stack = np.empty((fractions.size, h * w, c), dtype=np.float64)
-    for k, count in enumerate(counts):
-        selected = order[:count]
-        if keep_selected:
-            img = np.zeros_like(flat_query)
-            img[selected] = flat_query[selected]
-        else:
-            img = flat_query.copy()
-            img[selected] = 0.0
-        stack[k] = img
-    raw = score_image_stack(scorer, ref, stack.reshape(fractions.size, h, w, c))
+    # selected[k, p]: pixel p is among the top round(fractions[k] * h * w)
+    selected = rank[None, :] < np.rint(fractions * h * w).astype(np.intp)[:, None]
+    keep = selected if keep_selected else ~selected
+    raw = score_masked(scorer, [ref], query_arr, keep.reshape(fractions.size, h, w))
     return _curve_from_raw(fractions, raw)
 
 

@@ -2,29 +2,35 @@
 
 Four methods share one contract: perturb the query (and optionally the
 reference), read how the similarity score reacts, and aggregate the
-reactions into an importance grid over the query.
+reactions into an importance grid over the query. ``generate`` is the
+entry point: it checks both images against the scorer, runs the method
+the config names, and normalizes the resulting grid.
 
-* sliding_window - regular occlusion windows, per-pixel drop averaging
-* rise           - random low-res keep masks, score-weighted mask sum
-* lime           - superpixel deletions explained by a Lasso surrogate
-* mask_learn     - a low-res keep mask learned with Adam against the score
+* sliding window - regular occlusion windows, per-pixel drop averaging
+* RISE           - random low-res keep masks, score-weighted mask sum
+* LIME           - superpixel deletions explained by a Lasso surrogate
+* mask           - a low-res keep mask learned with Adam against the score
 
 In fixed-reference mode only the query is manipulated. In dual mode each
 query manipulation is scored against M reference manipulations and the
 attributed score is their mean, after which aggregation proceeds exactly
 as in fixed mode (fixed mode is the M=1 identity special case).
 
-Sliding window, RISE and LIME score their stacks through one helper,
-``_mean_scores``. With an embedding scorer (one with ``embed_batch_flat``)
-it embeds the N query manipulations once and scores them against each
-reference manipulation, so dual mode does fixed mode's scorer work plus M
-reference embeddings; any other scorer (external, score-only) scores the
-whole stack once per reference manipulation: M x N images. The learned
-mask asks ``score_and_grads`` once per Adam step.
+Sliding window, RISE and LIME perturb an image the same way: they
+multiply it by (N, H, W) keep masks (boolean occlusions, upsampled random
+grids, superpixel selections), and ``score_masked`` scores the masked
+query stack; the insertion/deletion curves in ``metrics`` use it too.
+With an embedding scorer (one with ``embed_batch_flat``) it embeds the N
+masked queries once and scores them against each reference manipulation,
+so dual mode does fixed mode's scorer work plus M reference embeddings;
+any other scorer (external, score-only) scores the whole stack once per
+reference manipulation: M x N images. The learned mask asks
+``score_and_grads`` once per Adam step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -124,26 +130,22 @@ class SaliencyConfig:
     mask: MaskCfg = field(default_factory=MaskCfg)
 
 
-@dataclass(frozen=True)
-class MaskSet:
-    """Random keep masks: low-res Bernoulli grids plus their upsampled,
-    randomly cropped image-resolution versions."""
-
-    lowres: np.ndarray     # (N, grid, grid) in {0, 1}
-    upsampled: np.ndarray  # (N, H, W) in [0, 1]
-    seed: int
-
-    def __len__(self) -> int:
-        return self.lowres.shape[0]
+def _masked(image: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The (N, H, W, C) copies of an (H, W, C) image under (N, H, W) keep
+    masks. For pixels in [0, 1] a 1 (or True) keeps a value bit for bit
+    and a 0 (or False) writes +0.0, the same bits a copy-and-fill gives."""
+    return image[None, :, :, :] * keep[:, :, :, None]
 
 
-def _mean_scores(scorer: Scorer, ref_variants: list[np.ndarray], stack: np.ndarray) -> np.ndarray:
-    """Attributed score per query variant: mean over reference variants.
+def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Attributed score of ``query * keep[n]`` for each of the (N, H, W)
+    keep masks: the mean of its scores against the reference variants.
 
-    A scorer that can embed a flat batch embeds the stack once and scores
-    those rows against each reference variant; any other scorer scores
-    the whole stack once per variant.
+    A scorer that can embed a flat batch embeds the masked stack once and
+    scores those rows against each reference variant; any other scorer
+    scores the whole stack once per variant.
     """
+    stack = _masked(query, keep)
     embed = getattr(scorer, "embed_batch_flat", None)
     rows = None if embed is None else embed(stack.reshape(stack.shape[0], -1))
     total = np.zeros(stack.shape[0], dtype=np.float64)
@@ -165,10 +167,10 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def sample_rise_masks(cfg: RiseCfg, height: int, width: int, seed: int,
-                      stream: int = _STREAM_QUERY_MASKS, count: int | None = None) -> MaskSet:
-    """Draw RISE keep masks: Bernoulli(keep_prob) on a grid x grid lattice,
-    bilinearly upsampled one cell oversize, then randomly cropped so the
-    lattice never aligns with the image."""
+                      stream: int = _STREAM_QUERY_MASKS, count: int | None = None) -> np.ndarray:
+    """Draw (N, H, W) RISE keep masks in [0, 1]: Bernoulli(keep_prob) on a
+    grid x grid lattice, bilinearly upsampled one cell oversize, then
+    randomly cropped so the lattice never aligns with the image."""
     rng = make_rng(seed, stream)
     n = cfg.n_masks if count is None else count
     g = cfg.grid
@@ -186,33 +188,38 @@ def sample_rise_masks(cfg: RiseCfg, height: int, width: int, seed: int,
     cropped = np.empty((n, height, width), dtype=np.float64)
     for k in range(n):
         cropped[k] = oversize[k, dy[k]:dy[k] + height, dx[k]:dx[k] + width]
-    return MaskSet(lowres=lowres, upsampled=np.clip(cropped, 0.0, 1.0), seed=seed)
+    return np.clip(cropped, 0.0, 1.0)
 
 
 def _degenerate_result(scores: np.ndarray) -> bool:
     return scores.size > 0 and float(scores.max()) == float(scores.min())
 
 
-def _rise_ref_variants(scorer, ref: np.ndarray, cfg: SaliencyConfig) -> list[np.ndarray]:
+def _reference_keep(cfg: SaliencyConfig, height: int, width: int) -> np.ndarray:
+    """The keep masks of the reference's dual-mode variants: RISE masks
+    from their own stream, or the reference's occlusion windows."""
+    if cfg.method is Method.RISE:
+        return sample_rise_masks(cfg.rise, height, width, cfg.seed,
+                                 stream=_STREAM_REF_MASKS, count=cfg.rise.n_ref_masks)
+    return _occlusion_keep(height, width, cfg.sliding.windows_ref, cfg.sliding.window_area_frac)
+
+
+def _references(ref: np.ndarray, cfg: SaliencyConfig) -> list[np.ndarray]:
+    """The reference variants each query score is averaged over: the
+    reference itself in fixed mode, its masked copies in dual mode."""
     if cfg.fixed_reference:
         return [ref]
-    ref_masks = sample_rise_masks(cfg.rise, ref.shape[0], ref.shape[1], cfg.seed,
-                                  stream=_STREAM_REF_MASKS, count=cfg.rise.n_ref_masks)
-    return [ref * m[:, :, None] for m in ref_masks.upsampled]
+    return list(_masked(ref, _reference_keep(cfg, ref.shape[0], ref.shape[1])))
 
 
-def rise(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
+def _rise(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfig) -> np.ndarray | None:
     """Score-weighted average of random keep masks."""
-    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
     h, w, _ = query.shape
     masks = sample_rise_masks(cfg.rise, h, w, cfg.seed)
-    stack = query[None, :, :, :] * masks.upsampled[:, :, :, None]
-    scores = _mean_scores(scorer, _rise_ref_variants(scorer, ref, cfg), stack)
+    scores = score_masked(scorer, _references(ref, cfg), query, masks)
     if _degenerate_result(scores):
-        raw = np.zeros((h, w))
-    else:
-        raw = np.einsum("n,nhw->hw", scores, masks.upsampled) / (len(masks) * cfg.rise.keep_prob)
-    return _finish(raw, Method.RISE, cfg)
+        return None
+    return np.einsum("n,nhw->hw", scores, masks) / (masks.shape[0] * cfg.rise.keep_prob)
 
 
 def _window_side(area_frac: float, height: int, width: int) -> int:
@@ -228,55 +235,36 @@ def _window_origins(extent: int, side: int, n: int) -> np.ndarray:
     return np.rint(np.arange(n) * ((extent - side) / (n - 1))).astype(np.intp)
 
 
-def _occlusion_variants(img: np.ndarray, n_windows: int, area_frac: float, with_original: bool = False):
-    """Zero-filled square occlusions on a regular origin lattice, followed
-    by the unoccluded image itself when ``with_original`` is set."""
-    h, w, _ = img.shape
+def _occlusion_keep(height: int, width: int, n_windows: int, area_frac: float) -> np.ndarray:
+    """Boolean keep masks of square occlusions, one per window of a
+    regular origin lattice, in raster order."""
     g = max(int(round(math.sqrt(n_windows))), 1)
-    side = _window_side(area_frac, h, w)
-    rows = _window_origins(h, side, g)
-    cols = _window_origins(w, side, g)
-    variants = np.empty((g * g + int(with_original), *img.shape), dtype=np.float64)
-    if with_original:
-        variants[-1] = img
-    boxes = []
-    k = 0
-    for r in rows:
-        for c in cols:
-            v = img.copy()
-            v[r:r + side, c:c + side, :] = 0.0
-            variants[k] = v
-            boxes.append((int(r), int(c), side))
-            k += 1
-    return variants, boxes
+    side = _window_side(area_frac, height, width)
+    keep = np.ones((g * g, height, width), dtype=bool)
+    origins = itertools.product(_window_origins(height, side, g), _window_origins(width, side, g))
+    for k, (r, c) in enumerate(origins):
+        keep[k, r:r + side, c:c + side] = False
+    return keep
 
 
-def sliding_window(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
+def _sliding_window(scorer: Scorer, ref: np.ndarray, query: np.ndarray,
+                    cfg: SaliencyConfig) -> np.ndarray | None:
     """Per-pixel similarity drop, averaged over every occlusion covering
     the pixel: saliency = s_full - mean(s_occluded)."""
-    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
     h, w, _ = query.shape
-
-    if cfg.fixed_reference:
-        ref_variants = [ref]
-    else:
-        ref_occl, _ = _occlusion_variants(ref, cfg.sliding.windows_ref, cfg.sliding.window_area_frac)
-        ref_variants = list(ref_occl)
-
-    variants, boxes = _occlusion_variants(query, cfg.sliding.windows_query, cfg.sliding.window_area_frac,
-                                          with_original=True)
-    all_scores = _mean_scores(scorer, ref_variants, variants)
-    occluded, base = all_scores[:-1], float(all_scores[-1])
+    keep = _occlusion_keep(h, w, cfg.sliding.windows_query, cfg.sliding.window_area_frac)
+    # the unoccluded query scores as the last row of the same stack
+    all_scores = score_masked(scorer, _references(ref, cfg), query,
+                              np.concatenate([keep, np.ones((1, h, w), dtype=bool)]))
     if _degenerate_result(all_scores):
-        return _finish(np.zeros((h, w)), Method.SLIDING_WINDOW, cfg)
-
+        return None
+    base, occluded = float(all_scores[-1]), ~keep
     drop_sum = np.zeros((h, w))
-    cover = np.zeros((h, w))
-    for (r, c, side), s_occ in zip(boxes, occluded):
-        drop_sum[r:r + side, c:c + side] += base - s_occ
-        cover[r:r + side, c:c + side] += 1.0
-    raw = np.divide(drop_sum, cover, out=np.zeros_like(drop_sum), where=cover > 0)
-    return _finish(raw, Method.SLIDING_WINDOW, cfg)
+    for s_occ, window in zip(all_scores[:-1], occluded):
+        # one window at a time, so each pixel sums its drops in window order
+        np.add(drop_sum, base - s_occ, out=drop_sum, where=window)
+    cover = occluded.sum(axis=0)
+    return np.divide(drop_sum, cover, out=np.zeros_like(drop_sum), where=cover > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +315,7 @@ def slic_like_segments(image: np.ndarray, n_segments: int, iterations: int = 5,
     return flat.reshape(h, w)
 
 
-def lime(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
+def _lime(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfig) -> np.ndarray | None:
     """Lasso surrogate over random superpixel deletions.
 
     The map paints each superpixel with its nonnegative-clipped
@@ -336,9 +324,7 @@ def lime(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     """
     if not cfg.fixed_reference:
         raise UnsupportedError("the superpixel surrogate is defined for fixed-reference mode only")
-    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
     h, w, _ = query.shape
-
     if cfg.lime.segmentation == "grid":
         segments = grid_segments(h, w, cfg.lime.n_segments)
     else:
@@ -347,18 +333,15 @@ def lime(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
 
     rng = make_rng(cfg.seed, _STREAM_LIME)
     keep = (rng.random((cfg.lime.n_samples, n_seg)) < cfg.lime.keep_prob).astype(np.float64)
-    pixel_keep = keep[:, segments.ravel()].reshape(cfg.lime.n_samples, h, w)
-    stack = query[None, :, :, :] * pixel_keep[:, :, :, None]
-    scores = _mean_scores(scorer, [ref], stack)
+    scores = score_masked(scorer, [ref], query, keep[:, segments])
     if _degenerate_result(scores):
-        return _finish(np.zeros((h, w)), Method.LIME, cfg)
+        return None
 
     X = keep - keep.mean(axis=0, keepdims=True)
     y = scores - scores.mean()
     coef = lasso_coordinate_descent(X, y, alpha=cfg.lime.lasso_alpha * cfg.lime.n_samples,
                                     max_sweeps=cfg.lime.max_sweeps)
-    painted = np.maximum(coef, 0.0)[segments]
-    return _finish(painted, Method.LIME, cfg)
+    return np.maximum(coef, 0.0)[segments]
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +507,13 @@ class MaskObjective:
         return grads
 
 
-def mask_learn(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
+def _mask(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfig) -> np.ndarray:
     """Learn the keep mask with Adam and return 1 - mask (high = important).
 
     The best-loss iterate is kept, not the last one: Adam's sign-scaled
     steps oscillate around sharp valleys (e.g. under a dominating TV
     weight), and the best iterate is the meaningful solution there.
     """
-    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
     problem = MaskObjective(scorer, ref, query, cfg.mask, dual=not cfg.fixed_reference, seed=cfg.seed)
     theta = np.zeros(problem.n_params)
     opt = Adam(lr=cfg.mask.lr)
@@ -551,33 +533,29 @@ def mask_learn(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     if math.isfinite(final_value) and final_value < best_value:
         best_theta = theta
     g = cfg.mask.grid
-    keep = _sigmoid(best_theta[: g * g].reshape(g, g))
-    return _finish(1.0 - keep, Method.MASK, cfg)
+    return 1.0 - _sigmoid(best_theta[: g * g].reshape(g, g))
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
+# Each returns the raw importance grid, or None for a degenerate (all-equal)
+# score response.
 _GENERATORS = {
-    Method.SLIDING_WINDOW: sliding_window,
-    Method.RISE: rise,
-    Method.LIME: lime,
-    Method.MASK: mask_learn,
+    Method.SLIDING_WINDOW: _sliding_window,
+    Method.RISE: _rise,
+    Method.LIME: _lime,
+    Method.MASK: _mask,
 }
 
 
-def _finish(raw: np.ndarray, method: Method, cfg: SaliencyConfig) -> SaliencyMap:
-    return SaliencyMap(
-        normalize_map(raw),
-        method=method,
-        fixed_reference=cfg.fixed_reference,
-        normalized=True,
-    )
-
-
 def generate(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
-    """Run the configured generator. Deterministic in (seed, cfg, scorer,
-    images); an all-equal score response yields the degenerate zero map
-    rather than an error."""
-    return _GENERATORS[cfg.method](scorer, ref, query, cfg)
+    """The normalized saliency map of ``query`` against ``ref`` under the
+    method ``cfg`` names. Deterministic in (seed, cfg, scorer, images); an
+    all-equal score response yields the degenerate zero map rather than
+    an error."""
+    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
+    raw = _GENERATORS[cfg.method](scorer, ref, query, cfg)
+    return SaliencyMap(normalize_map(np.zeros(query.shape[:2]) if raw is None else raw),
+                       method=cfg.method, fixed_reference=cfg.fixed_reference, normalized=True)

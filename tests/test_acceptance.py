@@ -154,7 +154,7 @@ def test_criterion_3_planted_region_localization():
         for seed in range(5):
             cfg = se.SaliencyConfig(method=se.Method.RISE, seed=seed)
             assert cfg.rise.n_masks == 2000 and cfg.rise.grid == 8 and cfg.rise.keep_prob == 0.5
-            smap = se.rise(scorer, ref, query, cfg)
+            smap = se.generate(scorer, ref, query, cfg)
             data = smap.data.astype(np.float64)
             n_top = int(round(0.05 * data.size))
             top = np.argsort(-data.ravel(), kind="stable")[:n_top]

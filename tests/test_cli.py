@@ -519,6 +519,18 @@ class TestCliPlumbing:
                      "--out", str(tmp_path / "r.json")]) == 0
         assert made and max(Counter(made).values()) == 1
 
+    @pytest.mark.parametrize("command", ["pipeline", "eval"])
+    @pytest.mark.parametrize("methods", ["rise,bogus", "rise,bogus_dual"])
+    def test_unknown_method_fails_before_any_work(self, command, methods, cli_workspace, tmp_path, monkeypatch):
+        _, manifest, _, model = cli_workspace
+        made = self._record_maps(monkeypatch)
+        out = tmp_path / "run"
+        argv = {"pipeline": ["pipeline", "--n-images", "16", "--attributes", "3", "--epochs", "2"],
+                "eval": ["eval", "--dataset", str(manifest), "--model", str(model), "--scorer", "motif"]}[command]
+        assert main([*argv, "--methods", methods, "--jobs", "1", "--out", str(out)]) == 2
+        assert made == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("curve_suite", ["insertion", "deletion"])
     def test_eval_scores_only_the_curves_it_reports(self, curve_suite, cli_workspace, tmp_path, monkeypatch):
         _, manifest, _, model = cli_workspace
@@ -554,6 +566,8 @@ class TestCliPlumbing:
         *[(command, "--jobs", bad, "2") for command in _REQUIRED for bad in ("0", "-1")],
         *[(command, "--limit", bad, "2") for command in ("saliency", "eval", "pipeline") for bad in ("0", "-1")],
         *[("serve-stub", "--dims", bad, "56,56,3") for bad in ("56,56", "56,56,x", "56,0,3", "56,56,3,1")],
+        *[("serve-stub", flag, bad, "16") for flag in ("--embed-dim", "--max-batch") for bad in ("0", "-3")],
+        *[("serve-stub", "--tcp-port", bad, "0") for bad in ("-1", "65536", "x")],
     ])
     def test_out_of_range_input_exits_2(self, command, flag, bad, good, capsys):
         argv = [command, *self._REQUIRED[command], flag]
@@ -561,4 +575,5 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(argv + [bad])
         assert exc.value.code == 2
-        assert "positive integer" in capsys.readouterr().err
+        expected = "port number from 0 to 65535" if flag == "--tcp-port" else "positive integer"
+        assert expected in capsys.readouterr().err

@@ -58,7 +58,7 @@ class TestSaliencyMapType:
 
     def test_normalize_roundtrip(self, rng):
         m = se.SaliencyMap(rng.random((4, 4)), method=se.Method.LIME)
-        n = m.normalize()
+        n = se.SaliencyMap(se.normalize_map(m), method=m.method, normalized=True)
         assert n.normalized and not n.degenerate
         assert n.data.min() == 0.0 and n.data.max() == 1.0
 

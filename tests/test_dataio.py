@@ -3,11 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simexplain as se
 from simexplain import dataio
 from simexplain.attrmodel import FeatureExtractor, AttributeModel, load_model, save_model
-from simexplain.errors import IntegrityError, ParseError
+from simexplain.errors import IntegrityError, InvalidDataError, ParseError
 
 
 class TestGridFile:
@@ -74,6 +76,16 @@ class TestSaliencyFile:
         with pytest.raises(ParseError, match="method"):
             dataio.load_saliency(path)
 
+    @pytest.mark.parametrize("offset", [14, 15])  # fixed_reference, normalized
+    def test_flag_byte_other_than_0_or_1(self, offset, tmp_path):
+        path = tmp_path / "m.smap"
+        dataio.save_saliency(path, se.SaliencyMap(np.zeros((2, 2)), method=se.Method.RISE))
+        raw = bytearray(path.read_bytes())
+        raw[offset] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="flag"):
+            dataio.load_saliency(path)
+
     def test_header_larger_than_file(self, tmp_path):
         path = tmp_path / "lie.smap"
         path.write_bytes(dataio.SMAP_MAGIC + struct.pack("<IIBBB", 4_000_000_000, 4_000_000_000, 1, 1, 1))
@@ -124,6 +136,47 @@ class TestManifest:
         with pytest.raises(ParseError, match="missing"):
             dataio.load_dataset(tmp_path / "nope.json")
 
+    @staticmethod
+    def _edit_manifest(**fields):
+        def edit(root):
+            tree = json.loads((root / "manifest.json").read_text())
+            tree.update(fields)
+            (root / "manifest.json").write_text(json.dumps(tree))
+        return edit
+
+    @staticmethod
+    def _edit_first_image(**fields):
+        def edit(root):
+            tree = json.loads((root / "manifest.json").read_text())
+            tree["images"][0].update(fields)
+            (root / "manifest.json").write_text(json.dumps(tree))
+        return edit
+
+    @pytest.mark.parametrize("edit", [
+        _edit_manifest(catalog=5),
+        _edit_manifest(catalog=[1, 2, 3, 4, 5, 6, 7, 8]),
+        _edit_manifest(catalog=["a"] * 8),
+        _edit_manifest(images=5),
+        _edit_manifest(labels=5),
+        _edit_manifest(pairs=5),
+        _edit_manifest(meta=5),
+        _edit_first_image(path=5),
+        _edit_first_image(id=5),
+        _edit_manifest(pairs="images"),
+        _edit_manifest(labels="images"),
+        lambda root: (root / "labels.txt").write_bytes(b"\xff\xfe1,0\n"),
+        lambda root: (root / "pairs.txt").write_bytes(b"\xff\n"),
+        lambda root: (root / "manifest.json").write_bytes(b"\xff{}"),
+        lambda root: (root / "pairs.txt").write_text((root / "pairs.txt").read_text().replace("test", "tset")),
+    ], ids=["catalog-number", "catalog-numbers", "catalog-duplicates", "images-number", "labels-number",
+            "pairs-number", "meta-number", "image-path-number", "image-id-number", "pairs-directory",
+            "labels-directory", "labels-not-utf8", "pairs-not-utf8", "manifest-not-utf8", "unknown-split"])
+    def test_bad_manifest_input_is_parse_error(self, edit, tmp_path):
+        dataio.save_dataset(se.generate_dataset(se.SyntheticSpec(n_images=16, seed=1)), tmp_path)
+        edit(tmp_path)
+        with pytest.raises(ParseError):
+            dataio.load_dataset(tmp_path)
+
     def test_directory_resolves_to_manifest(self, tmp_path):
         ds = se.generate_dataset(se.SyntheticSpec(n_images=16, seed=1))
         dataio.save_dataset(ds, tmp_path)
@@ -154,8 +207,65 @@ class TestModelFile:
         np.testing.assert_allclose(loaded.head_weights, model.head_weights, atol=1e-7)
         np.testing.assert_allclose(loaded.head_bias, model.head_bias, atol=1e-7)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_is_invalid_data(self, value, tmp_path):
+        extractor = FeatureExtractor((14, 14, 2), n_filters=6, seed=9)
+        head = np.zeros((3, 6))
+        head[1, 2] = value
+        path = tmp_path / "model.sane"
+        save_model(path, AttributeModel(extractor, np.zeros((3, 6)), np.zeros(3)))
+        raw = bytearray(path.read_bytes())
+        raw[37:37 + 72] = head.astype("<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidDataError, match="finite"):
+            load_model(path, (14, 14, 2))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.sane"
         path.write_bytes(b"WRONG" + b"\x00" * 40)
         with pytest.raises(ParseError, match="magic"):
             load_model(path, (14, 14, 2))
+
+
+@pytest.fixture(scope="module")
+def written_files(tmp_path_factory):
+    """One file of each format the program writes: a dataset (manifest,
+    labels, pairs, GRID1 images), an SMAP1 map and a SANE1 model."""
+    root = tmp_path_factory.mktemp("written")
+    dataset = se.generate_dataset(se.SyntheticSpec(n_images=4, side=14, n_attributes=3, seed=2))
+    dataio.save_dataset(dataset, root / "dataset")
+    smap = se.SaliencyMap(np.linspace(0.0, 1.0, 12).reshape(3, 4), method=se.Method.RISE, normalized=True)
+    dataio.save_saliency(root / "map.smap", smap)
+    rng = np.random.default_rng(0)
+    extractor = FeatureExtractor(dataset.dims, n_filters=4)
+    save_model(root / "model.sane", AttributeModel(extractor, rng.normal(size=(3, 4)), rng.normal(size=3)))
+    load = {"map.smap": lambda: dataio.load_saliency(root / "map.smap"),
+            "model.sane": lambda: load_model(root / "model.sane", dataset.dims)}
+    for name in ("manifest.json", "labels.txt", "pairs.txt", "images/img000.grid"):
+        load[f"dataset/{name}"] = lambda: dataio.load_dataset(root / "dataset")
+    return root, load
+
+
+@pytest.mark.parametrize("name", ["dataset/manifest.json", "dataset/labels.txt", "dataset/pairs.txt",
+                                  "dataset/images/img000.grid", "map.smap", "model.sane"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_damaged_file_fails_only_as_bad_data(name, written_files, data):
+    """A truncated file, or one with a changed byte, loads or fails with
+    ParseError, IntegrityError or InvalidDataError, and nothing else."""
+    root, load = written_files
+    path = root / name
+    original = path.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = original[:data.draw(st.integers(0, len(original) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(original) - 1), label="offset")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != original[at]), label="byte")
+        damaged = original[:at] + bytes([byte]) + original[at + 1:]
+    path.write_bytes(damaged)
+    try:
+        load[name]()
+    except (ParseError, IntegrityError, InvalidDataError):
+        pass
+    finally:
+        path.write_bytes(original)

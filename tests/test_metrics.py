@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import simexplain as se
+from simexplain import metrics
 from simexplain.errors import InvalidArgumentError
 from simexplain.metrics import (
     RemovalResult,
@@ -15,6 +16,7 @@ from simexplain.metrics import (
     removal_delta_core,
     top1_accuracy_from_attrs,
 )
+from simexplain.scorers import score_image_stack
 
 DIMS = (4, 4, 2)
 
@@ -54,6 +56,34 @@ class TestInsertionDeletion:
             dele = deletion_curve(scorer, ref, query, smap, step_frac=1 / 16)
             assert abs(ins.auc - brute_force_curve(scorer, ref, query, smap, True)) < 1e-9
             assert abs(dele.auc - brute_force_curve(scorer, ref, query, smap, False)) < 1e-9
+
+    @pytest.mark.parametrize("curve", [insertion_curve, deletion_curve])
+    def test_keep_masks_equal_copy_and_fill_stacks(self, curve, rng, monkeypatch):
+        # the curve stack built the old way, by copying the selected pixels
+        # onto a blank image (insertion) or zeroing them (deletion), has
+        # the same bits as query * keep, and so the same raw scores
+        scorer = se.LinearToyScorer.random(DIMS, embed_dim=5, seed=3)
+        ref, query, smap = rng.random(DIMS), rng.random(DIMS), rng.random((3, 3))
+        seen = []
+        real = metrics.score_masked
+
+        def recording(scorer, refs, query, keep):
+            seen.append(keep)
+            return real(scorer, refs, query, keep)
+
+        monkeypatch.setattr(metrics, "score_masked", recording)
+        result = curve(scorer, ref, query, smap, step_frac=0.25)
+        order = metrics._pixel_order(smap, 4, 4)
+        flat = query.reshape(-1, 2)
+        old = []
+        for count in np.rint(np.array([0, 0.25, 0.5, 0.75, 1.0]) * 16).astype(int):
+            img = np.zeros_like(flat) if curve is insertion_curve else flat.copy()
+            img[order[:count]] = flat[order[:count]] if curve is insertion_curve else 0.0
+            old.append(img.reshape(DIMS))
+        old = np.array(old)
+        [keep] = seen
+        assert (query[None] * keep[..., None]).tobytes() == old.tobytes()
+        assert result.raw_scores.tobytes() == score_image_stack(scorer, ref, old).tobytes()
 
     def test_shared_endpoints(self, rng):
         scorer = se.LinearToyScorer.random(DIMS, embed_dim=5, seed=1)

@@ -14,13 +14,14 @@ from simexplain.errors import (
 )
 from simexplain.saliency import (
     MaskObjective,
+    _occlusion_keep,
     _window_origins,
     _window_side,
     grid_segments,
     sample_rise_masks,
     slic_like_segments,
 )
-from simexplain.scorers import Scorer
+from simexplain.scorers import Scorer, score_image_stack
 
 DIMS = (28, 28, 3)
 
@@ -93,7 +94,21 @@ class TestDegenerateScorer:
         assert se.generate(scorer, images[0], images[1], cfg).degenerate
 
 
+def assert_dual_identity_reduces_to_fixed(method, planted, images, monkeypatch):
+    """With one all-ones reference keep mask the dual-mode reference
+    variant is the reference itself, so dual and fixed maps are equal."""
+    _, scorer = planted
+    fixed = se.generate(scorer, images[0], images[1], small_cfg(method, seed=3))
+    monkeypatch.setattr("simexplain.saliency._reference_keep", lambda cfg, h, w: np.ones((1, h, w)))
+    dual = se.generate(scorer, images[0], images[1], small_cfg(method, seed=3, fixed_reference=False))
+    np.testing.assert_array_equal(fixed.data, dual.data)
+    assert not dual.fixed_reference
+
+
 class TestSlidingWindow:
+    def test_dual_identity_reduces_to_fixed(self, planted, images, monkeypatch):
+        assert_dual_identity_reduces_to_fixed(se.Method.SLIDING_WINDOW, planted, images, monkeypatch)
+
     def test_window_side_arithmetic(self):
         assert _window_side(0.12, 56, 56) == round(math.sqrt(0.12 * 56 * 56)) == 19
 
@@ -102,18 +117,32 @@ class TestSlidingWindow:
         assert origins[0] == 0 and origins[-1] == 56 - 19
         assert len(origins) == 25
 
-    def test_window_larger_than_image_rejected(self, rng):
+    def test_window_larger_than_image_rejected(self):
         # a square window sized from the full area exceeds the short side
         # of a non-square image
-        from simexplain.saliency import _occlusion_variants
         with pytest.raises(InvalidArgumentError):
-            _occlusion_variants(rng.random((10, 4, 1)), 4, 0.9)
+            _occlusion_keep(10, 4, 4, 0.9)
+
+    def test_keep_masks_equal_copy_and_zero_occlusions(self, images):
+        # the occlusion stack built the old way, by copying the query and
+        # zeroing each window, has the same bits as query * keep
+        query = images[1]
+        keep = _occlusion_keep(28, 28, 81, 0.1)
+        assert keep.dtype == bool
+        side = _window_side(0.1, 28, 28)
+        old = []
+        for r in _window_origins(28, side, 9):
+            for c in _window_origins(28, side, 9):
+                v = query.copy()
+                v[r:r + side, c:c + side, :] = 0.0
+                old.append(v)
+        assert (query[None] * keep[..., None]).tobytes() == np.array(old).tobytes()
 
     def test_untouched_support_gets_zero(self, planted):
         region, scorer = planted
         rng = np.random.default_rng(0)
         query = rng.random(DIMS)
-        smap = se.sliding_window(scorer, query, query, small_cfg(se.Method.SLIDING_WINDOW))
+        smap = se.generate(scorer, query, query, small_cfg(se.Method.SLIDING_WINDOW))
         # occlusions away from the planted region cannot move a score whose
         # weights are zero there, so far corners normalize to exactly 0
         assert smap.data[-1, -1] == 0.0
@@ -124,31 +153,33 @@ class TestSlidingWindow:
         region, scorer = planted
         rng = np.random.default_rng(1)
         query = rng.random(DIMS)
-        smap = se.sliding_window(scorer, query, query, small_cfg(se.Method.SLIDING_WINDOW))
+        smap = se.generate(scorer, query, query, small_cfg(se.Method.SLIDING_WINDOW))
         r, c = np.unravel_index(np.argmax(smap.data), smap.data.shape)
         assert region.covers(int(r), int(c))
 
 
 class TestRise:
     def test_mask_statistics_within_3_sigma(self):
+        # each pixel of an upsampled mask blends Bernoulli(0.5) cells, so
+        # its mean over 400 masks stays within 3 sigma of the keep rate
         cfg = se.RiseCfg(n_masks=400, grid=6, keep_prob=0.5)
         masks = sample_rise_masks(cfg, 28, 28, seed=5)
-        freq = masks.lowres.mean(axis=0)
+        assert masks.shape == (400, 28, 28)
         sigma = math.sqrt(0.5 * 0.5 / 400)
-        assert np.all(np.abs(freq - 0.5) <= 3 * sigma + 1e-12)
+        assert np.all(np.abs(masks.mean(axis=0) - 0.5) <= 3 * sigma + 1e-12)
 
     def test_upsampled_masks_are_continuous(self):
         cfg = se.RiseCfg(n_masks=4, grid=7, keep_prob=0.5)
         masks = sample_rise_masks(cfg, 28, 28, seed=5)
-        assert masks.upsampled.min() >= 0.0 and masks.upsampled.max() <= 1.0
-        jumps = np.abs(np.diff(masks.upsampled, axis=2)).max()
+        assert masks.min() >= 0.0 and masks.max() <= 1.0
+        jumps = np.abs(np.diff(masks, axis=2)).max()
         assert jumps < 0.5  # bilinear cells blend, no hard 0->1 steps
 
     def test_reproducible_from_seed(self):
         cfg = se.RiseCfg(n_masks=10, grid=5, keep_prob=0.4)
         a = sample_rise_masks(cfg, 20, 20, seed=9)
         b = sample_rise_masks(cfg, 20, 20, seed=9)
-        np.testing.assert_array_equal(a.upsampled, b.upsampled)
+        np.testing.assert_array_equal(a, b)
 
     def test_cell_weight_tracks_planted_mass(self):
         # seed-averaged map vs analytic |weight| mass per low-res cell
@@ -158,7 +189,7 @@ class TestRise:
         maps = []
         for seed in (3, 5, 7, 11, 13):
             cfg = se.SaliencyConfig(method=se.Method.RISE, seed=seed)
-            maps.append(se.rise(scorer, query, query, cfg).data.astype(np.float64))
+            maps.append(se.generate(scorer, query, query, cfg).data.astype(np.float64))
         pooled = resize_average_pool(np.mean(maps, axis=0), 8, 8).ravel()
         weight_img = np.abs(scorer.weight.reshape(16, 56, 56, 3)).sum(axis=(0, 3))
         mass = resize_average_pool(weight_img, 8, 8).ravel()
@@ -166,14 +197,7 @@ class TestRise:
         assert r > 0.8
 
     def test_dual_identity_reduces_to_fixed(self, planted, images, monkeypatch):
-        _, scorer = planted
-        fixed = se.rise(scorer, images[0], images[1], small_cfg(se.Method.RISE, seed=3))
-        monkeypatch.setattr("simexplain.saliency._rise_ref_variants",
-                            lambda scorer, ref, cfg: [ref])
-        dual = se.rise(scorer, images[0], images[1],
-                       small_cfg(se.Method.RISE, seed=3, fixed_reference=False))
-        np.testing.assert_array_equal(fixed.data, dual.data)
-        assert not dual.fixed_reference
+        assert_dual_identity_reduces_to_fixed(se.Method.RISE, planted, images, monkeypatch)
 
     def test_dual_mode_runs(self, planted, images):
         _, scorer = planted
@@ -184,15 +208,14 @@ class TestRise:
 
     def test_raw_map_argmax_survives_normalization(self, planted, images):
         # recompute the raw score-weighted mask sum and check that the
-        # normalized map published by rise() keeps its argmax pixel
+        # normalized map generate() publishes keeps its argmax pixel
         _, scorer = planted
         cfg = small_cfg(se.Method.RISE, seed=3)
-        from simexplain.scorers import score_image_stack
         masks = sample_rise_masks(cfg.rise, 28, 28, cfg.seed)
-        stack = images[1][None, :, :, :] * masks.upsampled[:, :, :, None]
+        stack = images[1][None, :, :, :] * masks[:, :, :, None]
         scores = score_image_stack(scorer, images[0], stack)
-        raw = np.einsum("n,nhw->hw", scores, masks.upsampled) / (len(masks) * cfg.rise.keep_prob)
-        published = se.rise(scorer, images[0], images[1], cfg)
+        raw = np.einsum("n,nhw->hw", scores, masks) / (len(masks) * cfg.rise.keep_prob)
+        published = se.generate(scorer, images[0], images[1], cfg)
         assert np.argmax(raw) == np.argmax(published.data)
 
 
@@ -241,7 +264,7 @@ class TestLime:
         query = rng.random(dims)
         query[16:32, 16:32, :] = 0.9
         cfg = se.SaliencyConfig(method=se.Method.LIME, seed=9)
-        smap = se.lime(scorer, query, query, cfg)
+        smap = se.generate(scorer, query, query, cfg)
         seg = grid_segments(56, 56, 49)
         peak_seg = int(seg.ravel()[np.argmax(smap.data)])
         cells = np.argwhere(seg == peak_seg)
@@ -250,8 +273,8 @@ class TestLime:
     def test_dual_unsupported(self, planted, images):
         _, scorer = planted
         with pytest.raises(UnsupportedError):
-            se.lime(scorer, images[0], images[1],
-                    small_cfg(se.Method.LIME, fixed_reference=False))
+            se.generate(scorer, images[0], images[1],
+                        small_cfg(se.Method.LIME, fixed_reference=False))
 
     def test_nonconvergence_surfaces(self, planted, images):
         _, scorer = planted
@@ -259,12 +282,12 @@ class TestLime:
                         lime=se.LimeCfg(n_samples=200, n_segments=49,
                                         lasso_alpha=1e-9, max_sweeps=1))
         with pytest.raises(ConvergenceError) as err:
-            se.lime(scorer, images[0], images[1], cfg)
+            se.generate(scorer, images[0], images[1], cfg)
         assert err.value.iterations == 1
 
     def test_map_paints_whole_superpixels(self, planted, images):
         _, scorer = planted
-        smap = se.lime(scorer, images[0], images[1], small_cfg(se.Method.LIME))
+        smap = se.generate(scorer, images[0], images[1], small_cfg(se.Method.LIME))
         seg = grid_segments(28, 28, 49)
         for s in range(10):
             values = smap.data[seg == s]
@@ -293,19 +316,19 @@ class TestMask:
         _, scorer = planted
         cfg = small_cfg(se.Method.MASK,
                         mask=se.MaskCfg(grid=5, iters=30, lr=0.1, tv_weight=1e9, l1_weight=0.0))
-        assert se.mask_learn(scorer, images[0], images[1], cfg).degenerate
+        assert se.generate(scorer, images[0], images[1], cfg).degenerate
 
     def test_no_grad_no_fallback_unsupported(self, images):
         const = se.ConstantScorer(DIMS)
         with pytest.raises(UnsupportedError):
-            se.mask_learn(const, images[0], images[1], small_cfg(se.Method.MASK))
+            se.generate(const, images[0], images[1], small_cfg(se.Method.MASK))
 
     def test_divergence_raises_with_trace(self, planted, images):
         _, scorer = planted
         cfg = small_cfg(se.Method.MASK,
                         mask=se.MaskCfg(grid=5, iters=5, lr=0.1, tv_weight=float("inf")))
         with pytest.raises(OptimizationError) as err:
-            se.mask_learn(scorer, images[0], images[1], cfg)
+            se.generate(scorer, images[0], images[1], cfg)
         assert isinstance(err.value.trace, list)
 
     def test_finds_planted_region(self, planted):
@@ -314,7 +337,7 @@ class TestMask:
         query = rng.random(DIMS)
         cfg = small_cfg(se.Method.MASK, mask=se.MaskCfg(grid=7, iters=300, lr=0.1,
                                                         tv_weight=0.01, l1_weight=0.005))
-        smap = se.mask_learn(scorer, query, query, cfg)
+        smap = se.generate(scorer, query, query, cfg)
         assert not smap.degenerate
         up = se.resize_map(smap.data, 28, 28, mode="bilinear")
         r, c = np.unravel_index(np.argmax(up), up.shape)
@@ -352,7 +375,7 @@ class TestMask:
 
         monkeypatch.setattr(scorer, "_embed_flat", counting)
         cfg = small_cfg(se.Method.MASK, fixed_reference=fixed, mask=se.MaskCfg(grid=5, iters=20))
-        se.mask_learn(scorer, images[0], images[1], cfg)
+        se.generate(scorer, images[0], images[1], cfg)
         # reference and query once per Adam step, and once more for the final iterate
         assert sum(embedded) == 2 * 20 + 2
 
@@ -360,7 +383,7 @@ class TestMask:
         _, scorer = planted
         cfg = small_cfg(se.Method.MASK, fixed_reference=False,
                         mask=se.MaskCfg(grid=5, iters=20, lr=0.1))
-        smap = se.mask_learn(scorer, images[0], images[1], cfg)
+        smap = se.generate(scorer, images[0], images[1], cfg)
         assert smap.data.shape == (5, 5)
         assert not smap.fixed_reference
 
