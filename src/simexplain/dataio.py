@@ -222,12 +222,31 @@ def _load_pairs(path: Path) -> tuple[Pair, ...]:
     return tuple(pairs)
 
 
+# Characters an image id may not hold: the pair list separates fields
+# with commas and records with line breaks, and the id names a file
+# inside images/.
+_ID_FORBIDDEN = (",", "\n", "\r", "/", "\\")
+
+
+def _check_image_id(img_id) -> None:
+    """Refuse an id that ``load_dataset`` could not read back, or whose
+    GRID1 file would land outside ``images/``."""
+    if (not isinstance(img_id, str) or not img_id or img_id != img_id.strip() or img_id == ".."
+            or any(ch in img_id for ch in _ID_FORBIDDEN)):
+        raise InvalidArgumentError(
+            f"image id {img_id!r} cannot be saved: an id is a non-empty string other than '..', "
+            "without surrounding whitespace, commas, line breaks or path separators")
+
+
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     """Write a dataset as manifest + GRID1 images + labels + pairs.
 
     Output is byte-deterministic for a given dataset. Returns the
-    manifest path.
+    manifest path. Image ids that would not round-trip are refused
+    before anything is written.
     """
+    for img_id, _ in dataset.images:
+        _check_image_id(img_id)
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     entries = []

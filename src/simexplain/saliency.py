@@ -20,12 +20,15 @@ Sliding window, RISE and LIME perturb an image the same way: they
 multiply it by (N, H, W) keep masks (boolean occlusions, upsampled random
 grids, superpixel selections), and ``score_masked`` scores the masked
 query stack; the insertion/deletion curves in ``metrics`` use it too.
-With an embedding scorer (one with ``embed_batch_flat``) it embeds the N
-masked queries once and scores them against each reference manipulation,
-so dual mode does fixed mode's scorer work plus M reference embeddings;
-any other scorer (external, score-only) scores the whole stack once per
-reference manipulation: M x N images. The learned mask asks
-``score_and_grads`` once per Adam step.
+It builds the masked copies ``scorers._CHUNK`` masks at a time, and RISE
+upsamples its masks in the same blocks, so no (N, H, W, C) stack exists
+and memory beyond the (N, H, W) masks does not grow with N. With an
+embedding scorer (one with ``embed_batch_flat``) it embeds each block of
+masked queries once, keeps the (N, D) rows and scores them against each
+reference manipulation, so dual mode does fixed mode's scorer work plus M
+reference embeddings; any other scorer (external, score-only) scores each
+block against each reference manipulation: M x N images. The learned mask
+asks ``score_and_grads`` once per Adam step.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 from .core import Method, SaliencyMap, _as_image, make_rng, normalize_map
 from .errors import InvalidArgumentError, OptimizationError, UnsupportedError
 from .optim import Adam, lasso_coordinate_descent
-from .scorers import Scorer, score_image_stack
+from .scorers import _CHUNK, EmbeddedRows, Scorer, score_image_stack
 
 # rng stream tags so every randomness source is independent of the others
 _STREAM_QUERY_MASKS = 1
@@ -134,24 +137,38 @@ def _masked(image: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The (N, H, W, C) copies of an (H, W, C) image under (N, H, W) keep
     masks. For pixels in [0, 1] a 1 (or True) keeps a value bit for bit
     and a 0 (or False) writes +0.0, the same bits a copy-and-fill gives."""
-    return image[None, :, :, :] * keep[:, :, :, None]
+    out = np.empty(keep.shape + image.shape[2:], dtype=np.float64)
+    # one multiply per channel: a broadcast over a trailing axis of C
+    # elements runs numpy's inner loop C elements at a time
+    for c in range(image.shape[2]):
+        np.multiply(keep, image[:, :, c], out=out[..., c])
+    return out
 
 
 def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Attributed score of ``query * keep[n]`` for each of the (N, H, W)
     keep masks: the mean of its scores against the reference variants.
 
-    A scorer that can embed a flat batch embeds the masked stack once and
-    scores those rows against each reference variant; any other scorer
-    scores the whole stack once per variant.
+    The masked copies are built ``_CHUNK`` at a time, so memory does not
+    grow with N. A scorer that can embed a flat batch embeds each block
+    once, and the (N, D) rows are then scored against each reference
+    variant; any other scorer scores each block against each variant.
     """
-    stack = _masked(query, keep)
+    n = keep.shape[0]
+    starts = range(0, n, _CHUNK)
+    total = np.zeros(n, dtype=np.float64)
     embed = getattr(scorer, "embed_batch_flat", None)
-    rows = None if embed is None else embed(stack.reshape(stack.shape[0], -1))
-    total = np.zeros(stack.shape[0], dtype=np.float64)
-    for ref_v in ref_variants:
-        total += (score_image_stack(scorer, ref_v, stack) if rows is None
-                  else scorer.score_batch_flat(ref_v, rows))
+    if embed is not None:
+        parts = [embed(_masked(query, keep[s:s + _CHUNK]).reshape(-1, query.size)) for s in starts]
+        rows = EmbeddedRows(np.concatenate([p.emb for p in parts]), np.concatenate([p.norms for p in parts]))
+        for ref_v in ref_variants:
+            total += scorer.score_batch_flat(ref_v, rows)
+    else:
+        for s in starts:
+            stack = _masked(query, keep[s:s + _CHUNK])
+            for ref_v in ref_variants:
+                total[s:s + _CHUNK] += score_image_stack(scorer, ref_v, stack)
+            del stack  # free this block before the next one is built
     return total / len(ref_variants)
 
 
@@ -170,7 +187,9 @@ def sample_rise_masks(cfg: RiseCfg, height: int, width: int, seed: int,
                       stream: int = _STREAM_QUERY_MASKS, count: int | None = None) -> np.ndarray:
     """Draw (N, H, W) RISE keep masks in [0, 1]: Bernoulli(keep_prob) on a
     grid x grid lattice, bilinearly upsampled one cell oversize, then
-    randomly cropped so the lattice never aligns with the image."""
+    randomly cropped so the lattice never aligns with the image. The
+    upsampling runs ``_CHUNK`` masks at a time, so the only N-sized array
+    is the output."""
     rng = make_rng(seed, stream)
     n = cfg.n_masks if count is None else count
     g = cfg.grid
@@ -178,17 +197,16 @@ def sample_rise_masks(cfg: RiseCfg, height: int, width: int, seed: int,
 
     cell_h = math.ceil(height / g)
     cell_w = math.ceil(width / g)
-    up_h, up_w = (g + 1) * cell_h, (g + 1) * cell_w
-    rows = _interp_matrix(g, up_h)
-    cols_t = _interp_matrix(g, up_w).T
-    oversize = np.einsum("ri,nij,jc->nrc", rows, lowres, cols_t, optimize=True)
-
     dy = rng.integers(0, cell_h, size=n)
     dx = rng.integers(0, cell_w, size=n)
-    cropped = np.empty((n, height, width), dtype=np.float64)
-    for k in range(n):
-        cropped[k] = oversize[k, dy[k]:dy[k] + height, dx[k]:dx[k] + width]
-    return np.clip(cropped, 0.0, 1.0)
+    rows = _interp_matrix(g, (g + 1) * cell_h)
+    cols_t = _interp_matrix(g, (g + 1) * cell_w).T
+    masks = np.empty((n, height, width), dtype=np.float64)
+    for start in range(0, n, _CHUNK):
+        oversize = np.einsum("ri,nij,jc->nrc", rows, lowres[start:start + _CHUNK], cols_t, optimize=True)
+        for k, big in enumerate(oversize, start):
+            masks[k] = big[dy[k]:dy[k] + height, dx[k]:dx[k] + width]
+    return np.clip(masks, 0.0, 1.0, out=masks)
 
 
 def _degenerate_result(scores: np.ndarray) -> bool:
@@ -332,7 +350,8 @@ def _lime(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfi
     n_seg = int(segments.max()) + 1
 
     rng = make_rng(cfg.seed, _STREAM_LIME)
-    keep = (rng.random((cfg.lime.n_samples, n_seg)) < cfg.lime.keep_prob).astype(np.float64)
+    # boolean selections multiply and centre with the same bits as 1.0/0.0
+    keep = rng.random((cfg.lime.n_samples, n_seg)) < cfg.lime.keep_prob
     scores = score_masked(scorer, [ref], query, keep[:, segments])
     if _degenerate_result(scores):
         return None

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import AttributeCatalog, Dataset, ImageTensor, Pair, make_rng
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ParseError
 from .scorers import LinearToyScorer, Rect
 
 _STREAM_IMAGES = 41
@@ -158,14 +158,29 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
     return Dataset(images=tuple(images), labels=labels, pairs=tuple(pairs), catalog=catalog, meta=meta)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def slots_from_meta(dataset: Dataset) -> dict[int, Rect]:
-    """Recover motif slots recorded by the generator."""
+    """Recover motif slots recorded by the generator: ``meta.motif_slots``
+    maps catalog names to [top, left, height, width] inside the image."""
     raw = dataset.meta.get("motif_slots")
     if not raw:
         raise InvalidArgumentError("dataset meta carries no motif slots")
+    if not isinstance(raw, dict):
+        raise ParseError("meta.motif_slots must be an object mapping attribute names to slots")
+    rows, cols = dataset.dims[:2]
     out = {}
-    for name, (top, left, h, w) in raw.items():
-        out[dataset.catalog.index(name)] = Rect(int(top), int(left), int(h), int(w))
+    for name, slot in raw.items():
+        if name not in dataset.catalog.names:
+            raise ParseError(f"meta.motif_slots names {name!r}, which the catalog lacks")
+        if not (isinstance(slot, list) and len(slot) == 4 and all(map(_is_int, slot))):
+            raise ParseError(f"meta.motif_slots[{name!r}] must be four integers [top, left, height, width]")
+        top, left, h, w = slot
+        if min(top, left) < 0 or min(h, w) < 1 or top + h > rows or left + w > cols:
+            raise ParseError(f"meta.motif_slots[{name!r}] = {slot} does not lie inside the {rows}x{cols} image")
+        out[dataset.catalog.index(name)] = Rect(top, left, h, w)
     return out
 
 
@@ -175,7 +190,9 @@ def planted_scorer_for(dataset: Dataset, embed_dim: int = 16, seed: int = 0,
     similarity-relevant attribute)."""
     slots = slots_from_meta(dataset)
     if attribute is None:
-        attribute = int(dataset.meta.get("similarity_attribute", 0))
+        attribute = dataset.meta.get("similarity_attribute", 0)
+        if not _is_int(attribute) or attribute not in slots:
+            raise ParseError(f"meta.similarity_attribute {attribute!r} is not the index of a motif slot")
     dims = dataset.dims
     return LinearToyScorer.planted(dims, slots[attribute], embed_dim=embed_dim, seed=seed)
 

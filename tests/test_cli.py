@@ -214,6 +214,30 @@ class TestCliPlumbing:
                      "--out", str(tmp_path / "maps"), "--jobs", "1"])
         assert code == 3
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta["motif_slots"].update(attr00=[1, 2, 3]),
+        lambda meta: meta["motif_slots"].update(attr00=[1, 2, 3, "4"]),
+        lambda meta: meta["motif_slots"].update(attr00=[1, 2, 3, 4.0]),
+        lambda meta: meta["motif_slots"].update(attr00=[-1, 2, 3, 4]),
+        lambda meta: meta["motif_slots"].update(attr00=[50, 2, 10, 4]),
+        lambda meta: meta["motif_slots"].update(nosuch=[1, 2, 3, 4]),
+        lambda meta: meta.update(motif_slots=[[1, 2, 3, 4]]),
+        lambda meta: meta.update(similarity_attribute=99),
+    ], ids=["three-numbers", "string", "float", "negative", "outside", "unknown-name", "not-object",
+            "similarity-attribute"])
+    def test_bad_motif_slots_are_parse_errors(self, edit, tmp_path):
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--n-images", "8", "--seed", "2"]) == 0
+        tree = json.loads((data / "manifest.json").read_text())
+        edit(tree["meta"])
+        (data / "manifest.json").write_text(json.dumps(tree))
+        code = main(["saliency", "--dataset", str(data / "manifest.json"), "--scorer", "planted",
+                     "--method", "sliding_window", "--split", "train", "--limit", "1",
+                     "--out", str(tmp_path / "maps"), "--jobs", "1"])
+        assert code == 2
+        with pytest.raises(ParseError):
+            se.planted_scorer_for(load_dataset(data / "manifest.json"))
+
     def test_jobs_do_not_change_bits(self, cli_workspace, tmp_path):
         _, manifest, _, model = cli_workspace
         reports = []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import simexplain as se
 from simexplain import dataio
 from simexplain.attrmodel import FeatureExtractor, AttributeModel, load_model, save_model
-from simexplain.errors import IntegrityError, InvalidDataError, ParseError
+from simexplain.errors import IntegrityError, InvalidArgumentError, InvalidDataError, ParseError
 
 
 class TestGridFile:
@@ -176,6 +176,19 @@ class TestManifest:
         edit(tmp_path)
         with pytest.raises(ParseError):
             dataio.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("bad_id", ["a,b", "../escaped", "", "a\nb", "a\rb", "x/y", "x\\y", "..", " pad"])
+    def test_unsaveable_image_id_refused(self, bad_id, tmp_path):
+        # a comma id would save a pair list load_dataset refuses, and a
+        # '../' id would write its GRID1 file outside images/
+        ds = se.generate_dataset(se.SyntheticSpec(n_images=4, seed=1))
+        (_, first), (other, second) = ds.images[:2]
+        bad = se.Dataset(images=((bad_id, first), (other, second)), labels=ds.labels[:2],
+                         pairs=(se.Pair(bad_id, other, "train"),), catalog=ds.catalog)
+        out = tmp_path / "out"
+        with pytest.raises(InvalidArgumentError, match="cannot be saved"):
+            dataio.save_dataset(bad, out)
+        assert list(tmp_path.iterdir()) == []
 
     def test_directory_resolves_to_manifest(self, tmp_path):
         ds = se.generate_dataset(se.SyntheticSpec(n_images=16, seed=1))

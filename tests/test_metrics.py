@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simexplain as se
 from simexplain import metrics
@@ -16,7 +20,7 @@ from simexplain.metrics import (
     removal_delta_core,
     top1_accuracy_from_attrs,
 )
-from simexplain.scorers import score_image_stack
+from simexplain.scorers import Scorer, score_image_stack
 
 DIMS = (4, 4, 2)
 
@@ -84,6 +88,32 @@ class TestInsertionDeletion:
         [keep] = seen
         assert (query[None] * keep[..., None]).tobytes() == old.tobytes()
         assert result.raw_scores.tobytes() == score_image_stack(scorer, ref, old).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), scale=st.floats(0.1, 10.0), shift=st.floats(-5.0, 5.0),
+           steps=st.sampled_from([4, 16, 300]))
+    def test_auc_invariant_under_positive_affine_scores(self, seed, scale, shift, steps):
+        # the wrapper has no embed_batch_flat, so score_masked scores its
+        # blocks one by one (300 steps span three blocks)
+        inner = se.LinearToyScorer.random(DIMS, embed_dim=5, seed=seed % 5)
+
+        class AffineScoreOnly(Scorer):
+            dims = DIMS
+
+            @property
+            def caps(self):
+                return dataclasses.replace(inner.caps, can_embed=False)
+
+            def score_batch(self, ref, queries):
+                return scale * inner.score_batch(ref, queries) + shift
+
+        rng = np.random.default_rng(seed)
+        ref, query, smap = rng.random(DIMS), rng.random(DIMS), rng.random((4, 4))
+        for curve in (insertion_curve, deletion_curve):
+            base = curve(inner, ref, query, smap, step_frac=1 / steps)
+            moved = curve(AffineScoreOnly(), ref, query, smap, step_frac=1 / steps)
+            assert moved.degenerate == base.degenerate
+            assert moved.auc == pytest.approx(base.auc, abs=1e-9)
 
     def test_shared_endpoints(self, rng):
         scorer = se.LinearToyScorer.random(DIMS, embed_dim=5, seed=1)

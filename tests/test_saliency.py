@@ -1,27 +1,32 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import simexplain as se
-from simexplain.core import resize_average_pool
+from simexplain.core import make_rng, resize_average_pool
 from simexplain.errors import (
     ConvergenceError,
     InvalidArgumentError,
     OptimizationError,
     UnsupportedError,
 )
+from simexplain.external import _ScoreOnly
 from simexplain.saliency import (
+    _STREAM_QUERY_MASKS,
     MaskObjective,
+    _interp_matrix,
     _occlusion_keep,
     _window_origins,
     _window_side,
     grid_segments,
     sample_rise_masks,
+    score_masked,
     slic_like_segments,
 )
-from simexplain.scorers import Scorer, score_image_stack
+from simexplain.scorers import _CHUNK, Scorer, score_image_stack
 
 DIMS = (28, 28, 3)
 
@@ -243,6 +248,78 @@ class TestDualEmbedOnce:
         assert fast.data.tobytes() == reference_path.data.tobytes()
         # each query variant and each reference variant is embedded once
         assert sum(embedded) == n_query + n_ref
+
+
+class TestBlocks:
+    """score_masked and sample_rise_masks work through their masks _CHUNK at
+    a time; every count around a block edge gives the one-shot bits."""
+
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("n_refs", [1, 3])
+    @pytest.mark.parametrize("score_only", [False, True], ids=["embedding", "score-only"])
+    def test_score_masked_equals_whole_stack(self, n, n_refs, score_only, planted, images):
+        _, scorer = planted
+        rng = np.random.default_rng(n)
+        keep = rng.random((n, *DIMS[:2]))
+        refs = [images[0]] + [rng.random(DIMS) for _ in range(n_refs - 1)]
+        stack = images[1][None] * keep[..., None]
+        expected = np.zeros(n)
+        for ref in refs:
+            expected += score_image_stack(scorer, ref, stack)
+        expected /= n_refs
+        got = score_masked(_ScoreOnly(scorer) if score_only else scorer, refs, images[1], keep)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("height, width, grid", [(28, 28, 7), (30, 17, 5)])
+    def test_rise_masks_equal_one_shot_formula(self, n, height, width, grid):
+        cfg = se.RiseCfg(n_masks=n, grid=grid, keep_prob=0.4)
+        rng = make_rng(9, _STREAM_QUERY_MASKS)
+        lowres = (rng.random((n, grid, grid)) < cfg.keep_prob).astype(np.float64)
+        cell_h, cell_w = math.ceil(height / grid), math.ceil(width / grid)
+        oversize = np.einsum("ri,nij,jc->nrc", _interp_matrix(grid, (grid + 1) * cell_h), lowres,
+                             _interp_matrix(grid, (grid + 1) * cell_w).T, optimize=True)
+        dy = rng.integers(0, cell_h, size=n)
+        dx = rng.integers(0, cell_w, size=n)
+        cropped = np.array([oversize[k, dy[k]:dy[k] + height, dx[k]:dx[k] + width] for k in range(n)])
+        one_shot = np.clip(cropped, 0.0, 1.0)
+        assert sample_rise_masks(cfg, height, width, seed=9).tobytes() == one_shot.tobytes()
+
+
+def _traced_peak(fn, *args) -> int:
+    """Bytes fn(*args) allocates at its peak, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockMemory:
+    BIG = (56, 56, 3)
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        masks = sample_rise_masks(se.RiseCfg(n_masks=1000), *self.BIG[:2], seed=0)
+        query = np.random.default_rng(0).random(self.BIG)
+        return masks, query, se.LinearToyScorer.random(self.BIG, seed=0)
+
+    def test_score_masked_peak_is_a_block_not_the_stack(self, inputs):
+        masks, query, scorer = inputs
+        full_stack = masks.nbytes * self.BIG[2]  # the (1000, 56, 56, 3) float64 stack, 75 MB
+        assert _traced_peak(score_masked, scorer, [query, query], query, masks) < full_stack / 4
+
+    def test_score_only_peak_does_not_grow_with_mask_count(self, inputs):
+        masks, query, scorer = inputs
+        few = _traced_peak(score_masked, _ScoreOnly(scorer), [query], query, masks[:_CHUNK + 1])
+        many = _traced_peak(score_masked, _ScoreOnly(scorer), [query], query, masks)
+        assert many < few + 2**20
+
+    def test_rise_sampling_peak_is_near_its_output(self):
+        cfg = se.RiseCfg(n_masks=1000)
+        output = cfg.n_masks * self.BIG[0] * self.BIG[1] * 8
+        assert _traced_peak(sample_rise_masks, cfg, *self.BIG[:2], 0) < 1.5 * output
 
 
 class TestLime:
