@@ -11,7 +11,8 @@ from .core import (
     Pair,
     SaliencyMap,
     normalize_map,
-    resize_map,
+    resize_average_pool,
+    resize_bilinear,
     to_match_resolution,
 )
 from .errors import (

@@ -11,22 +11,18 @@ ground-truth activation map toward each precomputed saliency map.
 from __future__ import annotations
 
 import logging
-import os
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (MATCH_RESOLUTION, Dataset, SaliencyMap, _as_image, make_rng, normalize_map,
                    to_match_resolution)
-from .errors import InvalidArgumentError, InvalidDataError, ParseError
+from .errors import InvalidArgumentError
 from .optim import Adam
 
 log = logging.getLogger(__name__)
 
-MODEL_MAGIC = b"SANE1"
 _STREAM_EXTRACTOR = 21
 _STREAM_TRAIN = 22
 
@@ -316,12 +312,7 @@ def build_samples(
     return samples
 
 
-def train(
-    dataset: Dataset,
-    saliency_bank: Mapping[str, Sequence] | None,
-    cfg: TrainConfig,
-    extractor: FeatureExtractor | None = None,
-) -> AttributeModel:
+def train(dataset: Dataset, saliency_bank: Mapping[str, Sequence] | None, cfg: TrainConfig) -> AttributeModel:
     """Fit the linear head with Adam; keep the best validation-mAP epoch.
 
     ``saliency_bank`` maps a training image id to its saliency maps
@@ -331,9 +322,7 @@ def train(
     """
     from .metrics import mean_average_precision
 
-    dims = dataset.dims
-    if extractor is None:
-        extractor = FeatureExtractor(dims, n_filters=cfg.n_filters, seed=cfg.seed)
+    extractor = FeatureExtractor(dataset.dims, n_filters=cfg.n_filters, seed=cfg.seed)
 
     lam = cfg.lam
     if lam > 0.0 and not saliency_bank:
@@ -379,51 +368,3 @@ def train(
         if score >= best[0]:
             best = (score, W.copy(), b.copy())
     return AttributeModel(extractor, best[1], best[2])
-
-
-# ---------------------------------------------------------------------------
-# Model file
-# ---------------------------------------------------------------------------
-
-
-def save_model(path: str | Path, model: AttributeModel) -> None:
-    ex = model.extractor
-    h, w, c = ex.dims
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<QIIIIII", ex.seed, h, w, c, ex.n_filters, ex.grid, model.n_attributes))
-        fh.write(np.ascontiguousarray(model.head_weights, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.head_bias, dtype="<f4").tobytes())
-
-
-def load_model(path: str | Path, dims: tuple[int, int, int]) -> AttributeModel:
-    """Read a SANE1 model that serves images of shape ``dims``; a header
-    promising other sides is refused before anything is allocated."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot open model file: {exc}") from exc
-    with fh:
-        magic = fh.read(5)
-        if magic != MODEL_MAGIC:
-            raise ParseError(f"{path}: bad magic, expected SANE1")
-        header = fh.read(32)
-        if len(header) != 32:
-            raise ParseError(f"{path}: truncated header")
-        seed, h, w, c, n_filters, grid, A = struct.unpack("<QIIIIII", header)
-        if min(h, w, c, n_filters, grid, A) < 1 or h % grid or w % grid:
-            raise ParseError(f"{path}: bad header: {h}x{w}x{c} image, {n_filters} filters, "
-                             f"grid {grid}, {A} attributes")
-        if (h, w, c) != tuple(dims):
-            raise ParseError(f"{path}: model is for {h}x{w}x{c} images, not {'x'.join(map(str, dims))}")
-        size, expected = os.fstat(fh.fileno()).st_size, fh.tell() + 4 * A * (n_filters + 1)
-        if size != expected:
-            raise ParseError(f"{path}: {size} bytes, but its header promises {expected}")
-        w_bytes = fh.read(A * n_filters * 4)
-        b_bytes = fh.read(A * 4)
-    head_w = np.frombuffer(w_bytes, dtype="<f4").reshape(A, n_filters)
-    head_b = np.frombuffer(b_bytes, dtype="<f4")
-    if not (np.all(np.isfinite(head_w)) and np.all(np.isfinite(head_b))):
-        raise InvalidDataError(f"{path}: head weights are not all finite")
-    extractor = FeatureExtractor((h, w, c), n_filters=n_filters, grid=grid, seed=seed)
-    return AttributeModel(extractor, head_w, head_b)

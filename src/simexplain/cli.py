@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attrmodel import AttributeModel, TrainConfig, load_model, save_model, train
+from .attrmodel import AttributeModel, TrainConfig, train
 from .core import Dataset, Method, Pair, SaliencyMap
-from .dataio import dump_json, load_dataset, load_saliency, save_dataset, save_saliency, write_pgm
+from .dataio import (dump_json, load_dataset, load_model, load_saliency, save_dataset, save_model, save_saliency,
+                     write_pgm)
 from .discovery import DiscoveryConfig, discover, removal_eval_discovered
 from .errors import (
     ConvergenceError,
@@ -245,8 +246,8 @@ def _maps(scorer: Scorer, dataset: Dataset, pairs: list[Pair], cfg: SaliencyConf
 # ---------------------------------------------------------------------------
 
 
-def make_scorer(name: str, dataset: Dataset | None, seed: int, external_cmd: str | None = None,
-                embed_dim: int = 16) -> Scorer:
+def make_scorer(name: str, dataset: Dataset | None, seed: int, external_cmd: str | None = None) -> Scorer:
+    """The scorer ``--scorer`` names, with 16-dimensional embeddings (24 for motif)."""
     if name == "external":
         if not external_cmd:
             raise ParseError("--scorer external requires --external-cmd")
@@ -255,28 +256,19 @@ def make_scorer(name: str, dataset: Dataset | None, seed: int, external_cmd: str
         raise ParseError(f"scorer {name!r} needs a dataset")
     dims = dataset.dims
     if name == "triplet":
-        return TripletToyScorer.train_on(dataset, embed_dim=embed_dim, seed=seed)
+        return TripletToyScorer.train_on(dataset, seed=seed)
     if name == "planted":
-        return planted_scorer_for(dataset, embed_dim=embed_dim, seed=seed)
+        return planted_scorer_for(dataset, seed=seed)
     if name == "motif":
-        return motif_scorer_for(dataset, embed_dim=max(embed_dim, 24), seed=seed)
+        return motif_scorer_for(dataset, seed=seed)
     if name == "random":
-        return LinearToyScorer.random(dims, embed_dim=embed_dim, seed=seed)
+        return LinearToyScorer.random(dims, seed=seed)
     raise ParseError(f"unknown scorer {name!r}")
-
-
-def _add_scorer_args(p: argparse.ArgumentParser, default: str = "triplet") -> None:
-    p.add_argument("--scorer", default=default,
-                   choices=["triplet", "planted", "motif", "random", "external"],
-                   help="similarity model under explanation")
-    p.add_argument("--scorer-seed", type=int, default=None,
-                   help="seed for scorer construction (defaults to --seed)")
-    p.add_argument("--external-cmd", default=None, help="command line of an external scorer process")
 
 
 def _resolve_scorer(args, dataset: Dataset | None) -> Scorer:
     seed = args.scorer_seed if args.scorer_seed is not None else args.seed
-    return make_scorer(args.scorer, dataset, seed, getattr(args, "external_cmd", None))
+    return make_scorer(args.scorer, dataset, seed, args.external_cmd)
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +578,9 @@ def cmd_discover(args) -> dict:
     return {"out": str(out), "removal": payload["removal"]}
 
 
-def _write_montage(path: Path, dataset: Dataset, assignment, per_cluster: int = 6) -> None:
-    """Rows of example patches per cluster, as one grayscale sheet."""
-    patch_size = 28
+def _write_montage(path: Path, dataset: Dataset, assignment) -> None:
+    """Rows of six example patches per cluster, as one grayscale sheet."""
+    patch_size, per_cluster = 28, 6
     rows = []
     for k in range(assignment.n_clusters):
         records = [p for p in assignment.patches if p.cluster == k][:per_cluster]
@@ -684,123 +676,86 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"simexplain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scorer_default="triplet", with_scorer=True):
+    def command(name, func, help, files=("out",), scorer="triplet", method=False):
+        """A subcommand with the common flags, the scorer flags (``scorer``
+        is their default scorer; None for no scorer), the required file
+        flags ``files`` and, if ``method``, ``--method``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="JSON run-config file")
         p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
         p.add_argument("--json", action="store_true", help="print a machine-readable result line")
         p.add_argument("--verbose", action="store_true")
-        if with_scorer:
-            _add_scorer_args(p, scorer_default)
+        if scorer:
+            p.add_argument("--scorer", default=scorer, choices=["triplet", "planted", "motif", "random", "external"],
+                           help="similarity model under explanation")
+            p.add_argument("--scorer-seed", type=int, default=None,
+                           help="seed for scorer construction (defaults to --seed)")
+            p.add_argument("--external-cmd", default=None, help="command line of an external scorer process")
+        for flag in files:
+            p.add_argument(f"--{flag}", required=True)
+        if method:
+            p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic motif dataset")
-    common(p, with_scorer=False)
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-images", type=int, default=None)
-    p.add_argument("--side", type=int, default=None)
-    p.add_argument("--attributes", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--max-attrs", type=int, default=None)
-    p.add_argument("--pairs-per-query", type=int, default=None)
-    p.set_defaults(func=cmd_synth)
+    p = command("synth", cmd_synth, "generate a synthetic motif dataset", scorer=None)
+    for flag, kind in (("--n-images", int), ("--side", int), ("--attributes", int), ("--noise", float),
+                       ("--max-attrs", int), ("--pairs-per-query", int)):
+        p.add_argument(flag, type=kind, default=None)
 
-    p = sub.add_parser("saliency", help="write saliency maps for pairs")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
+    p = command("saliency", cmd_saliency, "write saliency maps for pairs", ("dataset", "out"), method=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--fixed-ref", dest="fixed_reference", action="store_const", const=True, default=None)
     group.add_argument("--dual", dest="fixed_reference", action="store_const", const=False)
     p.add_argument("--pair", default=None, help="query_id:reference_id")
     p.add_argument("--split", default=None, choices=["train", "val", "test"])
     p.add_argument("--limit", type=_positive_int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_saliency)
 
-    p = sub.add_parser("train-attr", help="train the attribute model")
-    common(p, with_scorer=False)
-    p.add_argument("--dataset", required=True)
+    p = command("train-attr", cmd_train_attr, "train the attribute model", ("dataset", "out"), scorer=None)
     p.add_argument("--maps", default=None, help="saliency bank directory")
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_train_attr)
+    for flag, kind in (("--epochs", int), ("--lr", float), ("--lam", float), ("--k", int)):
+        p.add_argument(flag, type=kind, default=None)
 
-    p = sub.add_parser("prior", help="estimate the attribute prior on held-out pairs")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
+    p = command("prior", cmd_prior, "estimate the attribute prior on held-out pairs",
+                ("dataset", "model", "out"), method=True)
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_prior)
 
-    p = sub.add_parser("fit-phi", help="grid-search the explanation weights")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
+    p = command("fit-phi", cmd_fit_phi, "grid-search the explanation weights", ("dataset", "model", "out"),
+                method=True)
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
     p.add_argument("--grid-step", type=float, default=0.05)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_phi)
 
-    p = sub.add_parser("explain", help="explain one pair")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
+    p = command("explain", cmd_explain, "explain one pair", ("dataset", "model", "out"), method=True)
     p.add_argument("--pair", required=True, help="query_id:reference_id")
     p.add_argument("--phi", default=None, help="phi1,phi2,phi3")
     p.add_argument("--phi-file", default=None)
     p.add_argument("--prior", default=None, help="prior.json path")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("eval", help="run the metric suites")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
+    p = command("eval", cmd_eval, "run the metric suites", ("dataset", "model", "out"))
     p.add_argument("--suite", default="insertion,deletion,map,top1,removal")
     p.add_argument("--methods", default="rise,sliding_window")
     p.add_argument("--insertion-step", type=float, default=0.01)
     p.add_argument("--limit", type=_positive_int, default=None, help="cap on test pairs")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("discover", help="mine pseudo-attributes from salient patches")
-    common(p, scorer_default="motif")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
+    p = command("discover", cmd_discover, "mine pseudo-attributes from salient patches", ("dataset", "out"),
+                scorer="motif", method=True)
     p.add_argument("--k", type=int, default=None, help="k-NN neighbors per query")
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--top-n", type=int, default=None)
-    p.add_argument("--patch", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_discover)
+    for flag in ("--clusters", "--top-n", "--patch"):
+        p.add_argument(flag, type=int, default=None)
 
-    p = sub.add_parser("serve-stub", help="serve the reference external scorer")
-    common(p, with_scorer=False)
+    p = command("serve-stub", cmd_serve_stub, "serve the reference external scorer", (), scorer=None)
     p.add_argument("--dims", type=_dims, default="56,56,3")
     p.add_argument("--embed-dim", type=_positive_int, default=16)
     p.add_argument("--max-batch", type=_positive_int, default=64)
     p.add_argument("--tcp-port", type=_port, default=None)
     p.add_argument("--no-embed", action="store_true")
-    p.set_defaults(func=cmd_serve_stub)
 
-    p = sub.add_parser("pipeline", help="synth through eval, end to end")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-images", type=int, default=None)
-    p.add_argument("--attributes", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--rise-masks", type=int, default=None)
+    p = command("pipeline", cmd_pipeline, "synth through eval, end to end")
+    for flag in ("--n-images", "--attributes", "--epochs", "--rise-masks"):
+        p.add_argument(flag, type=int, default=None)
     p.add_argument("--methods", default="rise,sliding_window")
     p.add_argument("--limit", type=_positive_int, default=None)
-    p.set_defaults(func=cmd_pipeline)
-
     return parser
 
 

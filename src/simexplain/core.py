@@ -229,10 +229,7 @@ class Dataset:
         return self.images[0][1].shape
 
     def image(self, image_id: str) -> ImageTensor:
-        try:
-            return self.images[self._index[image_id]][1]
-        except KeyError:
-            raise IntegrityError(f"unknown image id: {image_id}") from None
+        return self.images[self.row(image_id)][1]
 
     def row(self, image_id: str) -> int:
         try:
@@ -311,19 +308,25 @@ def _axis_positions(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.n
     """Aligned-corner sample positions: index pairs and fractional weights."""
     if n_in == 1 or n_out == 1:
         lo = np.zeros(n_out, dtype=np.intp)
-        return lo, np.minimum(lo + 0, n_in - 1), np.zeros(n_out)
+        return lo, lo, np.zeros(n_out)
     pos = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
     lo = np.minimum(pos.astype(np.intp), n_in - 2)
     frac = pos - lo
     return lo, lo + 1, frac
 
 
-def resize_bilinear(grid: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
-    """Aligned-corner bilinear resample.
+def _check_out_dims(out_rows: int, out_cols: int) -> None:
+    if out_rows < 1 or out_cols < 1:
+        raise InvalidArgumentError(f"output dims must be >= 1, got ({out_rows}, {out_cols})")
+
+
+def resize_bilinear(grid: np.ndarray | SaliencyMap, out_rows: int, out_cols: int) -> np.ndarray:
+    """Aligned-corner bilinear resample to (out_rows, out_cols).
 
     Computed as v0 + f*(v1 - v0) so constant grids are reproduced exactly
     and aligned samples (fraction 0) copy input values bit-for-bit.
     """
+    _check_out_dims(out_rows, out_cols)
     g = _as_grid(grid)
     r0, r1, fr = _axis_positions(g.shape[0], out_rows)
     c0, c1, fc = _axis_positions(g.shape[1], out_cols)
@@ -343,8 +346,10 @@ def _pool_ranges(n_in: int, n_out: int) -> list[tuple[int, int]]:
     return [(int(bounds[i]), max(int(bounds[i + 1]), int(bounds[i]) + 1)) for i in range(n_out)]
 
 
-def resize_average_pool(grid: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
-    """Partition input cells into near-equal rectangles and average each."""
+def resize_average_pool(grid: np.ndarray | SaliencyMap, out_rows: int, out_cols: int) -> np.ndarray:
+    """Partition input cells into near-equal rectangles and average each:
+    the canonical downsample for map matching."""
+    _check_out_dims(out_rows, out_cols)
     g = _as_grid(grid)
     row_ranges = _pool_ranges(g.shape[0], out_rows)
     col_ranges = _pool_ranges(g.shape[1], out_cols)
@@ -354,27 +359,6 @@ def resize_average_pool(grid: np.ndarray, out_rows: int, out_cols: int) -> np.nd
         for j, (c0, c1) in enumerate(col_ranges):
             out[i, j] = band[:, c0:c1].mean()
     return out
-
-
-def resize_map(
-    grid: np.ndarray | SaliencyMap,
-    out_rows: int,
-    out_cols: int,
-    mode: str = "bilinear",
-) -> np.ndarray:
-    """Resample a 2-D grid to (out_rows, out_cols).
-
-    mode "bilinear" uses aligned-corner interpolation; "average_pool"
-    averages near-equal rectangular blocks (the canonical downsample for
-    map matching).
-    """
-    if out_rows < 1 or out_cols < 1:
-        raise InvalidArgumentError(f"output dims must be >= 1, got ({out_rows}, {out_cols})")
-    if mode == "bilinear":
-        return resize_bilinear(grid, out_rows, out_cols)
-    if mode == "average_pool":
-        return resize_average_pool(grid, out_rows, out_cols)
-    raise InvalidArgumentError(f"unknown resize mode {mode!r}")
 
 
 def normalize_map(grid: np.ndarray | SaliencyMap) -> np.ndarray:
@@ -396,7 +380,7 @@ def normalize_map(grid: np.ndarray | SaliencyMap) -> np.ndarray:
 
 def to_match_resolution(grid: np.ndarray | SaliencyMap, grid_size: int = MATCH_RESOLUTION) -> np.ndarray:
     """Pool any grid to the canonical comparison resolution and normalize."""
-    return normalize_map(resize_map(grid, grid_size, grid_size, mode="average_pool"))
+    return normalize_map(resize_average_pool(grid, grid_size, grid_size))
 
 
 def trapezoid_auc(fractions: np.ndarray, scores: np.ndarray) -> float:

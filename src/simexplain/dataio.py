@@ -1,4 +1,5 @@
-"""On-disk formats: GRID1 tensors, SMAP1 saliency maps, dataset manifests.
+"""On-disk formats: GRID1 tensors, SMAP1 saliency maps, SANE1 attribute
+models, dataset manifests.
 
 All binary payloads are little-endian 32-bit floats so files round-trip
 bit-exactly across platforms and implementations.
@@ -6,6 +7,9 @@ bit-exactly across platforms and implementations.
     GRID1: magic "GRID1" | u32 rows | u32 cols | u32 channels | f32 data
     SMAP1: magic "SMAP1" | u32 rows | u32 cols | u8 method
            | u8 fixed_reference | u8 normalized | f32 data
+    SANE1: magic "SANE1" | u64 extractor seed | u32 height | u32 width
+           | u32 channels | u32 n_filters | u32 grid | u32 attributes
+           | f32 head weights (attributes x n_filters) | f32 head bias
     manifest: UTF-8 JSON tree naming the catalog, image files, the label
            matrix file, and the pair list file
     labels: text, one comma-separated 0/1 row per image, manifest order
@@ -21,11 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .attrmodel import AttributeModel, FeatureExtractor
 from .core import SPLITS, AttributeCatalog, Dataset, ImageTensor, Method, Pair, SaliencyMap
-from .errors import IntegrityError, InvalidArgumentError, ParseError
+from .errors import IntegrityError, InvalidArgumentError, InvalidDataError, ParseError
 
 GRID_MAGIC = b"GRID1"
 SMAP_MAGIC = b"SMAP1"
+MODEL_MAGIC = b"SANE1"
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -70,14 +76,6 @@ def load_grid(path: str | Path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(rows, cols, ch).copy()
 
 
-def save_image(path: str | Path, image: ImageTensor) -> None:
-    save_grid(path, image.data)
-
-
-def load_image(path: str | Path) -> ImageTensor:
-    return ImageTensor(load_grid(path))
-
-
 def save_saliency(path: str | Path, smap: SaliencyMap) -> None:
     arr = np.asarray(smap.data, dtype="<f4")
     with open(path, "wb") as fh:
@@ -104,6 +102,40 @@ def load_saliency(path: str | Path) -> SaliencyMap:
         payload = _read_payload(fh, rows * cols, path)
     data = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
     return SaliencyMap(data, method=method, fixed_reference=bool(fixed_b), normalized=bool(norm_b))
+
+
+def save_model(path: str | Path, model: AttributeModel) -> None:
+    ex = model.extractor
+    h, w, c = ex.dims
+    with open(path, "wb") as fh:
+        fh.write(MODEL_MAGIC)
+        fh.write(struct.pack("<QIIIIII", ex.seed, h, w, c, ex.n_filters, ex.grid, model.n_attributes))
+        fh.write(np.ascontiguousarray(model.head_weights, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(model.head_bias, dtype="<f4").tobytes())
+
+
+def load_model(path: str | Path, dims: tuple[int, int, int]) -> AttributeModel:
+    """Read a SANE1 model that serves images of shape ``dims``; a header
+    promising other sides is refused before anything is allocated."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot open model file: {exc}") from exc
+    with fh:
+        if _read_exact(fh, 5, "magic") != MODEL_MAGIC:
+            raise ParseError(f"{path}: bad magic, expected SANE1")
+        seed, h, w, c, n_filters, grid, A = struct.unpack("<QIIIIII", _read_exact(fh, 32, "header"))
+        if min(h, w, c, n_filters, grid, A) < 1 or h % grid or w % grid:
+            raise ParseError(f"{path}: bad header: {h}x{w}x{c} image, {n_filters} filters, "
+                             f"grid {grid}, {A} attributes")
+        if (h, w, c) != tuple(dims):
+            raise ParseError(f"{path}: model is for {h}x{w}x{c} images, not {'x'.join(map(str, dims))}")
+        head = np.frombuffer(_read_payload(fh, A * (n_filters + 1), path), dtype="<f4")
+    head_w, head_b = head[:A * n_filters].reshape(A, n_filters), head[A * n_filters:]
+    if not np.all(np.isfinite(head)):
+        raise InvalidDataError(f"{path}: head weights are not all finite")
+    extractor = FeatureExtractor((h, w, c), n_filters=n_filters, grid=grid, seed=seed)
+    return AttributeModel(extractor, head_w, head_b)
 
 
 def write_pgm(path: str | Path, grid: np.ndarray) -> None:
@@ -178,7 +210,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         img_path = base / entry["path"]
         if not img_path.is_file():
             raise IntegrityError(f"{manifest_path}: image file missing for id {entry['id']}: {img_path}")
-        images.append((entry["id"], load_image(img_path)))
+        images.append((entry["id"], ImageTensor(load_grid(img_path))))
 
     labels_path = base / _field(tree, "labels", manifest_path)
     labels = _load_label_matrix(labels_path, n_rows=len(images), n_cols=len(catalog))
@@ -252,7 +284,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     entries = []
     for img_id, img in dataset.images:
         rel = f"images/{img_id}.grid"
-        save_image(out / rel, img)
+        save_grid(out / rel, img.data)
         entries.append({"id": img_id, "path": rel})
 
     label_lines = [",".join(str(int(v)) for v in row) for row in dataset.labels]

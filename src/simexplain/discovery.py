@@ -15,11 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, _as_grid, make_rng, pool_boundaries, resize_map
+from .core import Dataset, _as_grid, make_rng, pool_boundaries, resize_bilinear
 from .errors import InvalidArgumentError
-from .metrics import RemovalResult, removal_delta_core
+from .metrics import RemovalResult, attribute_removal_delta
 from .saliency import SaliencyConfig, generate
-from .scorers import Scorer, cosine
+from .scorers import NORM_EPS, Scorer, cosine
 
 _STREAM_KMEANS = 31
 _STREAM_RANDOM_ASSIGN = 32
@@ -73,13 +73,14 @@ def peak_bin(smap, grid: int) -> int:
     return cell_r * grid + cell_c
 
 
-def kmeans(
-    points: np.ndarray,
-    n_clusters: int,
-    seed: int,
-    max_iters: int = 50,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Seeded Lloyd iterations with empty-cluster reseeding.
+def _modal(values) -> int | None:
+    """The most common of ``values``, ties to the smallest; None if empty."""
+    counts = Counter(values)
+    return min(counts, key=lambda v: (-counts[v], v)) if counts else None
+
+
+def kmeans(points: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Seeded Lloyd iterations (at most 50) with empty-cluster reseeding.
 
     An empty cluster is re-centered on the point farthest from its
     current centroid. Returns (labels, centroids, objective trace); the
@@ -95,7 +96,7 @@ def kmeans(
     centroids = pts[rng.choice(n, size=n_clusters, replace=False)].copy()
     labels = np.zeros(n, dtype=np.intp)
     trace: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(50):
         dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = dists.argmin(axis=1)
         trace.append(float(dists[np.arange(n), labels].sum()))
@@ -121,7 +122,7 @@ def _upsampled_patch_embedding(scorer: Scorer, image: np.ndarray, center: tuple[
     left = min(max(center[1] - patch // 2, 0), w - patch)
     crop = image[top:top + patch, left:left + patch, :]
     upsampled = np.stack(
-        [resize_map(crop[:, :, c], h, w, mode="bilinear") for c in range(crop.shape[2])], axis=2
+        [resize_bilinear(crop[:, :, c], h, w) for c in range(crop.shape[2])], axis=2
     )
     emb = scorer.embed(np.clip(upsampled, 0.0, 1.0)).data
     norm = np.linalg.norm(emb)
@@ -145,7 +146,7 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig) -> ClusterA
         the reference-side map of a mutual neighbour, so each is made once."""
         if (ri, qi) not in peaks:
             smap = generate(scorer, dataset.image(ids[ri]), dataset.image(ids[qi]), cfg.saliency)
-            up = resize_map(smap.data, h, w, mode="bilinear")
+            up = resize_bilinear(smap.data, h, w)
             peaks[ri, qi] = peak_bin(smap, cfg.peak_grid), divmod(int(np.argmax(up)), w)
         return peaks[ri, qi]
 
@@ -158,10 +159,7 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig) -> ClusterA
         ])
         neighbor_idx = [int(ri) for ri in np.argsort(-sims, kind="stable")[: cfg.k_nn]]
         bins = [peaks_of(ri, qi)[0] for ri in neighbor_idx]
-        counts = Counter(bins)
-        # the most common bin; ties go to the smallest
-        modal_bin = min(counts, key=lambda b: (-counts[b], b))
-
+        modal_bin = _modal(bins)
         kept = [ri for ri, b in zip(neighbor_idx, bins) if b == modal_bin][: cfg.top_n]
         for ri in kept:
             ref_id = ids[ri]
@@ -202,14 +200,6 @@ def _cluster_label_matrix(dataset: Dataset, labels_by_image: dict[str, Sequence[
     return mat
 
 
-def _modal_cluster(assignment: ClusterAssignment, image_id: str) -> int | None:
-    counts = Counter(rec.cluster for rec in assignment.patches if rec.source_image_id == image_id)
-    if not counts:
-        return None
-    top = max(counts.values())
-    return min(k for k, v in counts.items() if v == top)
-
-
 def removal_eval_discovered(
     assignment: ClusterAssignment,
     scorer: Scorer,
@@ -225,34 +215,24 @@ def removal_eval_discovered(
     absent ones.
     """
     n_clusters = assignment.n_clusters
-
-    def run(explained: list[int | None], label_matrix: np.ndarray, corpus: list[str]) -> RemovalResult:
-        used_pairs = [p for p, a in zip(pairs, explained) if a is not None]
-        used_attrs = [a for a in explained if a is not None]
-        if not used_pairs:
-            return RemovalResult(mean_delta=0.0, n_used=0, n_skipped=len(list(pairs)))
-        result = removal_delta_core(scorer, dataset, used_pairs, used_attrs, label_matrix, corpus)
-        extra = len(list(pairs)) - len(used_pairs)
-        return RemovalResult(result.mean_delta, result.n_used, result.n_skipped + extra)
-
     all_ids = [img_id for img_id, _ in dataset.images]
-    patch_matrix = _cluster_label_matrix(dataset, assignment.labels_by_image, n_clusters)
-    patch_attrs = [_modal_cluster(assignment, p.query_id) for p in pairs]
-    patch_corpus = [i for i in all_ids if i in assignment.labels_by_image]
-    patch_result = run(patch_attrs, patch_matrix, patch_corpus)
+    patch_labels = assignment.labels_by_image
+    patch_attrs = [_modal(rec.cluster for rec in assignment.patches if rec.source_image_id == p.query_id)
+                   for p in pairs]
 
     rng = make_rng(seed, _STREAM_RANDOM_ASSIGN)
-    random_labels = {img_id: (int(rng.integers(n_clusters)),) for img_id, _ in dataset.images}
-    random_matrix = _cluster_label_matrix(dataset, random_labels, n_clusters)
-    random_attrs = [random_labels[p.query_id][0] for p in pairs]
-    random_result = run(random_attrs, random_matrix, all_ids)
+    random_labels = {img_id: (int(rng.integers(n_clusters)),) for img_id in all_ids}
 
     embeddings = np.stack([scorer.embed(img).data for _, img in dataset.images])
-    norms = np.maximum(np.linalg.norm(embeddings, axis=1, keepdims=True), 1e-12)
+    norms = np.maximum(np.linalg.norm(embeddings, axis=1, keepdims=True), NORM_EPS)
     frame_labels_arr, _, _ = kmeans(embeddings / norms, n_clusters, seed)
-    frame_labels = {img_id: (int(frame_labels_arr[k]),) for k, (img_id, _) in enumerate(dataset.images)}
-    frame_matrix = _cluster_label_matrix(dataset, frame_labels, n_clusters)
-    frame_attrs = [frame_labels[p.query_id][0] for p in pairs]
-    frame_result = run(frame_attrs, frame_matrix, all_ids)
+    frame_labels = {img_id: (int(frame_labels_arr[k]),) for k, img_id in enumerate(all_ids)}
 
-    return {"patch": patch_result, "random": random_result, "full_frame": frame_result}
+    variants = {
+        "patch": (patch_labels, patch_attrs, [i for i in all_ids if i in patch_labels]),
+        "random": (random_labels, [random_labels[p.query_id][0] for p in pairs], all_ids),
+        "full_frame": (frame_labels, [frame_labels[p.query_id][0] for p in pairs], all_ids),
+    }
+    return {name: attribute_removal_delta(scorer, dataset, pairs, attrs, corpus,
+                                          labels=_cluster_label_matrix(dataset, labels, n_clusters))
+            for name, (labels, attrs, corpus) in variants.items()}

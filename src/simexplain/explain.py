@@ -230,13 +230,9 @@ def _accuracy_for_phi(features: Sequence[PairFeatures], prior: Prior, phi: PhiWe
     return hits / used if used else 0.0
 
 
-def fit_phi(
-    features: Sequence[PairFeatures],
-    prior: Prior,
-    grid_step: float = 0.05,
-    phi3_values: Sequence[float] = (0.0, 0.05, 0.1),
-) -> PhiWeights:
-    """Exhaustive grid search maximizing top-1 accuracy on held-out pairs.
+def fit_phi(features: Sequence[PairFeatures], prior: Prior, grid_step: float = 0.05) -> PhiWeights:
+    """Exhaustive grid search maximizing top-1 accuracy on held-out pairs:
+    phi1 and phi2 on a ``grid_step`` grid over [0, 1], phi3 in {0, 0.05, 0.1}.
 
     Ties prefer a larger map-matching weight, then a smaller confidence
     weight, then a smaller prior weight, evaluated in a fixed grid order.
@@ -250,7 +246,7 @@ def fit_phi(
     best_phi = None
     for p1 in axis:
         for p2 in axis:
-            for p3 in phi3_values:
+            for p3 in (0.0, 0.05, 0.1):
                 if p1 == 0.0 and p2 == 0.0 and p3 == 0.0:
                     continue
                 phi = PhiWeights(float(p1), float(p2), float(p3))

@@ -288,14 +288,19 @@ def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) 
         return _error_line(req_id, "internal", str(exc))
 
 
-def serve_stdio(scorer: Scorer, max_batch: int = 64) -> None:
-    """Serve one connection over stdin/stdout until EOF."""
+def _serve(rx, tx, scorer: Scorer, max_batch: int) -> None:
+    """Answer each request line of one connection until EOF."""
     last_id = [0]
-    for line in sys.stdin:
+    for line in rx:
         if not line.strip():
             continue
-        sys.stdout.write(_handle_line(line, scorer, max_batch, last_id) + "\n")
-        sys.stdout.flush()
+        tx.write(_handle_line(line, scorer, max_batch, last_id) + "\n")
+        tx.flush()
+
+
+def serve_stdio(scorer: Scorer, max_batch: int = 64) -> None:
+    """Serve one connection over stdin/stdout until EOF."""
+    _serve(sys.stdin, sys.stdout, scorer, max_batch)
 
 
 class TcpServer:
@@ -311,13 +316,8 @@ class TcpServer:
         self._thread: threading.Thread | None = None
 
     def _handle(self, conn: socket.socket) -> None:
-        last_id = [0]
         with conn, conn.makefile("r", encoding="utf-8") as rx, conn.makefile("w", encoding="utf-8") as tx:
-            for line in rx:
-                if not line.strip():
-                    continue
-                tx.write(_handle_line(line, self._scorer, self._max_batch, last_id) + "\n")
-                tx.flush()
+            _serve(rx, tx, self._scorer, self._max_batch)
 
     def serve_forever(self) -> None:
         try:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Curve, Dataset, Pair, _as_grid, _as_image, resize_map, trapezoid_auc
+from .core import Curve, Dataset, Pair, _as_grid, _as_image, resize_bilinear, trapezoid_auc
 from .errors import InvalidArgumentError
 from .saliency import score_masked
 from .scorers import Scorer, cosine
@@ -26,7 +26,7 @@ def _pixel_order(smap, height: int, width: int) -> np.ndarray:
     """Pixel indices by saliency descending; raster order breaks ties."""
     grid = _as_grid(smap)
     if grid.shape != (height, width):
-        grid = resize_map(grid, height, width, mode="bilinear")
+        grid = resize_bilinear(grid, height, width)
     return np.argsort(-grid.ravel(), kind="stable")
 
 
@@ -155,37 +155,40 @@ class RemovalResult:
     n_skipped: int
 
 
-def removal_delta_core(
+def attribute_removal_delta(
     scorer: Scorer,
     dataset: Dataset,
     pairs: Sequence[Pair],
-    explained_attrs: Sequence[int],
-    attr_labels: np.ndarray,
+    explained_attrs: Sequence[int | None],
     corpus_ids: Sequence[str],
+    labels: np.ndarray | None = None,
 ) -> RemovalResult:
     """Similarity drop when the explained attribute is "removed".
 
     For each pair, retrieve the corpus image most similar to the query
     (scorer embeddings, cosine) among images lacking the explained
-    attribute in ``attr_labels``, and report mean(s(ref, query) - s(ref,
-    retrieved)) x100. Pairs with no eligible corpus image are skipped.
+    attribute in ``labels`` (the dataset's ground truth by default), and
+    report mean(s(ref, query) - s(ref, retrieved)) x100. A pair without an
+    explained attribute (None) or without an eligible corpus image is
+    skipped.
     """
     if len(explained_attrs) != len(pairs):
         raise InvalidArgumentError("need exactly one explained attribute per pair")
     if not scorer.caps.can_embed:
         raise InvalidArgumentError("attribute removal needs an embedding-capable scorer")
+    labels = dataset.labels if labels is None else labels
     corpus_ids = list(corpus_ids)
     embeddings = {i: scorer.embed(dataset.image(i)).data for i in corpus_ids}
 
     deltas = []
     skipped = 0
     for pair, attr in zip(pairs, explained_attrs):
-        query_emb = scorer.embed(dataset.image(pair.query_id)).data
-        candidates = [cid for cid in corpus_ids
-                      if cid != pair.query_id and not attr_labels[dataset.row(cid), attr]]
+        candidates = [] if attr is None else [
+            cid for cid in corpus_ids if cid != pair.query_id and not labels[dataset.row(cid), attr]]
         if not candidates:
             skipped += 1
             continue
+        query_emb = scorer.embed(dataset.image(pair.query_id)).data
         sims = [cosine(query_emb, embeddings[cid]) for cid in candidates]
         retrieved = candidates[int(np.argmax(sims))]
         ref_img = dataset.image(pair.reference_id)
@@ -193,22 +196,9 @@ def removal_delta_core(
         replaced = scorer.score(ref_img, dataset.image(retrieved))
         deltas.append(original - replaced)
     if skipped:
-        log.warning("attribute removal skipped %d pair(s) with no eligible corpus image", skipped)
+        log.warning("attribute removal skipped %d pair(s) with no attribute or no eligible corpus image", skipped)
     mean = 100.0 * float(np.mean(deltas)) if deltas else 0.0
     return RemovalResult(mean_delta=mean, n_used=len(deltas), n_skipped=skipped)
-
-
-def attribute_removal_delta(
-    scorer: Scorer,
-    dataset: Dataset,
-    pairs: Sequence[Pair],
-    explained_attrs: Sequence[int],
-    corpus_ids: Sequence[str] | None = None,
-) -> RemovalResult:
-    """Ground-truth-label removal metric over a test corpus."""
-    if corpus_ids is None:
-        corpus_ids = dataset.image_ids_for_split("test")
-    return removal_delta_core(scorer, dataset, pairs, explained_attrs, dataset.labels, corpus_ids)
 
 
 # ---------------------------------------------------------------------------

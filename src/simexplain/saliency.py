@@ -20,7 +20,7 @@ Sliding window, RISE and LIME perturb an image the same way: they
 multiply it by (N, H, W) keep masks (boolean occlusions, upsampled random
 grids, superpixel selections), and ``score_masked`` scores the masked
 query stack; the insertion/deletion curves in ``metrics`` use it too.
-It builds the masked copies ``scorers._CHUNK`` masks at a time, and RISE
+It builds the masked copies ``_CHUNK`` masks at a time, and RISE
 upsamples its masks in the same blocks, so no (N, H, W, C) stack exists
 and memory beyond the (N, H, W) masks does not grow with N. With an
 embedding scorer (one with ``embed_batch_flat``) it embeds each block of
@@ -42,7 +42,12 @@ import numpy as np
 from .core import Method, SaliencyMap, _as_image, make_rng, normalize_map
 from .errors import InvalidArgumentError, OptimizationError, UnsupportedError
 from .optim import Adam, lasso_coordinate_descent
-from .scorers import _CHUNK, EmbeddedRows, Scorer, score_image_stack
+from .scorers import EmbeddedRows, Scorer, score_image_stack
+
+# Masks per block, in masked-stack scoring and RISE upsampling: 128 masked
+# 56x56x3 float64 images are 9.6 MB, and a multiple of the stub's
+# max_batch (64) keeps external round trips as few as one whole stack needs.
+_CHUNK = 128
 
 # rng stream tags so every randomness source is independent of the others
 _STREAM_QUERY_MASKS = 1
@@ -304,14 +309,14 @@ def grid_segments(height: int, width: int, n_segments: int) -> np.ndarray:
     return labels
 
 
-def slic_like_segments(image: np.ndarray, n_segments: int, iterations: int = 5,
-                       spatial_weight: float = 0.5) -> np.ndarray:
+def slic_like_segments(image: np.ndarray, n_segments: int) -> np.ndarray:
     """Lightweight SLIC-style segmentation in (color, xy) feature space.
 
     Deterministic: centers start on the grid segmentation and every pixel
-    is reassigned to its globally nearest center each round. Empty
-    segments keep their previous center.
+    is reassigned to its globally nearest center in each of five rounds.
+    Empty segments keep their previous center.
     """
+    spatial_weight = 0.5
     h, w, c = image.shape
     labels = grid_segments(h, w, n_segments)
     n = labels.max() + 1
@@ -322,8 +327,8 @@ def slic_like_segments(image: np.ndarray, n_segments: int, iterations: int = 5,
         axis=1,
     )
     flat = labels.ravel()
-    for _ in range(iterations):
-        centers = np.zeros((n, feats.shape[1]))
+    centers = np.zeros((n, feats.shape[1]))
+    for _ in range(5):
         for s in range(n):
             member = feats[flat == s]
             if member.size:
@@ -367,23 +372,17 @@ def _lime(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfi
 # Mask
 # ---------------------------------------------------------------------------
 
-_UPSAMPLE_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-
-
 def _upsample_matrix(grid: int, height: int, width: int) -> np.ndarray:
     """Bilinear upsample (grid x grid -> H x W) as an (H*W, grid*grid) matrix."""
-    key = (grid, height, width)
-    if key not in _UPSAMPLE_CACHE:
-        rows = _interp_matrix(grid, height)
-        cols = _interp_matrix(grid, width)
-        # up(m) = rows @ m @ cols.T  =>  U[(r, c), (i, j)] = rows[r, i] * cols[c, j]
-        U = np.einsum("ri,cj->rcij", rows, cols).reshape(height * width, grid * grid)
-        _UPSAMPLE_CACHE[key] = U
-    return _UPSAMPLE_CACHE[key]
+    rows = _interp_matrix(grid, height)
+    cols = _interp_matrix(grid, width)
+    # up(m) = rows @ m @ cols.T  =>  U[(r, c), (i, j)] = rows[r, i] * cols[c, j]
+    return np.einsum("ri,cj->rcij", rows, cols).reshape(height * width, grid * grid)
 
 
-def box_blur(img: np.ndarray, radius: int = 5) -> np.ndarray:
-    """Separable mean filter with clamped borders."""
+def box_blur(img: np.ndarray) -> np.ndarray:
+    """Separable 11-pixel mean filter with clamped borders."""
+    radius = 5
     out = img.astype(np.float64, copy=True)
     for axis in (0, 1):
         padded = np.concatenate(
@@ -510,8 +509,9 @@ class MaskObjective:
             grad_parts.append((dm * m * (1.0 - m)).ravel())
         return value, np.concatenate(grad_parts)
 
-    def _fd_score_grads(self, masks: list[np.ndarray], base_score: float, h_step: float = 1e-3):
-        """Forward differences of the score term directly on mask cells."""
+    def _fd_score_grads(self, masks: list[np.ndarray], base_score: float):
+        """Forward differences (step 1e-3) of the score term directly on mask cells."""
+        h_step = 1e-3
         grads = []
         for which, mask in enumerate(masks):
             grad = np.zeros_like(mask)

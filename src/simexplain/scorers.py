@@ -23,10 +23,6 @@ from .core import _as_image, make_rng
 from .errors import InvalidArgumentError, UnsupportedError
 
 NORM_EPS = 1e-12
-# Rows per block, here and in saliency's masked-stack scoring: 128 masked
-# 56x56x3 float64 images are 9.6 MB, and a multiple of the stub's
-# max_batch (64) keeps external round trips as few as one whole stack needs.
-_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -83,12 +79,12 @@ class Rect:
         return self.top <= row < self.top + self.height and self.left <= col < self.left + self.width
 
 
-def cosine(u: np.ndarray, v: np.ndarray, eps: float = NORM_EPS) -> float:
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity with epsilon-guarded norms (blank inputs give 0)."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
-    nu = max(float(np.sqrt(u @ u)), eps)
-    nv = max(float(np.sqrt(v @ v)), eps)
+    nu = max(float(np.sqrt(u @ u)), NORM_EPS)
+    nv = max(float(np.sqrt(v @ v)), NORM_EPS)
     return float(np.clip((u @ v) / (nu * nv), -1.0, 1.0))
 
 
@@ -152,60 +148,39 @@ class LinearEmbeddingScorer(Scorer):
     def embed_dim(self) -> int:
         return self.weight.shape[0]
 
-    def _embed_flat(self, flat_batch: np.ndarray) -> np.ndarray:
-        # optimize=False keeps the accumulation per row independent of the
-        # batch shape, which makes batch/single/chunked calls bit-identical.
-        return np.einsum("np,dp->nd", flat_batch, self.weight, optimize=False)
-
     def embed(self, image) -> Embedding:
-        flat = _as_image(image, self.dims).reshape(1, -1)
-        return Embedding(self._embed_flat(flat)[0])
-
-    def _ref_norm(self, ref_emb: np.ndarray) -> float:
-        # same einsum path as the per-query norms so score(a, b) and
-        # score(b, a) round identically
-        return max(float(np.sqrt(np.einsum("d,d->", ref_emb, ref_emb, optimize=False))), NORM_EPS)
+        return Embedding(self._embed_one(image).emb[0])
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
         flat = np.array([_as_image(q, self.dims) for q in queries], dtype=np.float64)
         return self.score_batch_flat(ref, flat.reshape(len(queries), self.weight.shape[1]))
 
-    def embed_batch_flat(self, flat_queries: np.ndarray) -> EmbeddedRows:
-        """Embed pre-flattened rows once, in _CHUNK-row blocks."""
-        n = flat_queries.shape[0]
-        emb = np.empty((n, self.embed_dim), dtype=np.float64)
-        norms = np.empty(n, dtype=np.float64)
-        for start in range(0, n, _CHUNK):
-            block = self._embed_flat(flat_queries[start:start + _CHUNK].astype(np.float64, copy=False))
-            emb[start:start + block.shape[0]] = block
-            norms[start:start + block.shape[0]] = np.maximum(
-                np.sqrt(np.einsum("nd,nd->n", block, block, optimize=False)), NORM_EPS)
-        return EmbeddedRows(emb, norms)
+    def embed_batch_flat(self, rows: np.ndarray) -> EmbeddedRows:
+        """Embed (N, H*W*C) pixel rows: the one place that computes
+        embeddings and their guarded norms."""
+        # optimize=False keeps the accumulation per row independent of the
+        # batch shape, which makes batch/single/chunked calls bit-identical.
+        emb = np.einsum("np,dp->nd", rows.astype(np.float64, copy=False), self.weight, optimize=False)
+        return EmbeddedRows(emb, np.maximum(np.sqrt(np.einsum("nd,nd->n", emb, emb, optimize=False)), NORM_EPS))
+
+    def _embed_one(self, image) -> EmbeddedRows:
+        return self.embed_batch_flat(_as_image(image, self.dims).reshape(1, -1))
 
     def score_batch_flat(self, ref, queries) -> np.ndarray:
         """score_batch over pre-flattened rows, or over rows that
-        embed_batch_flat already embedded; both give the same bits."""
+        embed_batch_flat already embedded; both give the same bits. The
+        reference goes through the same routine, so score(a, b) and
+        score(b, a) round identically."""
         if not isinstance(queries, EmbeddedRows):
             queries = self.embed_batch_flat(queries)
-        return self._cosines(self.embed(ref).data, queries)
-
-    def _cosines(self, ref_emb: np.ndarray, queries: EmbeddedRows) -> np.ndarray:
-        nu = self._ref_norm(ref_emb)
-        n = queries.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for start in range(0, n, _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            dots = np.einsum("nd,d->n", queries.emb[rows], ref_emb, optimize=False)
-            out[rows] = dots / (queries.norms[rows] * nu)
-        return np.clip(out, -1.0, 1.0)
+        return _cosines(self._embed_one(ref), queries)
 
     def score_and_grads(self, ref, query) -> tuple[float, np.ndarray, np.ndarray]:
         """score(ref, query), bit for bit, with its pixel gradients with
         respect to ref and query, each (H, W, C); each image is embedded once."""
-        rows = self.embed_batch_flat(_as_image(query, self.dims).reshape(1, -1))
-        ref_emb = self.embed(ref).data
-        score = float(self._cosines(ref_emb, rows)[0])
-        d_ref, d_query, _ = _cosine_grad_pair(ref_emb, rows.emb[0])
+        ref_rows, query_rows = self._embed_one(ref), self._embed_one(query)
+        d_ref, d_query, _ = _cosine_grad_pair(ref_rows.emb[0], query_rows.emb[0])
+        score = float(_cosines(ref_rows, query_rows)[0])
         return score, (d_ref @ self.weight).reshape(self.dims), (d_query @ self.weight).reshape(self.dims)
 
 
@@ -268,6 +243,12 @@ class ConstantScorer(Scorer):
 def score_image_stack(scorer: Scorer, ref, stack: np.ndarray) -> np.ndarray:
     """Score an (N, H, W, C) stack against one reference, order preserved."""
     return scorer.score_batch_flat(ref, np.asarray(stack).reshape(stack.shape[0], -1))
+
+
+def _cosines(ref: EmbeddedRows, queries: EmbeddedRows) -> np.ndarray:
+    """Cosine of each query row with the one reference row, clipped."""
+    dots = np.einsum("nd,d->n", queries.emb, ref.emb[0], optimize=False)
+    return np.clip(dots / (queries.norms * ref.norms[0]), -1.0, 1.0)
 
 
 def _cosine_grad_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

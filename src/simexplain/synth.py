@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -184,23 +183,16 @@ def slots_from_meta(dataset: Dataset) -> dict[int, Rect]:
     return out
 
 
-def planted_scorer_for(dataset: Dataset, embed_dim: int = 16, seed: int = 0,
-                       attribute: int | None = None) -> LinearToyScorer:
-    """Scorer keyed to one attribute's slot (default: the designated
-    similarity-relevant attribute)."""
+def planted_scorer_for(dataset: Dataset, embed_dim: int = 16, seed: int = 0) -> LinearToyScorer:
+    """Scorer keyed to the slot of the designated similarity-relevant attribute."""
     slots = slots_from_meta(dataset)
-    if attribute is None:
-        attribute = dataset.meta.get("similarity_attribute", 0)
-        if not _is_int(attribute) or attribute not in slots:
-            raise ParseError(f"meta.similarity_attribute {attribute!r} is not the index of a motif slot")
-    dims = dataset.dims
-    return LinearToyScorer.planted(dims, slots[attribute], embed_dim=embed_dim, seed=seed)
+    attribute = dataset.meta.get("similarity_attribute", 0)
+    if not _is_int(attribute) or attribute not in slots:
+        raise ParseError(f"meta.similarity_attribute {attribute!r} is not the index of a motif slot")
+    return LinearToyScorer.planted(dataset.dims, slots[attribute], embed_dim=embed_dim, seed=seed)
 
 
-def motif_scorer_for(dataset: Dataset, embed_dim: int = 24, seed: int = 0,
-                     attributes: Sequence[int] | None = None) -> LinearToyScorer:
-    """Scorer keyed to every motif slot (or a chosen subset)."""
+def motif_scorer_for(dataset: Dataset, embed_dim: int = 24, seed: int = 0) -> LinearToyScorer:
+    """Scorer keyed to every motif slot."""
     slots = slots_from_meta(dataset)
-    chosen = sorted(slots) if attributes is None else list(attributes)
-    dims = dataset.dims
-    return LinearToyScorer.planted(dims, [slots[a] for a in chosen], embed_dim=embed_dim, seed=seed)
+    return LinearToyScorer.planted(dataset.dims, [slots[a] for a in sorted(slots)], embed_dim=embed_dim, seed=seed)

@@ -12,13 +12,12 @@ from simexplain.attrmodel import (
     build_samples,
     heatmap_loss,
     huber_loss,
-    load_model,
     loss_and_grad,
-    save_model,
     scale_labels,
     softmax,
     train,
 )
+from simexplain.dataio import load_model, save_model
 from simexplain.errors import InvalidArgumentError
 
 DIMS = (14, 14, 2)

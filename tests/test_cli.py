@@ -14,9 +14,8 @@ import simexplain as se
 import simexplain.cli as cli
 import simexplain.discovery as se_discovery
 import simexplain.explain as se_explain
-from simexplain.attrmodel import load_model
 from simexplain.cli import build_config, build_parser, load_saliency_bank, main
-from simexplain.dataio import GRID_MAGIC, SMAP_MAGIC, load_dataset, load_saliency, save_grid
+from simexplain.dataio import GRID_MAGIC, SMAP_MAGIC, load_dataset, load_model, load_saliency, save_grid
 from simexplain.errors import IntegrityError, ParseError
 from simexplain.synth import motif_slots
 
@@ -601,3 +600,39 @@ class TestCliPlumbing:
         assert exc.value.code == 2
         expected = "port number from 0 to 65535" if flag == "--tcp-port" else "positive integer"
         assert expected in capsys.readouterr().err
+
+
+_COMMON = ["--seed", "--config", "--jobs", "--json", "--verbose"]
+_SCORER = ["--scorer", "--scorer-seed", "--external-cmd"]
+
+
+# Each subcommand's own flags beyond the common ones, whether it takes the
+# scorer flags, and which flags it requires.
+@pytest.mark.parametrize("command, scorer, flags, required", [
+    ("synth", False, ["--out", "--n-images", "--side", "--attributes", "--noise", "--max-attrs",
+                      "--pairs-per-query"], ["--out"]),
+    ("saliency", True, ["--dataset", "--out", "--method", "--fixed-ref", "--dual", "--pair", "--split",
+                        "--limit"], ["--dataset", "--out"]),
+    ("train-attr", False, ["--dataset", "--out", "--maps", "--epochs", "--lr", "--lam", "--k"],
+     ["--dataset", "--out"]),
+    ("prior", True, ["--dataset", "--model", "--out", "--method", "--split"], ["--dataset", "--model", "--out"]),
+    ("fit-phi", True, ["--dataset", "--model", "--out", "--method", "--split", "--grid-step"],
+     ["--dataset", "--model", "--out"]),
+    ("explain", True, ["--dataset", "--model", "--out", "--method", "--pair", "--phi", "--phi-file", "--prior"],
+     ["--dataset", "--model", "--out", "--pair"]),
+    ("eval", True, ["--dataset", "--model", "--out", "--suite", "--methods", "--insertion-step", "--limit"],
+     ["--dataset", "--model", "--out"]),
+    ("discover", True, ["--dataset", "--out", "--method", "--k", "--clusters", "--top-n", "--patch"],
+     ["--dataset", "--out"]),
+    ("serve-stub", False, ["--dims", "--embed-dim", "--max-batch", "--tcp-port", "--no-embed"], []),
+    ("pipeline", True, ["--out", "--n-images", "--attributes", "--epochs", "--rise-masks", "--methods",
+                        "--limit"], ["--out"]),
+])
+def test_cli_surface(command, scorer, flags, required):
+    """Every subcommand takes exactly its flags and requires exactly its
+    required ones, however the parser declares them."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+    assert sorted(o for a in actions for o in a.option_strings) == sorted(
+        _COMMON + (_SCORER if scorer else []) + flags)
+    assert sorted(o for a in actions if a.required for o in a.option_strings) == sorted(required)

@@ -66,7 +66,7 @@ class TestSaliencyMapType:
 class TestResize:
     def test_bilinear_ramp_2x4(self):
         grid = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = se.resize_map(grid, 2, 4, mode="bilinear")
+        out = se.resize_bilinear(grid, 2, 4)
         expected = np.array([0.0, 1 / 3, 2 / 3, 1.0])
         np.testing.assert_allclose(out[0], expected, atol=1e-15)
         np.testing.assert_allclose(out[1], expected, atol=1e-15)
@@ -74,34 +74,31 @@ class TestResize:
 
     def test_bilinear_reproduces_aligned_samples(self, rng):
         grid = rng.random((3, 5))
-        out = se.resize_map(grid, 5, 9, mode="bilinear")
+        out = se.resize_bilinear(grid, 5, 9)
         # output positions 0, 2, 4 map exactly onto input rows 0, 1, 2
         np.testing.assert_array_equal(out[::2][:, ::2], grid)
 
     def test_average_pool_hand_sum(self):
         grid = np.arange(16, dtype=np.float64).reshape(4, 4)
-        out = se.resize_map(grid, 2, 2, mode="average_pool")
+        out = se.resize_average_pool(grid, 2, 2)
         assert out[0, 0] == (0 + 1 + 4 + 5) / 4
         assert out[0, 1] == (2 + 3 + 6 + 7) / 4
         assert out[1, 0] == (8 + 9 + 12 + 13) / 4
         assert out[1, 1] == (10 + 11 + 14 + 15) / 4
 
     def test_zero_output_dims_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            se.resize_map(np.ones((2, 2)), 0, 3)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            se.resize_map(np.ones((2, 2)), 2, 2, mode="nearest")
+        for resize in (se.resize_bilinear, se.resize_average_pool):
+            with pytest.raises(InvalidArgumentError):
+                resize(np.ones((2, 2)), 0, 3)
 
     @given(st.floats(-10, 10, allow_nan=False), st.integers(1, 5), st.integers(1, 5),
            st.integers(1, 9), st.integers(1, 9))
     @settings(max_examples=40, deadline=None)
     def test_constant_preserved_exactly(self, value, r, c, out_r, out_c):
         grid = np.full((r, c), value)
-        up = se.resize_map(grid, out_r, out_c, mode="bilinear")
+        up = se.resize_bilinear(grid, out_r, out_c)
         assert np.all(up == value)
-        back = se.resize_map(up, r, c, mode="bilinear")
+        back = se.resize_bilinear(up, r, c)
         assert np.all(back == value)
 
     def test_pool_boundaries_partition_when_downsampling(self):

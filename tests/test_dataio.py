@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import simexplain as se
 from simexplain import dataio
-from simexplain.attrmodel import FeatureExtractor, AttributeModel, load_model, save_model
+from simexplain.attrmodel import FeatureExtractor, AttributeModel
+from simexplain.dataio import load_model, save_model
 from simexplain.errors import IntegrityError, InvalidArgumentError, InvalidDataError, ParseError
 
 

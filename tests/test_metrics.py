@@ -17,7 +17,6 @@ from simexplain.metrics import (
     map_metric,
     mean_and_stderr,
     mean_average_precision,
-    removal_delta_core,
     top1_accuracy_from_attrs,
 )
 from simexplain.scorers import Scorer, score_image_stack
@@ -247,9 +246,18 @@ class TestRemoval:
         ds, scorer = setup
         pairs = ds.pairs_for_split("test")[:2]
         labels = np.ones((ds.n_images, ds.n_attributes), dtype=np.int8)
-        res = removal_delta_core(scorer, ds, pairs, [0, 0], labels,
-                                 [i for i, _ in ds.images])
+        res = attribute_removal_delta(scorer, ds, pairs, [0, 0], [i for i, _ in ds.images], labels=labels)
         assert res.n_skipped == 2 and res.n_used == 0
+
+    def test_pair_without_attribute_is_skipped(self, setup):
+        ds, scorer = setup
+        pairs = ds.pairs_for_split("test")[:3]
+        attrs = [int(ds.gt_attributes(p.query_id)[0]) for p in pairs[1:]]
+        corpus = [i for i, _ in ds.images]
+        with_none = attribute_removal_delta(scorer, ds, pairs, [None, *attrs], corpus)
+        without = attribute_removal_delta(scorer, ds, pairs[1:], attrs, corpus)
+        assert with_none == RemovalResult(without.mean_delta, without.n_used, without.n_skipped + 1)
+        assert without.n_used > 0
 
     def test_order_independence(self, setup):
         ds, scorer = setup
@@ -263,7 +271,7 @@ class TestRemoval:
     def test_length_mismatch(self, setup):
         ds, scorer = setup
         with pytest.raises(InvalidArgumentError):
-            attribute_removal_delta(scorer, ds, ds.pairs[:2], [0])
+            attribute_removal_delta(scorer, ds, ds.pairs[:2], [0], [i for i, _ in ds.images])
 
 
 class TestHelpers:

@@ -15,6 +15,7 @@ from simexplain.errors import (
 )
 from simexplain.external import _ScoreOnly
 from simexplain.saliency import (
+    _CHUNK,
     _STREAM_QUERY_MASKS,
     MaskObjective,
     _interp_matrix,
@@ -26,7 +27,7 @@ from simexplain.saliency import (
     score_masked,
     slic_like_segments,
 )
-from simexplain.scorers import _CHUNK, Scorer, score_image_stack
+from simexplain.scorers import Scorer, score_image_stack
 
 DIMS = (28, 28, 3)
 
@@ -237,13 +238,13 @@ class TestDualEmbedOnce:
         cfg = small_cfg(method, seed=3, fixed_reference=False)
         reference_path = se.generate(_ScoreOnly(scorer), images[0], images[1], cfg)
         embedded = []
-        project = scorer._embed_flat
+        project = scorer.embed_batch_flat
 
-        def counting(flat):
-            embedded.append(flat.shape[0])
-            return project(flat)
+        def counting(rows):
+            embedded.append(rows.shape[0])
+            return project(rows)
 
-        monkeypatch.setattr(scorer, "_embed_flat", counting)
+        monkeypatch.setattr(scorer, "embed_batch_flat", counting)
         fast = se.generate(scorer, images[0], images[1], cfg)
         assert fast.data.tobytes() == reference_path.data.tobytes()
         # each query variant and each reference variant is embedded once
@@ -333,6 +334,15 @@ class TestLime:
         assert seg.shape == (28, 28)
         assert seg.max() < 16
 
+    def test_slic_like_empty_segment_keeps_its_center(self):
+        # a black band in the five left columns: segments there go empty
+        # after the first round, and a center reset to the zero vector
+        # (black, top left) would split the band's top rows apart
+        image = np.ones((12, 12, 3))
+        image[:, :5] = 0.0
+        labels = slic_like_segments(image, 9)
+        assert len(np.unique(labels[:4, :5])) == 1
+
     def test_planted_superpixel_wins(self):
         dims = (56, 56, 3)
         region = se.Rect(16, 16, 16, 16)  # exactly covers four 8x8 superpixels
@@ -416,7 +426,7 @@ class TestMask:
                                                         tv_weight=0.01, l1_weight=0.005))
         smap = se.generate(scorer, query, query, cfg)
         assert not smap.degenerate
-        up = se.resize_map(smap.data, 28, 28, mode="bilinear")
+        up = se.resize_bilinear(smap.data, 28, 28)
         r, c = np.unravel_index(np.argmax(up), up.shape)
         pad = 4
         assert region.top - pad <= r < region.top + region.height + pad
@@ -444,13 +454,13 @@ class TestMask:
     def test_each_step_embeds_each_image_once(self, fixed, planted, images, monkeypatch):
         _, scorer = planted
         embedded = []
-        project = scorer._embed_flat
+        project = scorer.embed_batch_flat
 
-        def counting(flat):
-            embedded.append(flat.shape[0])
-            return project(flat)
+        def counting(rows):
+            embedded.append(rows.shape[0])
+            return project(rows)
 
-        monkeypatch.setattr(scorer, "_embed_flat", counting)
+        monkeypatch.setattr(scorer, "embed_batch_flat", counting)
         cfg = small_cfg(se.Method.MASK, fixed_reference=fixed, mask=se.MaskCfg(grid=5, iters=20))
         se.generate(scorer, images[0], images[1], cfg)
         # reference and query once per Adam step, and once more for the final iterate
