@@ -241,6 +241,10 @@ class _ScoreOnly(Scorer):
     def score_batch(self, ref, queries):
         return self._inner.score_batch(ref, queries)
 
+    def score_batch_flat(self, ref, rows):
+        # the inner scorer takes the rows as they are, with no per-image copy
+        return self._inner.score_batch_flat(ref, rows)
+
 
 def _error_line(req_id: int, code: str, msg: str) -> str:
     return json.dumps({"id": req_id, "error": {"code": code, "msg": msg}}, separators=(",", ":"))

@@ -19,16 +19,17 @@ as in fixed mode (fixed mode is the M=1 identity special case).
 Sliding window, RISE and LIME perturb an image the same way: they
 multiply it by (N, H, W) keep masks (boolean occlusions, upsampled random
 grids, superpixel selections), and ``score_masked`` scores the masked
-query stack; the insertion/deletion curves in ``metrics`` use it too.
-It builds the masked copies ``_CHUNK`` masks at a time, and RISE
-upsamples its masks in the same blocks, so no (N, H, W, C) stack exists
-and memory beyond the (N, H, W) masks does not grow with N. With an
-embedding scorer (one with ``embed_batch_flat``) it embeds each block of
-masked queries once, keeps the (N, D) rows and scores them against each
-reference manipulation, so dual mode does fixed mode's scorer work plus M
-reference embeddings; any other scorer (external, score-only) scores each
-block against each reference manipulation: M x N images. The learned mask
-asks ``score_and_grads`` once per Adam step.
+queries; the insertion/deletion curves in ``metrics`` use it too. An
+embedding scorer (one with ``embed_masked``) never gets masked copies: it
+embeds the masked queries from the keep masks, ``_CHUNK`` masks at a
+time, and the (N, D) rows are scored against each reference
+manipulation, so dual mode does fixed mode's scorer work plus M reference
+embeddings. Any other scorer (external, score-only) gets the masked copies
+built ``_CHUNK`` at a time and scores each block against each reference
+manipulation: M x N images. RISE upsamples its masks in the same blocks,
+so no (N, H, W, C) stack exists and memory beyond the (N, H, W) masks
+does not grow with N. The learned mask asks ``score_and_grads`` once per
+Adam step and upsamples its low-res mask with two interpolation matrices.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from .errors import InvalidArgumentError, OptimizationError, UnsupportedError
 from .optim import Adam, lasso_coordinate_descent
 from .scorers import EmbeddedRows, Scorer, score_image_stack
 
-# Masks per block, in masked-stack scoring and RISE upsampling: 128 masked
-# 56x56x3 float64 images are 9.6 MB, and a multiple of the stub's
-# max_batch (64) keeps external round trips as few as one whole stack needs.
+# Masks per block, in masked-query embedding, masked-stack scoring and RISE
+# upsampling: 128 masked 56x56x3 float64 images are 9.6 MB, and a multiple
+# of the stub's max_batch (64) keeps external round trips as few as one
+# whole stack needs.
 _CHUNK = 128
 
 # rng stream tags so every randomness source is independent of the others
@@ -154,17 +156,17 @@ def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, keep: np.ndarr
     """Attributed score of ``query * keep[n]`` for each of the (N, H, W)
     keep masks: the mean of its scores against the reference variants.
 
-    The masked copies are built ``_CHUNK`` at a time, so memory does not
-    grow with N. A scorer that can embed a flat batch embeds each block
-    once, and the (N, D) rows are then scored against each reference
-    variant; any other scorer scores each block against each variant.
+    A scorer with ``embed_masked`` embeds the masked queries from the keep
+    masks ``_CHUNK`` at a time, without building them, and the (N, D) rows
+    are then scored against each reference variant; any other scorer
+    scores each block of ``_CHUNK`` masked copies against each variant.
     """
     n = keep.shape[0]
     starts = range(0, n, _CHUNK)
     total = np.zeros(n, dtype=np.float64)
-    embed = getattr(scorer, "embed_batch_flat", None)
+    embed = getattr(scorer, "embed_masked", None)
     if embed is not None:
-        parts = [embed(_masked(query, keep[s:s + _CHUNK]).reshape(-1, query.size)) for s in starts]
+        parts = [embed(query, keep[s:s + _CHUNK]) for s in starts]
         rows = EmbeddedRows(np.concatenate([p.emb for p in parts]), np.concatenate([p.norms for p in parts]))
         for ref_v in ref_variants:
             total += scorer.score_batch_flat(ref_v, rows)
@@ -372,14 +374,6 @@ def _lime(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfi
 # Mask
 # ---------------------------------------------------------------------------
 
-def _upsample_matrix(grid: int, height: int, width: int) -> np.ndarray:
-    """Bilinear upsample (grid x grid -> H x W) as an (H*W, grid*grid) matrix."""
-    rows = _interp_matrix(grid, height)
-    cols = _interp_matrix(grid, width)
-    # up(m) = rows @ m @ cols.T  =>  U[(r, c), (i, j)] = rows[r, i] * cols[c, j]
-    return np.einsum("ri,cj->rcij", rows, cols).reshape(height * width, grid * grid)
-
-
 def box_blur(img: np.ndarray) -> np.ndarray:
     """Separable 11-pixel mean filter with clamped borders."""
     radius = 5
@@ -437,7 +431,9 @@ class MaskObjective:
         self.dual = dual
         self.ref = ref
         h, w, _ = query.shape
-        self.U = _upsample_matrix(cfg.grid, h, w)
+        # the bilinear upsample is separable: up(m) = rows @ m @ cols.T
+        self.rows = _interp_matrix(cfg.grid, h)
+        self.cols = _interp_matrix(cfg.grid, w)
         rng = make_rng(seed, _STREAM_MASK_NOISE)
         # (image, perturbation base) of each masked part: the query, then
         # the reference in dual mode
@@ -462,8 +458,7 @@ class MaskObjective:
         return len(self.parts) * self.cfg.grid * self.cfg.grid
 
     def _compose(self, img: np.ndarray, base: np.ndarray, m: np.ndarray) -> np.ndarray:
-        h, w, _ = img.shape
-        M = (self.U @ m.ravel()).reshape(h, w, 1)
+        M = (self.rows @ m @ self.cols.T)[..., None]
         return img * M + base * (1.0 - M)
 
     def _perturbed(self, masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -500,7 +495,7 @@ class MaskObjective:
         if self._use_fd:
             score_grads = self._fd_score_grads(masks, score)
         else:
-            score_grads = [(self.U.T @ (g_pix * (img - base)).sum(axis=2).ravel()).reshape(g, g)
+            score_grads = [self.rows.T @ (g_pix * (img - base)).sum(axis=2) @ self.cols
                            for (img, base), g_pix in zip(self.parts, (d_query, d_ref))]
 
         grad_parts = []

@@ -10,6 +10,11 @@ purpose: its per-row accumulation order is independent of batch size, so
 score(), score_batch() and any chunking of it are bitwise identical.
 The same holds for a stack embedded once with ``embed_batch_flat`` and
 then scored against many references, and for ``score_and_grads``' score.
+``embed_masked`` embeds the masked copies ``query * keep[n]`` from the
+(N, H, W) keep masks alone, as ``keep @ G.T`` for a (D, H*W) matrix G made
+from the weight and the query. It uses the same non-optimized einsum, so
+each of its rows is bitwise independent of N and of block edges; it sums
+in another order than embedding the copies, so the two agree within 1e-9.
 """
 
 from __future__ import annotations
@@ -156,12 +161,29 @@ class LinearEmbeddingScorer(Scorer):
         return self.score_batch_flat(ref, flat.reshape(len(queries), self.weight.shape[1]))
 
     def embed_batch_flat(self, rows: np.ndarray) -> EmbeddedRows:
-        """Embed (N, H*W*C) pixel rows: the one place that computes
-        embeddings and their guarded norms."""
+        """Embed (N, H*W*C) pixel rows."""
         # optimize=False keeps the accumulation per row independent of the
         # batch shape, which makes batch/single/chunked calls bit-identical.
         emb = np.einsum("np,dp->nd", rows.astype(np.float64, copy=False), self.weight, optimize=False)
-        return EmbeddedRows(emb, np.maximum(np.sqrt(np.einsum("nd,nd->n", emb, emb, optimize=False)), NORM_EPS))
+        return _with_norms(emb)
+
+    def embed_masked(self, query, keep: np.ndarray) -> EmbeddedRows:
+        """Embed ``query * keep[n]`` for (N, H, W) keep masks without
+        building the masked copies: the embedding of a masked query is
+        ``keep @ G.T`` with G[d, p] = sum_c weight[d, p, c] * query[p, c].
+        It sums in another order than embedding the copies, so scores
+        agree with the stack path within 1e-9, not bit for bit; each row
+        is still independent of N."""
+        h, w, c = self.dims
+        query = _as_image(query, self.dims)
+        if keep.ndim != 3 or keep.shape[1:] != (h, w):
+            raise InvalidArgumentError(f"keep masks must be (N, {h}, {w}), got {keep.shape}")
+        g = np.einsum("dpc,pc->dp", self.weight.reshape(-1, h * w, c), query.reshape(h * w, c), optimize=False)
+        # einsum sums in the order of the memory layout, and a fancy-indexed
+        # keep (LIME's selections) need not be in C order
+        keep = np.ascontiguousarray(keep.reshape(-1, h * w), dtype=np.float64)
+        emb = np.einsum("nk,dk->nd", keep, g, optimize=False)
+        return _with_norms(emb)
 
     def _embed_one(self, image) -> EmbeddedRows:
         return self.embed_batch_flat(_as_image(image, self.dims).reshape(1, -1))
@@ -243,6 +265,12 @@ class ConstantScorer(Scorer):
 def score_image_stack(scorer: Scorer, ref, stack: np.ndarray) -> np.ndarray:
     """Score an (N, H, W, C) stack against one reference, order preserved."""
     return scorer.score_batch_flat(ref, np.asarray(stack).reshape(stack.shape[0], -1))
+
+
+def _with_norms(emb: np.ndarray) -> EmbeddedRows:
+    """(N, D) embeddings with their guarded norms: the one place that
+    computes them."""
+    return EmbeddedRows(emb, np.maximum(np.sqrt(np.einsum("nd,nd->n", emb, emb, optimize=False)), NORM_EPS))
 
 
 def _cosines(ref: EmbeddedRows, queries: EmbeddedRows) -> np.ndarray:

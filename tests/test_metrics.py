@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import simexplain as se
 from simexplain import metrics
 from simexplain.errors import InvalidArgumentError
+from simexplain.external import _ScoreOnly
 from simexplain.metrics import (
     RemovalResult,
     attribute_removal_delta,
@@ -86,7 +87,11 @@ class TestInsertionDeletion:
         old = np.array(old)
         [keep] = seen
         assert (query[None] * keep[..., None]).tobytes() == old.tobytes()
-        assert result.raw_scores.tobytes() == score_image_stack(scorer, ref, old).tobytes()
+        # the embedding scorer embeds from the keep masks, summing in
+        # another order; the score-only wrapper scores the stack itself
+        np.testing.assert_allclose(result.raw_scores, score_image_stack(scorer, ref, old), rtol=0, atol=1e-9)
+        score_only = curve(_ScoreOnly(scorer), ref, query, smap, step_frac=0.25)
+        assert score_only.raw_scores.tobytes() == score_image_stack(scorer, ref, old).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**16), scale=st.floats(0.1, 10.0), shift=st.floats(-5.0, 5.0),

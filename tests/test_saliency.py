@@ -238,22 +238,28 @@ class TestDualEmbedOnce:
         cfg = small_cfg(method, seed=3, fixed_reference=False)
         reference_path = se.generate(_ScoreOnly(scorer), images[0], images[1], cfg)
         embedded = []
-        project = scorer.embed_batch_flat
+        project, project_masked = scorer.embed_batch_flat, scorer.embed_masked
 
         def counting(rows):
             embedded.append(rows.shape[0])
             return project(rows)
 
+        def counting_masked(query, keep):
+            embedded.append(keep.shape[0])
+            return project_masked(query, keep)
+
         monkeypatch.setattr(scorer, "embed_batch_flat", counting)
+        monkeypatch.setattr(scorer, "embed_masked", counting_masked)
         fast = se.generate(scorer, images[0], images[1], cfg)
         assert fast.data.tobytes() == reference_path.data.tobytes()
-        # each query variant and each reference variant is embedded once
+        # each query variant (from its keep mask) and each reference
+        # variant is embedded once
         assert sum(embedded) == n_query + n_ref
 
 
 class TestBlocks:
     """score_masked and sample_rise_masks work through their masks _CHUNK at
-    a time; every count around a block edge gives the one-shot bits."""
+    a time; every count around a block edge gives the one-shot result."""
 
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
     @pytest.mark.parametrize("n_refs", [1, 3])
@@ -269,7 +275,11 @@ class TestBlocks:
             expected += score_image_stack(scorer, ref, stack)
         expected /= n_refs
         got = score_masked(_ScoreOnly(scorer) if score_only else scorer, refs, images[1], keep)
-        assert got.tobytes() == expected.tobytes()
+        if score_only:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            # embed_masked sums each embedding in another order
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
     @pytest.mark.parametrize("height, width, grid", [(28, 28, 7), (30, 17, 5)])
@@ -285,6 +295,63 @@ class TestBlocks:
         cropped = np.array([oversize[k, dy[k]:dy[k] + height, dx[k]:dx[k] + width] for k in range(n)])
         one_shot = np.clip(cropped, 0.0, 1.0)
         assert sample_rise_masks(cfg, height, width, seed=9).tobytes() == one_shot.tobytes()
+
+
+def _keep_masks(kind: str, n: int, rng) -> np.ndarray:
+    """n keep masks of one kind a method or curve makes, the first all zero."""
+    h, w = DIMS[:2]
+    if kind == "rise":
+        keep = sample_rise_masks(se.RiseCfg(n_masks=n, grid=7), h, w, seed=n)
+    elif kind == "occlusion":
+        windows = _occlusion_keep(h, w, 81, 0.1)
+        keep = windows[np.arange(n) % len(windows)]
+    elif kind == "lime":
+        keep = (rng.random((n, 49)) < 0.5)[:, grid_segments(h, w, 49)]
+    else:  # the curves' top-k pixel selections
+        rank = rng.permutation(h * w)
+        keep = (rank[None, :] < rng.integers(0, h * w + 1, size=n)[:, None]).reshape(n, h, w)
+    keep[0] = 0
+    return keep
+
+
+class TestFactorizedKernel:
+    """embed_masked embeds query * keep from the keep masks alone. It sums
+    in another order than embedding the masked stack, so the two paths
+    agree within 1e-9; each of its rows is still independent of N."""
+
+    KINDS = ["rise", "occlusion", "lime", "curve"]
+
+    @pytest.fixture(scope="class")
+    def scorer(self):
+        return se.LinearToyScorer.random(DIMS, embed_dim=8, seed=5)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_agrees_with_stack_path(self, kind, n, scorer, images):
+        ref, query = images
+        keep = _keep_masks(kind, n, np.random.default_rng(n))
+        stack = query[None] * keep[..., None]
+        rows = scorer.embed_masked(query, keep)
+        stack_rows = scorer.embed_batch_flat(stack.reshape(n, -1))
+        np.testing.assert_allclose(rows.emb, stack_rows.emb, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rows.norms, stack_rows.norms, rtol=0, atol=1e-9)
+        got = score_masked(scorer, [ref], query, keep)
+        expected = score_image_stack(scorer, ref, stack)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+        assert got[0] == 0.0 and expected[0] == 0.0
+
+    def test_keep_masks_of_another_shape_rejected(self, scorer, images):
+        for keep in (np.ones((2, 28, 27)), np.ones((28, 28)), np.ones((2, 27, 28, 1))):
+            with pytest.raises(InvalidArgumentError):
+                scorer.embed_masked(images[1], keep)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_equal_single_mask_calls_zero_ulp(self, kind, scorer, images):
+        ref, query = images
+        keep = _keep_masks(kind, 2 * _CHUNK + 3, np.random.default_rng(1))
+        batch = score_masked(scorer, [ref], query, keep)
+        singles = np.concatenate([score_masked(scorer, [ref], query, keep[i:i + 1]) for i in range(len(keep))])
+        assert batch.tobytes() == singles.tobytes()
 
 
 def _traced_peak(fn, *args) -> int:
@@ -316,6 +383,13 @@ class TestBlockMemory:
         few = _traced_peak(score_masked, _ScoreOnly(scorer), [query], query, masks[:_CHUNK + 1])
         many = _traced_peak(score_masked, _ScoreOnly(scorer), [query], query, masks)
         assert many < few + 2**20
+
+    def test_score_only_holds_each_block_once(self, inputs):
+        # the wrapper hands the block's rows to the inner scorer as they are,
+        # so no second copy of a masked block is made
+        masks, query, scorer = inputs
+        block = _CHUNK * query.nbytes  # 128 masked 56x56x3 float64 images, 9.6 MB
+        assert _traced_peak(score_masked, _ScoreOnly(scorer), [query], query, masks) < 1.5 * block
 
     def test_rise_sampling_peak_is_near_its_output(self):
         cfg = se.RiseCfg(n_masks=1000)
@@ -398,6 +472,27 @@ class TestMask:
                 tm[k] -= eps
                 fd = (problem.value(tp) - problem.value(tm)) / (2 * eps)
                 assert abs(fd - grad[k]) <= 1e-4 * max(abs(fd), 1e-8)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_separable_upsample_equals_dense_matrix(self, dual):
+        h, w, g = 30, 17, 5  # a non-square image, so a swapped axis shows
+        scorer = se.LinearToyScorer.random((h, w, 3), embed_dim=6, seed=8)
+        rng = np.random.default_rng(3)
+        cfg = se.MaskCfg(grid=g, tv_weight=0.0, l1_weight=0.0, perturb="blur")
+        problem = MaskObjective(scorer, rng.random((h, w, 3)), rng.random((h, w, 3)), cfg, dual=dual, seed=1)
+        U = np.einsum("ri,cj->rcij", _interp_matrix(g, h), _interp_matrix(g, w)).reshape(h * w, g * g)
+        theta = rng.normal(size=problem.n_params)
+        masks = [1.0 / (1.0 + np.exp(-p.reshape(g, g))) for p in np.split(theta, len(problem.parts))]
+        for (img, base), m in zip(problem.parts, masks):
+            M = (U @ m.ravel()).reshape(h, w, 1)
+            np.testing.assert_allclose(problem._compose(img, base, m), img * M + base * (1.0 - M),
+                                       rtol=0, atol=1e-12)
+        # with no regularizer the gradient is the chained score term alone
+        _, grad = problem.value_and_grad(theta)
+        _, d_ref, d_query = scorer.score_and_grads(*problem._perturbed(masks))
+        expected = [(U.T @ (g_pix * (img - base)).sum(axis=2).ravel()) * (m * (1.0 - m)).ravel()
+                    for (img, base), g_pix, m in zip(problem.parts, (d_query, d_ref), masks)]
+        np.testing.assert_allclose(grad, np.concatenate(expected), rtol=0, atol=1e-12)
 
     def test_tv_domination_degenerates(self, planted, images):
         _, scorer = planted
