@@ -154,7 +154,7 @@ class ExternalScorer(Scorer):
             max_batch = hello.get("max_batch", 1)
             if not isinstance(caps, list) or not _is_count(max_batch):
                 raise TransportError(f"hello response carries no usable caps or max_batch: {hello}")
-            self._caps = ScorerCaps(can_embed="embed" in caps, can_grad=False, max_batch=max_batch)
+            self._caps = ScorerCaps(can_embed="embed" in caps, max_batch=max_batch)
             dims = hello.get("dims")
             if not isinstance(dims, list) or len(dims) != 3 or not all(map(_is_count, dims)):
                 raise TransportError(f"hello response carries no usable dims: {hello}")
@@ -236,7 +236,7 @@ class _ScoreOnly(Scorer):
 
     @property
     def caps(self):
-        return dataclasses.replace(self._inner.caps, can_embed=False, can_grad=False)
+        return dataclasses.replace(self._inner.caps, can_embed=False)
 
     def score_batch(self, ref, queries):
         return self._inner.score_batch(ref, queries)

@@ -28,8 +28,9 @@ embeddings. Any other scorer (external, score-only) gets the masked copies
 built ``_CHUNK`` at a time and scores each block against each reference
 manipulation: M x N images. RISE upsamples its masks in the same blocks,
 so no (N, H, W, C) stack exists and memory beyond the (N, H, W) masks
-does not grow with N. The learned mask asks ``score_and_grads`` once per
-Adam step and upsamples its low-res mask with two interpolation matrices.
+does not grow with N. A non-finite score raises ``InvalidDataError``. The
+learned mask embeds its upsampled cells once, through ``embed_masked``,
+and its Adam steps call no scorer (see ``MaskObjective``).
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Method, SaliencyMap, _as_image, make_rng, normalize_map
-from .errors import InvalidArgumentError, OptimizationError, UnsupportedError
+from .errors import InvalidArgumentError, InvalidDataError, OptimizationError, UnsupportedError
 from .optim import Adam, lasso_coordinate_descent
-from .scorers import EmbeddedRows, Scorer, score_image_stack
+from .scorers import EmbeddedRows, Scorer, _cosine_grad_pair, score_image_stack
 
 # Masks per block, in masked-query embedding, masked-stack scoring and RISE
 # upsampling: 128 masked 56x56x3 float64 images are 9.6 MB, and a multiple
@@ -176,6 +177,8 @@ def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, keep: np.ndarr
             for ref_v in ref_variants:
                 total[s:s + _CHUNK] += score_image_stack(scorer, ref_v, stack)
             del stack  # free this block before the next one is built
+    if not np.all(np.isfinite(total)):
+        raise InvalidDataError(f"{type(scorer).__name__} returned non-finite scores")
     return total / len(ref_variants)
 
 
@@ -420,8 +423,12 @@ class MaskObjective:
                                    + l1_weight * (sum(1 - m_q) [+ sum(1 - m_r)])
 
     where query' = q * M + base * (1 - M). In dual mode theta holds the
-    query mask logits followed by the reference mask logits. Each step asks
-    the scorer once, for the score and the pixel gradients of both images.
+    query mask logits followed by the reference mask logits. M is linear
+    in m, so under ``embed_masked`` a masked image embeds to
+    ``e0 + m.ravel() @ K``: e0 embeds the base and row k of K embeds
+    (img - base) under the k-th upsampled cell. The scorer is asked only
+    when the objective is built; a step calls none. Any other scorer needs
+    ``fd_fallback``: forward differences of scores of composed images.
     """
 
     def __init__(self, scorer: Scorer, ref: np.ndarray, query: np.ndarray,
@@ -440,11 +447,18 @@ class MaskObjective:
         self.parts = [(query, self._perturb_base(query, rng))]
         if dual:
             self.parts.append((ref, self._perturb_base(ref, rng)))
-        self._use_fd = not scorer.caps.can_grad
-        if self._use_fd and not cfg.fd_fallback:
+        embed = getattr(scorer, "embed_masked", None)
+        if embed is None and not cfg.fd_fallback:
             raise UnsupportedError(
-                "mask learning needs a gradient-capable scorer; enable fd_fallback to use forward differences"
+                "mask learning needs a scorer with embed_masked; enable fd_fallback to use forward differences"
             )
+        self.kernels = None  # (e0, K) of each part; None on the forward-difference path
+        if embed is not None:
+            # the upsampled cells, basis[i * g + j] = rows[:, i] (x) cols[:, j]
+            basis = np.einsum("ri,cj->ijrc", self.rows, self.cols).reshape(cfg.grid ** 2, h, w)
+            whole = np.ones((1, h, w))
+            self.kernels = [(embed(base, whole).emb[0], embed(img - base, basis).emb) for img, base in self.parts]
+            self.ref_emb = None if dual else embed(ref, whole).emb[0]
 
     def _perturb_base(self, img: np.ndarray, rng) -> np.ndarray:
         if self.cfg.perturb == "delete":
@@ -476,11 +490,11 @@ class MaskObjective:
         g = self.cfg.grid
         theta = np.asarray(theta, dtype=np.float64)
         masks = [_sigmoid(p.reshape(g, g)) for p in np.split(theta, len(self.parts))]
-        ref_img, query_img = self._perturbed(masks)
-        if want_grad and not self._use_fd:
-            score, d_ref, d_query = self.scorer.score_and_grads(ref_img, query_img)
+        if self.kernels is None:
+            score = self.scorer.score(*self._perturbed(masks))
         else:
-            score = self.scorer.score(ref_img, query_img)
+            embs = [e0 + m.ravel() @ K for (e0, K), m in zip(self.kernels, masks)]
+            d_ref, d_query, score = _cosine_grad_pair(embs[1] if self.dual else self.ref_emb, embs[0])
         value = self.cfg.preserve_sign * score
         tv_parts = [_tv_value_grad(m) for m in masks]
         for m, (tv_val, _) in zip(masks, tv_parts):
@@ -492,11 +506,10 @@ class MaskObjective:
             return value, np.zeros_like(theta)
         reg_grads = [self.cfg.tv_weight * tv_grad - self.cfg.l1_weight for _, tv_grad in tv_parts]
 
-        if self._use_fd:
+        if self.kernels is None:
             score_grads = self._fd_score_grads(masks, score)
         else:
-            score_grads = [self.rows.T @ (g_pix * (img - base)).sum(axis=2) @ self.cols
-                           for (img, base), g_pix in zip(self.parts, (d_query, d_ref))]
+            score_grads = [(K @ d).reshape(g, g) for (_, K), d in zip(self.kernels, (d_query, d_ref))]
 
         grad_parts = []
         for m, s_grad, r_grad in zip(masks, score_grads, reg_grads):

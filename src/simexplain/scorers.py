@@ -1,16 +1,13 @@
 """Similarity scorers: in-process toy embedding models behind the uniform
-score / embed / gradient interface that the perturbation methods consume.
+score / embed interface that the perturbation methods consume.
 
 Every scorer answers ``score_batch_flat`` over flattened pixel rows (the
-base class forwards it to ``score_batch``); gradient-capable ones answer
-``score_and_grads`` with the score and the pixel gradients of both images.
-All built-in scorers are linear embeddings compared with epsilon-guarded
-cosine similarity. Embeddings are computed with non-optimized einsum on
+base class forwards it to ``score_batch``). All built-in scorers are
+linear embeddings compared with epsilon-guarded cosine similarity. Embeddings are computed with non-optimized einsum on
 purpose: its per-row accumulation order is independent of batch size, so
-score(), score_batch() and any chunking of it are bitwise identical.
-The same holds for a stack embedded once with ``embed_batch_flat`` and
-then scored against many references, and for ``score_and_grads``' score.
-``embed_masked`` embeds the masked copies ``query * keep[n]`` from the
+score(), score_batch() and any chunking of it are bitwise identical, as
+is a stack embedded once with ``embed_batch_flat`` and then scored against
+many references. ``embed_masked`` embeds the masked copies ``query * keep[n]`` from the
 (N, H, W) keep masks alone, as ``keep @ G.T`` for a (D, H*W) matrix G made
 from the weight and the query. It uses the same non-optimized einsum, so
 each of its rows is bitwise independent of N and of block edges; it sums
@@ -33,7 +30,6 @@ NORM_EPS = 1e-12
 @dataclass(frozen=True)
 class ScorerCaps:
     can_embed: bool = False
-    can_grad: bool = False
     max_batch: int = 1024
 
     def __post_init__(self):
@@ -115,10 +111,6 @@ class Scorer:
     def embed(self, image) -> Embedding:
         raise UnsupportedError(f"{type(self).__name__} cannot embed")
 
-    def score_and_grads(self, ref, query) -> tuple[float, np.ndarray, np.ndarray]:
-        """score(ref, query) and its (H, W, C) gradients d/d ref and d/d query."""
-        raise UnsupportedError(f"{type(self).__name__} has no gradient capability")
-
     def close(self) -> None:
         pass
 
@@ -147,7 +139,7 @@ class LinearEmbeddingScorer(Scorer):
 
     @property
     def caps(self) -> ScorerCaps:
-        return ScorerCaps(can_embed=True, can_grad=True, max_batch=4096)
+        return ScorerCaps(can_embed=True, max_batch=4096)
 
     @property
     def embed_dim(self) -> int:
@@ -197,14 +189,6 @@ class LinearEmbeddingScorer(Scorer):
             queries = self.embed_batch_flat(queries)
         return _cosines(self._embed_one(ref), queries)
 
-    def score_and_grads(self, ref, query) -> tuple[float, np.ndarray, np.ndarray]:
-        """score(ref, query), bit for bit, with its pixel gradients with
-        respect to ref and query, each (H, W, C); each image is embedded once."""
-        ref_rows, query_rows = self._embed_one(ref), self._embed_one(query)
-        d_ref, d_query, _ = _cosine_grad_pair(ref_rows.emb[0], query_rows.emb[0])
-        score = float(_cosines(ref_rows, query_rows)[0])
-        return score, (d_ref @ self.weight).reshape(self.dims), (d_query @ self.weight).reshape(self.dims)
-
 
 class LinearToyScorer(LinearEmbeddingScorer):
     """Linear scorer whose weight can be concentrated on planted regions.
@@ -253,7 +237,7 @@ class ConstantScorer(Scorer):
 
     @property
     def caps(self) -> ScorerCaps:
-        return ScorerCaps(can_embed=False, can_grad=False, max_batch=4096)
+        return ScorerCaps(can_embed=False, max_batch=4096)
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
         _as_image(ref, self.dims)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import simexplain as se
 from simexplain import metrics
-from simexplain.errors import InvalidArgumentError
+from simexplain.errors import InvalidArgumentError, InvalidDataError
 from simexplain.external import _ScoreOnly
 from simexplain.metrics import (
     RemovalResult,
@@ -138,6 +138,12 @@ class TestInsertionDeletion:
         assert curve.degenerate
         assert curve.auc == 0.5
         assert np.all(curve.scores == 0.5)
+
+    @pytest.mark.parametrize("curve", [insertion_curve, deletion_curve])
+    def test_non_finite_scores_rejected(self, curve, rng):
+        nan_scorer = se.ConstantScorer(DIMS, value=float("nan"))
+        with pytest.raises(InvalidDataError):
+            curve(nan_scorer, rng.random(DIMS), rng.random(DIMS), rng.random((4, 4)))
 
     def test_auc_in_unit_interval(self, rng):
         for seed in range(5):

@@ -10,6 +10,7 @@ from simexplain.core import make_rng, resize_average_pool
 from simexplain.errors import (
     ConvergenceError,
     InvalidArgumentError,
+    InvalidDataError,
     OptimizationError,
     UnsupportedError,
 )
@@ -27,7 +28,7 @@ from simexplain.saliency import (
     score_masked,
     slic_like_segments,
 )
-from simexplain.scorers import Scorer, score_image_stack
+from simexplain.scorers import Scorer, _cosine_grad_pair, score_image_stack
 
 DIMS = (28, 28, 3)
 
@@ -93,6 +94,12 @@ class TestDegenerateScorer:
         cfg = small_cfg(se.Method.MASK, mask=se.MaskCfg(grid=5, iters=5, lr=0.1, fd_fallback=True))
         smap = se.generate(const, images[0], images[1], cfg)
         assert smap.degenerate
+
+    @pytest.mark.parametrize("method", [se.Method.SLIDING_WINDOW, se.Method.RISE, se.Method.LIME])
+    def test_non_finite_scores_rejected(self, method, images):
+        nan_scorer = se.ConstantScorer(DIMS, value=float("nan"))
+        with pytest.raises(InvalidDataError):
+            se.generate(nan_scorer, images[0], images[1], small_cfg(method))
 
     def test_all_ones_masks_degenerate(self, planted, images):
         _, scorer = planted
@@ -475,24 +482,35 @@ class TestMask:
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_separable_upsample_equals_dense_matrix(self, dual):
+        """The grid path (embedded upsampled cells) against the pixel path."""
         h, w, g = 30, 17, 5  # a non-square image, so a swapped axis shows
         scorer = se.LinearToyScorer.random((h, w, 3), embed_dim=6, seed=8)
         rng = np.random.default_rng(3)
-        cfg = se.MaskCfg(grid=g, tv_weight=0.0, l1_weight=0.0, perturb="blur")
-        problem = MaskObjective(scorer, rng.random((h, w, 3)), rng.random((h, w, 3)), cfg, dual=dual, seed=1)
+        ref, query = rng.random((h, w, 3)), rng.random((h, w, 3))
         U = np.einsum("ri,cj->rcij", _interp_matrix(g, h), _interp_matrix(g, w)).reshape(h * w, g * g)
-        theta = rng.normal(size=problem.n_params)
-        masks = [1.0 / (1.0 + np.exp(-p.reshape(g, g))) for p in np.split(theta, len(problem.parts))]
-        for (img, base), m in zip(problem.parts, masks):
-            M = (U @ m.ravel()).reshape(h, w, 1)
-            np.testing.assert_allclose(problem._compose(img, base, m), img * M + base * (1.0 - M),
-                                       rtol=0, atol=1e-12)
-        # with no regularizer the gradient is the chained score term alone
-        _, grad = problem.value_and_grad(theta)
-        _, d_ref, d_query = scorer.score_and_grads(*problem._perturbed(masks))
-        expected = [(U.T @ (g_pix * (img - base)).sum(axis=2).ravel()) * (m * (1.0 - m)).ravel()
-                    for (img, base), g_pix, m in zip(problem.parts, (d_query, d_ref), masks)]
-        np.testing.assert_allclose(grad, np.concatenate(expected), rtol=0, atol=1e-12)
+        for perturb in ("delete", "noise", "blur"):
+            cfg = se.MaskCfg(grid=g, tv_weight=0.0, l1_weight=0.0, perturb=perturb)
+            problem = MaskObjective(scorer, ref, query, cfg, dual=dual, seed=1)
+            theta = rng.normal(size=problem.n_params)
+            masks = [1.0 / (1.0 + np.exp(-p.reshape(g, g))) for p in np.split(theta, len(problem.parts))]
+            # the pixel path: compose each masked image through the dense U,
+            # embed the pixels, and chain the pixel gradient back through U
+            composed = []
+            for (img, base), m in zip(problem.parts, masks):
+                M = (U @ m.ravel()).reshape(h, w, 1)
+                composed.append(img * M + base * (1.0 - M))
+                np.testing.assert_allclose(problem._compose(img, base, m), composed[-1], rtol=0, atol=1e-12)
+            seen = [composed[1] if dual else ref, composed[0]]
+            rows = scorer.embed_batch_flat(np.stack(seen).reshape(2, -1))
+            d_ref, d_query, _ = _cosine_grad_pair(rows.emb[0], rows.emb[1])
+            expected = []
+            for (img, base), d, m in zip(problem.parts, (d_query, d_ref), masks):
+                g_pix = (d @ scorer.weight).reshape(h, w, 3)
+                expected.append((U.T @ (g_pix * (img - base)).sum(axis=2).ravel()) * (m * (1.0 - m)).ravel())
+            # with no regularizer the loss is the score and its gradient the chained score term
+            value, grad = problem.value_and_grad(theta)
+            assert abs(value - scorer.score(*seen)) <= 1e-12
+            np.testing.assert_allclose(grad, np.concatenate(expected), rtol=0, atol=1e-12)
 
     def test_tv_domination_degenerates(self, planted, images):
         _, scorer = planted
@@ -534,32 +552,39 @@ class TestMask:
         theta = np.zeros(analytic.n_params)
         _, g_true = analytic.value_and_grad(theta)
 
-        class NoGrad(Scorer):
-            dims = DIMS
-            caps = dataclasses.replace(scorer.caps, can_grad=False)
-            score = staticmethod(scorer.score)
-            score_batch = staticmethod(scorer.score_batch)
-
-        fd_problem = MaskObjective(NoGrad(), images[0], images[1], cfg_fd, seed=1)
+        fd_problem = MaskObjective(_ScoreOnly(scorer), images[0], images[1], cfg_fd, seed=1)
         _, g_fd = fd_problem.value_and_grad(theta)
         cos = float(g_true @ g_fd / (np.linalg.norm(g_true) * np.linalg.norm(g_fd)))
         assert cos > 0.99
 
     @pytest.mark.parametrize("fixed", [True, False])
-    def test_each_step_embeds_each_image_once(self, fixed, planted, images, monkeypatch):
+    def test_scorer_is_asked_only_while_the_objective_is_built(self, fixed, planted, images, monkeypatch):
         _, scorer = planted
-        embedded = []
-        project = scorer.embed_batch_flat
+        calls = []  # (scorer method, whether an objective evaluation was running)
+        evaluating, evaluations = [False], []
+        for name in ("embed_masked", "embed_batch_flat", "score_batch_flat", "score_batch", "score", "embed"):
+            def counting(*args, _inner=getattr(scorer, name), _name=name):
+                calls.append((_name, evaluating[0]))
+                return _inner(*args)
 
-        def counting(rows):
-            embedded.append(rows.shape[0])
-            return project(rows)
+            monkeypatch.setattr(scorer, name, counting)
+        evaluate = MaskObjective._evaluate
 
-        monkeypatch.setattr(scorer, "embed_batch_flat", counting)
+        def tracked(self, *args, **kwargs):
+            evaluations.append(1)
+            evaluating[0] = True
+            try:
+                return evaluate(self, *args, **kwargs)
+            finally:
+                evaluating[0] = False
+
+        monkeypatch.setattr(MaskObjective, "_evaluate", tracked)
         cfg = small_cfg(se.Method.MASK, fixed_reference=fixed, mask=se.MaskCfg(grid=5, iters=20))
         se.generate(scorer, images[0], images[1], cfg)
-        # reference and query once per Adam step, and once more for the final iterate
-        assert sum(embedded) == 2 * 20 + 2
+        # one evaluation per Adam step and one for the final iterate; the
+        # scorer gave e0 and K of each masked image, and the fixed reference
+        assert len(evaluations) == 20 + 1
+        assert calls == [("embed_masked", False)] * (3 if fixed else 4)
 
     def test_dual_mask_runs(self, planted, images):
         _, scorer = planted
