@@ -63,7 +63,6 @@ from .explain import (
     Prior,
     estimate_prior,
     explain_pair,
-    explanation_scores,
     fit_phi,
 )
 from .metrics import (

@@ -505,11 +505,11 @@ def run_eval(
             raise InvalidArgumentError("the top1 and removal suites need a fitted prior and phi")
         report["attribute"]["phi"] = [phi.phi1, phi.phi2, phi.phi3]
         test_features = pair_features(model, maps_for(saliency_cfg), dataset, test_pairs)
-        full_attrs = [f.top1(prior, phi) for f in test_features]
-        conf_attrs = [f.top1(prior, CONFIDENCE_ONLY_PHI) for f in test_features]
+        full_attrs = test_features.top1(prior, phi).tolist()
+        conf_attrs = test_features.top1(prior, CONFIDENCE_ONLY_PHI).tolist()
         rng = np.random.default_rng([seed, 77])
-        random_attrs = [int(rng.integers(dataset.n_attributes)) for _ in test_features]
-        gt_sets = [f.gt.tolist() for f in test_features]
+        random_attrs = [int(rng.integers(dataset.n_attributes)) for _ in full_attrs]
+        gt_sets = [np.flatnonzero(row).tolist() for row in test_features.gt]
 
         if "top1" in suites:
             report["attribute"]["top1"] = {
@@ -637,10 +637,16 @@ def cmd_pipeline(args) -> dict:
         bank_pairs.append(p)
 
     with _resolve_scorer(args, dataset) as scorer:
+        written = {}
         for pair, smap in zip(bank_pairs, _maps(scorer, dataset, bank_pairs, saliency_cfg, args.jobs)):
-            save_saliency(maps_dir / f"{pair.query_id}__{pair.reference_id}.smap", smap)
+            name = f"{pair.query_id}__{pair.reference_id}.smap"
+            save_saliency(maps_dir / name, smap)
+            written[name] = (pair.query_id, smap)
 
-        bank = load_saliency_bank(maps_dir)
+        bank: dict[str, list[SaliencyMap]] = {}
+        for name in sorted(written):  # the order load_saliency_bank reads the files in
+            query_id, smap = written[name]
+            bank.setdefault(query_id, []).append(smap)
         model = train(dataset, bank, train_cfg)
         save_model(out / "model.sane", model)
 

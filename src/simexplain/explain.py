@@ -95,31 +95,6 @@ class ExplainConfig:
     prior: Prior | None = None
 
 
-def explanation_scores(
-    m_q: np.ndarray,
-    confidences: np.ndarray,
-    normalized_maps: np.ndarray,
-    prior: Prior,
-    phi: PhiWeights,
-) -> np.ndarray:
-    """e_i = phi1 * confidence_i + phi2 * cos(m_q, map_i) + phi3 * prior_i.
-
-    ``m_q`` must be normalized at the same resolution as the activation
-    maps. A degenerate (all-zero) map zeroes the cosine term for every
-    attribute via the guarded norms.
-    """
-    conf = np.asarray(confidences, dtype=np.float64)
-    A = conf.size
-    if normalized_maps.shape[0] != A or prior.p.size != A:
-        raise InvalidArgumentError("confidences, maps and prior must agree on the attribute count")
-    return phi.combine(conf, _map_match(m_q, normalized_maps), prior)
-
-
-def _map_match(m_q: np.ndarray, normalized_maps: np.ndarray) -> np.ndarray:
-    m_flat = np.asarray(m_q, dtype=np.float64).ravel()
-    return np.array([cosine(m_flat, m.ravel()) for m in normalized_maps])
-
-
 def rank_attributes(e: np.ndarray) -> np.ndarray:
     """Indices sorted by explanation score descending, ties to lower index."""
     return np.argsort(-np.asarray(e), kind="stable")
@@ -127,28 +102,23 @@ def rank_attributes(e: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairFeatures:
-    """Per-pair quantities every ranking variant reuses."""
+    """The ranking inputs of P pairs over A attributes, one row per pair."""
 
-    query_id: str
-    reference_id: str
-    m_q: np.ndarray          # match-resolution, normalized
-    confidences: np.ndarray  # (A,)
-    map_match: np.ndarray    # (A,) cosine of m_q vs each normalized activation map
-    gt: np.ndarray           # ground-truth attribute indices of the query
+    confidences: np.ndarray  # (P, A)
+    map_match: np.ndarray    # (P, A) cosine of each pair's map vs each normalized activation map
+    gt: np.ndarray           # (P, A) bool, the query's ground-truth attributes
 
-    def top1(self, prior: Prior, phi: PhiWeights) -> int:
-        """The attribute ranked first under ``phi`` and ``prior``."""
-        return int(rank_attributes(phi.combine(self.confidences, self.map_match, prior))[0])
+    def top1(self, prior: Prior, phi: PhiWeights) -> np.ndarray:
+        """Each pair's attribute ranked first under ``phi`` and ``prior``:
+        the first maximum, the tie rule of :func:`rank_attributes`."""
+        return np.argmax(phi.combine(self.confidences, self.map_match, prior), axis=1)
 
 
-def _features_of(model: AttributeModel, smap: SaliencyMap, query, query_id: str, reference_id: str,
-                 gt: np.ndarray) -> PairFeatures:
-    """saliency map -> match-resolution map -> attribute maps -> cosine match."""
+def _features_of(model: AttributeModel, smap: SaliencyMap, query) -> tuple[np.ndarray, np.ndarray]:
+    """saliency map -> match-resolution map -> (confidences, cosine match with each attribute map)."""
     m_q = to_match_resolution(smap, model.extractor.grid)
     pred = model.forward(query)
-    maps = np.stack([normalize_map(m) for m in pred.maps])
-    return PairFeatures(query_id=query_id, reference_id=reference_id, m_q=m_q,
-                        confidences=pred.confidences, map_match=_map_match(m_q, maps), gt=gt)
+    return pred.confidences, np.array([cosine(m_q, normalize_map(m)) for m in pred.maps])
 
 
 def pair_features(
@@ -156,13 +126,14 @@ def pair_features(
     maps: Sequence[SaliencyMap],
     dataset: Dataset,
     pairs: Sequence[Pair],
-) -> list[PairFeatures]:
-    """Each pair's features from its saliency map; ``maps[i]`` belongs to ``pairs[i]``."""
-    return [
-        _features_of(model, smap, dataset.image(p.query_id), p.query_id, p.reference_id,
-                     dataset.gt_attributes(p.query_id))
-        for smap, p in zip(maps, pairs, strict=True)
-    ]
+) -> PairFeatures:
+    """The features of all pairs from their saliency maps; ``maps[i]`` belongs to ``pairs[i]``."""
+    shape = (len(pairs), model.n_attributes)
+    table = PairFeatures(np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool))
+    for i, (smap, p) in enumerate(zip(maps, pairs, strict=True)):
+        table.confidences[i], table.map_match[i] = _features_of(model, smap, dataset.image(p.query_id))
+        table.gt[i, dataset.gt_attributes(p.query_id)] = True
+    return table
 
 
 @dataclass(frozen=True)
@@ -172,22 +143,19 @@ class PriorEstimate:
     n_skipped: int
 
 
-def estimate_prior(features: Sequence[PairFeatures], n_attributes: int) -> PriorEstimate:
-    """Count map-match winners among ground-truth attributes, add-one
-    smoothed over the whole catalog so unseen attributes keep mass."""
-    counts = np.zeros(n_attributes, dtype=np.float64)
-    skipped = 0
-    for f in features:
-        if f.gt.size == 0:
-            skipped += 1
-            continue
-        winner = f.gt[int(np.argmax(f.map_match[f.gt]))]
-        counts[winner] += 1.0
-    used = len(features) - skipped
+def estimate_prior(features: PairFeatures, n_attributes: int) -> PriorEstimate:
+    """Count map-match winners (each pair's first maximum inside its ground
+    truth), add-one smoothed over the whole catalog so unseen attributes
+    keep mass."""
+    used = features.gt.any(axis=1)
+    winners = np.where(features.gt, features.map_match, -np.inf)[used].argmax(axis=1)
+    counts = np.bincount(winners, minlength=n_attributes).astype(np.float64)
+    n_used = int(used.sum())
+    skipped = used.size - n_used
     if skipped:
         log.warning("prior estimation skipped %d pair(s) without ground-truth attributes", skipped)
     prior = Prior((counts + 1.0) / (counts.sum() + n_attributes))
-    return PriorEstimate(prior=prior, n_used=used, n_skipped=skipped)
+    return PriorEstimate(prior=prior, n_used=n_used, n_skipped=skipped)
 
 
 def explain_pair(
@@ -204,14 +172,14 @@ def explain_pair(
     if prior.p.size != model.n_attributes:
         raise InvalidArgumentError(f"prior has {prior.p.size} entries for {model.n_attributes} attributes")
     smap = generate(scorer, ref, query, cfg.saliency)
-    f = _features_of(model, smap, query, query_id, reference_id, gt=np.empty(0, dtype=np.intp))
-    e = cfg.phi.combine(f.confidences, f.map_match, prior)
+    confidences, map_match = _features_of(model, smap, query)
+    e = cfg.phi.combine(confidences, map_match, prior)
     ranked = tuple(
         RankedAttribute(
             attribute=int(a),
             score=float(e[a]),
-            confidence=float(f.confidences[a]),
-            map_match=float(f.map_match[a]),
+            confidence=float(confidences[a]),
+            map_match=float(map_match[a]),
             prior=float(prior.p[a]),
         )
         for a in rank_attributes(e)
@@ -219,20 +187,10 @@ def explain_pair(
     return ExplanationResult(query_id=query_id, reference_id=reference_id, saliency=smap, ranked=ranked)
 
 
-def _accuracy_for_phi(features: Sequence[PairFeatures], prior: Prior, phi: PhiWeights) -> float:
-    hits = 0
-    used = 0
-    for f in features:
-        if f.gt.size == 0:
-            continue
-        hits += int(f.top1(prior, phi) in set(f.gt.tolist()))
-        used += 1
-    return hits / used if used else 0.0
-
-
-def fit_phi(features: Sequence[PairFeatures], prior: Prior, grid_step: float = 0.05) -> PhiWeights:
-    """Exhaustive grid search maximizing top-1 accuracy on held-out pairs:
-    phi1 and phi2 on a ``grid_step`` grid over [0, 1], phi3 in {0, 0.05, 0.1}.
+def fit_phi(features: PairFeatures, prior: Prior, grid_step: float = 0.05) -> PhiWeights:
+    """Exhaustive grid search maximizing top-1 accuracy on held-out pairs
+    with ground truth: phi1 and phi2 on a ``grid_step`` grid over [0, 1],
+    phi3 in {0, 0.05, 0.1}.
 
     Ties prefer a larger map-matching weight, then a smaller confidence
     weight, then a smaller prior weight, evaluated in a fixed grid order.
@@ -242,6 +200,8 @@ def fit_phi(features: Sequence[PairFeatures], prior: Prior, grid_step: float = 0
 
     n_steps = int(round(1.0 / grid_step))
     axis = np.arange(n_steps + 1) * grid_step
+    rows = np.arange(len(features.gt))
+    n_used = int(features.gt.any(axis=1).sum())
     best_key = None
     best_phi = None
     for p1 in axis:
@@ -250,8 +210,8 @@ def fit_phi(features: Sequence[PairFeatures], prior: Prior, grid_step: float = 0
                 if p1 == 0.0 and p2 == 0.0 and p3 == 0.0:
                     continue
                 phi = PhiWeights(float(p1), float(p2), float(p3))
-                acc = _accuracy_for_phi(features, prior, phi)
-                key = (acc, p2, -p1, -p3)
+                hits = int(features.gt[rows, features.top1(prior, phi)].sum())
+                key = (hits / n_used if n_used else 0.0, p2, -p1, -p3)
                 if best_key is None or key > best_key:
                     best_key = key
                     best_phi = phi

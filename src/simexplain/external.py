@@ -12,8 +12,15 @@ connection; the peer answers every request with the same id, in order.
     <- {"id":N,"error":{"code":"unsupported|bad_input|internal","msg":"..."}}
 
 The client retries a request exactly once, and only after a transport
-failure (dead pipe, truncated line); error responses are never retried.
-A score that is not a finite number in [-1, 1] is a transport error.
+failure (dead pipe, truncated line, missed deadline); error responses are
+never retried. A score that is not a finite number in [-1, 1] is a
+transport error.
+
+Every request has a deadline of 60 s on both transports. A stdio peer
+that has not answered by then is killed and reaped; over TCP it is the
+socket timeout of each read and write. A connection that failed is
+closed at once, so a hung peer costs at most two deadlines (the request
+and its retry) before the call raises ``TransportError``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ import numpy as np
 from .core import _as_image
 from .errors import InvalidArgumentError, TransportError, UnsupportedError
 from .scorers import Embedding, Scorer, ScorerCaps
+
+_DEADLINE_S = 60.0
 
 
 def encode_f32(arr: np.ndarray) -> str:
@@ -74,7 +83,7 @@ class _Connection:
             self._tx = self._proc.stdin
             self._rx = self._proc.stdout
         else:
-            self._sock = socket.create_connection(self._address, timeout=60)
+            self._sock = socket.create_connection(self._address, timeout=_DEADLINE_S)
             self._tx = self._sock.makefile("w", encoding="utf-8", newline="\n")
             self._rx = self._sock.makefile("r", encoding="utf-8")
         self._next_id = 1
@@ -96,6 +105,7 @@ class _Connection:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
             self._proc = None
         if self._sock is not None:
             self._sock.close()
@@ -105,14 +115,24 @@ class _Connection:
         req_id = self._next_id
         self._next_id += 1
         line = json.dumps({"id": req_id, **payload}, separators=(",", ":"))
+        # killing a stdio peer at the deadline ends a blocked write or read
+        timer = threading.Timer(_DEADLINE_S, self._proc.kill) if self._proc is not None else None
         try:
+            if timer is not None:
+                timer.start()
             self._tx.write(line + "\n")
             self._tx.flush()
             answer = self._rx.readline()
         except (OSError, ValueError) as exc:
+            self.close()
             raise TransportError(f"connection broke during {payload.get('op')}: {exc}") from exc
+        finally:
+            if timer is not None:
+                timer.cancel()
         if not answer:
-            raise TransportError(f"peer closed the connection during {payload.get('op')}")
+            self.close()
+            raise TransportError(f"peer closed the connection or missed the {_DEADLINE_S:g} s deadline "
+                                 f"during {payload.get('op')}")
         try:
             msg = json.loads(answer)
         except json.JSONDecodeError as exc:

@@ -223,16 +223,11 @@ def test_criterion_5_trend_reproduction():
         phi = fit_phi(val_features, prior)
         test_features = pair_features(model, maps_of(ds, scorer, test_pairs, scfg), ds, test_pairs)
 
-        def top_attr(f, weights):
-            e = (weights.phi1 * f.confidences + weights.phi2 * f.map_match
-                 + weights.phi3 * prior.p)
-            return int(np.argsort(-e, kind="stable")[0])
-
-        full = [top_attr(f, phi) for f in test_features]
-        conf = [top_attr(f, CONFIDENCE_ONLY_PHI) for f in test_features]
+        full = test_features.top1(prior, phi).tolist()
+        conf = test_features.top1(prior, CONFIDENCE_ONLY_PHI).tolist()
         rng = np.random.default_rng([seed, 77])
-        random_attrs = [int(rng.integers(ds.n_attributes)) for _ in test_features]
-        gt_sets = [f.gt.tolist() for f in test_features]
+        random_attrs = [int(rng.integers(ds.n_attributes)) for _ in full]
+        gt_sets = [np.flatnonzero(row).tolist() for row in test_features.gt]
 
         acc_full = top1_accuracy_from_attrs(full, gt_sets)
         acc_conf = top1_accuracy_from_attrs(conf, gt_sets)

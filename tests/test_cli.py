@@ -508,6 +508,20 @@ class TestCliPlumbing:
         assert val
         assert [seen[(p.query_id, p.reference_id)] for p in val] == [1] * len(val)
 
+    def test_pipeline_trains_from_the_maps_it_made(self, tmp_path):
+        # a run into a directory an earlier run used must not train on that run's maps
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"saliency": {"sliding": {"windows_query": 9, "windows_ref": 4}}}))
+
+        def pipeline(out, seed):
+            assert main(["pipeline", "--out", str(out), "--n-images", "16", "--attributes", "3",
+                         "--epochs", "2", "--rise-masks", "20", "--scorer", "motif", "--methods", "sliding_window",
+                         "--limit", "1", "--seed", seed, "--jobs", "1", "--config", str(cfg)]) == 0
+            return (out / "model.sane").read_bytes()
+
+        pipeline(tmp_path / "used", "3")
+        assert pipeline(tmp_path / "used", "4") == pipeline(tmp_path / "fresh", "4")
+
     @staticmethod
     def _record_maps(monkeypatch) -> list:
         """Record the (reference, query, config) key of every map a command

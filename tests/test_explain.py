@@ -13,7 +13,6 @@ from simexplain.explain import (
     Prior,
     estimate_prior,
     explain_pair,
-    explanation_scores,
     fit_phi,
     rank_attributes,
 )
@@ -44,115 +43,144 @@ class TestPhiWeights:
 
 
 class TestExplanationScores:
+    """e_i = phi1 * confidence_i + phi2 * map_match_i + phi3 * prior_i, through
+    ``PhiWeights.combine`` and the full ``explain_pair`` path."""
+
     @pytest.fixture
     def parts(self, rng):
         A = 5
         conf = rng.random(A)
         conf /= conf.sum()
-        maps = rng.random((A, 7, 7))
-        maps = np.stack([se.normalize_map(m) for m in maps])
-        m_q = se.normalize_map(rng.random((7, 7)))
+        match = rng.uniform(-1.0, 1.0, A)
         prior = Prior(np.full(A, 0.2))
-        return m_q, conf, maps, prior
+        return conf, match, prior
 
-    def test_pure_map_ranking(self, parts):
-        m_q, conf, maps, prior = parts
-        e = explanation_scores(m_q, conf, maps, prior, PhiWeights(0.0, 1.0, 0.0))
+    def test_pure_map_ranking(self, trained_setup, sliding_cfg):
+        _, dataset, scorer, model = trained_setup
+        pair = dataset.pairs[0]
+        query = dataset.image(pair.query_id)
+        cfg = ExplainConfig(saliency=sliding_cfg, phi=PhiWeights(0.0, 1.0, 0.0))
+        result = explain_pair(scorer, model, dataset.image(pair.reference_id), query, cfg)
+        m_q = se.to_match_resolution(result.saliency, model.extractor.grid)
+        maps = model.forward(query).maps
         from simexplain.scorers import cosine
-        match = [cosine(m_q.ravel(), maps[a].ravel()) for a in range(5)]
-        np.testing.assert_allclose(e, match, atol=1e-12)
+        for r in result.ranked:
+            assert r.score == r.map_match
+            assert r.map_match == pytest.approx(cosine(m_q.ravel(), se.normalize_map(maps[r.attribute]).ravel()),
+                                                abs=1e-12)
 
     def test_pure_confidence_ranking(self, parts):
-        m_q, conf, maps, prior = parts
-        e = explanation_scores(m_q, conf, maps, prior, PhiWeights(1.0, 0.0, 0.0))
+        conf, match, prior = parts
+        e = PhiWeights(1.0, 0.0, 0.0).combine(conf, match, prior)
         assert np.argmax(e) == np.argmax(conf)
 
     def test_prior_scale_phi3_inverse_exact(self, parts):
         # scaling the prior by 2 while halving phi3 leaves e bit-identical
         # (power-of-two scaling is exact in binary floats)
-        m_q, conf, maps, _ = parts
+        conf, match, _ = parts
         p = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
         prior = Prior(p)
         doubled = Prior.uniform(5)
         object.__setattr__(doubled, "p", 2.0 * p)  # bypass the sum-to-1 check
-        e1 = explanation_scores(m_q, conf, maps, prior, PhiWeights(0.2, 0.5, 0.1))
-        e2 = explanation_scores(m_q, conf, maps, doubled, PhiWeights(0.2, 0.5, 0.05))
+        e1 = PhiWeights(0.2, 0.5, 0.1).combine(conf, match, prior)
+        e2 = PhiWeights(0.2, 0.5, 0.05).combine(conf, match, doubled)
         np.testing.assert_array_equal(e1, e2)
 
     def test_affine_transform_keeps_ranking(self, parts, rng):
-        m_q, conf, maps, prior = parts
-        e = explanation_scores(m_q, conf, maps, prior, PhiWeights(0.3, 0.6, 0.1))
+        conf, match, prior = parts
+        e = PhiWeights(0.3, 0.6, 0.1).combine(conf, match, prior)
         np.testing.assert_array_equal(rank_attributes(e), rank_attributes(e + 123.456))
         np.testing.assert_array_equal(rank_attributes(e), rank_attributes(2.5 * e - 7.0))
 
-    def test_degenerate_map_zeroes_cosine_term(self, parts):
-        _, conf, maps, prior = parts
-        zero_map = np.zeros((7, 7))
-        e = explanation_scores(zero_map, conf, maps, prior, PhiWeights(0.5, 0.5, 0.0))
-        np.testing.assert_allclose(e, 0.5 * conf, atol=1e-12)
+    def test_degenerate_map_zeroes_cosine_term(self, trained_setup, sliding_cfg):
+        _, dataset, _, model = trained_setup
+        query = dataset.image(dataset.pairs[0].query_id)
+        cfg = ExplainConfig(saliency=sliding_cfg, phi=PhiWeights(0.5, 0.5, 0.0))
+        result = explain_pair(se.ConstantScorer(dataset.dims), model, query, query, cfg)
+        assert not result.saliency.data.any()
+        conf = model.forward(query).confidences
+        for r in result.ranked:
+            assert r.map_match == 0.0
+            assert r.score == pytest.approx(0.5 * conf[r.attribute], abs=1e-12)
 
-    def test_attribute_count_mismatch(self, parts):
-        m_q, conf, maps, prior = parts
+    def test_attribute_count_mismatch(self, trained_setup, sliding_cfg):
+        _, dataset, scorer, model = trained_setup
+        query = dataset.image(dataset.pairs[0].query_id)
+        cfg = ExplainConfig(saliency=sliding_cfg, prior=Prior.uniform(model.n_attributes + 1))
         with pytest.raises(InvalidArgumentError):
-            explanation_scores(m_q, conf[:3], maps, prior, PhiWeights())
+            explain_pair(scorer, model, query, query, cfg)
 
 
-def _features(winners, A, n_per=1):
-    """Crafted PairFeatures whose map-match argmax over GT is forced."""
-    out = []
-    for w in winners:
-        for _ in range(n_per):
-            match = np.zeros(A)
-            match[w] = 1.0
-            out.append(PairFeatures(
-                query_id="q", reference_id="r",
-                m_q=np.zeros((7, 7)),
-                confidences=np.full(A, 1.0 / A),
-                map_match=match,
-                gt=np.arange(A),
-            ))
-    return out
+def _features(winners, A):
+    """A crafted feature table, one row per entry of ``winners``, whose
+    map-match argmax over the ground truth (every attribute) is forced."""
+    n = len(winners)
+    match = np.zeros((n, A))
+    match[np.arange(n), winners] = 1.0
+    return PairFeatures(np.full((n, A), 1.0 / A), match, np.ones((n, A), dtype=bool))
+
+
+class TestPairFeatures:
+    def test_top1_is_first_ranked_on_crafted_ties(self, rng):
+        # exact ties within one signal and across signals (0.5 of confidence
+        # against 0.5 of map match), at the front, the middle and the end
+        conf = np.array([[1.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.25, 0.25, 0.25],
+                         [0.0, 0.5, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
+        match = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                          [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        table = PairFeatures(conf, match, np.zeros(conf.shape, dtype=bool))
+        prior = Prior.uniform(3)
+        np.testing.assert_array_equal(table.top1(prior, PhiWeights(1.0, 0.5, 0.05)), [0, 1, 0, 0, 1, 2])
+        # many ties from a coarse value set, under several mixes and priors
+        grid = np.array([0.0, 0.25, 0.5])
+        table = PairFeatures(rng.choice(grid, (200, 4)), rng.choice(grid, (200, 4)), np.zeros((200, 4), dtype=bool))
+        for phi in (PhiWeights(1.0, 0.5, 0.0), PhiWeights(0.5, 0.5, 0.1), CONFIDENCE_ONLY_PHI, PhiWeights()):
+            for prior in (Prior.uniform(4), Prior(np.array([0.5, 0.25, 0.125, 0.125]))):
+                expected = [rank_attributes(phi.combine(c, m, prior))[0]
+                            for c, m in zip(table.confidences, table.map_match)]
+                np.testing.assert_array_equal(table.top1(prior, phi), expected)
 
 
 class TestEstimatePrior:
     def test_single_attribute_dataset(self):
-        feats = _features([0], A=1, n_per=7)
+        feats = _features([0] * 7, A=1)
         est = estimate_prior(feats, 1)
         np.testing.assert_array_equal(est.prior.p, [1.0])
 
     def test_smoothed_counts(self):
-        feats = _features([0], 2, 30) + _features([1], 2, 10)
+        feats = _features([0] * 30 + [1] * 10, 2)
         est = estimate_prior(feats, 2)
         np.testing.assert_allclose(est.prior.p, [31 / 42, 11 / 42], atol=1e-12)
         assert est.n_used == 40 and est.n_skipped == 0
 
     def test_pairs_without_gt_skipped(self):
-        feats = _features([0], 2, 3)
-        feats.append(PairFeatures("q", "r", np.zeros((7, 7)), np.full(2, 0.5),
-                                  np.zeros(2), np.array([], dtype=np.intp)))
+        feats = _features([0, 0, 0, 1], 2)
+        feats.gt[3] = False
         est = estimate_prior(feats, 2)
         assert est.n_skipped == 1
         assert est.n_used == 3
+        np.testing.assert_allclose(est.prior.p, [4 / 5, 1 / 5], atol=1e-12)
+
+    def test_winner_is_first_maximum_inside_gt(self):
+        # attribute 0 has the largest match but is not ground truth; 1 and 3 tie
+        match = np.array([[0.9, 0.5, 0.1, 0.5]])
+        feats = PairFeatures(np.full((1, 4), 0.25), match, np.array([[False, True, True, True]]))
+        np.testing.assert_allclose(estimate_prior(feats, 4).prior.p, [1 / 5, 2 / 5, 1 / 5, 1 / 5], atol=1e-12)
 
 
 class TestFitPhi:
     def test_confidence_perfect_validation(self):
         # confidence ranking is perfect, map matching is anti-informative
         A = 4
-        feats = []
-        for k in range(16):
-            gt = np.array([k % A])  # exactly one ground-truth attribute
-            conf = np.full(A, 0.1)
-            conf[gt[0]] = 0.7
-            match = np.full(A, 0.5)
-            match[(gt[0] + 1) % A] = 1.0  # map match points at a wrong attribute
-            feats.append(PairFeatures("q", "r", np.zeros((7, 7)), conf, match, gt))
+        gt = np.arange(16) % A  # exactly one ground-truth attribute per pair
+        conf = np.full((16, A), 0.1)
+        conf[np.arange(16), gt] = 0.7
+        match = np.full((16, A), 0.5)
+        match[np.arange(16), (gt + 1) % A] = 1.0  # map match points at a wrong attribute
+        feats = PairFeatures(conf, match, np.eye(A, dtype=bool)[gt])
         phi = fit_phi(feats, Prior.uniform(A))
-        hits = 0
-        for f in feats:
-            e = phi.phi1 * f.confidences + phi.phi2 * f.map_match
-            hits += int(int(np.argmax(e)) in set(f.gt.tolist()))
-        assert hits == 16  # fitted mix reproduces the perfect confidence ranking
+        # fitted mix reproduces the perfect confidence ranking
+        np.testing.assert_array_equal(feats.top1(Prior.uniform(A), phi), gt)
         # dominance condition for this construction: 0.6*phi1 > 0.5*phi2
         assert phi.phi1 > 0 and 0.6 * phi.phi1 > 0.5 * phi.phi2
 
@@ -162,20 +190,20 @@ class TestFitPhi:
             assert np.isclose(axis, v).any()
 
     def test_degenerate_step_returns_vertex(self):
-        feats = _features([0], 2, 4)
+        feats = _features([0] * 4, 2)
         phi = fit_phi(feats, Prior.uniform(2), grid_step=1.0)
         assert phi is not None
         assert any(v != 0 for v in phi.as_tuple())
 
     def test_tie_prefers_larger_phi2(self):
         # all mixes score identically: every signal points at the only GT attr
-        feats = _features([0], 1, 3)
+        feats = _features([0] * 3, 1)
         phi = fit_phi(feats, Prior.uniform(1), grid_step=0.5)
         assert phi.phi2 == 1.0
 
     def test_invalid_step(self):
         with pytest.raises(InvalidArgumentError):
-            fit_phi([], Prior.uniform(2), grid_step=0.0)
+            fit_phi(_features([0], 2), Prior.uniform(2), grid_step=0.0)
 
 
 class TestExplainPair:

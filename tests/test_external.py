@@ -2,11 +2,13 @@ import json
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import simexplain as se
+from simexplain import external
 from simexplain.errors import InvalidArgumentError, TransportError, UnsupportedError
 from simexplain.external import ExternalScorer, TcpServer, _handle_line, decode_f32, encode_f32
 
@@ -121,6 +123,51 @@ class TestTransportRecovery:
             q = rng.random(DIMS).astype(np.float32)
             got = ext.score_batch(ref, [q])
             assert got[0] == pytest.approx(reference.score(ref, q), abs=1e-6)
+
+    def test_hung_stdio_peer_misses_the_deadline(self, monkeypatch, rng):
+        deadline = 0.5
+        monkeypatch.setattr(external, "_DEADLINE_S", deadline)
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(real_popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        # answers the hello, then reads every other request and never replies
+        peer = ("import json, sys\n"
+                "for line in sys.stdin:\n"
+                "    req = json.loads(line)\n"
+                "    if req['op'] == 'hello':\n"
+                f"        print(json.dumps({{'id': req['id'], **{HELLO!r}}}), flush=True)\n")
+        ext = ExternalScorer(command=[sys.executable, "-c", peer])
+        raised = []
+
+        def call():
+            try:
+                ext.score_batch(rng.random(DIMS), [rng.random(DIMS)])
+            except Exception as exc:
+                raised.append(exc)
+
+        start = time.monotonic()
+        worker = threading.Thread(target=call, daemon=True)
+        worker.start()
+        worker.join(timeout=10 * deadline)
+        elapsed = time.monotonic() - start
+        try:
+            assert not worker.is_alive(), "the call is still blocked on the hung peer"
+            assert len(raised) == 1 and isinstance(raised[0], TransportError)
+            # the request and its one retry each wait out the deadline
+            assert 2 * deadline <= elapsed < 4 * deadline
+            assert len(spawned) == 2
+            assert all(proc.returncode is not None for proc in spawned)  # killed and reaped
+        finally:
+            while worker.is_alive():  # a call blocked past its deadline holds the scorer's lock
+                for proc in spawned:
+                    proc.kill()
+                worker.join(timeout=1)
+            ext.close()
 
 
 class TestServerValidation:

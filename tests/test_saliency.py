@@ -640,3 +640,55 @@ class TestDeterminismAndInvariants:
         base = se.generate(scorer, query, query, small_cfg(method, seed=5))
         moved = se.generate(Affine(), query, query, small_cfg(method, seed=5))
         assert np.argmax(base.data) == np.argmax(moved.data)
+
+
+def _spearman(a: np.ndarray, b: np.ndarray) -> float:
+    """Rank correlation of two maps, tied values sharing their mean rank."""
+    def ranks(x):
+        _, inv, counts = np.unique(np.ravel(x), return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - counts + (counts - 1) / 2)[inv]
+    return float(np.corrcoef(ranks(a), ranks(b))[0, 1])
+
+
+class TestModelRandomization:
+    """The model-randomization sanity check (Adebayo et al., arXiv:1810.03292):
+    a map must change when the model's weights are replaced by random ones.
+    At default sizes and seed 7, over the first 6 test pairs, the planted
+    scorer against ``LinearToyScorer.random`` gives a mean Spearman
+    correlation of 0.38 (RISE) and 0.06 (sliding window), per pair
+    -0.02..0.57 and -0.32..0.44; the bound is 0.5 on the mean."""
+
+    BOUND = 0.5
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return se.generate_dataset(se.SyntheticSpec(seed=7))
+
+    def _mean_correlations(self, dataset, scorer, randomized) -> dict:
+        out = {}
+        for method in (se.Method.RISE, se.Method.SLIDING_WINDOW):
+            cfg = dataclasses.replace(se.SaliencyConfig(seed=7), method=method)
+            rho = []
+            for p in dataset.pairs_for_split("test")[:6]:
+                ref, query = dataset.image(p.reference_id), dataset.image(p.query_id)
+                rho.append(_spearman(se.generate(scorer, ref, query, cfg).data,
+                                     se.generate(randomized, ref, query, cfg).data))
+            out[method.name] = float(np.mean(rho))
+        return out
+
+    def test_planted_maps_depend_on_the_weights(self, dataset):
+        rho = self._mean_correlations(dataset, se.planted_scorer_for(dataset, seed=7),
+                                      se.LinearToyScorer.random(dataset.dims, seed=7))
+        assert all(r < self.BOUND for r in rho.values()), rho
+
+    @pytest.mark.xfail(strict=True, reason="triplet training barely moves the weights")
+    def test_triplet_maps_depend_on_the_weights(self, dataset):
+        """Known failure. Training moves the triplet weight by 1.3% of its norm
+        (|W0| = 39.0, |W - W0| = 0.49 at seed 7), so the maps are mostly those
+        of the random initial projection: against weights redrawn from the
+        initial distribution (normal, scale 0.1) the mean correlations are
+        0.77 (RISE, per pair 0.49..0.90) and 0.77 (sliding window, 0.56..0.88)."""
+        trained = se.TripletToyScorer.train_on(dataset, seed=7)
+        redrawn = se.TripletToyScorer(make_rng(7, 1).normal(scale=0.1, size=trained.weight.shape), dataset.dims)
+        rho = self._mean_correlations(dataset, trained, redrawn)
+        assert all(r < self.BOUND for r in rho.values()), rho
