@@ -7,11 +7,15 @@ linear embeddings compared with epsilon-guarded cosine similarity. Embeddings ar
 purpose: its per-row accumulation order is independent of batch size, so
 score(), score_batch() and any chunking of it are bitwise identical, as
 is a stack embedded once with ``embed_batch_flat`` and then scored against
-many references. ``embed_masked`` embeds the masked copies ``query * keep[n]`` from the
-(N, H, W) keep masks alone, as ``keep @ G.T`` for a (D, H*W) matrix G made
-from the weight and the query. It uses the same non-optimized einsum, so
-each of its rows is bitwise independent of N and of block edges; it sums
-in another order than embedding the copies, so the two agree within 1e-9.
+many references. ``keep_kernel(query)`` is the (D, H*W) matrix G, made
+from the weight and the query, that embeds ``query * keep`` as
+``G @ keep.ravel()``. ``embed_masked`` embeds (N, H, W) keep masks with
+it, and the saliency methods that draw masks as codes over a small basis
+(RISE grids, LIME superpixels) fold it into a small kernel per basis.
+Both embed through ``embed_codes``, the same non-optimized einsum, so
+each row is bitwise independent of N and of block edges; they sum in
+another order than embedding the masked copies, so the two agree within
+1e-9.
 """
 
 from __future__ import annotations
@@ -159,23 +163,23 @@ class LinearEmbeddingScorer(Scorer):
         emb = np.einsum("np,dp->nd", rows.astype(np.float64, copy=False), self.weight, optimize=False)
         return _with_norms(emb)
 
-    def embed_masked(self, query, keep: np.ndarray) -> EmbeddedRows:
-        """Embed ``query * keep[n]`` for (N, H, W) keep masks without
-        building the masked copies: the embedding of a masked query is
-        ``keep @ G.T`` with G[d, p] = sum_c weight[d, p, c] * query[p, c].
-        It sums in another order than embedding the copies, so scores
-        agree with the stack path within 1e-9, not bit for bit; each row
-        is still independent of N."""
+    def keep_kernel(self, query) -> np.ndarray:
+        """The (D, H*W) matrix G that embeds ``query * keep`` as
+        ``G @ keep.ravel()``: G[d, p] = sum_c weight[d, p, c] * query[p, c]."""
         h, w, c = self.dims
         query = _as_image(query, self.dims)
+        return np.einsum("dpc,pc->dp", self.weight.reshape(-1, h * w, c), query.reshape(h * w, c), optimize=False)
+
+    def embed_masked(self, query, keep: np.ndarray) -> EmbeddedRows:
+        """Embed ``query * keep[n]`` for (N, H, W) keep masks without
+        building the masked copies, as ``keep @ G.T`` with G the
+        ``keep_kernel`` of the query. It sums in another order than
+        embedding the copies, so scores agree with the stack path within
+        1e-9, not bit for bit; each row is still independent of N."""
+        h, w, _ = self.dims
         if keep.ndim != 3 or keep.shape[1:] != (h, w):
             raise InvalidArgumentError(f"keep masks must be (N, {h}, {w}), got {keep.shape}")
-        g = np.einsum("dpc,pc->dp", self.weight.reshape(-1, h * w, c), query.reshape(h * w, c), optimize=False)
-        # einsum sums in the order of the memory layout, and a fancy-indexed
-        # keep (LIME's selections) need not be in C order
-        keep = np.ascontiguousarray(keep.reshape(-1, h * w), dtype=np.float64)
-        emb = np.einsum("nk,dk->nd", keep, g, optimize=False)
-        return _with_norms(emb)
+        return _with_norms(embed_codes(self.keep_kernel(query), keep.reshape(-1, h * w)))
 
     def _embed_one(self, image) -> EmbeddedRows:
         return self.embed_batch_flat(_as_image(image, self.dims).reshape(1, -1))
@@ -249,6 +253,16 @@ class ConstantScorer(Scorer):
 def score_image_stack(scorer: Scorer, ref, stack: np.ndarray) -> np.ndarray:
     """Score an (N, H, W, C) stack against one reference, order preserved."""
     return scorer.score_batch_flat(ref, np.asarray(stack).reshape(stack.shape[0], -1))
+
+
+def embed_codes(kernel: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The (N, D) embeddings ``codes @ kernel.T`` of (N, K) keep codes over
+    a basis whose k-th element embeds to ``kernel[:, k]``. Non-optimized
+    einsum, so each row is bitwise independent of N."""
+    # einsum sums in the order of the memory layout, and fancy-indexed
+    # codes need not be in C order
+    codes = np.ascontiguousarray(codes, dtype=np.float64)
+    return np.einsum("nk,dk->nd", codes, kernel, optimize=False)
 
 
 def _with_norms(emb: np.ndarray) -> EmbeddedRows:

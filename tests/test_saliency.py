@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simexplain as se
 from simexplain.core import make_rng, resize_average_pool
@@ -21,6 +23,9 @@ from simexplain.saliency import (
     MaskObjective,
     _interp_matrix,
     _occlusion_keep,
+    _references,
+    _score_codes,
+    _Selections,
     _window_origins,
     _window_side,
     grid_segments,
@@ -31,6 +36,13 @@ from simexplain.saliency import (
 from simexplain.scorers import Scorer, _cosine_grad_pair, score_image_stack
 
 DIMS = (28, 28, 3)
+# one float32 ulp at 1.0, the largest value of a normalized map
+F32_ULP = 2.0 ** -23
+
+
+def full_masks(masks) -> np.ndarray:
+    """All of a RISE draw's masks at full resolution, built _CHUNK at a time."""
+    return np.concatenate([masks.block(s, s + _CHUNK) for s in range(0, len(masks), _CHUNK)])
 
 
 def small_cfg(method, seed=0, **kw):
@@ -176,23 +188,38 @@ class TestRise:
         # each pixel of an upsampled mask blends Bernoulli(0.5) cells, so
         # its mean over 400 masks stays within 3 sigma of the keep rate
         cfg = se.RiseCfg(n_masks=400, grid=6, keep_prob=0.5)
-        masks = sample_rise_masks(cfg, 28, 28, seed=5)
+        masks = full_masks(sample_rise_masks(cfg, 28, 28, seed=5))
         assert masks.shape == (400, 28, 28)
         sigma = math.sqrt(0.5 * 0.5 / 400)
         assert np.all(np.abs(masks.mean(axis=0) - 0.5) <= 3 * sigma + 1e-12)
 
     def test_upsampled_masks_are_continuous(self):
         cfg = se.RiseCfg(n_masks=4, grid=7, keep_prob=0.5)
-        masks = sample_rise_masks(cfg, 28, 28, seed=5)
+        masks = full_masks(sample_rise_masks(cfg, 28, 28, seed=5))
         assert masks.min() >= 0.0 and masks.max() <= 1.0
         jumps = np.abs(np.diff(masks, axis=2)).max()
         assert jumps < 0.5  # bilinear cells blend, no hard 0->1 steps
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=st.integers(1, 16), height=st.integers(1, 64), width=st.integers(1, 64),
+           seed=st.integers(0, 2**16))
+    def test_upsampled_grids_need_no_clip(self, grid, height, width, seed):
+        # an upsampled 0/1 grid is a convex combination of 0 and 1, and its
+        # rounding keeps it in [0, 1]; an all-ones grid is the closest to
+        # leaving it, so the block builder needs no clip and the map may
+        # be summed in grid space
+        masks = sample_rise_masks(se.RiseCfg(n_masks=8, grid=grid), height, width, seed)
+        masks = dataclasses.replace(masks, grids=np.concatenate([np.ones((1, grid, grid)), masks.grids[1:]]))
+        full = masks.block(0, len(masks))
+        assert full.min() >= 0.0 and full.max() <= 1.0
 
     def test_reproducible_from_seed(self):
         cfg = se.RiseCfg(n_masks=10, grid=5, keep_prob=0.4)
         a = sample_rise_masks(cfg, 20, 20, seed=9)
         b = sample_rise_masks(cfg, 20, 20, seed=9)
-        np.testing.assert_array_equal(a, b)
+        for field in ("grids", "dy", "dx"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        np.testing.assert_array_equal(full_masks(a), full_masks(b))
 
     def test_cell_weight_tracks_planted_mass(self):
         # seed-averaged map vs analytic |weight| mass per low-res cell
@@ -224,7 +251,7 @@ class TestRise:
         # normalized map generate() publishes keeps its argmax pixel
         _, scorer = planted
         cfg = small_cfg(se.Method.RISE, seed=3)
-        masks = sample_rise_masks(cfg.rise, 28, 28, cfg.seed)
+        masks = full_masks(sample_rise_masks(cfg.rise, 28, 28, cfg.seed))
         stack = images[1][None, :, :, :] * masks[:, :, :, None]
         scores = score_image_stack(scorer, images[0], stack)
         raw = np.einsum("n,nhw->hw", scores, masks) / (len(masks) * cfg.rise.keep_prob)
@@ -241,11 +268,13 @@ class TestDualEmbedOnce:
                                                      monkeypatch):
         from simexplain.external import _ScoreOnly
 
+        from simexplain import saliency
+
         _, scorer = planted
         cfg = small_cfg(method, seed=3, fixed_reference=False)
         reference_path = se.generate(_ScoreOnly(scorer), images[0], images[1], cfg)
         embedded = []
-        project, project_masked = scorer.embed_batch_flat, scorer.embed_masked
+        project, project_masked, project_codes = scorer.embed_batch_flat, scorer.embed_masked, saliency.embed_codes
 
         def counting(rows):
             embedded.append(rows.shape[0])
@@ -255,18 +284,29 @@ class TestDualEmbedOnce:
             embedded.append(keep.shape[0])
             return project_masked(query, keep)
 
+        def counting_codes(kernel, codes):
+            # the RISE query rows, embedded from their grids
+            embedded.append(codes.shape[0])
+            return project_codes(kernel, codes)
+
         monkeypatch.setattr(scorer, "embed_batch_flat", counting)
         monkeypatch.setattr(scorer, "embed_masked", counting_masked)
+        monkeypatch.setattr(saliency, "embed_codes", counting_codes)
         fast = se.generate(scorer, images[0], images[1], cfg)
-        assert fast.data.tobytes() == reference_path.data.tobytes()
-        # each query variant (from its keep mask) and each reference
-        # variant is embedded once
+        if method is se.Method.RISE:
+            # rows from the grids sum in another order than the masked copies
+            np.testing.assert_allclose(fast.data, reference_path.data, rtol=0, atol=F32_ULP)
+        else:
+            assert fast.data.tobytes() == reference_path.data.tobytes()
+        # each query variant (from its grid or keep mask) and each
+        # reference variant is embedded once
         assert sum(embedded) == n_query + n_ref
 
 
 class TestBlocks:
-    """score_masked and sample_rise_masks work through their masks _CHUNK at
-    a time; every count around a block edge gives the one-shot result."""
+    """score_masked and the RISE block builder work through their masks
+    _CHUNK at a time; every count around a block edge gives the one-shot
+    result."""
 
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
     @pytest.mark.parametrize("n_refs", [1, 3])
@@ -301,14 +341,14 @@ class TestBlocks:
         dx = rng.integers(0, cell_w, size=n)
         cropped = np.array([oversize[k, dy[k]:dy[k] + height, dx[k]:dx[k] + width] for k in range(n)])
         one_shot = np.clip(cropped, 0.0, 1.0)
-        assert sample_rise_masks(cfg, height, width, seed=9).tobytes() == one_shot.tobytes()
+        assert full_masks(sample_rise_masks(cfg, height, width, seed=9)).tobytes() == one_shot.tobytes()
 
 
 def _keep_masks(kind: str, n: int, rng) -> np.ndarray:
     """n keep masks of one kind a method or curve makes, the first all zero."""
     h, w = DIMS[:2]
     if kind == "rise":
-        keep = sample_rise_masks(se.RiseCfg(n_masks=n, grid=7), h, w, seed=n)
+        keep = full_masks(sample_rise_masks(se.RiseCfg(n_masks=n, grid=7), h, w, seed=n))
     elif kind == "occlusion":
         windows = _occlusion_keep(h, w, 81, 0.1)
         keep = windows[np.arange(n) % len(windows)]
@@ -376,7 +416,7 @@ class TestBlockMemory:
 
     @pytest.fixture(scope="class")
     def inputs(self):
-        masks = sample_rise_masks(se.RiseCfg(n_masks=1000), *self.BIG[:2], seed=0)
+        masks = full_masks(sample_rise_masks(se.RiseCfg(n_masks=1000), *self.BIG[:2], seed=0))
         query = np.random.default_rng(0).random(self.BIG)
         return masks, query, se.LinearToyScorer.random(self.BIG, seed=0)
 
@@ -398,10 +438,114 @@ class TestBlockMemory:
         block = _CHUNK * query.nbytes  # 128 masked 56x56x3 float64 images, 9.6 MB
         assert _traced_peak(score_masked, _ScoreOnly(scorer), [query], query, masks) < 1.5 * block
 
-    def test_rise_sampling_peak_is_near_its_output(self):
-        cfg = se.RiseCfg(n_masks=1000)
-        output = cfg.n_masks * self.BIG[0] * self.BIG[1] * 8
-        assert _traced_peak(sample_rise_masks, cfg, *self.BIG[:2], 0) < 1.5 * output
+    @staticmethod
+    def _rise_peak(scorer, query, n_masks: int) -> int:
+        cfg = se.SaliencyConfig(method=se.Method.RISE, rise=se.RiseCfg(n_masks=n_masks))
+        return _traced_peak(se.generate, scorer, query, query, cfg)
+
+    def test_rise_peak_grows_only_by_grids_and_rows(self, inputs):
+        # per mask: its (g, g) grid and (D,) row, plus 16 float64 values of
+        # bookkeeping (offsets, norm, score); a full-resolution mask alone
+        # would be 56 * 56 float64 values
+        _, query, scorer = inputs
+        g, d = se.RiseCfg().grid, scorer.embed_dim
+        growth = self._rise_peak(scorer, query, 2500) - self._rise_peak(scorer, query, 500)
+        assert growth < 2000 * 8 * (g * g + d + 16)
+
+    def test_rise_score_only_peak_grows_by_less_than_a_block(self, inputs):
+        _, query, scorer = inputs
+        score_only = _ScoreOnly(scorer)
+        growth = self._rise_peak(score_only, query, 1000) - self._rise_peak(score_only, query, _CHUNK + 1)
+        assert growth < _CHUNK * self.BIG[0] * self.BIG[1] * 8  # one block of full-resolution masks
+
+
+def _triplet(dims, seed=0):
+    """A triplet scorer with its initial weights: the trained model's
+    linear structure without a dataset to fit."""
+    return se.TripletToyScorer(make_rng(seed, 1).normal(scale=0.1, size=(8, math.prod(dims))), dims)
+
+
+class TestCodePath:
+    """RISE and LIME embed their masked queries from low-dimensional codes
+    (grid cells at a crop offset, superpixel choices) through the query's
+    keep kernel, and RISE sums its map per offset in grid space. Both sum
+    in another order than the materialized-mask path (score_masked on the
+    full keep masks), so scores agree within 1e-12 and RISE map sums
+    within 1e-12 per mask; a score-only scorer gets the same blocks of
+    masks and the same score bits."""
+
+    TOL = 1e-12
+
+    @staticmethod
+    def _scorer(kind, dims):
+        if kind == "planted":
+            return se.LinearToyScorer.planted(dims, se.Rect(6, 4, 10, 8), embed_dim=8, seed=2)
+        return _triplet(dims)
+
+    @pytest.mark.parametrize("dims", [(28, 28, 3), (30, 17, 3)], ids=["square", "30x17"])
+    @pytest.mark.parametrize("kind", ["planted", "triplet"])
+    @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "dual"])
+    # grid 1; a grid larger than either side (one offset); fewer masks than offsets
+    @pytest.mark.parametrize("grid, n_masks", [(7, 200), (1, 40), (40, 50), (5, 3)])
+    def test_rise_equals_materialized_masks(self, dims, kind, fixed, grid, n_masks):
+        h, w, _ = dims
+        scorer = self._scorer(kind, dims)
+        rng = np.random.default_rng(grid)
+        ref, query = rng.random(dims), rng.random(dims)
+        cfg = small_cfg(se.Method.RISE, seed=4, fixed_reference=fixed,
+                        rise=se.RiseCfg(n_masks=n_masks, grid=grid, n_ref_masks=4))
+        refs = _references(ref, cfg)
+        masks = sample_rise_masks(cfg.rise, h, w, cfg.seed)
+        full = full_masks(masks)
+        scores = _score_codes(scorer, refs, query, masks)
+        np.testing.assert_allclose(scores, score_masked(scorer, refs, query, full), rtol=0, atol=self.TOL)
+        np.testing.assert_allclose(masks.weighted_sum(scores), np.einsum("n,nhw->hw", scores, full),
+                                   rtol=0, atol=self.TOL * n_masks)
+        score_only = _ScoreOnly(scorer)
+        assert (_score_codes(score_only, refs, query, masks).tobytes()
+                == score_masked(score_only, refs, query, full).tobytes())
+
+    @pytest.mark.parametrize("dims", [(28, 28, 3), (30, 17, 3)], ids=["square", "30x17"])
+    @pytest.mark.parametrize("kind", ["planted", "triplet"])
+    @pytest.mark.parametrize("segmentation", ["grid", "slic_like"])
+    def test_lime_equals_materialized_masks(self, dims, kind, segmentation):
+        h, w, _ = dims
+        scorer = self._scorer(kind, dims)
+        rng = np.random.default_rng(5)
+        ref, query = rng.random(dims), rng.random(dims)
+        segments = grid_segments(h, w, 49) if segmentation == "grid" else slic_like_segments(query, 49)
+        keep = rng.random((300, int(segments.max()) + 1)) < 0.5
+        codes = _Selections(keep, segments)
+        scores = _score_codes(scorer, [ref], query, codes)
+        np.testing.assert_allclose(scores, score_masked(scorer, [ref], query, keep[:, segments]),
+                                   rtol=0, atol=self.TOL)
+        score_only = _ScoreOnly(scorer)
+        assert (_score_codes(score_only, [ref], query, codes).tobytes()
+                == score_masked(score_only, [ref], query, keep[:, segments]).tobytes())
+
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_rows_are_batch_invariant(self, n, images):
+        # the first n codes embed to the first n rows of the whole draw, and
+        # each row to the row of that code alone
+        scorer = se.LinearToyScorer.random(DIMS, embed_dim=8, seed=5)
+        kernel = scorer.keep_kernel(images[1])
+        total = 2 * _CHUNK + 3
+        rise = sample_rise_masks(se.RiseCfg(n_masks=total, grid=7), *DIMS[:2], seed=1)
+        lime = _Selections(np.random.default_rng(1).random((total, 49)) < 0.5, grid_segments(*DIMS[:2], 49))
+
+        def rise_part(part):
+            return dataclasses.replace(rise, grids=rise.grids[part], dy=rise.dy[part], dx=rise.dx[part])
+
+        def lime_part(part):
+            return dataclasses.replace(lime, keep=lime.keep[part])
+
+        for part_of, whole in ((rise_part, rise), (lime_part, lime)):
+            every = whole.embed(kernel)
+            first = part_of(slice(0, n)).embed(kernel)
+            assert first.emb.tobytes() == every.emb[:n].tobytes()
+            assert first.norms.tobytes() == every.norms[:n].tobytes()
+            singles = np.concatenate([part_of(slice(i, i + 1)).embed(kernel).emb for i in range(n)])
+            assert singles.tobytes() == first.emb.tobytes()
 
 
 class TestLime:
