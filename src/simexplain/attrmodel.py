@@ -190,8 +190,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.epochs, self.k_maps, self.batch_size, self.n_filters) < 1:
             raise InvalidArgumentError("epochs, k_maps, batch_size, n_filters must be >= 1")
-        if self.lr <= 0 or self.lam < 0:
-            raise InvalidArgumentError("lr must be > 0 and lambda >= 0")
+        if not (0.0 < self.lr < np.inf and 0.0 <= self.lam < np.inf):
+            raise InvalidArgumentError("lr must be finite and > 0, lambda finite and >= 0")
 
 
 @dataclass

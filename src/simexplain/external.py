@@ -32,6 +32,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +69,8 @@ class _Connection:
         self._rx = None
         self._tx = None
         self._next_id = 1
+        self._due: float | None = None  # deadline of the request in flight
+        self._due_changed = threading.Condition()
         self._open()
 
     def _open(self) -> None:
@@ -82,11 +85,25 @@ class _Connection:
             )
             self._tx = self._proc.stdin
             self._rx = self._proc.stdout
+            # one watchdog per child, not a thread per request: threads that
+            # come and go race whatever lists this process's tasks
+            self._watchdog = threading.Thread(target=self._watch, args=(self._proc,), daemon=True)
+            self._watchdog.start()
         else:
             self._sock = socket.create_connection(self._address, timeout=_DEADLINE_S)
             self._tx = self._sock.makefile("w", encoding="utf-8", newline="\n")
             self._rx = self._sock.makefile("r", encoding="utf-8")
         self._next_id = 1
+
+    def _watch(self, proc: subprocess.Popen) -> None:
+        """Kill the child when the request in flight misses its deadline,
+        which ends a blocked write or read."""
+        with self._due_changed:
+            while self._proc is proc:
+                if self._due is not None and time.monotonic() >= self._due:
+                    proc.kill()
+                    self._due = None
+                self._due_changed.wait(None if self._due is None else self._due - time.monotonic())
 
     def reset(self) -> None:
         self.close()
@@ -99,14 +116,18 @@ class _Connection:
                     stream.close()
             except OSError:
                 pass
-        if self._proc is not None:
-            self._proc.terminate()
+        proc = self._proc
+        if proc is not None:
+            with self._due_changed:
+                self._proc = None  # ends the watchdog
+                self._due_changed.notify()
+            self._watchdog.join()
+            proc.terminate()
             try:
-                self._proc.wait(timeout=5)
+                proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-            self._proc = None
+                proc.kill()
+                proc.wait()
         if self._sock is not None:
             self._sock.close()
             self._sock = None
@@ -115,11 +136,10 @@ class _Connection:
         req_id = self._next_id
         self._next_id += 1
         line = json.dumps({"id": req_id, **payload}, separators=(",", ":"))
-        # killing a stdio peer at the deadline ends a blocked write or read
-        timer = threading.Timer(_DEADLINE_S, self._proc.kill) if self._proc is not None else None
+        with self._due_changed:
+            self._due = time.monotonic() + _DEADLINE_S
+            self._due_changed.notify()
         try:
-            if timer is not None:
-                timer.start()
             self._tx.write(line + "\n")
             self._tx.flush()
             answer = self._rx.readline()
@@ -127,8 +147,7 @@ class _Connection:
             self.close()
             raise TransportError(f"connection broke during {payload.get('op')}: {exc}") from exc
         finally:
-            if timer is not None:
-                timer.cancel()
+            self._due = None  # a watchdog waiting for this deadline finds none when it wakes
         if not answer:
             self.close()
             raise TransportError(f"peer closed the connection or missed the {_DEADLINE_S:g} s deadline "

@@ -16,31 +16,25 @@ query manipulation is scored against M reference manipulations and the
 attributed score is their mean, after which aggregation proceeds exactly
 as in fixed mode (fixed mode is the M=1 identity special case).
 
-Sliding window, RISE and LIME perturb an image the same way: they
-multiply it by keep masks (boolean occlusions, upsampled random grids,
-superpixel selections). Sliding window and the insertion/deletion curves
-in ``metrics`` hold (N, H, W) keep masks and score them with
-``score_masked``. An embedding scorer (one with ``embed_masked``) never
-gets masked copies: it embeds the masked queries from the keep masks,
-``_CHUNK`` masks at a time, and the (N, D) rows are scored against each
-reference manipulation, so dual mode does fixed mode's scorer work plus M
-reference embeddings. Any other scorer (external, score-only) gets the
-masked copies built ``_CHUNK`` at a time and scores each block against
-each reference manipulation: M x N images.
-
-RISE and LIME keep their masks as low-dimensional codes over a fixed basis:
-a RISE mask is a g x g 0/1 grid upsampled and cropped at one of
-ceil(H/g) * ceil(W/g) offsets (``RiseMasks``), a LIME sample a choice of
-superpixels (``_Selections``). A scorer with ``keep_kernel`` is linear in
-the keep mask, so a masked query embeds to its code times a small kernel
-made from the query's keep kernel: one (D, g*g) kernel per RISE offset,
-one (S, D) kernel for the superpixels. RISE also sums its map per offset
-in grid space. So on that path no full-resolution mask exists, and memory
-grows with N only by the codes and the (N, D) rows. Any other scorer gets
-blocks of ``_CHUNK`` full-resolution masks built from the codes, and never
-an N-sized one. A non-finite score raises ``InvalidDataError``. The
-learned mask embeds its upsampled cells once, through ``embed_masked``,
-and its Adam steps call no scorer (see ``MaskObjective``).
+Sliding window, RISE, LIME and the insertion/deletion curves in
+``metrics`` perturb an image one way: ``score_masked`` scores the query
+times keep masks held as codes over a basis. A RISE mask is a g x g 0/1
+grid upsampled and cropped at one of ceil(H/g) * ceil(W/g) offsets
+(``RiseMasks``), a LIME sample a choice of superpixels (``_Selections``),
+an occlusion window or curve step an (H, W) mask over the pixels
+(``_Pixels``). A scorer with ``keep_kernel`` is linear in the keep mask,
+so a masked query embeds to its code times a kernel made from the query's
+keep kernel: one (D, g*g) kernel per RISE offset, one (S, D) kernel for
+the superpixels, the keep kernel itself for pixels. No masked copy exists,
+and the (N, D) rows are scored against each reference manipulation, so
+dual mode does fixed mode's scorer work plus M reference embeddings. Any
+other scorer (external, score-only) gets blocks of ``_CHUNK`` masked
+copies built from the codes and scores each against each reference
+manipulation: M x N images, never an N-sized stack. RISE sums its map per
+offset in grid space on both paths. A non-finite score raises
+``InvalidDataError``. The learned mask embeds its upsampled cells once
+through the keep kernel, and its Adam steps call no scorer (see
+``MaskObjective``).
 """
 
 from __future__ import annotations
@@ -56,10 +50,10 @@ from .errors import InvalidArgumentError, InvalidDataError, OptimizationError, U
 from .optim import Adam, lasso_coordinate_descent
 from .scorers import EmbeddedRows, Scorer, _cosine_grad_pair, _with_norms, embed_codes, score_image_stack
 
-# Masks per block, in masked-query embedding, masked-stack scoring and the
-# RISE and LIME masks built for score-only scorers: 128 masked 56x56x3
-# float64 images are 9.6 MB, and a multiple of the stub's max_batch (64)
-# keeps external round trips as few as one whole stack needs.
+# Masks per block, in embedding pixel masks and in the masked copies built
+# for score-only scorers: 128 masked 56x56x3 float64 images are 9.6 MB, and
+# a multiple of the stub's max_batch (64) keeps external round trips as few
+# as one whole stack needs.
 _CHUNK = 128
 
 # rng stream tags so every randomness source is independent of the others
@@ -114,8 +108,8 @@ class LimeCfg:
             raise InvalidArgumentError(f"unknown segmentation {self.segmentation!r}")
         if not 0.0 < self.keep_prob < 1.0:
             raise InvalidArgumentError("keep_prob must lie in (0, 1)")
-        if self.lasso_alpha < 0.0:
-            raise InvalidArgumentError("lasso_alpha must be >= 0")
+        if not 0.0 <= self.lasso_alpha < math.inf:
+            raise InvalidArgumentError("lasso_alpha must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,6 +140,9 @@ class MaskCfg:
             raise InvalidArgumentError(f"unknown perturb operator {self.perturb!r}")
         if self.preserve_sign not in (1.0, -1.0):
             raise InvalidArgumentError("preserve_sign must be +1 or -1")
+        # comparisons with NaN are false, so these also reject NaN
+        if not (0.0 < self.lr < math.inf and 0.0 <= self.tv_weight < math.inf and 0.0 <= self.l1_weight < math.inf):
+            raise InvalidArgumentError("mask lr must be finite and > 0, tv_weight and l1_weight finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -171,28 +168,36 @@ def _masked(image: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Attributed score of ``query * keep[n]`` for each of the (N, H, W)
-    keep masks: the mean of its scores against the reference variants.
+class _Pixels:
+    """(N, H, W) keep masks as codes over the pixel basis, whose kernel is
+    the keep kernel itself; they become float64 ``_CHUNK`` at a time."""
 
-    A scorer with ``embed_masked`` embeds the masked queries from the keep
-    masks ``_CHUNK`` at a time, without building them, and the (N, D) rows
-    are then scored against each reference variant; any other scorer
-    scores each block of ``_CHUNK`` masked copies against each variant.
-    """
-    embed = getattr(scorer, "embed_masked", None)
-    if embed is None:
-        return _score_blocks(scorer, ref_variants, query, keep.shape[0], lambda start, stop: keep[start:stop])
-    parts = [embed(query, keep[s:s + _CHUNK]) for s in range(0, keep.shape[0], _CHUNK)]
-    rows = EmbeddedRows(np.concatenate([p.emb for p in parts]), np.concatenate([p.norms for p in parts]))
-    return _score_rows(scorer, ref_variants, rows)
+    def __init__(self, keep, shape: tuple[int, int]):
+        self.keep = np.asarray(keep)
+        if self.keep.ndim != 3 or self.keep.shape[1:] != shape:
+            raise InvalidArgumentError(f"keep masks must be (N, {shape[0]}, {shape[1]}), got {self.keep.shape}")
+
+    def __len__(self) -> int:
+        return self.keep.shape[0]
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        return self.keep[start:stop]
+
+    def embed(self, keep_kernel: np.ndarray) -> EmbeddedRows:
+        emb = np.empty((len(self), keep_kernel.shape[0]), dtype=np.float64)
+        for s in range(0, len(self), _CHUNK):
+            emb[s:s + _CHUNK] = embed_codes(keep_kernel, self.block(s, s + _CHUNK).reshape(-1, keep_kernel.shape[1]))
+        return _with_norms(emb)
 
 
-def _score_codes(scorer: Scorer, ref_variants, query: np.ndarray, masks) -> np.ndarray:
-    """``score_masked`` for keep masks in code form (``RiseMasks``,
-    ``_Selections``). A scorer with ``keep_kernel`` embeds the masked
-    queries from their codes, so no full-resolution mask exists; any other
-    scorer scores blocks of ``_CHUNK`` masks built from the codes."""
+def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, masks) -> np.ndarray:
+    """Attributed score of the query times each keep mask: the mean of its
+    scores against the reference variants. ``masks`` is a code form
+    (``RiseMasks``, ``_Selections``) or an (N, H, W) array (``_Pixels``).
+    A scorer with ``keep_kernel`` embeds the codes; any other scorer scores
+    blocks of ``_CHUNK`` masked copies."""
+    if not hasattr(masks, "embed"):
+        masks = _Pixels(masks, query.shape[:2])
     kernel_of = getattr(scorer, "keep_kernel", None)
     if kernel_of is None:
         return _score_blocks(scorer, ref_variants, query, len(masks), masks.block)
@@ -337,7 +342,7 @@ def _rise(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfi
     """Score-weighted average of random keep masks."""
     h, w, _ = query.shape
     masks = sample_rise_masks(cfg.rise, h, w, cfg.seed)
-    scores = _score_codes(scorer, _references(ref, cfg), query, masks)
+    scores = score_masked(scorer, _references(ref, cfg), query, masks)
     if _degenerate_result(scores):
         return None
     return masks.weighted_sum(scores) / (len(masks) * cfg.rise.keep_prob)
@@ -478,7 +483,7 @@ def _lime(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfi
     rng = make_rng(cfg.seed, _STREAM_LIME)
     # boolean selections multiply and centre with the same bits as 1.0/0.0
     keep = rng.random((cfg.lime.n_samples, n_seg)) < cfg.lime.keep_prob
-    scores = _score_codes(scorer, [ref], query, _Selections(keep, segments))
+    scores = score_masked(scorer, [ref], query, _Selections(keep, segments))
     if _degenerate_result(scores):
         return None
 
@@ -540,11 +545,12 @@ class MaskObjective:
 
     where query' = q * M + base * (1 - M). In dual mode theta holds the
     query mask logits followed by the reference mask logits. M is linear
-    in m, so under ``embed_masked`` a masked image embeds to
+    in m, so for a scorer with ``keep_kernel`` a masked image embeds to
     ``e0 + m.ravel() @ K``: e0 embeds the base and row k of K embeds
-    (img - base) under the k-th upsampled cell. The scorer is asked only
-    when the objective is built; a step calls none. Any other scorer needs
-    ``fd_fallback``: forward differences of scores of composed images.
+    (img - base) under the k-th upsampled cell, both as codes over the
+    cells (``embed_codes``). The scorer is asked only when the objective
+    is built; a step calls none. Any other scorer needs ``fd_fallback``:
+    forward differences of scores of composed images.
     """
 
     def __init__(self, scorer: Scorer, ref: np.ndarray, query: np.ndarray,
@@ -563,18 +569,19 @@ class MaskObjective:
         self.parts = [(query, self._perturb_base(query, rng))]
         if dual:
             self.parts.append((ref, self._perturb_base(ref, rng)))
-        embed = getattr(scorer, "embed_masked", None)
-        if embed is None and not cfg.fd_fallback:
+        kernel_of = getattr(scorer, "keep_kernel", None)
+        if kernel_of is None and not cfg.fd_fallback:
             raise UnsupportedError(
-                "mask learning needs a scorer with embed_masked; enable fd_fallback to use forward differences"
+                "mask learning needs a scorer with keep_kernel; enable fd_fallback to use forward differences"
             )
         self.kernels = None  # (e0, K) of each part; None on the forward-difference path
-        if embed is not None:
+        if kernel_of is not None:
             # the upsampled cells, basis[i * g + j] = rows[:, i] (x) cols[:, j]
-            basis = np.einsum("ri,cj->ijrc", self.rows, self.cols).reshape(cfg.grid ** 2, h, w)
-            whole = np.ones((1, h, w))
-            self.kernels = [(embed(base, whole).emb[0], embed(img - base, basis).emb) for img, base in self.parts]
-            self.ref_emb = None if dual else embed(ref, whole).emb[0]
+            basis = np.einsum("ri,cj->ijrc", self.rows, self.cols).reshape(cfg.grid ** 2, h * w)
+            whole = np.ones((1, h * w))
+            self.kernels = [(embed_codes(kernel_of(base), whole)[0], embed_codes(kernel_of(img - base), basis))
+                            for img, base in self.parts]
+            self.ref_emb = None if dual else embed_codes(kernel_of(ref), whole)[0]
 
     def _perturb_base(self, img: np.ndarray, rng) -> np.ndarray:
         if self.cfg.perturb == "delete":

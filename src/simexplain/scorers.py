@@ -3,19 +3,17 @@ score / embed interface that the perturbation methods consume.
 
 Every scorer answers ``score_batch_flat`` over flattened pixel rows (the
 base class forwards it to ``score_batch``). All built-in scorers are
-linear embeddings compared with epsilon-guarded cosine similarity. Embeddings are computed with non-optimized einsum on
-purpose: its per-row accumulation order is independent of batch size, so
-score(), score_batch() and any chunking of it are bitwise identical, as
-is a stack embedded once with ``embed_batch_flat`` and then scored against
-many references. ``keep_kernel(query)`` is the (D, H*W) matrix G, made
-from the weight and the query, that embeds ``query * keep`` as
-``G @ keep.ravel()``. ``embed_masked`` embeds (N, H, W) keep masks with
-it, and the saliency methods that draw masks as codes over a small basis
-(RISE grids, LIME superpixels) fold it into a small kernel per basis.
-Both embed through ``embed_codes``, the same non-optimized einsum, so
-each row is bitwise independent of N and of block edges; they sum in
-another order than embedding the masked copies, so the two agree within
-1e-9.
+linear embeddings compared with epsilon-guarded cosine similarity.
+Embeddings use non-optimized einsum on purpose: its per-row accumulation
+order is independent of batch size, so score(), score_batch() and any
+chunking of it are bitwise identical, as is a stack embedded once with
+``embed_batch_flat`` and then scored against many references.
+``keep_kernel(query)`` is the (D, H*W) matrix G that embeds
+``query * keep`` as ``G @ keep.ravel()``. The saliency methods embed keep
+masks held as codes over a basis (pixels, RISE grids, LIME superpixels)
+through ``embed_codes`` with a kernel folded from G: each row is bitwise
+independent of N and of block edges, and agrees within 1e-9 with
+embedding the masked copy, which sums in another order.
 """
 
 from __future__ import annotations
@@ -169,17 +167,6 @@ class LinearEmbeddingScorer(Scorer):
         h, w, c = self.dims
         query = _as_image(query, self.dims)
         return np.einsum("dpc,pc->dp", self.weight.reshape(-1, h * w, c), query.reshape(h * w, c), optimize=False)
-
-    def embed_masked(self, query, keep: np.ndarray) -> EmbeddedRows:
-        """Embed ``query * keep[n]`` for (N, H, W) keep masks without
-        building the masked copies, as ``keep @ G.T`` with G the
-        ``keep_kernel`` of the query. It sums in another order than
-        embedding the copies, so scores agree with the stack path within
-        1e-9, not bit for bit; each row is still independent of N."""
-        h, w, _ = self.dims
-        if keep.ndim != 3 or keep.shape[1:] != (h, w):
-            raise InvalidArgumentError(f"keep masks must be (N, {h}, {w}), got {keep.shape}")
-        return _with_norms(embed_codes(self.keep_kernel(query), keep.reshape(-1, h * w)))
 
     def _embed_one(self, image) -> EmbeddedRows:
         return self.embed_batch_flat(_as_image(image, self.dims).reshape(1, -1))

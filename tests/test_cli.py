@@ -16,7 +16,7 @@ import simexplain.discovery as se_discovery
 import simexplain.explain as se_explain
 from simexplain.cli import build_config, build_parser, load_saliency_bank, main
 from simexplain.dataio import GRID_MAGIC, SMAP_MAGIC, load_dataset, load_model, load_saliency, save_grid
-from simexplain.errors import IntegrityError, ParseError
+from simexplain.errors import IntegrityError, InvalidArgumentError, ParseError
 from simexplain.synth import motif_slots
 
 
@@ -271,6 +271,29 @@ class TestCliPlumbing:
         assert code == 2
         with pytest.raises(ParseError):
             build_config(se.SaliencyConfig, {"rize": {}}, "saliency")
+
+    # json reads NaN and Infinity, so the config types reject them
+    @pytest.mark.parametrize("dc_type, text", [
+        (se.SaliencyConfig, '{"mask": {"lr": NaN}}'),
+        (se.SaliencyConfig, '{"mask": {"lr": -0.1}}'),
+        (se.SaliencyConfig, '{"mask": {"lr": Infinity}}'),
+        (se.SaliencyConfig, '{"mask": {"tv_weight": -1.0}}'),
+        (se.SaliencyConfig, '{"mask": {"l1_weight": NaN}}'),
+        (se.SaliencyConfig, '{"lime": {"lasso_alpha": NaN}}'),
+        (se.SaliencyConfig, '{"lime": {"lasso_alpha": Infinity}}'),
+        (se.TrainConfig, '{"lr": NaN}'),
+        (se.TrainConfig, '{"lam": Infinity}'),
+    ], ids=["mask-lr-nan", "mask-lr-negative", "mask-lr-inf", "mask-tv-negative", "mask-l1-nan",
+            "lime-alpha-nan", "lime-alpha-inf", "train-lr-nan", "train-lam-inf"])
+    def test_non_finite_and_out_of_range_numbers_rejected(self, dc_type, text):
+        with pytest.raises(InvalidArgumentError):
+            build_config(dc_type, json.loads(text), "section")
+
+    def test_nan_in_config_file_exits_2(self, tmp_path):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"saliency": {"mask": {"lr": NaN}}}')
+        assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "d").exists()
 
     def test_nested_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="n_maskz"):

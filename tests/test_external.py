@@ -97,6 +97,25 @@ class TestStdioRoundTrip:
             with pytest.raises(UnsupportedError):
                 ext.embed(rng.random(DIMS).astype(np.float32))
 
+    def test_requests_start_no_thread(self, monkeypatch, rng):
+        # the deadline watchdog starts with the child and ends with it:
+        # threads that come and go per request race anything that lists
+        # this process's tasks
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        with ExternalScorer(command=stub_command()) as ext:
+            assert len(started) == 1
+            for _ in range(3):
+                ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(20)])
+            assert len(started) == 1
+        assert not started[0].is_alive()
+
     def test_single_score(self, reference, rng):
         with ExternalScorer(command=stub_command()) as ext:
             a, b = rng.random(DIMS).astype(np.float32), rng.random(DIMS).astype(np.float32)

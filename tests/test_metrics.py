@@ -97,7 +97,7 @@ class TestInsertionDeletion:
     @given(seed=st.integers(0, 2**16), scale=st.floats(0.1, 10.0), shift=st.floats(-5.0, 5.0),
            steps=st.sampled_from([4, 16, 300]))
     def test_auc_invariant_under_positive_affine_scores(self, seed, scale, shift, steps):
-        # the wrapper has no embed_batch_flat, so score_masked scores its
+        # the wrapper has no keep_kernel, so score_masked scores its
         # blocks one by one (300 steps span three blocks)
         inner = se.LinearToyScorer.random(DIMS, embed_dim=5, seed=seed % 5)
 

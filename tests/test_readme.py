@@ -1,0 +1,12 @@
+"""The README's library sketch runs as it is written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_sketch_runs():
+    section = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, str(README), "exec"), {"__name__": "readme_sketch"})

@@ -24,7 +24,7 @@ from simexplain.saliency import (
     _interp_matrix,
     _occlusion_keep,
     _references,
-    _score_codes,
+    _Pixels,
     _Selections,
     _window_origins,
     _window_side,
@@ -92,6 +92,16 @@ class TestDefaultsMatchDocumentedValues:
             se.SlidingCfg(window_area_frac=1.5)
         with pytest.raises(InvalidArgumentError):
             se.MaskCfg(perturb="sparkle")
+        for bad in ({"lr": math.nan}, {"lr": -0.1}, {"lr": 0.0}, {"lr": math.inf}, {"tv_weight": -1.0},
+                    {"tv_weight": math.inf}, {"l1_weight": math.nan}, {"l1_weight": -0.5}):
+            with pytest.raises(InvalidArgumentError):
+                se.MaskCfg(**bad)
+        for alpha in (math.nan, math.inf, -1.0):
+            with pytest.raises(InvalidArgumentError):
+                se.LimeCfg(lasso_alpha=alpha)
+        # the boundary values stay valid
+        se.MaskCfg(tv_weight=0.0, l1_weight=0.0)
+        se.LimeCfg(lasso_alpha=0.0)
 
 
 class TestDegenerateScorer:
@@ -274,23 +284,19 @@ class TestDualEmbedOnce:
         cfg = small_cfg(method, seed=3, fixed_reference=False)
         reference_path = se.generate(_ScoreOnly(scorer), images[0], images[1], cfg)
         embedded = []
-        project, project_masked, project_codes = scorer.embed_batch_flat, scorer.embed_masked, saliency.embed_codes
+        project, project_codes = scorer.embed_batch_flat, saliency.embed_codes
 
         def counting(rows):
+            # the reference variants
             embedded.append(rows.shape[0])
             return project(rows)
 
-        def counting_masked(query, keep):
-            embedded.append(keep.shape[0])
-            return project_masked(query, keep)
-
         def counting_codes(kernel, codes):
-            # the RISE query rows, embedded from their grids
+            # the query rows, embedded from their grids or keep masks
             embedded.append(codes.shape[0])
             return project_codes(kernel, codes)
 
         monkeypatch.setattr(scorer, "embed_batch_flat", counting)
-        monkeypatch.setattr(scorer, "embed_masked", counting_masked)
         monkeypatch.setattr(saliency, "embed_codes", counting_codes)
         fast = se.generate(scorer, images[0], images[1], cfg)
         if method is se.Method.RISE:
@@ -325,7 +331,7 @@ class TestBlocks:
         if score_only:
             assert got.tobytes() == expected.tobytes()
         else:
-            # embed_masked sums each embedding in another order
+            # the keep kernel sums each embedding in another order
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
@@ -362,9 +368,10 @@ def _keep_masks(kind: str, n: int, rng) -> np.ndarray:
 
 
 class TestFactorizedKernel:
-    """embed_masked embeds query * keep from the keep masks alone. It sums
-    in another order than embedding the masked stack, so the two paths
-    agree within 1e-9; each of its rows is still independent of N."""
+    """score_masked embeds query * keep from the keep masks alone, through
+    the query's keep kernel. It sums in another order than embedding the
+    masked stack, so the two paths agree within 1e-9; each of its rows is
+    still independent of N."""
 
     KINDS = ["rise", "occlusion", "lime", "curve"]
 
@@ -378,7 +385,7 @@ class TestFactorizedKernel:
         ref, query = images
         keep = _keep_masks(kind, n, np.random.default_rng(n))
         stack = query[None] * keep[..., None]
-        rows = scorer.embed_masked(query, keep)
+        rows = _Pixels(keep, DIMS[:2]).embed(scorer.keep_kernel(query))
         stack_rows = scorer.embed_batch_flat(stack.reshape(n, -1))
         np.testing.assert_allclose(rows.emb, stack_rows.emb, rtol=0, atol=1e-9)
         np.testing.assert_allclose(rows.norms, stack_rows.norms, rtol=0, atol=1e-9)
@@ -387,10 +394,12 @@ class TestFactorizedKernel:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
         assert got[0] == 0.0 and expected[0] == 0.0
 
-    def test_keep_masks_of_another_shape_rejected(self, scorer, images):
-        for keep in (np.ones((2, 28, 27)), np.ones((28, 28)), np.ones((2, 27, 28, 1))):
+    @pytest.mark.parametrize("score_only", [False, True], ids=["embedding", "score-only"])
+    def test_keep_masks_of_another_shape_rejected(self, score_only, scorer, images):
+        scorer = _ScoreOnly(scorer) if score_only else scorer
+        for keep in (np.ones((2, 28, 27)), np.ones((28, 28)), np.ones((2, 27, 28, 1)), np.ones((3, 28, 28, 1))):
             with pytest.raises(InvalidArgumentError):
-                scorer.embed_masked(images[1], keep)
+                score_masked(scorer, [images[0]], images[1], keep)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_equal_single_mask_calls_zero_ulp(self, kind, scorer, images):
@@ -470,9 +479,9 @@ class TestCodePath:
     (grid cells at a crop offset, superpixel choices) through the query's
     keep kernel, and RISE sums its map per offset in grid space. Both sum
     in another order than the materialized-mask path (score_masked on the
-    full keep masks), so scores agree within 1e-12 and RISE map sums
-    within 1e-12 per mask; a score-only scorer gets the same blocks of
-    masks and the same score bits."""
+    full keep masks, codes over the pixels), so scores agree within 1e-12
+    and RISE map sums within 1e-12 per mask; a score-only scorer gets the
+    same blocks of masks and the same score bits."""
 
     TOL = 1e-12
 
@@ -497,12 +506,12 @@ class TestCodePath:
         refs = _references(ref, cfg)
         masks = sample_rise_masks(cfg.rise, h, w, cfg.seed)
         full = full_masks(masks)
-        scores = _score_codes(scorer, refs, query, masks)
+        scores = score_masked(scorer, refs, query, masks)
         np.testing.assert_allclose(scores, score_masked(scorer, refs, query, full), rtol=0, atol=self.TOL)
         np.testing.assert_allclose(masks.weighted_sum(scores), np.einsum("n,nhw->hw", scores, full),
                                    rtol=0, atol=self.TOL * n_masks)
         score_only = _ScoreOnly(scorer)
-        assert (_score_codes(score_only, refs, query, masks).tobytes()
+        assert (score_masked(score_only, refs, query, masks).tobytes()
                 == score_masked(score_only, refs, query, full).tobytes())
 
     @pytest.mark.parametrize("dims", [(28, 28, 3), (30, 17, 3)], ids=["square", "30x17"])
@@ -516,11 +525,11 @@ class TestCodePath:
         segments = grid_segments(h, w, 49) if segmentation == "grid" else slic_like_segments(query, 49)
         keep = rng.random((300, int(segments.max()) + 1)) < 0.5
         codes = _Selections(keep, segments)
-        scores = _score_codes(scorer, [ref], query, codes)
+        scores = score_masked(scorer, [ref], query, codes)
         np.testing.assert_allclose(scores, score_masked(scorer, [ref], query, keep[:, segments]),
                                    rtol=0, atol=self.TOL)
         score_only = _ScoreOnly(scorer)
-        assert (_score_codes(score_only, [ref], query, codes).tobytes()
+        assert (score_masked(score_only, [ref], query, codes).tobytes()
                 == score_masked(score_only, [ref], query, keep[:, segments]).tobytes())
 
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
@@ -670,7 +679,8 @@ class TestMask:
     def test_divergence_raises_with_trace(self, planted, images):
         _, scorer = planted
         cfg = small_cfg(se.Method.MASK,
-                        mask=se.MaskCfg(grid=5, iters=5, lr=0.1, tv_weight=float("inf")))
+                        # a finite weight: the TV term overflows after the first step
+                        mask=se.MaskCfg(grid=5, iters=5, lr=1.0, tv_weight=1e308))
         with pytest.raises(OptimizationError) as err:
             se.generate(scorer, images[0], images[1], cfg)
         assert isinstance(err.value.trace, list)
@@ -706,7 +716,7 @@ class TestMask:
         _, scorer = planted
         calls = []  # (scorer method, whether an objective evaluation was running)
         evaluating, evaluations = [False], []
-        for name in ("embed_masked", "embed_batch_flat", "score_batch_flat", "score_batch", "score", "embed"):
+        for name in ("keep_kernel", "embed_batch_flat", "score_batch_flat", "score_batch", "score", "embed"):
             def counting(*args, _inner=getattr(scorer, name), _name=name):
                 calls.append((_name, evaluating[0]))
                 return _inner(*args)
@@ -726,9 +736,10 @@ class TestMask:
         cfg = small_cfg(se.Method.MASK, fixed_reference=fixed, mask=se.MaskCfg(grid=5, iters=20))
         se.generate(scorer, images[0], images[1], cfg)
         # one evaluation per Adam step and one for the final iterate; the
-        # scorer gave e0 and K of each masked image, and the fixed reference
+        # scorer gave the keep kernels behind e0 and K of each masked image,
+        # and of the fixed reference
         assert len(evaluations) == 20 + 1
-        assert calls == [("embed_masked", False)] * (3 if fixed else 4)
+        assert calls == [("keep_kernel", False)] * (3 if fixed else 4)
 
     def test_dual_mask_runs(self, planted, images):
         _, scorer = planted
