@@ -34,6 +34,8 @@ class Prior:
         arr = np.asarray(self.p, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidArgumentError("prior must be a nonempty vector")
+        if not np.isfinite(arr).all():
+            raise InvalidArgumentError("prior entries must be finite")
         if arr.min() < 0 or abs(arr.sum() - 1.0) > 1e-6:
             raise InvalidArgumentError("prior must be nonnegative and sum to 1")
         object.__setattr__(self, "p", arr)
@@ -195,7 +197,7 @@ def fit_phi(features: PairFeatures, prior: Prior, grid_step: float = 0.05) -> Ph
     Ties prefer a larger map-matching weight, then a smaller confidence
     weight, then a smaller prior weight, evaluated in a fixed grid order.
     """
-    if grid_step <= 0 or grid_step > 1:
+    if not 0.0 < grid_step <= 1.0:
         raise InvalidArgumentError("grid_step must lie in (0, 1]")
 
     n_steps = int(round(1.0 / grid_step))

@@ -131,7 +131,6 @@ class MaskCfg:
     # +1 learns the smallest deletion that kills a match; -1 flips the
     # score term for explaining dissimilar pairs.
     preserve_sign: float = 1.0
-    fd_fallback: bool = False
 
     def __post_init__(self):
         if self.grid < 1 or self.iters < 1:
@@ -549,39 +548,33 @@ class MaskObjective:
     ``e0 + m.ravel() @ K``: e0 embeds the base and row k of K embeds
     (img - base) under the k-th upsampled cell, both as codes over the
     cells (``embed_codes``). The scorer is asked only when the objective
-    is built; a step calls none. Any other scorer needs ``fd_fallback``:
-    forward differences of scores of composed images.
+    is built; a step calls none. A scorer without ``keep_kernel`` raises
+    ``UnsupportedError``.
     """
 
     def __init__(self, scorer: Scorer, ref: np.ndarray, query: np.ndarray,
                  cfg: MaskCfg, dual: bool = False, seed: int = 0):
-        self.scorer = scorer
+        kernel_of = getattr(scorer, "keep_kernel", None)
+        if kernel_of is None:
+            raise UnsupportedError("the learned mask needs a scorer with keep_kernel")
         self.cfg = cfg
         self.dual = dual
-        self.ref = ref
         h, w, _ = query.shape
-        # the bilinear upsample is separable: up(m) = rows @ m @ cols.T
-        self.rows = _interp_matrix(cfg.grid, h)
-        self.cols = _interp_matrix(cfg.grid, w)
         rng = make_rng(seed, _STREAM_MASK_NOISE)
         # (image, perturbation base) of each masked part: the query, then
         # the reference in dual mode
         self.parts = [(query, self._perturb_base(query, rng))]
         if dual:
             self.parts.append((ref, self._perturb_base(ref, rng)))
-        kernel_of = getattr(scorer, "keep_kernel", None)
-        if kernel_of is None and not cfg.fd_fallback:
-            raise UnsupportedError(
-                "mask learning needs a scorer with keep_kernel; enable fd_fallback to use forward differences"
-            )
-        self.kernels = None  # (e0, K) of each part; None on the forward-difference path
-        if kernel_of is not None:
-            # the upsampled cells, basis[i * g + j] = rows[:, i] (x) cols[:, j]
-            basis = np.einsum("ri,cj->ijrc", self.rows, self.cols).reshape(cfg.grid ** 2, h * w)
-            whole = np.ones((1, h * w))
-            self.kernels = [(embed_codes(kernel_of(base), whole)[0], embed_codes(kernel_of(img - base), basis))
-                            for img, base in self.parts]
-            self.ref_emb = None if dual else embed_codes(kernel_of(ref), whole)[0]
+        # the bilinear upsample is separable, so the upsampled cells are
+        # basis[i * g + j] = rows[:, i] (x) cols[:, j]
+        basis = np.einsum("ri,cj->ijrc", _interp_matrix(cfg.grid, h),
+                          _interp_matrix(cfg.grid, w)).reshape(cfg.grid ** 2, h * w)
+        whole = np.ones((1, h * w))
+        # (e0, K) of each part
+        self.kernels = [(embed_codes(kernel_of(base), whole)[0], embed_codes(kernel_of(img - base), basis))
+                        for img, base in self.parts]
+        self.ref_emb = None if dual else embed_codes(kernel_of(ref), whole)[0]
 
     def _perturb_base(self, img: np.ndarray, rng) -> np.ndarray:
         if self.cfg.perturb == "delete":
@@ -594,15 +587,6 @@ class MaskObjective:
     def n_params(self) -> int:
         return len(self.parts) * self.cfg.grid * self.cfg.grid
 
-    def _compose(self, img: np.ndarray, base: np.ndarray, m: np.ndarray) -> np.ndarray:
-        M = (self.rows @ m @ self.cols.T)[..., None]
-        return img * M + base * (1.0 - M)
-
-    def _perturbed(self, masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """(reference, query) as the scorer sees them under the masks."""
-        images = [self._compose(img, base, m) for (img, base), m in zip(self.parts, masks)]
-        return (images[1] if self.dual else self.ref), images[0]
-
     def value(self, theta: np.ndarray) -> float:
         return self._evaluate(theta, want_grad=False)[0]
 
@@ -613,11 +597,8 @@ class MaskObjective:
         g = self.cfg.grid
         theta = np.asarray(theta, dtype=np.float64)
         masks = [_sigmoid(p.reshape(g, g)) for p in np.split(theta, len(self.parts))]
-        if self.kernels is None:
-            score = self.scorer.score(*self._perturbed(masks))
-        else:
-            embs = [e0 + m.ravel() @ K for (e0, K), m in zip(self.kernels, masks)]
-            d_ref, d_query, score = _cosine_grad_pair(embs[1] if self.dual else self.ref_emb, embs[0])
+        embs = [e0 + m.ravel() @ K for (e0, K), m in zip(self.kernels, masks)]
+        d_ref, d_query, score = _cosine_grad_pair(embs[1] if self.dual else self.ref_emb, embs[0])
         value = self.cfg.preserve_sign * score
         tv_parts = [_tv_value_grad(m) for m in masks]
         for m, (tv_val, _) in zip(masks, tv_parts):
@@ -628,33 +609,13 @@ class MaskObjective:
             # caller raises on the value; gradients would only produce nan noise
             return value, np.zeros_like(theta)
         reg_grads = [self.cfg.tv_weight * tv_grad - self.cfg.l1_weight for _, tv_grad in tv_parts]
-
-        if self.kernels is None:
-            score_grads = self._fd_score_grads(masks, score)
-        else:
-            score_grads = [(K @ d).reshape(g, g) for (_, K), d in zip(self.kernels, (d_query, d_ref))]
+        score_grads = [(K @ d).reshape(g, g) for (_, K), d in zip(self.kernels, (d_query, d_ref))]
 
         grad_parts = []
         for m, s_grad, r_grad in zip(masks, score_grads, reg_grads):
             dm = self.cfg.preserve_sign * s_grad + r_grad
             grad_parts.append((dm * m * (1.0 - m)).ravel())
         return value, np.concatenate(grad_parts)
-
-    def _fd_score_grads(self, masks: list[np.ndarray], base_score: float):
-        """Forward differences (step 1e-3) of the score term directly on mask cells."""
-        h_step = 1e-3
-        grads = []
-        for which, mask in enumerate(masks):
-            grad = np.zeros_like(mask)
-            for idx in np.ndindex(*mask.shape):
-                bumped = [m.copy() for m in masks]
-                bumped[which][idx] = min(bumped[which][idx] + h_step, 1.0)
-                step = bumped[which][idx] - mask[idx]
-                if step <= 0:
-                    continue
-                grad[idx] = (self.scorer.score(*self._perturbed(bumped)) - base_score) / step
-            grads.append(grad)
-        return grads
 
 
 def _mask(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfig) -> np.ndarray:

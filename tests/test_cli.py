@@ -295,6 +295,12 @@ class TestCliPlumbing:
         assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(cfg)]) == 2
         assert not (tmp_path / "d").exists()
 
+    def test_removed_fd_fallback_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "fd.json"
+        cfg.write_text(json.dumps({"saliency": {"mask": {"fd_fallback": True}}}))
+        assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(cfg)]) == 2
+        assert "fd_fallback" in capsys.readouterr().err
+
     def test_nested_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="n_maskz"):
             build_config(se.SaliencyConfig, {"rise": {"n_maskz": 10}}, "saliency")
@@ -429,6 +435,21 @@ class TestCliPlumbing:
         assert len(spawned) == 1
         assert spawned[0].poll() is not None  # the stub child was shut down
 
+    def test_mask_needs_keep_kernel_and_closes_external_scorer(self, spawned, tmp_path, capsys):
+        # the external transport scores images; it has no keep_kernel
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--n-images", "8", "--seed", "2"]) == 0
+        pair = load_dataset(data / "manifest.json").pairs[0]
+        stub = f"{shlex.quote(sys.executable)} -m simexplain serve-stub"
+        code = main(["saliency", "--method", "mask", "--pair", f"{pair.query_id}:{pair.reference_id}",
+                     "--out", str(tmp_path / "maps"), "--dataset", str(data / "manifest.json"), "--seed", "2",
+                     "--scorer", "external", "--external-cmd", stub])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "keep_kernel" in err and "fd_fallback" not in err
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None  # the stub child was shut down
+
     @pytest.mark.parametrize("flags, files", [
         (["--model", "{tmp}/missing.sane"], {}),
         (["--model", "{tmp}/short.sane"], {"short.sane": b"SANE1\x00\x01"}),
@@ -454,6 +475,29 @@ class TestCliPlumbing:
         with pytest.raises(ParseError):
             args.func(args)
         assert main(argv) == 2
+
+    def test_non_finite_prior_exits_2(self, cli_workspace, tmp_path, capsys):
+        _, manifest, _, model = cli_workspace
+        ds = load_dataset(manifest)
+        pair = ds.pairs_for_split("test")[0]
+        rest = [0.9 / (ds.n_attributes - 1)] * (ds.n_attributes - 1)
+        (tmp_path / "p.json").write_text(json.dumps({"prior": [float("nan"), *rest]}))
+        out = tmp_path / "e.json"
+        assert main(["explain", "--dataset", str(manifest), "--model", str(model),
+                     "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
+                     "--pair", f"{pair.query_id}:{pair.reference_id}", "--prior", str(tmp_path / "p.json"),
+                     "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_grid_step_exits_2(self, cli_workspace, tmp_path, capsys):
+        _, manifest, _, model = cli_workspace
+        out = tmp_path / "phi.json"
+        assert main(["fit-phi", "--dataset", str(manifest), "--model", str(model),
+                     "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
+                     "--grid-step", "nan", "--out", str(out)]) == 2
+        assert "grid_step" in capsys.readouterr().err
+        assert not out.exists()
 
     # {header field offset: new value}, or None for one trailing byte
     @pytest.mark.parametrize("fields", [

@@ -32,6 +32,12 @@ class TestPrior:
         with pytest.raises(InvalidArgumentError):
             Prior(np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # comparisons with NaN are false, so a sum or sign check alone lets it through
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            Prior(np.array([bad, 0.1, 0.7, 0.1]))
+
 
 class TestPhiWeights:
     def test_not_all_zero(self):
@@ -202,8 +208,9 @@ class TestFitPhi:
         assert phi.phi2 == 1.0
 
     def test_invalid_step(self):
-        with pytest.raises(InvalidArgumentError):
-            fit_phi(_features([0], 2), Prior.uniform(2), grid_step=0.0)
+        for step in (0.0, -0.1, 1.5, np.nan):
+            with pytest.raises(InvalidArgumentError):
+                fit_phi(_features([0], 2), Prior.uniform(2), grid_step=step)
 
 
 class TestExplainPair:

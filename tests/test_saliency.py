@@ -111,12 +111,6 @@ class TestDegenerateScorer:
         smap = se.generate(const, images[0], images[1], small_cfg(method))
         assert smap.degenerate
 
-    def test_constant_scorer_mask_fd(self, images):
-        const = se.ConstantScorer(DIMS, value=0.4)
-        cfg = small_cfg(se.Method.MASK, mask=se.MaskCfg(grid=5, iters=5, lr=0.1, fd_fallback=True))
-        smap = se.generate(const, images[0], images[1], cfg)
-        assert smap.degenerate
-
     @pytest.mark.parametrize("method", [se.Method.SLIDING_WINDOW, se.Method.RISE, se.Method.LIME])
     def test_non_finite_scores_rejected(self, method, images):
         nan_scorer = se.ConstantScorer(DIMS, value=float("nan"))
@@ -652,7 +646,6 @@ class TestMask:
             for (img, base), m in zip(problem.parts, masks):
                 M = (U @ m.ravel()).reshape(h, w, 1)
                 composed.append(img * M + base * (1.0 - M))
-                np.testing.assert_allclose(problem._compose(img, base, m), composed[-1], rtol=0, atol=1e-12)
             seen = [composed[1] if dual else ref, composed[0]]
             rows = scorer.embed_batch_flat(np.stack(seen).reshape(2, -1))
             d_ref, d_query, _ = _cosine_grad_pair(rows.emb[0], rows.emb[1])
@@ -673,7 +666,7 @@ class TestMask:
 
     def test_no_grad_no_fallback_unsupported(self, images):
         const = se.ConstantScorer(DIMS)
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(UnsupportedError, match="keep_kernel"):
             se.generate(const, images[0], images[1], small_cfg(se.Method.MASK))
 
     def test_divergence_raises_with_trace(self, planted, images):
@@ -698,18 +691,6 @@ class TestMask:
         pad = 4
         assert region.top - pad <= r < region.top + region.height + pad
         assert region.left - pad <= c < region.left + region.width + pad
-
-    def test_fd_fallback_matches_analytic_direction(self, planted, images):
-        _, scorer = planted
-        cfg_fd = se.MaskCfg(grid=5, iters=1, lr=0.1, fd_fallback=True)
-        analytic = MaskObjective(scorer, images[0], images[1], se.MaskCfg(grid=5), seed=1)
-        theta = np.zeros(analytic.n_params)
-        _, g_true = analytic.value_and_grad(theta)
-
-        fd_problem = MaskObjective(_ScoreOnly(scorer), images[0], images[1], cfg_fd, seed=1)
-        _, g_fd = fd_problem.value_and_grad(theta)
-        cos = float(g_true @ g_fd / (np.linalg.norm(g_true) * np.linalg.norm(g_fd)))
-        assert cos > 0.99
 
     @pytest.mark.parametrize("fixed", [True, False])
     def test_scorer_is_asked_only_while_the_objective_is_built(self, fixed, planted, images, monkeypatch):
