@@ -4,20 +4,22 @@ A fixed random filter bank turns an image into a D-channel feature grid
 at the canonical match resolution; a trainable linear head produces one
 activation map per attribute. Global average pooling plus softmax turns
 the maps into confidences. Training combines a Huber regression loss on
-the confidences with a map-matching loss that pulls at least one
-ground-truth activation map toward each precomputed saliency map.
+the confidences with a map-matching loss that pulls, for each
+precomputed saliency map, the nearest min-max normalized ground-truth
+activation map toward it. ``loss_and_grad`` computes both over a whole
+minibatch at once, through the same helpers as ``huber_loss`` and
+``heatmap_loss``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (MATCH_RESOLUTION, Dataset, SaliencyMap, _as_image, make_rng, normalize_map,
-                   to_match_resolution)
+from .core import MATCH_RESOLUTION, Dataset, SaliencyMap, _as_image, make_rng, to_match_resolution
 from .errors import InvalidArgumentError
 from .optim import Adam
 
@@ -76,9 +78,9 @@ class AttrPrediction:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    """Softmax over the last axis."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class AttributeModel:
@@ -125,13 +127,20 @@ class AttributeModel:
 # ---------------------------------------------------------------------------
 
 
-def scale_labels(label_row: np.ndarray) -> np.ndarray:
-    """Binary labels scaled by the ground-truth count: positives get 1/A_gt."""
-    row = np.asarray(label_row, dtype=np.float64)
-    total = row.sum()
-    if total <= 0:
+def scale_labels(label_rows: np.ndarray) -> np.ndarray:
+    """Binary labels scaled by each row's ground-truth count: positives get 1/A_gt."""
+    rows = np.asarray(label_rows, dtype=np.float64)
+    total = rows.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise InvalidArgumentError("cannot scale an all-zero label row")
-    return row / total
+    return rows / total
+
+
+def _huber(conf: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Huber loss summed over the last axis, and its gradient in ``conf``."""
+    diff = labels - conf
+    quad = np.abs(diff) <= 1.0
+    return np.where(quad, 0.5 * diff * diff, diff).sum(axis=-1), np.where(quad, -diff, -1.0)
 
 
 def huber_loss(confidences: np.ndarray, scaled_labels: np.ndarray) -> float:
@@ -145,16 +154,13 @@ def huber_loss(confidences: np.ndarray, scaled_labels: np.ndarray) -> float:
     labels = np.asarray(scaled_labels, dtype=np.float64)
     if conf.shape != labels.shape:
         raise InvalidArgumentError("confidence/label length mismatch")
-    diff = labels - conf
-    per_attr = np.where(np.abs(diff) <= 1.0, 0.5 * diff * diff, diff)
-    return float(per_attr.sum())
+    return float(_huber(conf, labels)[0])
 
 
-def _nearest_map(m: np.ndarray, maps: Sequence[np.ndarray]) -> tuple[int, float]:
-    """Index of the map in ``maps`` closest to ``m`` in L2, and that distance."""
-    dists = [float(np.linalg.norm(m - n)) for n in maps]
-    j = int(np.argmin(dists))
-    return j, dists[j]
+def _distances(sal: np.ndarray, gts: np.ndarray) -> np.ndarray:
+    """L2 distance table (..., K, A) from maps (..., K, G) to maps (..., A, G)."""
+    diff = sal[..., :, None, :] - gts[..., None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def heatmap_loss(saliency_maps: Sequence[np.ndarray], gt_maps: Sequence[np.ndarray]) -> float:
@@ -169,7 +175,32 @@ def heatmap_loss(saliency_maps: Sequence[np.ndarray], gt_maps: Sequence[np.ndarr
     for arr in sal + gts:
         if arr.shape != sal[0].shape:
             raise InvalidArgumentError(f"map resolution mismatch: {arr.shape} vs {sal[0].shape}")
-    return sum(_nearest_map(m, gts)[1] for m in sal) / len(sal)
+    dist = _distances(np.reshape(sal, (len(sal), -1)), np.reshape(gts, (len(gts), -1)))
+    return float(dist.min(axis=-1).sum() / len(sal))
+
+
+def _minmax(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Min-max normalization over the last axis, as ``normalize_map`` does,
+    with the first argmin and argmax and the span (0 for a constant map)."""
+    lo, hi = maps.argmin(axis=-1)[..., None], maps.argmax(axis=-1)[..., None]
+    low = np.take_along_axis(maps, lo, -1)
+    span = np.take_along_axis(maps, hi, -1) - low
+    return np.divide(maps - low, span, out=np.zeros_like(maps), where=span > 0), lo, hi, span
+
+
+def _minmax_backprop(upstream: np.ndarray, normed: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     span: np.ndarray) -> np.ndarray:
+    """Gradient of sum(upstream * minmax(n)) in n, per last-axis row.
+
+    Min-max normalization is piecewise smooth; on the (measure-zero)
+    constant plateau the subgradient 0 is used.
+    """
+    g_sum = upstream.sum(axis=-1, keepdims=True)
+    weighted = (upstream * normed).sum(axis=-1, keepdims=True)
+    grad = upstream.copy()
+    np.put_along_axis(grad, lo, np.take_along_axis(upstream, lo, -1) - g_sum + weighted, -1)
+    np.put_along_axis(grad, hi, np.take_along_axis(upstream, hi, -1) - weighted, -1)
+    return np.divide(grad, span, out=np.zeros_like(grad), where=span > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,85 +225,60 @@ class TrainConfig:
             raise InvalidArgumentError("lr must be finite and > 0, lambda finite and >= 0")
 
 
-@dataclass
-class _Sample:
-    image_id: str
-    features: np.ndarray            # (D, g, g)
-    scaled: np.ndarray | None       # (A,) or None when the row is all zero
-    gt_attrs: np.ndarray            # indices into the catalog
-    maps: list[np.ndarray] = field(default_factory=list)  # (g, g) normalized
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Training samples, one row per image."""
+
+    features: np.ndarray  # (N, D, g, g)
+    labels: np.ndarray    # (N, A) scaled labels, 0 on rows without ground truth
+    gt: np.ndarray        # (N, A) ground-truth attributes
+    maps: np.ndarray      # (N, K, g, g) normalized bank maps, 0 past has_map
+    has_map: np.ndarray   # (N, K)
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def take(self, rows) -> "_Batch":
+        return _Batch(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def _normalize_backprop(n: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of sum(upstream * minmax(n)) with respect to n.
+def loss_and_grad(head_w: np.ndarray, head_b: np.ndarray, batch: _Batch,
+                  lam: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean total loss over the batch's samples and its head gradients."""
+    n = len(batch)
+    if n == 0:
+        return 0.0, np.zeros_like(head_w), np.zeros_like(head_b)
+    z = batch.features.reshape(n, head_w.shape[1], -1)  # (N, D, G)
+    zbar = z.mean(axis=-1)
+    conf = softmax(zbar @ head_w.T + head_b)
+    labelled = batch.gt.any(axis=-1)
+    value, dconf = _huber(conf, batch.labels)
+    loss = np.where(labelled, value, 0.0)
+    dconf = np.where(labelled[:, None], dconf, 0.0)
+    dlogits = conf * (dconf - (dconf * conf).sum(axis=-1, keepdims=True))
+    dW, db = dlogits.T @ zbar, dlogits.sum(axis=0)
 
-    Min-max normalization is piecewise smooth; at the (measure-zero)
-    degenerate plateau the subgradient 0 is used.
-    """
-    lo_idx = np.unravel_index(np.argmin(n), n.shape)
-    hi_idx = np.unravel_index(np.argmax(n), n.shape)
-    span = n[hi_idx] - n[lo_idx]
-    if span == 0.0:
-        return np.zeros_like(n)
-    n_hat = (n - n[lo_idx]) / span
-    g_sum = upstream.sum()
-    weighted = float((upstream * n_hat).sum())
-    grad = upstream.copy()
-    grad[lo_idx] -= g_sum
-    grad[hi_idx] -= weighted
-    grad[lo_idx] += weighted
-    return grad / span
-
-
-def loss_and_grad(
-    head_w: np.ndarray,
-    head_b: np.ndarray,
-    samples: Sequence[_Sample],
-    lam: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean total loss over samples and its head gradients."""
-    dW = np.zeros_like(head_w)
-    db = np.zeros_like(head_b)
-    total = 0.0
-    n_used = 0
-    for s in samples:
-        z = s.features
-        zbar = z.mean(axis=(1, 2))
-        logits = head_w @ zbar + head_b
-        conf = softmax(logits)
-        sample_loss = 0.0
-
-        if s.scaled is not None:
-            diff = s.scaled - conf
-            quad = np.abs(diff) <= 1.0
-            sample_loss += float(np.where(quad, 0.5 * diff * diff, diff).sum())
-            dconf = np.where(quad, -diff, -1.0)
-            dlogits = conf * (dconf - float(dconf @ conf))
-            dW += np.outer(dlogits, zbar)
-            db += dlogits
-
-        if lam > 0.0 and s.maps and len(s.gt_attrs):
-            maps_n = np.einsum("ad,dij->aij", head_w[s.gt_attrs], z) + head_b[s.gt_attrs, None, None]
-            normed = [normalize_map(m) for m in maps_n]
-            upstream = [np.zeros_like(maps_n[0]) for _ in s.gt_attrs]
-            hm = 0.0
-            for m in s.maps:
-                j, dist = _nearest_map(m, normed)
-                hm += dist
-                if dist > 0.0:
-                    upstream[j] += (normed[j] - m) / dist
-            scale = lam / len(s.maps)
-            sample_loss += scale * hm
-            for j, a_idx in enumerate(s.gt_attrs):
-                gn = _normalize_backprop(maps_n[j], upstream[j]) * scale
-                dW[a_idx] += np.einsum("ij,dij->d", gn, z)
-                db[a_idx] += gn.sum()
-
-        total += sample_loss
-        n_used += 1
-    if n_used == 0:
-        return 0.0, dW, db
-    return total / n_used, dW / n_used, db / n_used
+    if lam > 0.0:
+        sal = batch.maps.reshape(n, batch.maps.shape[1], -1)  # (N, K, G)
+        acts = head_w @ z + head_b[:, None]                     # (N, A, G)
+        normed, lo, hi, span = _minmax(acts)
+        # the first nearest ground-truth map, attributes in index order
+        dist = np.where(batch.gt[:, None, :], _distances(sal, normed), np.inf)
+        nearest = dist.argmin(axis=-1)
+        d = np.take_along_axis(dist, nearest[..., None], -1)
+        used = batch.has_map & labelled[:, None]
+        n_maps = used.sum(axis=-1)
+        scale = np.divide(lam, n_maps, out=np.zeros(n), where=n_maps > 0)
+        loss += scale * np.where(used, d[..., 0], 0.0).sum(axis=-1)
+        rows = np.arange(n)[:, None]
+        step = np.divide(normed[rows, nearest] - sal, d, out=np.zeros_like(sal),
+                         where=used[..., None] & (d > 0))
+        upstream = np.zeros_like(acts)
+        np.add.at(upstream, (rows, nearest), step)
+        gn = _minmax_backprop(upstream, normed, lo, hi, span) * scale[:, None, None]
+        dW += np.tensordot(gn, z, axes=([0, 2], [0, 2]))
+        db += gn.sum(axis=(0, 2))
+    return float(loss.sum() / n), dW / n, db / n
 
 
 def build_samples(
@@ -281,35 +287,30 @@ def build_samples(
     extractor: FeatureExtractor,
     saliency_bank: Mapping[str, Sequence] | None,
     k_maps: int,
-) -> list[_Sample]:
-    samples = []
-    for img_id in image_ids:
-        row = dataset.labels[dataset.row(img_id)]
-        if row.sum() == 0:
+) -> _Batch:
+    raw = dataset.labels[[dataset.row(i) for i in image_ids]].astype(np.float64)
+    gt = raw > 0
+    labelled = gt.any(axis=1)
+    for img_id, ok in zip(image_ids, labelled):
+        if not ok:
             log.warning("image %s has no ground-truth attributes; skipping its label loss", img_id)
-            scaled = None
-        else:
-            scaled = scale_labels(row)
-        maps: list[np.ndarray] = []
-        if saliency_bank:
-            for entry in list(saliency_bank.get(img_id, ()))[:k_maps]:
-                if isinstance(entry, SaliencyMap):
-                    maps.append(to_match_resolution(entry, extractor.grid))
-                else:
-                    arr = np.asarray(entry, dtype=np.float64)
-                    if arr.shape != (extractor.grid, extractor.grid):
-                        raise InvalidArgumentError(
-                            f"bank map for {img_id} has shape {arr.shape}, expected {(extractor.grid, extractor.grid)}"
-                        )
-                    maps.append(arr)
-        samples.append(_Sample(
-            image_id=img_id,
-            features=extractor.features(dataset.image(img_id)),
-            scaled=scaled,
-            gt_attrs=dataset.gt_attributes(img_id),
-            maps=maps,
-        ))
-    return samples
+    scaled = np.zeros_like(raw)
+    scaled[labelled] = scale_labels(raw[labelled])
+    g = extractor.grid
+    entries = [list((saliency_bank or {}).get(i, ()))[:k_maps] for i in image_ids]
+    maps = np.zeros((len(image_ids), max(map(len, entries), default=0), g, g))
+    for img_id, row, out in zip(image_ids, entries, maps):
+        for k, entry in enumerate(row):
+            arr = to_match_resolution(entry, g) if isinstance(entry, SaliencyMap) else np.asarray(entry, float)
+            if arr.shape != (g, g):
+                raise InvalidArgumentError(f"bank map for {img_id} has shape {arr.shape}, expected {(g, g)}")
+            out[k] = arr
+    features = np.array([extractor.features(dataset.image(i)) for i in image_ids], dtype=np.float64)
+    return _Batch(
+        features=features.reshape(len(image_ids), extractor.n_filters, g, g),
+        labels=scaled, gt=gt, maps=maps,
+        has_map=np.arange(maps.shape[1]) < np.array([len(e) for e in entries], dtype=int)[:, None],
+    )
 
 
 def train(dataset: Dataset, saliency_bank: Mapping[str, Sequence] | None, cfg: TrainConfig) -> AttributeModel:
@@ -341,17 +342,8 @@ def train(dataset: Dataset, saliency_bank: Mapping[str, Sequence] | None, cfg: T
     opt = Adam(lr=cfg.lr)
     rng = make_rng(cfg.seed, _STREAM_TRAIN, 1)
 
-    val_features = [extractor.features(dataset.image(i)) for i in val_ids]
-    val_labels = dataset.labels[[dataset.row(i) for i in val_ids]] if val_ids else None
-
-    def val_map(Wc, bc) -> float:
-        if not val_ids:
-            return 0.0
-        conf = []
-        for z in val_features:
-            logits = Wc @ z.mean(axis=(1, 2)) + bc
-            conf.append(softmax(logits))
-        return mean_average_precision(np.asarray(conf), val_labels)
+    val_zbar = np.array([extractor.features(dataset.image(i)).mean(axis=(1, 2)) for i in val_ids])
+    val_labels = dataset.labels[[dataset.row(i) for i in val_ids]]
 
     # Ties go to the later epoch: once validation mAP saturates, the most
     # trained weights at that plateau are the better-calibrated model.
@@ -359,12 +351,11 @@ def train(dataset: Dataset, saliency_bank: Mapping[str, Sequence] | None, cfg: T
     for _ in range(cfg.epochs):
         order = rng.permutation(len(samples))
         for start in range(0, len(order), cfg.batch_size):
-            batch = [samples[k] for k in order[start:start + cfg.batch_size]]
-            _, dW, db = loss_and_grad(W, b, batch, lam)
+            _, dW, db = loss_and_grad(W, b, samples.take(order[start:start + cfg.batch_size]), lam)
             flat = opt.step(np.concatenate([W.ravel(), b]), np.concatenate([dW.ravel(), db]))
             W = flat[: A * extractor.n_filters].reshape(A, extractor.n_filters)
             b = flat[A * extractor.n_filters:]
-        score = val_map(W, b)
+        score = mean_average_precision(softmax(val_zbar @ W.T + b), val_labels) if val_ids else 0.0
         if score >= best[0]:
             best = (score, W.copy(), b.copy())
     return AttributeModel(extractor, best[1], best[2])

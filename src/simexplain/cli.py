@@ -322,9 +322,13 @@ def cmd_saliency(args) -> dict:
 
 
 def load_saliency_bank(maps_dir: str | Path) -> dict[str, list[SaliencyMap]]:
-    """Group <query>__<reference>.smap files by query id (sorted order)."""
+    """Group <query>__<reference>.smap files by query id (sorted order).
+    A path that is not a directory holding .smap files is refused."""
+    paths = sorted(Path(maps_dir).glob("*.smap"))
+    if not paths:
+        raise ParseError(f"{maps_dir}: not a directory of .smap saliency maps")
     bank: dict[str, list[SaliencyMap]] = {}
-    for path in sorted(Path(maps_dir).glob("*.smap")):
+    for path in paths:
         stem = path.stem
         if "__" not in stem:
             raise ParseError(f"{path}: bank file names must be <query>__<reference>.smap")

@@ -107,11 +107,13 @@ def load_saliency(path: str | Path) -> SaliencyMap:
 def save_model(path: str | Path, model: AttributeModel) -> None:
     ex = model.extractor
     h, w, c = ex.dims
+    head = np.concatenate([model.head_weights.ravel(), model.head_bias])
+    if not np.all(np.abs(head) <= np.finfo(np.float32).max):
+        raise InvalidDataError(f"{path}: head weights exceed the float32 range of a SANE1 file")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<QIIIIII", ex.seed, h, w, c, ex.n_filters, ex.grid, model.n_attributes))
-        fh.write(np.ascontiguousarray(model.head_weights, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.head_bias, dtype="<f4").tobytes())
+        fh.write(head.astype("<f4").tobytes())
 
 
 def load_model(path: str | Path, dims: tuple[int, int, int]) -> AttributeModel:

@@ -47,25 +47,34 @@ class SyntheticSpec:
             raise InvalidArgumentError("similarity_attribute out of range")
         if self.max_attrs_per_image < 1 or self.pairs_per_query < 1:
             raise InvalidArgumentError("max_attrs_per_image and pairs_per_query must be >= 1")
+        if not all(0.0 <= f <= 1.0 for f in self.split_fracs):
+            raise InvalidArgumentError("split fractions must be finite and in [0, 1]")
         if abs(sum(self.split_fracs) - 1.0) > 1e-9:
             raise InvalidArgumentError("split fractions must sum to 1")
+        _, slot, starts = _layout(self)
+        # every column of the layout is used and the rows reuse its offsets,
+        # so slots are disjoint exactly when neighbouring offsets are a slot apart
+        if np.any(np.diff(starts) < slot):
+            raise InvalidArgumentError(f"{self.n_attributes} motif slots overlap on a {self.side}-pixel side")
 
 
-def motif_slots(spec: SyntheticSpec) -> list[Rect]:
-    """One disjoint square slot per attribute, raster order on a layout grid."""
+def _layout(spec: SyntheticSpec) -> tuple[int, int, list[int]]:
+    """Columns of the layout grid, slot side, and the slot offsets along
+    either axis."""
     g = math.ceil(math.sqrt(spec.n_attributes))
     slot = max(spec.side // (g + 1), 6)
     margin = 2
     if g == 1:
-        starts = [margin]
-    else:
-        span = spec.side - slot - 2 * margin
-        starts = [margin + int(round(i * span / (g - 1))) for i in range(g)]
-    slots = []
-    for a in range(spec.n_attributes):
-        r, c = divmod(a, g)
-        slots.append(Rect(top=starts[r], left=starts[c], height=slot, width=slot))
-    return slots
+        return g, slot, [margin]
+    span = spec.side - slot - 2 * margin
+    return g, slot, [margin + int(round(i * span / (g - 1))) for i in range(g)]
+
+
+def motif_slots(spec: SyntheticSpec) -> list[Rect]:
+    """One disjoint square slot per attribute, raster order on a layout grid."""
+    g, slot, starts = _layout(spec)
+    return [Rect(top=starts[a // g], left=starts[a % g], height=slot, width=slot)
+            for a in range(spec.n_attributes)]
 
 
 def _palette(spec: SyntheticSpec) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import simexplain as se
+import simexplain.metrics as metrics
 from simexplain.attrmodel import (
     AttributeModel,
     FeatureExtractor,
@@ -178,6 +179,102 @@ class TestLossGradients:
         np.testing.assert_array_equal(dWa, dWb)
 
 
+def _nearest_map(m, maps):
+    dists = [float(np.linalg.norm(m - n)) for n in maps]
+    j = int(np.argmin(dists))
+    return j, dists[j]
+
+
+def _normalize_backprop(n, upstream):
+    lo_idx = np.unravel_index(np.argmin(n), n.shape)
+    hi_idx = np.unravel_index(np.argmax(n), n.shape)
+    span = n[hi_idx] - n[lo_idx]
+    if span == 0.0:
+        return np.zeros_like(n)
+    n_hat = (n - n[lo_idx]) / span
+    g_sum = upstream.sum()
+    weighted = float((upstream * n_hat).sum())
+    grad = upstream.copy()
+    grad[lo_idx] -= g_sum
+    grad[hi_idx] -= weighted
+    grad[lo_idx] += weighted
+    return grad / span
+
+
+def per_sample_loss_and_grad(head_w, head_b, batch, lam):
+    """The loss one image at a time: softmax confidences, the Huber term on
+    labelled rows, and for each bank map the nearest ground-truth
+    activation map (first minimum wins), backpropagated through min-max."""
+    dW, db = np.zeros_like(head_w), np.zeros_like(head_b)
+    total = 0.0
+    for i in range(len(batch)):
+        z = batch.features[i]
+        gt_attrs = np.flatnonzero(batch.gt[i])
+        maps = [batch.maps[i, k] for k in range(batch.maps.shape[1]) if batch.has_map[i, k]]
+        zbar = z.mean(axis=(1, 2))
+        conf = softmax(head_w @ zbar + head_b)
+        if batch.gt[i].any():
+            diff = batch.labels[i] - conf
+            quad = np.abs(diff) <= 1.0
+            total += float(np.where(quad, 0.5 * diff * diff, diff).sum())
+            dconf = np.where(quad, -diff, -1.0)
+            dlogits = conf * (dconf - float(dconf @ conf))
+            dW += np.outer(dlogits, zbar)
+            db += dlogits
+        if lam > 0.0 and maps and len(gt_attrs):
+            maps_n = np.einsum("ad,dij->aij", head_w[gt_attrs], z) + head_b[gt_attrs, None, None]
+            normed = [se.normalize_map(m) for m in maps_n]
+            upstream = [np.zeros_like(maps_n[0]) for _ in gt_attrs]
+            hm = 0.0
+            for m in maps:
+                j, dist = _nearest_map(m, normed)
+                hm += dist
+                if dist > 0.0:
+                    upstream[j] += (normed[j] - m) / dist
+            scale = lam / len(maps)
+            total += scale * hm
+            for j, a_idx in enumerate(gt_attrs):
+                gn = _normalize_backprop(maps_n[j], upstream[j]) * scale
+                dW[a_idx] += np.einsum("ij,dij->d", gn, z)
+                db[a_idx] += gn.sum()
+    n = max(len(batch), 1)
+    return total / n, dW / n, db / n
+
+
+class TestBatchedLoss:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_sample_loop(self, seed, caplog):
+        rng = np.random.default_rng(seed)
+        ds = se.generate_dataset(se.SyntheticSpec(n_images=24, side=28, n_attributes=4, seed=seed))
+        labels = np.array(ds.labels)
+        labels[0] = 0             # no ground truth: no Huber term, no map term
+        labels[1] = [0, 1, 1, 0]  # attributes 1 and 2 get equal maps below: a tie
+        labels[2] = [1, 0, 0, 1]  # attribute 3 gets a constant map
+        ds = se.Dataset(images=ds.images, labels=labels, pairs=ds.pairs, catalog=ds.catalog)
+        ids = [i for i, _ in ds.images[:14]]
+        bank = {i: [se.normalize_map(rng.random((7, 7))) for _ in range(int(rng.integers(1, 4)))]
+                for i in ids[:10]}  # the last four have no maps
+        bank[ids[1]].append(np.zeros((7, 7)))
+        bank[ids[3]].insert(0, np.zeros((7, 7)))
+        bank[ids[4]].append(bank[ids[4]][0])
+        with caplog.at_level(logging.WARNING):
+            batch = build_samples(ds, ids, FeatureExtractor((28, 28, 3), n_filters=6, seed=seed), bank, 4)
+        assert f"image {ids[0]} has no ground-truth attributes" in caplog.text
+        assert batch.has_map.sum(axis=1).tolist()[10:] == [0, 0, 0, 0]
+        W = rng.normal(scale=0.3, size=(4, 6))
+        b = rng.normal(scale=0.1, size=4)
+        W[2], b[2] = W[1], b[1]
+        W[3], b[3] = 0.0, 0.0
+        for lam in (0.0, 5e-3, 1.0):
+            for rows in (np.arange(len(batch)), rng.permutation(len(batch))[:5], np.arange(0)):
+                part = batch.take(rows)
+                loss, dW, db = loss_and_grad(W, b, part, lam)
+                want = per_sample_loss_and_grad(W, b, part, lam)
+                assert abs(loss - want[0]) <= 1e-12
+                np.testing.assert_allclose(dW, want[1], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(db, want[2], rtol=0, atol=1e-12)
+
+
 @pytest.fixture(scope="module")
 def tiny_training_setup():
     spec = se.SyntheticSpec(n_images=24, side=28, n_attributes=4, seed=9)
@@ -211,6 +308,21 @@ class TestTraining:
         assert "disabled" in caplog.text
         baseline = train(ds, bank, dataclasses.replace(cfg, lam=0.0))
         np.testing.assert_array_equal(ablated.head_weights, baseline.head_weights)
+
+    def test_validation_map_ties_keep_the_later_epoch(self, tiny, monkeypatch):
+        ds, bank = tiny
+        assert ds.image_ids_for_split("val")
+
+        def weights(scores, epochs=4):
+            seen = iter(scores)
+            monkeypatch.setattr(metrics, "mean_average_precision", lambda conf, labels: next(seen))
+            return train(ds, bank, TrainConfig(epochs=epochs, seed=4, n_filters=8)).head_weights
+
+        rising = weights([0.1, 0.2, 0.3, 0.4])
+        first = weights([0.1], epochs=1)
+        assert not np.array_equal(rising, first)
+        np.testing.assert_array_equal(weights([0.5] * 4), rising)
+        np.testing.assert_array_equal(weights([0.4, 0.3, 0.2, 0.1]), first)
 
     def test_classifier_recovers_planted_attribute(self):
         # single-motif images; hotter learning rate sharpens calibration

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +64,35 @@ class TestSyntheticGenerator:
                     assert block.max() > 0.5  # motif pattern present
                 else:
                     assert block.max() <= max(spec.noise, 0.06) + 1e-6
+
+    @pytest.mark.parametrize("fracs", [(1.5, -0.25, -0.25), (float("nan"), 0.5, 0.5), (0.0, 0.0, float("inf"))])
+    def test_split_fractions_outside_the_unit_interval_rejected(self, fracs):
+        with pytest.raises(InvalidArgumentError, match="split fractions"):
+            se.SyntheticSpec(split_fracs=fracs)
+
+    def test_split_fractions_from_config_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"split_fracs": [1.5, -0.25, -0.25]}}))
+        assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("side, n_attributes", [
+        (14, 1), (14, 3), (15, 4), (16, 4), (21, 8), (22, 8), (27, 16), (28, 16), (56, 64), (56, 81),
+    ])
+    def test_spec_accepted_only_with_disjoint_motif_slots(self, side, n_attributes):
+        layout = SimpleNamespace(side=side, n_attributes=n_attributes)
+        cover = np.zeros((side, side), dtype=int)
+        for s in motif_slots(layout):
+            cover[s.top:s.top + s.height, s.left:s.left + s.width] += 1
+        if cover.max() == 1:
+            se.SyntheticSpec(side=side, n_attributes=n_attributes)
+        else:
+            with pytest.raises(InvalidArgumentError, match="overlap"):
+                se.SyntheticSpec(side=side, n_attributes=n_attributes)
+
+    def test_overlapping_side_exits_2(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--side", "14"]) == 2
+        assert "overlap" in capsys.readouterr().err
 
     def test_splits_partition_pairs(self):
         ds = se.generate_dataset(se.SyntheticSpec(n_images=32, seed=5))
@@ -555,6 +585,27 @@ class TestCliPlumbing:
             SMAP_MAGIC + struct.pack("<IIBBB", 4_000_000_000, 4_000_000_000, 1, 1, 1))
         assert main(["train-attr", "--dataset", str(manifest), "--maps", str(maps),
                      "--out", str(tmp_path / "m.sane"), "--epochs", "1", "--seed", "11"]) == 2
+
+    @pytest.mark.parametrize("holds", [None, "notes.txt"])
+    def test_maps_path_without_smap_files_exits_2(self, holds, cli_workspace, tmp_path, capsys):
+        _, manifest, _, _ = cli_workspace
+        maps = tmp_path / "maps"
+        if holds:  # a directory without .smap files; else no directory at all
+            maps.mkdir()
+            (maps / holds).write_text("not a map")
+        out = tmp_path / "m.sane"
+        assert main(["train-attr", "--dataset", str(manifest), "--maps", str(maps),
+                     "--out", str(out), "--epochs", "1", "--seed", "11"]) == 2
+        assert f"{maps}: not a directory of .smap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_head_beyond_float32_exits_2_without_a_model_file(self, cli_workspace, tmp_path, capsys):
+        _, manifest, maps, _ = cli_workspace
+        out = tmp_path / "m.sane"
+        assert main(["train-attr", "--dataset", str(manifest), "--maps", str(maps),
+                     "--out", str(out), "--epochs", "20", "--lr", "1e40", "--seed", "11"]) == 2
+        assert "float32" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pipeline_generates_each_validation_map_once(self, tmp_path, monkeypatch):
         seen = Counter()

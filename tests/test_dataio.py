@@ -234,6 +234,24 @@ class TestModelFile:
         with pytest.raises(InvalidDataError, match="finite"):
             load_model(path, (14, 14, 2))
 
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_head_beyond_float32_refused_before_writing(self, where, tmp_path):
+        extractor = FeatureExtractor((14, 14, 2), n_filters=6, seed=9)
+        w, b = np.zeros((3, 6)), np.zeros(3)
+        (w if where == "weights" else b)[1] = -1e40
+        path = tmp_path / "model.sane"
+        with pytest.raises(InvalidDataError, match="float32"):
+            save_model(path, AttributeModel(extractor, w, b))
+        assert not path.exists()
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        extractor = FeatureExtractor((14, 14, 2), n_filters=6, seed=9)
+        big = float(np.finfo(np.float32).max)
+        path = tmp_path / "model.sane"
+        save_model(path, AttributeModel(extractor, np.full((3, 6), big), np.full(3, -big)))
+        loaded = load_model(path, (14, 14, 2))
+        assert np.all(loaded.head_weights == big) and np.all(loaded.head_bias == -big)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.sane"
         path.write_bytes(b"WRONG" + b"\x00" * 40)
@@ -246,7 +264,7 @@ def written_files(tmp_path_factory):
     """One file of each format the program writes: a dataset (manifest,
     labels, pairs, GRID1 images), an SMAP1 map and a SANE1 model."""
     root = tmp_path_factory.mktemp("written")
-    dataset = se.generate_dataset(se.SyntheticSpec(n_images=4, side=14, n_attributes=3, seed=2))
+    dataset = se.generate_dataset(se.SyntheticSpec(n_images=4, side=28, n_attributes=3, seed=2))
     dataio.save_dataset(dataset, root / "dataset")
     smap = se.SaliencyMap(np.linspace(0.0, 1.0, 12).reshape(3, 4), method=se.Method.RISE, normalized=True)
     dataio.save_saliency(root / "map.smap", smap)
