@@ -46,7 +46,7 @@ from .explain import (
     fit_phi,
     pair_features,
 )
-from .external import ExternalScorer, TcpServer, _ScoreOnly, serve_stdio
+from .external import ExternalScorer, _ScoreOnly, serve_stdio
 from .metrics import (
     attribute_removal_delta,
     deletion_curve,
@@ -216,13 +216,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _port(text: str) -> int:
-    """An argparse type: a TCP port number, 0 (any free port) to 65535."""
-    if not text.strip().isdigit() or int(text) > 65535:
-        raise argparse.ArgumentTypeError(f"expected a port number from 0 to 65535, got {text!r}")
-    return int(text)
-
-
 def _dims(text: str) -> tuple[int, int, int]:
     """An argparse type: H,W,C as exactly three positive integers."""
     parts = text.split(",")
@@ -249,9 +242,13 @@ def _maps(scorer: Scorer, dataset: Dataset, pairs: list[Pair], cfg: SaliencyConf
 def make_scorer(name: str, dataset: Dataset | None, seed: int, external_cmd: str | None = None) -> Scorer:
     """The scorer ``--scorer`` names, with 16-dimensional embeddings (24 for motif)."""
     if name == "external":
-        if not external_cmd:
-            raise ParseError("--scorer external requires --external-cmd")
-        return ExternalScorer(command=shlex.split(external_cmd))
+        try:
+            command = shlex.split(external_cmd or "")
+        except ValueError as exc:
+            raise ParseError(f"--external-cmd is not a command line: {exc}") from exc
+        if not command:
+            raise ParseError("--scorer external requires a non-blank --external-cmd")
+        return ExternalScorer(command=command)
     if dataset is None:
         raise ParseError(f"scorer {name!r} needs a dataset")
     dims = dataset.dims
@@ -608,12 +605,7 @@ def cmd_serve_stub(args) -> dict:
     scorer = LinearToyScorer.random(args.dims, embed_dim=args.embed_dim, seed=args.seed)
     if args.no_embed:
         scorer = _ScoreOnly(scorer)
-    if args.tcp_port is not None:
-        server = TcpServer(scorer, port=args.tcp_port, max_batch=args.max_batch)
-        print(f"listening on 127.0.0.1:{server.port}", flush=True)
-        server.serve_forever()
-    else:
-        serve_stdio(scorer, max_batch=args.max_batch)
+    serve_stdio(scorer, max_batch=args.max_batch)
     return {}
 
 
@@ -758,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_dims, default="56,56,3")
     p.add_argument("--embed-dim", type=_positive_int, default=16)
     p.add_argument("--max-batch", type=_positive_int, default=64)
-    p.add_argument("--tcp-port", type=_port, default=None)
     p.add_argument("--no-embed", action="store_true")
 
     p = command("pipeline", cmd_pipeline, "synth through eval, end to end")

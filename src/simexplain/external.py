@@ -16,11 +16,11 @@ failure (dead pipe, truncated line, missed deadline); error responses are
 never retried. A score that is not a finite number in [-1, 1] is a
 transport error.
 
-Every request has a deadline of 60 s on both transports. A stdio peer
-that has not answered by then is killed and reaped; over TCP it is the
-socket timeout of each read and write. A connection that failed is
-closed at once, so a hung peer costs at most two deadlines (the request
-and its retry) before the call raises ``TransportError``.
+The peer is a child process spoken to over its stdin and stdout. Every
+request has a deadline of 60 s: a peer that has not answered by then is
+killed and reaped. A connection that failed is closed at once, so a hung
+peer costs at most two deadlines (the request and its retry) before the
+call raises ``TransportError``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-import socket
 import subprocess
 import sys
 import threading
@@ -59,13 +58,11 @@ def decode_f32(payload: str) -> np.ndarray:
 
 
 class _Connection:
-    """One stdio or TCP channel with its own monotonically increasing ids."""
+    """One child process over stdio, with its own monotonically increasing ids."""
 
-    def __init__(self, command: Sequence[str] | None, address: tuple[str, int] | None):
-        self._command = list(command) if command else None
-        self._address = address
+    def __init__(self, command: Sequence[str]):
+        self._command = list(command)
         self._proc: subprocess.Popen | None = None
-        self._sock: socket.socket | None = None
         self._rx = None
         self._tx = None
         self._next_id = 1
@@ -74,7 +71,7 @@ class _Connection:
         self._open()
 
     def _open(self) -> None:
-        if self._command:
+        try:
             self._proc = subprocess.Popen(
                 self._command,
                 stdin=subprocess.PIPE,
@@ -83,16 +80,14 @@ class _Connection:
                 encoding="utf-8",
                 bufsize=1,
             )
-            self._tx = self._proc.stdin
-            self._rx = self._proc.stdout
-            # one watchdog per child, not a thread per request: threads that
-            # come and go race whatever lists this process's tasks
-            self._watchdog = threading.Thread(target=self._watch, args=(self._proc,), daemon=True)
-            self._watchdog.start()
-        else:
-            self._sock = socket.create_connection(self._address, timeout=_DEADLINE_S)
-            self._tx = self._sock.makefile("w", encoding="utf-8", newline="\n")
-            self._rx = self._sock.makefile("r", encoding="utf-8")
+        except OSError as exc:
+            raise TransportError(f"cannot start external scorer {self._command[0]!r}: {exc}") from exc
+        self._tx = self._proc.stdin
+        self._rx = self._proc.stdout
+        # one watchdog per child, not a thread per request: threads that
+        # come and go race whatever lists this process's tasks
+        self._watchdog = threading.Thread(target=self._watch, args=(self._proc,), daemon=True)
+        self._watchdog.start()
         self._next_id = 1
 
     def _watch(self, proc: subprocess.Popen) -> None:
@@ -128,9 +123,6 @@ class _Connection:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
 
     def roundtrip(self, payload: dict) -> dict:
         req_id = self._next_id
@@ -174,7 +166,7 @@ _ERROR_MAP = {
 
 
 class ExternalScorer(Scorer):
-    """Client for a scorer living in a child process or behind a TCP port.
+    """Client for a scorer living in a child process, spoken to over stdio.
 
     Owns one connection; a lock serializes its request/response stream, so
     concurrent submitters are safe. Batches are chunked to the peer's
@@ -182,10 +174,10 @@ class ExternalScorer(Scorer):
     the connection (and so stops the child) before it raises.
     """
 
-    def __init__(self, command: Sequence[str] | None = None, address: tuple[str, int] | None = None):
-        if (command is None) == (address is None):
-            raise InvalidArgumentError("pass exactly one of command= or address=")
-        self._conn = _Connection(command, address)
+    def __init__(self, command: Sequence[str]):
+        if not command:
+            raise InvalidArgumentError("command= must name the program of the external scorer")
+        self._conn = _Connection(command)
         self._lock = threading.Lock()
         try:
             hello = self._call({"op": "hello"})
@@ -311,6 +303,8 @@ def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) 
         if op == "score_batch":
             ref = decode_f32(msg["ref"]).reshape(h, w, c)
             raw_queries = msg["queries"]
+            if not isinstance(raw_queries, list):
+                raise InvalidArgumentError(f"queries must be a list, got {type(raw_queries).__name__}")
             if len(raw_queries) > max_batch:
                 raise InvalidArgumentError(f"batch of {len(raw_queries)} exceeds max_batch {max_batch}")
             queries = [decode_f32(q).reshape(h, w, c) for q in raw_queries]
@@ -331,53 +325,11 @@ def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) 
         return _error_line(req_id, "internal", str(exc))
 
 
-def _serve(rx, tx, scorer: Scorer, max_batch: int) -> None:
-    """Answer each request line of one connection until EOF."""
+def serve_stdio(scorer: Scorer, max_batch: int = 64) -> None:
+    """Answer each request line of stdin on stdout until EOF."""
     last_id = [0]
-    for line in rx:
+    for line in sys.stdin:
         if not line.strip():
             continue
-        tx.write(_handle_line(line, scorer, max_batch, last_id) + "\n")
-        tx.flush()
-
-
-def serve_stdio(scorer: Scorer, max_batch: int = 64) -> None:
-    """Serve one connection over stdin/stdout until EOF."""
-    _serve(sys.stdin, sys.stdout, scorer, max_batch)
-
-
-class TcpServer:
-    """TCP front end for a scorer; one handler thread per connection."""
-
-    def __init__(self, scorer: Scorer, port: int = 0, max_batch: int = 64):
-        self._scorer = scorer
-        self._max_batch = max_batch
-        self._server = socket.create_server(("127.0.0.1", port))
-        self._server.settimeout(0.2)
-        self.port: int = self._server.getsockname()[1]
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def _handle(self, conn: socket.socket) -> None:
-        with conn, conn.makefile("r", encoding="utf-8") as rx, conn.makefile("w", encoding="utf-8") as tx:
-            _serve(rx, tx, self._scorer, self._max_batch)
-
-    def serve_forever(self) -> None:
-        try:
-            while not self._stop.is_set():
-                try:
-                    conn, _ = self._server.accept()
-                except TimeoutError:
-                    continue
-                threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
-        finally:
-            self._server.close()
-
-    def start_background(self) -> None:
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        sys.stdout.write(_handle_line(line, scorer, max_batch, last_id) + "\n")
+        sys.stdout.flush()

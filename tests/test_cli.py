@@ -325,6 +325,13 @@ class TestCliPlumbing:
         assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(cfg)]) == 2
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("sign", ["0.5", "NaN"])
+    def test_bad_preserve_sign_in_config_exits_2(self, sign, tmp_path, capsys):
+        cfg = tmp_path / "sign.json"
+        cfg.write_text(f'{{"saliency": {{"mask": {{"preserve_sign": {sign}}}}}}}')
+        assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(cfg)]) == 2
+        assert "preserve_sign" in capsys.readouterr().err
+
     def test_removed_fd_fallback_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "fd.json"
         cfg.write_text(json.dumps({"saliency": {"mask": {"fd_fallback": True}}}))
@@ -479,6 +486,19 @@ class TestCliPlumbing:
         assert "keep_kernel" in err and "fd_fallback" not in err
         assert len(spawned) == 1
         assert spawned[0].poll() is not None  # the stub child was shut down
+
+    @pytest.mark.parametrize("external_cmd, code, message", [
+        ("  ", 2, "--external-cmd"),
+        ("'unterminated", 2, "--external-cmd"),
+        ("no-such-scorer-binary", 3, "no-such-scorer-binary"),
+    ], ids=["blank", "unparseable", "missing-program"])
+    def test_bad_external_cmd_exits_cleanly(self, external_cmd, code, message, tmp_path, capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--n-images", "8", "--seed", "2"]) == 0
+        capsys.readouterr()
+        assert main(["saliency", "--dataset", str(data / "manifest.json"), "--out", str(tmp_path / "maps"),
+                     "--scorer", "external", "--external-cmd", external_cmd]) == code
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, files", [
         (["--model", "{tmp}/missing.sane"], {}),
@@ -722,7 +742,6 @@ class TestCliPlumbing:
         *[(command, "--limit", bad, "2") for command in ("saliency", "eval", "pipeline") for bad in ("0", "-1")],
         *[("serve-stub", "--dims", bad, "56,56,3") for bad in ("56,56", "56,56,x", "56,0,3", "56,56,3,1")],
         *[("serve-stub", flag, bad, "16") for flag in ("--embed-dim", "--max-batch") for bad in ("0", "-3")],
-        *[("serve-stub", "--tcp-port", bad, "0") for bad in ("-1", "65536", "x")],
     ])
     def test_out_of_range_input_exits_2(self, command, flag, bad, good, capsys):
         argv = [command, *self._REQUIRED[command], flag]
@@ -730,8 +749,7 @@ class TestCliPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(argv + [bad])
         assert exc.value.code == 2
-        expected = "port number from 0 to 65535" if flag == "--tcp-port" else "positive integer"
-        assert expected in capsys.readouterr().err
+        assert "positive integer" in capsys.readouterr().err
 
 
 _COMMON = ["--seed", "--config", "--jobs", "--json", "--verbose"]
@@ -756,7 +774,7 @@ _SCORER = ["--scorer", "--scorer-seed", "--external-cmd"]
      ["--dataset", "--model", "--out"]),
     ("discover", True, ["--dataset", "--out", "--method", "--k", "--clusters", "--top-n", "--patch"],
      ["--dataset", "--out"]),
-    ("serve-stub", False, ["--dims", "--embed-dim", "--max-batch", "--tcp-port", "--no-embed"], []),
+    ("serve-stub", False, ["--dims", "--embed-dim", "--max-batch", "--no-embed"], []),
     ("pipeline", True, ["--out", "--n-images", "--attributes", "--epochs", "--rise-masks", "--methods",
                         "--limit"], ["--out"]),
 ])

@@ -10,7 +10,7 @@ import pytest
 import simexplain as se
 from simexplain import external
 from simexplain.errors import InvalidArgumentError, TransportError, UnsupportedError
-from simexplain.external import ExternalScorer, TcpServer, _handle_line, decode_f32, encode_f32
+from simexplain.external import ExternalScorer, _handle_line, decode_f32, encode_f32
 
 DIMS = (10, 10, 3)
 
@@ -116,6 +116,34 @@ class TestStdioRoundTrip:
             assert len(started) == 1
         assert not started[0].is_alive()
 
+    def test_concurrent_submitters_share_one_connection(self, reference, rng):
+        with ExternalScorer(command=stub_command()) as ext:
+            ref = rng.random(DIMS).astype(np.float32)
+            queries = [rng.random(DIMS).astype(np.float32) for _ in range(24)]
+            want = reference.score_batch(ref, queries)
+
+            # more submitters than cores, switching often, share the one
+            # connection: an interleaved request would mismatch its id
+            results = [None] * 4
+
+            def worker(k):
+                results[k] = ext.score_batch(ref, queries)
+
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(results))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            np.testing.assert_allclose(results[0], want, atol=1e-6)
+            for got in results[1:]:
+                np.testing.assert_array_equal(results[0], got)
+
     def test_single_score(self, reference, rng):
         with ExternalScorer(command=stub_command()) as ext:
             a, b = rng.random(DIMS).astype(np.float32), rng.random(DIMS).astype(np.float32)
@@ -214,6 +242,11 @@ class TestServerValidation:
         out = self._call(reference, "this is not json", [0])
         assert out["error"]["code"] == "bad_input"
 
+    def test_queries_not_a_list_rejected(self, reference, rng):
+        out = self._call(reference, json.dumps(
+            {"id": 1, "op": "score_batch", "ref": encode_f32(rng.random(DIMS)), "queries": 5}), [0])
+        assert out["error"]["code"] == "bad_input"
+
     def test_embed_on_scoreonly(self, rng):
         from simexplain.external import _ScoreOnly
         wrapped = _ScoreOnly(se.LinearToyScorer.random(DIMS, embed_dim=6, seed=31))
@@ -222,71 +255,25 @@ class TestServerValidation:
         assert out["error"]["code"] == "unsupported"
 
 
-class TestTcp:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5, -2.0])
-    def test_score_outside_cosine_range_is_transport_error(self, reference, rng, bad):
-        class Broken(se.Scorer):
-            dims = DIMS
-            caps = se.ScorerCaps()
-
-            def score_batch(self, ref, queries):
-                scores = reference.score_batch(ref, queries)
-                scores[-1] = bad
-                return scores
-
-        server = TcpServer(Broken(), max_batch=16)
-        server.start_background()
-        try:
-            with ExternalScorer(address=("127.0.0.1", server.port)) as ext:
-                with pytest.raises(TransportError, match="-1, 1"):
-                    ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(3)])
-        finally:
-            server.stop()
-
-    def test_roundtrip_and_pool(self, reference, rng):
-        server = TcpServer(se.LinearToyScorer.random(DIMS, embed_dim=6, seed=31), max_batch=16)
-        server.start_background()
-        try:
-            with ExternalScorer(address=("127.0.0.1", server.port)) as ext:
-                ref = rng.random(DIMS).astype(np.float32)
-                queries = [rng.random(DIMS).astype(np.float32) for _ in range(24)]
-                want = reference.score_batch(ref, queries)
-
-                # more submitters than cores, switching often, share the one
-                # connection: an interleaved request would mismatch its id
-                results = [None] * 4
-
-                def worker(k):
-                    results[k] = ext.score_batch(ref, queries)
-
-                threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(results))]
-                interval = sys.getswitchinterval()
-                sys.setswitchinterval(1e-5)
-                try:
-                    for t in threads:
-                        t.start()
-                    for t in threads:
-                        t.join(timeout=60)
-                finally:
-                    sys.setswitchinterval(interval)
-                assert not any(t.is_alive() for t in threads)
-                np.testing.assert_allclose(results[0], want, atol=1e-6)
-                for got in results[1:]:
-                    np.testing.assert_array_equal(results[0], got)
-        finally:
-            server.stop()
-
-
 class TestClientValidation:
-    def test_needs_exactly_one_endpoint(self):
+    def test_empty_command_is_invalid(self):
         with pytest.raises(InvalidArgumentError):
-            ExternalScorer()
-        with pytest.raises(InvalidArgumentError):
-            ExternalScorer(command=["x"], address=("h", 1))
+            ExternalScorer(command=[])
 
     def test_dead_command_is_transport_error(self):
-        with pytest.raises((TransportError, OSError)):
+        with pytest.raises(TransportError):
             ExternalScorer(command=[sys.executable, "-c", "raise SystemExit(1)"])
+
+    def test_missing_program_is_transport_error(self, tmp_path):
+        missing = str(tmp_path / "no-such-scorer")
+        with pytest.raises(TransportError, match="no-such-scorer"):
+            ExternalScorer(command=[missing])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5, -2.0])
+    def test_score_outside_cosine_range_is_transport_error(self, rng, bad):
+        with ExternalScorer(command=scripted_peer(HELLO, {"scores": [0.5, -0.25, bad]})) as ext:
+            with pytest.raises(TransportError, match="-1, 1"):
+                ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(3)])
 
     def test_failed_hello_stops_the_child(self, monkeypatch):
         spawned = []

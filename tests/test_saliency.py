@@ -628,6 +628,28 @@ class TestMask:
                 assert abs(fd - grad[k]) <= 1e-4 * max(abs(fd), 1e-8)
 
     @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("perturb", ["delete", "blur", "noise"])
+    def test_preserve_sign_negates_the_score_term(self, dual, perturb):
+        # with no regularizer the loss is sign * score, so -1 flips value
+        # and gradient exactly
+        scorer = se.LinearToyScorer.random((28, 28, 3), embed_dim=6, seed=8)
+        rng = np.random.default_rng(4)
+        ref, query = rng.random((28, 28, 3)), rng.random((28, 28, 3))
+        out = {}
+        for sign in (1.0, -1.0):
+            cfg = se.MaskCfg(grid=7, tv_weight=0.0, l1_weight=0.0, perturb=perturb, preserve_sign=sign)
+            problem = MaskObjective(scorer, ref, query, cfg, dual=dual, seed=1)
+            out[sign] = problem.value_and_grad(np.linspace(-2.0, 2.0, problem.n_params))
+        assert out[-1.0][0] == -out[1.0][0] != 0.0
+        np.testing.assert_array_equal(out[-1.0][1], -out[1.0][1])
+        assert np.any(out[1.0][1] != 0.0)
+
+    @pytest.mark.parametrize("sign", [0.5, 0.0, float("nan")])
+    def test_preserve_sign_must_be_plus_or_minus_one(self, sign):
+        with pytest.raises(InvalidArgumentError, match="preserve_sign"):
+            se.MaskCfg(preserve_sign=sign)
+
+    @pytest.mark.parametrize("dual", [False, True])
     def test_separable_upsample_equals_dense_matrix(self, dual):
         """The grid path (embedded upsampled cells) against the pixel path."""
         h, w, g = 30, 17, 5  # a non-square image, so a swapped axis shows
