@@ -53,7 +53,6 @@ from .metrics import (
     insertion_curve,
     map_metric,
     mean_and_stderr,
-    top1_accuracy_from_attrs,
 )
 from .saliency import SaliencyConfig, generate
 from .scorers import LinearToyScorer, Scorer, TripletToyScorer
@@ -263,11 +262,6 @@ def make_scorer(name: str, dataset: Dataset | None, seed: int, external_cmd: str
     raise ParseError(f"unknown scorer {name!r}")
 
 
-def _resolve_scorer(args, dataset: Dataset | None) -> Scorer:
-    seed = args.scorer_seed if args.scorer_seed is not None else args.seed
-    return make_scorer(args.scorer, dataset, seed, args.external_cmd)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -308,7 +302,7 @@ def cmd_saliency(args) -> dict:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with _resolve_scorer(args, dataset) as scorer:
+    with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         maps = _maps(scorer, dataset, pairs, cfg, args.jobs)
     for pair, smap in zip(pairs, maps):
         stem = f"{pair.query_id}__{pair.reference_id}"
@@ -351,29 +345,12 @@ def cmd_train_attr(args) -> dict:
 def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pairs: list[Pair],
                      saliency_cfg: SaliencyConfig, jobs: int,
                      grid_step: float = 0.05) -> tuple[PriorEstimate, PhiWeights]:
-    """Held-out pair features -> attribute prior -> phi grid search."""
+    """Held-out pair features -> attribute prior -> phi grid search: the one
+    fit of the explanation, behind `fit-phi`, `eval` and `pipeline`. A
+    split without a labelled pair is refused."""
     features = pair_features(model, _maps(scorer, dataset, pairs, saliency_cfg, jobs), dataset, pairs)
     estimate = estimate_prior(features, dataset.n_attributes)
     return estimate, fit_phi(features, estimate.prior, grid_step)
-
-
-def cmd_prior(args) -> dict:
-    dataset = load_dataset(args.dataset)
-    model = load_model(args.model, dataset.dims)
-    cfg = run_config(args, saliency={"method": args.method})["saliency"]
-    pairs = dataset.pairs_for_split(args.split)
-    if not pairs:
-        raise InvalidArgumentError("prior estimation needs at least one validation pair")
-    with _resolve_scorer(args, dataset) as scorer:
-        maps = _maps(scorer, dataset, pairs, cfg, args.jobs)
-    estimate = estimate_prior(pair_features(model, maps, dataset, pairs), dataset.n_attributes)
-    out = Path(args.out)
-    _write_result(out, {
-        "prior": [float(v) for v in estimate.prior.p],
-        "n_used": estimate.n_used,
-        "n_skipped": estimate.n_skipped,
-    }, {"command": "prior", "saliency": _config_payload(cfg), "split": args.split})
-    return {"out": str(out), "n_used": estimate.n_used, "n_skipped": estimate.n_skipped}
 
 
 def _load_prior(path: str | None, n_attributes: int) -> Prior | None:
@@ -409,12 +386,13 @@ def cmd_fit_phi(args) -> dict:
     dataset = load_dataset(args.dataset)
     model = load_model(args.model, dataset.dims)
     cfg = run_config(args, saliency={"method": args.method})["saliency"]
-    with _resolve_scorer(args, dataset) as scorer:
+    with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split(args.split),
                                          cfg, args.jobs, args.grid_step)
     out = Path(args.out)
     _write_result(out, {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3,
-                        "prior": [float(v) for v in estimate.prior.p]},
+                        "prior": [float(v) for v in estimate.prior.p],
+                        "n_used": estimate.n_used, "n_skipped": estimate.n_skipped},
                   {"command": "fit-phi", "saliency": _config_payload(cfg),
                    "split": args.split, "grid_step": args.grid_step})
     return {"out": str(out), "phi": [phi.phi1, phi.phi2, phi.phi3]}
@@ -428,7 +406,7 @@ def cmd_explain(args) -> dict:
     prior = _load_prior(args.prior, dataset.n_attributes)
     cfg = ExplainConfig(saliency=saliency_cfg, phi=phi, prior=prior)
     [pair] = _select_pairs(dataset, args.pair, None, None)
-    with _resolve_scorer(args, dataset) as scorer:
+    with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         result = explain_pair(
             scorer, model,
             dataset.image(pair.reference_id), dataset.image(pair.query_id), cfg,
@@ -472,6 +450,8 @@ def run_eval(
     """
     report: dict = {"schema_version": 1, "saliency": {}, "attribute": {}, "counts": {}}
     test_pairs = dataset.pairs_for_split("test")[:limit_pairs]
+    if not test_pairs and set(suites) - {"map"}:
+        raise InvalidArgumentError("the test split has no pairs to evaluate")
     report["counts"]["test_pairs"] = len(test_pairs)
     report["counts"]["val_pairs"] = len(dataset.pairs_for_split("val"))
     test_maps: dict[SaliencyConfig, list[SaliencyMap]] = {}
@@ -510,13 +490,12 @@ def run_eval(
         conf_attrs = test_features.top1(prior, CONFIDENCE_ONLY_PHI).tolist()
         rng = np.random.default_rng([seed, 77])
         random_attrs = [int(rng.integers(dataset.n_attributes)) for _ in full_attrs]
-        gt_sets = [np.flatnonzero(row).tolist() for row in test_features.gt]
 
         if "top1" in suites:
             report["attribute"]["top1"] = {
-                "random": top1_accuracy_from_attrs(random_attrs, gt_sets),
-                "confidence_only": top1_accuracy_from_attrs(conf_attrs, gt_sets),
-                "full": top1_accuracy_from_attrs(full_attrs, gt_sets),
+                "random": test_features.top1_accuracy(random_attrs),
+                "confidence_only": test_features.top1_accuracy(conf_attrs),
+                "full": test_features.top1_accuracy(full_attrs),
             }
         if "removal" in suites:
             corpus = dataset.image_ids_for_split("test")
@@ -538,7 +517,7 @@ def cmd_eval(args) -> dict:
     unknown = set(suites) - known
     if unknown:
         raise ParseError(f"unknown suite(s): {', '.join(sorted(unknown))}")
-    with _resolve_scorer(args, dataset) as scorer:
+    with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         prior = phi = None
         if {"top1", "removal"} & set(suites):
             estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"),
@@ -558,7 +537,7 @@ def cmd_discover(args) -> dict:
     cfg = run_config(args, saliency={"method": args.method}, discovery={
         "k_nn": args.k, "n_clusters": args.clusters, "top_n": args.top_n, "patch": args.patch,
     })["discovery"]
-    with _resolve_scorer(args, dataset) as scorer:
+    with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         assignment = discover(dataset, scorer, cfg)
         deltas = removal_eval_discovered(assignment, scorer, dataset,
                                          dataset.pairs_for_split("test"), seed=args.seed)
@@ -610,7 +589,7 @@ def cmd_serve_stub(args) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    """synth -> scorer -> saliency bank -> train-attr -> prior -> phi -> eval."""
+    """synth -> scorer -> saliency bank -> train-attr -> fit-phi (prior, phi) -> eval."""
     seed = args.seed
     methods = _parse_methods(args.methods)
     run_cfg = run_config(args, synth={"n_images": args.n_images, "n_attributes": args.attributes},
@@ -632,7 +611,7 @@ def cmd_pipeline(args) -> dict:
         per_query[p.query_id] = per_query.get(p.query_id, 0) + 1
         bank_pairs.append(p)
 
-    with _resolve_scorer(args, dataset) as scorer:
+    with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         written = {}
         for pair, smap in zip(bank_pairs, _maps(scorer, dataset, bank_pairs, saliency_cfg, args.jobs)):
             name = f"{pair.query_id}__{pair.reference_id}.smap"
@@ -692,8 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         if scorer:
             p.add_argument("--scorer", default=scorer, choices=["triplet", "planted", "motif", "random", "external"],
                            help="similarity model under explanation")
-            p.add_argument("--scorer-seed", type=int, default=None,
-                           help="seed for scorer construction (defaults to --seed)")
             p.add_argument("--external-cmd", default=None, help="command line of an external scorer process")
         for flag in files:
             p.add_argument(f"--{flag}", required=True)
@@ -719,12 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, kind in (("--epochs", int), ("--lr", float), ("--lam", float), ("--k", int)):
         p.add_argument(flag, type=kind, default=None)
 
-    p = command("prior", cmd_prior, "estimate the attribute prior on held-out pairs",
+    p = command("fit-phi", cmd_fit_phi, "fit the attribute prior and the explanation weights on held-out pairs",
                 ("dataset", "model", "out"), method=True)
-    p.add_argument("--split", default="val", choices=["train", "val", "test"])
-
-    p = command("fit-phi", cmd_fit_phi, "grid-search the explanation weights", ("dataset", "model", "out"),
-                method=True)
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
     p.add_argument("--grid-step", type=float, default=0.05)
 

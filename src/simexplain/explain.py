@@ -10,7 +10,9 @@ out pairs.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +55,7 @@ class PhiWeights:
 
     def __post_init__(self):
         vals = (self.phi1, self.phi2, self.phi3)
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise InvalidArgumentError("phi weights must be finite")
         if all(v == 0.0 for v in vals):
             raise InvalidArgumentError("phi weights must not all be zero")
@@ -114,6 +116,25 @@ class PairFeatures:
         """Each pair's attribute ranked first under ``phi`` and ``prior``:
         the first maximum, the tie rule of :func:`rank_attributes`."""
         return np.argmax(phi.combine(self.confidences, self.map_match, prior), axis=1)
+
+    @cached_property
+    def _n_labelled(self) -> int:
+        """How many pairs have a query with ground-truth attributes, counted
+        once per table: :func:`fit_phi` applies the rule at every grid point."""
+        return int(self.gt.any(axis=1).sum())
+
+    def top1_accuracy(self, attrs: Sequence[int]) -> float:
+        """The top-1 rule: the percent of the pairs whose query has ground
+        truth for which ``attrs[i]``, the attribute given for pair i, is
+        ground truth. A pair without ground truth is no miss; a table
+        without a labelled pair is refused."""
+        if len(attrs) != len(self.gt):
+            raise InvalidArgumentError(f"need one attribute per pair: {len(attrs)} for {len(self.gt)} pairs")
+        if not self._n_labelled:
+            raise InvalidArgumentError(f"top-1 accuracy needs a pair whose query has ground-truth attributes: "
+                                       f"{len(self.gt)} pair(s) given, none labelled")
+        hits = int(np.count_nonzero(self.gt[np.arange(len(self.gt)), attrs]))
+        return 100.0 * hits / self._n_labelled
 
 
 def _features_of(model: AttributeModel, smap: SaliencyMap, query) -> tuple[np.ndarray, np.ndarray]:
@@ -190,31 +211,18 @@ def explain_pair(
 
 
 def fit_phi(features: PairFeatures, prior: Prior, grid_step: float = 0.05) -> PhiWeights:
-    """Exhaustive grid search maximizing top-1 accuracy on held-out pairs
-    with ground truth: phi1 and phi2 on a ``grid_step`` grid over [0, 1],
+    """Exhaustive grid search maximizing :meth:`PairFeatures.top1_accuracy`
+    on held-out pairs: phi1 and phi2 on a ``grid_step`` grid over [0, 1],
     phi3 in {0, 0.05, 0.1}.
 
     Ties prefer a larger map-matching weight, then a smaller confidence
-    weight, then a smaller prior weight, evaluated in a fixed grid order.
+    weight, then a smaller prior weight.
     """
     if not 0.0 < grid_step <= 1.0:
         raise InvalidArgumentError("grid_step must lie in (0, 1]")
 
-    n_steps = int(round(1.0 / grid_step))
-    axis = np.arange(n_steps + 1) * grid_step
-    rows = np.arange(len(features.gt))
-    n_used = int(features.gt.any(axis=1).sum())
-    best_key = None
-    best_phi = None
-    for p1 in axis:
-        for p2 in axis:
-            for p3 in (0.0, 0.05, 0.1):
-                if p1 == 0.0 and p2 == 0.0 and p3 == 0.0:
-                    continue
-                phi = PhiWeights(float(p1), float(p2), float(p3))
-                hits = int(features.gt[rows, features.top1(prior, phi)].sum())
-                key = (hits / n_used if n_used else 0.0, p2, -p1, -p3)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_phi = phi
-    return best_phi
+    axis = np.arange(int(round(1.0 / grid_step)) + 1) * grid_step
+    grid = [PhiWeights(float(p1), float(p2), p3)
+            for p1 in axis for p2 in axis for p3 in (0.0, 0.05, 0.1) if p1 or p2 or p3]
+    return max(grid, key=lambda phi: (features.top1_accuracy(features.top1(prior, phi)),
+                                      phi.phi2, -phi.phi1, -phi.phi3))

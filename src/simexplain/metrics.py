@@ -1,6 +1,6 @@
 """Quantitative evaluation: insertion/deletion curves, attribute
-recognition mAP, top-1 explanation accuracy, and the attribute-removal
-similarity drop.
+recognition mAP and the attribute-removal similarity drop. Top-1
+explanation accuracy is the rule of ``explain.PairFeatures``.
 
 Every metric is a pure function of its pair, so evaluation order never
 changes a per-pair result. Reported values are scaled by 100.
@@ -133,14 +133,6 @@ def map_metric(model, dataset: Dataset, split: str) -> float:
     conf = np.stack([model.forward(dataset.image(i)).confidences for i in ids])
     labels = dataset.labels[[dataset.row(i) for i in ids]]
     return 100.0 * mean_average_precision(conf, labels)
-
-
-def top1_accuracy_from_attrs(pred_attrs: Sequence[int], gt_sets: Sequence[Sequence[int]]) -> float:
-    """Fraction (x100) of pairs whose predicted attribute is ground truth."""
-    if len(pred_attrs) != len(gt_sets) or not pred_attrs:
-        raise InvalidArgumentError("need one prediction per pair, at least one pair")
-    hits = sum(int(a in set(gt)) for a, gt in zip(pred_attrs, gt_sets))
-    return 100.0 * hits / len(pred_attrs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shlex
@@ -165,21 +166,19 @@ class TestCliCommands:
         assert scores == sorted(scores, reverse=True)
 
     def test_prior_and_fit_phi(self, cli_workspace, tmp_path):
+        """`fit-phi` writes the prior, its pair counts and phi in one file."""
         _, manifest, _, model = cli_workspace
-        prior_path = tmp_path / "prior.json"
-        code = main(["prior", "--dataset", str(manifest), "--model", str(model),
-                     "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
-                     "--out", str(prior_path)])
-        assert code == 0
-        prior = json.loads(prior_path.read_text())
-        assert np.isclose(sum(prior["prior"]), 1.0)
         phi_path = tmp_path / "phi.json"
         code = main(["fit-phi", "--dataset", str(manifest), "--model", str(model),
                      "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
                      "--grid-step", "0.25", "--out", str(phi_path)])
         assert code == 0
-        phi = json.loads(phi_path.read_text())
-        assert {"phi1", "phi2", "phi3"} <= set(phi)
+        fit = json.loads(phi_path.read_text())
+        assert set(fit) == {"phi1", "phi2", "phi3", "prior", "n_used", "n_skipped"}
+        assert np.isclose(sum(fit["prior"]), 1.0)
+        assert len(fit["prior"]) == load_dataset(manifest).n_attributes
+        assert fit["n_used"] + fit["n_skipped"] == len(load_dataset(manifest).pairs_for_split("val"))
+        assert fit["n_used"] > 0
 
     def test_eval_report_schema(self, cli_workspace, tmp_path):
         _, manifest, _, model = cli_workspace
@@ -364,9 +363,9 @@ class TestCliPlumbing:
          {"maps/run_config.json": {"saliency.method": "sliding_window", "saliency.fixed_reference": True}}),
         (_SALIENCY + ["--method", "rise"], {"saliency": {**_FAST, "method": "sliding_window"}},
          {"maps/run_config.json": {"saliency.method": "rise"}}),
-        (["prior", "--dataset", "{manifest}", "--model", "{model}", "--scorer", "motif",
-          "--out", "{tmp}/prior.json"], {"saliency": {**_FAST, "method": "sliding_window"}},
-         {"prior.json.config.json": {"saliency.method": "sliding_window"}}),
+        (["fit-phi", "--dataset", "{manifest}", "--model", "{model}", "--scorer", "motif", "--grid-step", "0.5",
+          "--out", "{tmp}/phi.json"], {"saliency": {**_FAST, "method": "sliding_window"}},
+         {"phi.json.config.json": {"saliency.method": "sliding_window"}}),
         (_DISCOVER, {"saliency": {**_FAST, "method": "sliding_window"}},
          {"clusters.json.config.json": {"discovery.saliency.method": "sliding_window"}}),
         (_SALIENCY, {"saliency": {**_FAST, "method": "sliding_window", "fixed_reference": False}},
@@ -469,6 +468,18 @@ class TestCliPlumbing:
         code = main([*argv, "--dataset", str(data / "manifest.json"), "--seed", "2", "--config", str(cfg),
                      "--scorer", "external", "--external-cmd", stub])
         assert code == 2
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None  # the stub child was shut down
+
+    def test_discover_needs_an_embedding_scorer_and_closes_it(self, spawned, tmp_path, capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--n-images", "8", "--seed", "2"]) == 0
+        stub = f"{shlex.quote(sys.executable)} -m simexplain serve-stub --no-embed"
+        out = tmp_path / "clusters.json"
+        assert main(["discover", "--dataset", str(data / "manifest.json"), "--out", str(out), "--seed", "2",
+                     "--scorer", "external", "--external-cmd", stub]) == 2
+        assert "embedding-capable" in capsys.readouterr().err
+        assert not out.exists()
         assert len(spawned) == 1
         assert spawned[0].poll() is not None  # the stub child was shut down
 
@@ -723,12 +734,78 @@ class TestCliPlumbing:
         assert set(json.loads(out.read_text())["saliency"]["sliding_window_fixed"]) == {
             f"{curve_suite}_auc", f"{curve_suite}_stderr"}
 
+    @staticmethod
+    def _split_workspace(tmp_path, split_fracs) -> tuple[Path, Path, Path]:
+        """A 16-image dataset split by ``split_fracs``, a model trained on it
+        without maps, and the config file (split and fast saliency) of both."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"split_fracs": split_fracs},
+                                   "saliency": {"sliding": {"windows_query": 9, "windows_ref": 4},
+                                                "rise": {"n_masks": 20, "n_ref_masks": 2}}}))
+        data, model = tmp_path / "d", tmp_path / "m.sane"
+        assert main(["synth", "--out", str(data), "--n-images", "16", "--attributes", "4", "--seed", "3",
+                     "--config", str(cfg)]) == 0
+        assert main(["train-attr", "--dataset", str(data / "manifest.json"), "--out", str(model),
+                     "--epochs", "2", "--seed", "3", "--config", str(cfg)]) == 0
+        return data / "manifest.json", model, cfg
+
+    @pytest.mark.parametrize("command", [
+        ["fit-phi", "--grid-step", "0.5"],
+        ["eval", "--suite", "top1", "--limit", "2"],
+        ["eval", "--suite", "removal", "--limit", "2"],
+        ["pipeline", "--n-images", "16", "--attributes", "4", "--epochs", "5", "--rise-masks", "100", "--limit", "2"],
+    ], ids=["fit-phi", "eval-top1", "eval-removal", "pipeline"])
+    def test_split_without_validation_pairs_exits_2(self, command, tmp_path, capsys):
+        manifest, model, cfg = self._split_workspace(tmp_path, [0.8, 0.0, 0.2])
+        ds = load_dataset(manifest)
+        assert not ds.pairs_for_split("val") and ds.pairs_for_split("test")
+        if command[0] != "pipeline":  # pipeline makes the same dataset itself
+            command = [*command, "--dataset", str(manifest), "--model", str(model), "--scorer", "motif"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*command, "--seed", "3", "--jobs", "1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "ground-truth attributes" in capsys.readouterr().err
+        assert not out.is_file() and not (out / "phi.json").exists() and not (out / "report.json").exists()
+
+    def test_curve_suites_over_no_test_pairs_exit_2(self, tmp_path, monkeypatch, capsys):
+        manifest, model, cfg = self._split_workspace(tmp_path, [0.8, 0.2, 0.0])
+        assert not load_dataset(manifest).pairs_for_split("test")
+        made = self._record_maps(monkeypatch)
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["eval", "--dataset", str(manifest), "--model", str(model), "--scorer", "motif",
+                     "--suite", "insertion,deletion", "--methods", "rise", "--seed", "3", "--jobs", "1",
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no pairs" in capsys.readouterr().err
+        assert made == [] and not out.exists()
+
+    def test_top1_leaves_queries_without_ground_truth_out(self, cli_workspace):
+        """A test pair whose query has no ground truth is no miss: the report's
+        top-1 accuracy counts the labelled pairs only."""
+        _, manifest, _, model_path = cli_workspace
+        ds = load_dataset(manifest)
+        pairs = ds.pairs_for_split("test")[:4]
+        labels = ds.labels.copy()
+        labels[ds.row(pairs[0].query_id)] = 0
+        ds = dataclasses.replace(ds, labels=labels)
+        model = load_model(model_path, ds.dims)
+        scorer = cli.make_scorer("motif", ds, 11)
+        cfg = build_config(se.SaliencyConfig, {"method": "sliding_window",
+                                               "sliding": {"windows_query": 9, "windows_ref": 4}}, "saliency", seed=11)
+        prior, phi = se.Prior.uniform(ds.n_attributes), se.PhiWeights()
+        report = cli.run_eval(ds, model, scorer, cfg, ["top1"], [], seed=11, limit_pairs=4, jobs=1,
+                              prior=prior, phi=phi)
+        features = se_explain.pair_features(model, cli._maps(scorer, ds, pairs, cfg, 1), ds, pairs)
+        hits = int(features.gt[np.arange(len(pairs)), features.top1(prior, phi)].sum())
+        n_labelled = sum(p.query_id != pairs[0].query_id for p in pairs)
+        assert 0 < n_labelled < len(pairs) and hits > 0
+        assert report["attribute"]["top1"]["full"] == 100.0 * hits / n_labelled
+
     # The arguments each command needs besides the one under test.
     _REQUIRED = {
         "synth": ["--out", "o"],
         "saliency": ["--dataset", "d", "--out", "o"],
         "train-attr": ["--dataset", "d", "--out", "o"],
-        "prior": ["--dataset", "d", "--model", "m", "--out", "o"],
         "fit-phi": ["--dataset", "d", "--model", "m", "--out", "o"],
         "explain": ["--dataset", "d", "--model", "m", "--pair", "a:b", "--out", "o"],
         "eval": ["--dataset", "d", "--model", "m", "--out", "o"],
@@ -753,7 +830,7 @@ class TestCliPlumbing:
 
 
 _COMMON = ["--seed", "--config", "--jobs", "--json", "--verbose"]
-_SCORER = ["--scorer", "--scorer-seed", "--external-cmd"]
+_SCORER = ["--scorer", "--external-cmd"]
 
 
 # Each subcommand's own flags beyond the common ones, whether it takes the
@@ -765,7 +842,8 @@ _SCORER = ["--scorer", "--scorer-seed", "--external-cmd"]
                         "--limit"], ["--dataset", "--out"]),
     ("train-attr", False, ["--dataset", "--out", "--maps", "--epochs", "--lr", "--lam", "--k"],
      ["--dataset", "--out"]),
-    ("prior", True, ["--dataset", "--model", "--out", "--method", "--split"], ["--dataset", "--model", "--out"]),
+    ("pipeline", True, ["--out", "--n-images", "--attributes", "--epochs", "--rise-masks", "--methods",
+                        "--limit"], ["--out"]),
     ("fit-phi", True, ["--dataset", "--model", "--out", "--method", "--split", "--grid-step"],
      ["--dataset", "--model", "--out"]),
     ("explain", True, ["--dataset", "--model", "--out", "--method", "--pair", "--phi", "--phi-file", "--prior"],
@@ -775,8 +853,6 @@ _SCORER = ["--scorer", "--scorer-seed", "--external-cmd"]
     ("discover", True, ["--dataset", "--out", "--method", "--k", "--clusters", "--top-n", "--patch"],
      ["--dataset", "--out"]),
     ("serve-stub", False, ["--dims", "--embed-dim", "--max-batch", "--no-embed"], []),
-    ("pipeline", True, ["--out", "--n-images", "--attributes", "--epochs", "--rise-masks", "--methods",
-                        "--limit"], ["--out"]),
 ])
 def test_cli_surface(command, scorer, flags, required):
     """Every subcommand takes exactly its flags and requires exactly its

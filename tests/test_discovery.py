@@ -126,7 +126,7 @@ class TestDiscover:
     def test_requires_embedding_scorer(self, two_motif_setup):
         ds, _, cfg, _ = two_motif_setup
         const = se.ConstantScorer(ds.images[0][1].shape)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="embedding-capable"):
             discover(ds, const, cfg)
 
     def test_too_many_clusters_suggests_fix(self, two_motif_setup):

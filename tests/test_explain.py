@@ -212,6 +212,15 @@ class TestFitPhi:
             with pytest.raises(InvalidArgumentError):
                 fit_phi(_features([0], 2), Prior.uniform(2), grid_step=step)
 
+    def test_table_without_ground_truth_refused(self):
+        # no pair, or only pairs whose query has no ground truth: every mix
+        # would tie at no accuracy, so the fit refuses instead of picking one
+        for n in (0, 3):
+            feats = _features([0] * n, 2)
+            feats.gt[:] = False
+            with pytest.raises(InvalidArgumentError, match="ground-truth attributes"):
+                fit_phi(feats, Prior.uniform(2))
+
 
 class TestExplainPair:
     def _image(self, spec, attrs, seed):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import simexplain as se
 from simexplain import metrics
 from simexplain.errors import InvalidArgumentError, InvalidDataError
+from simexplain.explain import PairFeatures
 from simexplain.external import _ScoreOnly
 from simexplain.metrics import (
     RemovalResult,
@@ -18,7 +19,6 @@ from simexplain.metrics import (
     map_metric,
     mean_and_stderr,
     mean_average_precision,
-    top1_accuracy_from_attrs,
 )
 from simexplain.scorers import Scorer, score_image_stack
 
@@ -208,17 +208,35 @@ class TestAveragePrecision:
         assert map_metric(PerfectModel(), small_dataset, "test") == 100.0
 
 
+def _gt_table(gt) -> PairFeatures:
+    """A feature table that holds only the ground-truth rows ``gt``."""
+    gt = np.asarray(gt, dtype=bool)
+    return PairFeatures(np.zeros(gt.shape), np.zeros(gt.shape), gt)
+
+
 class TestTop1Accuracy:
+    """The one top-1 rule, ``PairFeatures.top1_accuracy``."""
+
     def test_forced_membership_single_attribute(self):
-        gts = [[0]] * 5
-        assert top1_accuracy_from_attrs([0] * 5, gts) == 100.0
+        assert _gt_table([[True]] * 5).top1_accuracy([0] * 5) == 100.0
 
     def test_counts_membership_not_equality(self):
-        assert top1_accuracy_from_attrs([1, 2], [[1, 2], [0]]) == 50.0
+        table = _gt_table([[False, True, True], [True, False, False]])
+        assert table.top1_accuracy([1, 2]) == 50.0
+        with pytest.raises(InvalidArgumentError, match="one attribute per pair"):
+            table.top1_accuracy([1])
+
+    def test_pairs_without_ground_truth_are_no_misses(self):
+        table = _gt_table([[True, False], [False, False], [False, True], [False, False]])
+        assert table.top1_accuracy([0, 0, 0, 1]) == 50.0
+        assert table.top1_accuracy([0, 1, 1, 0]) == 100.0
+        assert type(table.top1_accuracy([0, 0, 0, 0])) is float  # prints as a plain number
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            top1_accuracy_from_attrs([], [])
+        # no pair at all, and pairs of which none has ground truth
+        for n in (0, 4):
+            with pytest.raises(InvalidArgumentError, match="ground-truth attributes"):
+                _gt_table(np.zeros((n, 3), dtype=bool)).top1_accuracy([0] * n)
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +301,11 @@ class TestRemoval:
         ds, scorer = setup
         with pytest.raises(InvalidArgumentError):
             attribute_removal_delta(scorer, ds, ds.pairs[:2], [0], [i for i, _ in ds.images])
+
+    def test_requires_embedding_scorer(self, setup):
+        ds, _ = setup
+        with pytest.raises(InvalidArgumentError, match="embedding-capable"):
+            attribute_removal_delta(se.ConstantScorer(ds.dims), ds, ds.pairs[:2], [0, 0], [i for i, _ in ds.images])
 
 
 class TestHelpers:
