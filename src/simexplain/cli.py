@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .attrmodel import AttributeModel, TrainConfig, train
-from .core import Dataset, Method, Pair, SaliencyMap
+from .core import Dataset, Method, Pair, SaliencyMap, make_rng
 from .dataio import (dump_json, load_dataset, load_model, load_saliency, save_dataset, save_model, save_saliency,
                      write_pgm)
 from .discovery import DiscoveryConfig, discover, removal_eval_discovered
@@ -41,6 +41,8 @@ from .explain import (
     PhiWeights,
     Prior,
     PriorEstimate,
+    _ground_truth,
+    _require_labelled,
     estimate_prior,
     explain_pair,
     fit_phi,
@@ -208,6 +210,14 @@ def _parse_methods(text: str) -> list[tuple[str, Method, bool]]:
     return [(name, _parse_method(name.removesuffix("_dual")), name.endswith("_dual")) for name in names]
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a seed in [0, 2**64), the range of the seed field
+    of a SANE1 model file."""
+    if not text.strip().isdigit() or int(text) >= 2 ** 64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     """An argparse type: a count, so 0 or -1 exits 2 instead of meaning "all"."""
     if not text.strip().isdigit() or int(text) < 1:
@@ -353,57 +363,47 @@ def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pa
     return estimate, fit_phi(features, estimate.prior, grid_step)
 
 
-def _load_prior(path: str | None, n_attributes: int) -> Prior | None:
-    if not path:
-        return None
-    tree = _read_json(path, "prior")
-    try:
-        p = np.asarray(tree["prior"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: 'prior' must be a list of numbers: {exc!r}") from exc
-    if p.size != n_attributes:
-        raise ParseError(f"{path}: prior length {p.size} does not match {n_attributes} attributes")
-    return Prior(p)
+def _fit_payload(estimate: PriorEstimate, phi: PhiWeights) -> dict:
+    """The fit file that `fit-phi` and `pipeline` write: phi, the prior and
+    the counts of held-out pairs the prior used and skipped."""
+    return {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3, "prior": [float(v) for v in estimate.prior.p],
+            "n_used": estimate.n_used, "n_skipped": estimate.n_skipped}
 
 
-def _parse_phi(text: str | None, path: str | None) -> PhiWeights | None:
-    if not text and not path:
-        return None
-    try:
-        if text:
-            parts = [float(v) for v in text.split(",")]
-        else:
-            tree = _read_json(path, "phi")
-            parts = [tree["phi1"], tree["phi2"], tree["phi3"]]
-        if len(parts) != 3:
-            raise ParseError("--phi must be three comma-separated floats")
-        return PhiWeights(*parts)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"phi weights {text or path!r} are not three numbers: {exc!r}") from exc
+def _load_fit(path: str, n_attributes: int) -> tuple[PhiWeights, Prior]:
+    """phi and the prior of a fit file; a missing or ill-typed key, or a
+    prior without one entry per attribute, is a ParseError naming it."""
+    tree = _read_json(path, "fit")
+    if not isinstance(tree, dict):
+        raise ParseError(f"{path}: fit file root must be an object")
+
+    def value(key, kind):
+        if key not in tree:
+            raise ParseError(f"{path}: fit file has no {key!r}")
+        return _leaf(tree[key], kind, f"{path}: {key}")
+
+    phi = PhiWeights(*(value(key, float) for key in ("phi1", "phi2", "phi3")))
+    return phi, Prior(value("prior", tuple[(float,) * n_attributes]))
 
 
 def cmd_fit_phi(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model, dataset.dims)
+    model = load_model(args.model, dataset.dims, dataset.n_attributes)
     cfg = run_config(args, saliency={"method": args.method})["saliency"]
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split(args.split),
                                          cfg, args.jobs, args.grid_step)
     out = Path(args.out)
-    _write_result(out, {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3,
-                        "prior": [float(v) for v in estimate.prior.p],
-                        "n_used": estimate.n_used, "n_skipped": estimate.n_skipped},
-                  {"command": "fit-phi", "saliency": _config_payload(cfg),
+    _write_result(out, _fit_payload(estimate, phi), {"command": "fit-phi", "saliency": _config_payload(cfg),
                    "split": args.split, "grid_step": args.grid_step})
     return {"out": str(out), "phi": [phi.phi1, phi.phi2, phi.phi3]}
 
 
 def cmd_explain(args) -> dict:
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model, dataset.dims)
+    model = load_model(args.model, dataset.dims, dataset.n_attributes)
     saliency_cfg = run_config(args, saliency={"method": args.method})["saliency"]
-    phi = _parse_phi(args.phi, args.phi_file) or PhiWeights()
-    prior = _load_prior(args.prior, dataset.n_attributes)
+    phi, prior = _load_fit(args.phi_file, dataset.n_attributes) if args.phi_file else (PhiWeights(), None)
     cfg = ExplainConfig(saliency=saliency_cfg, phi=phi, prior=prior)
     [pair] = _select_pairs(dataset, args.pair, None, None)
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
@@ -425,6 +425,15 @@ def cmd_explain(args) -> dict:
                                  "pair": args.pair})
     save_saliency(smap_path, result.saliency)
     return {"out": str(out), "top1": dataset.catalog.names[result.top1]}
+
+
+def _test_pairs(dataset: Dataset, suites: list[str], limit: int | None) -> list[Pair]:
+    """The test pairs a report evaluates; none is refused unless `map`, which
+    scores test images, is the only suite."""
+    pairs = dataset.pairs_for_split("test")[:limit]
+    if not pairs and set(suites) - {"map"}:
+        raise InvalidArgumentError("the test split has no pairs to evaluate")
+    return pairs
 
 
 def run_eval(
@@ -449,9 +458,7 @@ def run_eval(
     and shared by every suite that reads them.
     """
     report: dict = {"schema_version": 1, "saliency": {}, "attribute": {}, "counts": {}}
-    test_pairs = dataset.pairs_for_split("test")[:limit_pairs]
-    if not test_pairs and set(suites) - {"map"}:
-        raise InvalidArgumentError("the test split has no pairs to evaluate")
+    test_pairs = _test_pairs(dataset, suites, limit_pairs)
     report["counts"]["test_pairs"] = len(test_pairs)
     report["counts"]["val_pairs"] = len(dataset.pairs_for_split("val"))
     test_maps: dict[SaliencyConfig, list[SaliencyMap]] = {}
@@ -488,7 +495,7 @@ def run_eval(
         test_features = pair_features(model, maps_for(saliency_cfg), dataset, test_pairs)
         full_attrs = test_features.top1(prior, phi).tolist()
         conf_attrs = test_features.top1(prior, CONFIDENCE_ONLY_PHI).tolist()
-        rng = np.random.default_rng([seed, 77])
+        rng = make_rng(seed, 77)
         random_attrs = [int(rng.integers(dataset.n_attributes)) for _ in full_attrs]
 
         if "top1" in suites:
@@ -507,14 +514,16 @@ def run_eval(
     return report
 
 
+_SUITES = ["insertion", "deletion", "map", "top1", "removal"]
+
+
 def cmd_eval(args) -> dict:
     methods = _parse_methods(args.methods)
     dataset = load_dataset(args.dataset)
-    model = load_model(args.model, dataset.dims)
+    model = load_model(args.model, dataset.dims, dataset.n_attributes)
     saliency_cfg = run_config(args)["saliency"]
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
-    known = {"insertion", "deletion", "map", "top1", "removal"}
-    unknown = set(suites) - known
+    unknown = set(suites) - set(_SUITES)
     if unknown:
         raise ParseError(f"unknown suite(s): {', '.join(sorted(unknown))}")
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
@@ -595,9 +604,12 @@ def cmd_pipeline(args) -> dict:
     run_cfg = run_config(args, synth={"n_images": args.n_images, "n_attributes": args.attributes},
                          saliency={"rise": {"n_masks": args.rise_masks}}, train={"epochs": args.epochs})
     spec, saliency_cfg, train_cfg = run_cfg["synth"], run_cfg["saliency"], run_cfg["train"]
+    dataset = generate_dataset(spec)
+    # the refusals of the fit and of run_eval, before anything is written
+    _require_labelled(_ground_truth(dataset, dataset.pairs_for_split("val")))
+    _test_pairs(dataset, _SUITES, args.limit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = generate_dataset(spec)
     save_dataset(dataset, out / "dataset")
 
     maps_dir = out / "maps"
@@ -627,12 +639,8 @@ def cmd_pipeline(args) -> dict:
 
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"), saliency_cfg,
                                          args.jobs)
-        dump_json(out / "prior.json", {"prior": [float(v) for v in estimate.prior.p],
-                                       "n_used": estimate.n_used, "n_skipped": estimate.n_skipped})
-        dump_json(out / "phi.json", {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3})
-
-        suites = ["insertion", "deletion", "map", "top1", "removal"]
-        report = run_eval(dataset, model, scorer, saliency_cfg, suites, methods,
+        dump_json(out / "phi.json", _fit_payload(estimate, phi))
+        report = run_eval(dataset, model, scorer, saliency_cfg, _SUITES, methods,
                           seed=seed, limit_pairs=args.limit, jobs=args.jobs, prior=estimate.prior, phi=phi)
     dump_json(out / "report.json", report)
     _echo_config(out, {
@@ -663,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         flags ``files`` and, if ``method``, ``--method``."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--config", default=None, help="JSON run-config file")
         p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
         p.add_argument("--json", action="store_true", help="print a machine-readable result line")
@@ -703,12 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("explain", cmd_explain, "explain one pair", ("dataset", "model", "out"), method=True)
     p.add_argument("--pair", required=True, help="query_id:reference_id")
-    p.add_argument("--phi", default=None, help="phi1,phi2,phi3")
-    p.add_argument("--phi-file", default=None)
-    p.add_argument("--prior", default=None, help="prior.json path")
+    p.add_argument("--phi-file", default=None, help="fit file of fit-phi or pipeline: phi and the prior")
 
     p = command("eval", cmd_eval, "run the metric suites", ("dataset", "model", "out"))
-    p.add_argument("--suite", default="insertion,deletion,map,top1,removal")
+    p.add_argument("--suite", default=",".join(_SUITES))
     p.add_argument("--methods", default="rise,sliding_window")
     p.add_argument("--insertion-step", type=float, default=0.01)
     p.add_argument("--limit", type=_positive_int, default=None, help="cap on test pairs")

@@ -110,15 +110,18 @@ def save_model(path: str | Path, model: AttributeModel) -> None:
     head = np.concatenate([model.head_weights.ravel(), model.head_bias])
     if not np.all(np.abs(head) <= np.finfo(np.float32).max):
         raise InvalidDataError(f"{path}: head weights exceed the float32 range of a SANE1 file")
+    if not 0 <= ex.seed < 2 ** 64:
+        raise InvalidDataError(f"{path}: extractor seed {ex.seed} is outside the u64 range of a SANE1 file")
+    header = MODEL_MAGIC + struct.pack("<QIIIIII", ex.seed, h, w, c, ex.n_filters, ex.grid, model.n_attributes)
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<QIIIIII", ex.seed, h, w, c, ex.n_filters, ex.grid, model.n_attributes))
+        fh.write(header)
         fh.write(head.astype("<f4").tobytes())
 
 
-def load_model(path: str | Path, dims: tuple[int, int, int]) -> AttributeModel:
-    """Read a SANE1 model that serves images of shape ``dims``; a header
-    promising other sides is refused before anything is allocated."""
+def load_model(path: str | Path, dims: tuple[int, int, int], n_attributes: int) -> AttributeModel:
+    """Read a SANE1 model that serves images of shape ``dims`` over a catalog
+    of ``n_attributes``; a header promising other sides or another catalog
+    size is refused before anything is allocated."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -132,6 +135,8 @@ def load_model(path: str | Path, dims: tuple[int, int, int]) -> AttributeModel:
                              f"grid {grid}, {A} attributes")
         if (h, w, c) != tuple(dims):
             raise ParseError(f"{path}: model is for {h}x{w}x{c} images, not {'x'.join(map(str, dims))}")
+        if A != n_attributes:
+            raise ParseError(f"{path}: model is for {A} attributes, not the dataset's {n_attributes}")
         head = np.frombuffer(_read_payload(fh, A * (n_filters + 1), path), dtype="<f4")
     head_w, head_b = head[:A * n_filters].reshape(A, n_filters), head[A * n_filters:]
     if not np.all(np.isfinite(head)):

@@ -60,9 +60,6 @@ class PhiWeights:
         if all(v == 0.0 for v in vals):
             raise InvalidArgumentError("phi weights must not all be zero")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.phi1, self.phi2, self.phi3)
-
     def combine(self, confidences: np.ndarray, map_match: np.ndarray, prior: Prior) -> np.ndarray:
         """e_i = phi1 * confidence_i + phi2 * map_match_i + phi3 * prior_i."""
         return self.phi1 * confidences + self.phi2 * map_match + self.phi3 * prior.p
@@ -119,9 +116,9 @@ class PairFeatures:
 
     @cached_property
     def _n_labelled(self) -> int:
-        """How many pairs have a query with ground-truth attributes, counted
-        once per table: :func:`fit_phi` applies the rule at every grid point."""
-        return int(self.gt.any(axis=1).sum())
+        """:func:`_require_labelled` of the table, counted once: :func:`fit_phi`
+        applies the rule at every grid point."""
+        return _require_labelled(self.gt)
 
     def top1_accuracy(self, attrs: Sequence[int]) -> float:
         """The top-1 rule: the percent of the pairs whose query has ground
@@ -130,11 +127,24 @@ class PairFeatures:
         without a labelled pair is refused."""
         if len(attrs) != len(self.gt):
             raise InvalidArgumentError(f"need one attribute per pair: {len(attrs)} for {len(self.gt)} pairs")
-        if not self._n_labelled:
-            raise InvalidArgumentError(f"top-1 accuracy needs a pair whose query has ground-truth attributes: "
-                                       f"{len(self.gt)} pair(s) given, none labelled")
+        n_labelled = self._n_labelled
         hits = int(np.count_nonzero(self.gt[np.arange(len(self.gt)), attrs]))
-        return 100.0 * hits / self._n_labelled
+        return 100.0 * hits / n_labelled
+
+
+def _ground_truth(dataset: Dataset, pairs: Sequence[Pair]) -> np.ndarray:
+    """(P, A) bool: the ground-truth attributes of each pair's query."""
+    return dataset.labels[[dataset.row(p.query_id) for p in pairs]].astype(bool)
+
+
+def _require_labelled(gt: np.ndarray) -> int:
+    """How many pairs (rows of ``gt``) have a query with ground-truth
+    attributes; without one, a split can neither be fit nor scored top-1."""
+    n_labelled = int(gt.any(axis=1).sum())
+    if not n_labelled:
+        raise InvalidArgumentError(f"top-1 accuracy needs a pair whose query has ground-truth attributes: "
+                                   f"{len(gt)} pair(s) given, none labelled")
+    return n_labelled
 
 
 def _features_of(model: AttributeModel, smap: SaliencyMap, query) -> tuple[np.ndarray, np.ndarray]:
@@ -152,10 +162,9 @@ def pair_features(
 ) -> PairFeatures:
     """The features of all pairs from their saliency maps; ``maps[i]`` belongs to ``pairs[i]``."""
     shape = (len(pairs), model.n_attributes)
-    table = PairFeatures(np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool))
+    table = PairFeatures(np.zeros(shape), np.zeros(shape), _ground_truth(dataset, pairs))
     for i, (smap, p) in enumerate(zip(maps, pairs, strict=True)):
         table.confidences[i], table.map_match[i] = _features_of(model, smap, dataset.image(p.query_id))
-        table.gt[i, dataset.gt_attributes(p.query_id)] = True
     return table
 
 

@@ -355,7 +355,7 @@ class TestModelRoundTrip:
         b = rng.normal(size=3).astype(np.float32).astype(np.float64)
         model = AttributeModel(ex, w, b)
         save_model(tmp_path / "m.sane", model)
-        loaded = load_model(tmp_path / "m.sane", DIMS)
+        loaded = load_model(tmp_path / "m.sane", DIMS, 3)
         img = rng.random(DIMS)
         np.testing.assert_array_equal(loaded.forward(img).confidences,
                                       model.forward(img).confidences)

@@ -30,6 +30,13 @@ def tree_hashes(root: Path) -> dict:
     return out
 
 
+def _fit(**fields) -> bytes:
+    """A fit file of the 8-attribute dataset of ``cli_workspace``, with
+    ``fields`` replaced."""
+    fit = {"phi1": 0.1, "phi2": 0.9, "phi3": 0.05, "prior": [0.125] * 8, "n_used": 4, "n_skipped": 0}
+    return json.dumps({**fit, **fields}).encode()
+
+
 class TestSyntheticGenerator:
     def test_counts(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "d"), "--n-images", "64",
@@ -153,17 +160,22 @@ class TestCliCommands:
         _, manifest, _, model = cli_workspace
         ds = load_dataset(manifest)
         pair = ds.pairs_for_split("test")[0]
+        prior = [2.0 * (a + 1) / (ds.n_attributes * (ds.n_attributes + 1)) for a in range(ds.n_attributes)]
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps({"phi1": 0.2, "phi2": 0.7, "phi3": 0.1, "prior": prior}))
         out = tmp_path / "expl.json"
         code = main(["explain", "--dataset", str(manifest), "--model", str(model),
                      "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
                      "--pair", f"{pair.query_id}:{pair.reference_id}",
-                     "--phi", "0.1,0.9,0.05", "--out", str(out)])
+                     "--phi-file", str(fit), "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert len(payload["ranked"]) == ds.n_attributes
         assert (tmp_path / "expl.smap").exists()
         scores = [r["score"] for r in payload["ranked"]]
         assert scores == sorted(scores, reverse=True)
+        assert payload["phi"] == {"phi1": 0.2, "phi2": 0.7, "phi3": 0.1}
+        assert [r["prior"] for r in payload["ranked"]] == [prior[r["attribute"]] for r in payload["ranked"]]
 
     def test_prior_and_fit_phi(self, cli_workspace, tmp_path):
         """`fit-phi` writes the prior, its pair counts and phi in one file."""
@@ -179,6 +191,29 @@ class TestCliCommands:
         assert len(fit["prior"]) == load_dataset(manifest).n_attributes
         assert fit["n_used"] + fit["n_skipped"] == len(load_dataset(manifest).pairs_for_split("val"))
         assert fit["n_used"] > 0
+
+    def test_explain_reads_the_whole_pipeline_fit(self, tmp_path):
+        """`pipeline` writes the fit in `fit-phi`'s form, and `explain
+        --phi-file` ranks with its prior, not a uniform one."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"saliency": {"sliding": {"windows_query": 9, "windows_ref": 4}}}))
+        run = tmp_path / "run"
+        assert main(["pipeline", "--out", str(run), "--n-images", "16", "--attributes", "3", "--epochs", "2",
+                     "--rise-masks", "20", "--methods", "sliding_window", "--limit", "1", "--seed", "3",
+                     "--jobs", "1", "--config", str(cfg)]) == 0
+        fit = json.loads((run / "phi.json").read_text())
+        assert set(fit) == {"phi1", "phi2", "phi3", "prior", "n_used", "n_skipped"}
+        assert not (run / "prior.json").exists()
+        assert len(set(fit["prior"])) > 1  # fitted, not uniform
+        pair = load_dataset(run / "dataset").pairs_for_split("test")[0]
+        out = tmp_path / "expl.json"
+        assert main(["explain", "--dataset", str(run / "dataset"), "--model", str(run / "model.sane"),
+                     "--method", "sliding_window", "--seed", "3", "--config", str(cfg),
+                     "--pair", f"{pair.query_id}:{pair.reference_id}", "--phi-file", str(run / "phi.json"),
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["phi"] == {key: fit[key] for key in ("phi1", "phi2", "phi3")}
+        assert [r["prior"] for r in payload["ranked"]] == [fit["prior"][r["attribute"]] for r in payload["ranked"]]
 
     def test_eval_report_schema(self, cli_workspace, tmp_path):
         _, manifest, _, model = cli_workspace
@@ -514,14 +549,14 @@ class TestCliPlumbing:
     @pytest.mark.parametrize("flags, files", [
         (["--model", "{tmp}/missing.sane"], {}),
         (["--model", "{tmp}/short.sane"], {"short.sane": b"SANE1\x00\x01"}),
-        (["--prior", "{tmp}/missing.json"], {}),
-        (["--prior", "{tmp}/p.json"], {"p.json": b"{"}),
-        (["--prior", "{tmp}/p.json"], {"p.json": b"{}"}),
-        (["--prior", "{tmp}/p.json"], {"p.json": b'{"prior": "abc"}'}),
-        (["--phi", "a,b,c"], {}),
         (["--phi-file", "{tmp}/missing.json"], {}),
-        (["--phi-file", "{tmp}/f.json"], {"f.json": b'{"phi1": 0.1}'}),
-        (["--phi-file", "{tmp}/f.json"], {"f.json": b'{"phi1": "x", "phi2": 0, "phi3": 0}'}),
+        (["--phi-file", "{tmp}/f.json"], {"f.json": b"{"}),
+        (["--phi-file", "{tmp}/f.json"], {"f.json": b"{}"}),
+        (["--phi-file", "{tmp}/f.json"], {"f.json": _fit(prior="abc")}),
+        (["--phi-file", "{tmp}/f.json"], {"f.json": _fit(phi1="x")}),
+        (["--phi-file", "{tmp}/f.json"], {"f.json": b'{"phi1": 0.1, "phi2": 0.9, "phi3": 0.05}'}),
+        (["--phi-file", "{tmp}/f.json"], {"f.json": _fit(prior=[0.5, 0.5])}),
+        (["--phi-file", "{tmp}/f.json"], {"f.json": b"[0.1, 0.9, 0.05]"}),
     ])
     def test_bad_user_files_are_parse_errors(self, flags, files, cli_workspace, tmp_path):
         _, manifest, _, model = cli_workspace
@@ -542,13 +577,29 @@ class TestCliPlumbing:
         ds = load_dataset(manifest)
         pair = ds.pairs_for_split("test")[0]
         rest = [0.9 / (ds.n_attributes - 1)] * (ds.n_attributes - 1)
-        (tmp_path / "p.json").write_text(json.dumps({"prior": [float("nan"), *rest]}))
+        (tmp_path / "p.json").write_bytes(_fit(prior=[float("nan"), *rest]))
         out = tmp_path / "e.json"
         assert main(["explain", "--dataset", str(manifest), "--model", str(model),
                      "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
-                     "--pair", f"{pair.query_id}:{pair.reference_id}", "--prior", str(tmp_path / "p.json"),
+                     "--pair", f"{pair.query_id}:{pair.reference_id}", "--phi-file", str(tmp_path / "p.json"),
                      "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["phi1", "phi2", "phi3", "prior"])
+    def test_fit_file_without_a_key_exits_2_naming_it(self, missing, cli_workspace, tmp_path, capsys):
+        """A phi-only file is refused, not ranked under a uniform prior."""
+        _, manifest, _, model = cli_workspace
+        pair = load_dataset(manifest).pairs_for_split("test")[0]
+        fit = json.loads(_fit())
+        del fit[missing]
+        (tmp_path / "f.json").write_text(json.dumps(fit))
+        out = tmp_path / "e.json"
+        assert main(["explain", "--dataset", str(manifest), "--model", str(model),
+                     "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
+                     "--pair", f"{pair.query_id}:{pair.reference_id}", "--phi-file", str(tmp_path / "f.json"),
+                     "--out", str(out)]) == 2
+        assert repr(missing) in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_grid_step_exits_2(self, cli_workspace, tmp_path, capsys):
@@ -584,7 +635,7 @@ class TestCliPlumbing:
         bad.write_bytes(bytes(raw))
         dataset = load_dataset(manifest)
         with pytest.raises(ParseError):
-            load_model(bad, dataset.images[0][1].shape)
+            load_model(bad, dataset.dims, dataset.n_attributes)
         pair = dataset.pairs_for_split("test")[0]
         assert main(["explain", "--dataset", str(manifest), "--model", str(bad),
                      "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
@@ -755,7 +806,7 @@ class TestCliPlumbing:
         ["eval", "--suite", "removal", "--limit", "2"],
         ["pipeline", "--n-images", "16", "--attributes", "4", "--epochs", "5", "--rise-masks", "100", "--limit", "2"],
     ], ids=["fit-phi", "eval-top1", "eval-removal", "pipeline"])
-    def test_split_without_validation_pairs_exits_2(self, command, tmp_path, capsys):
+    def test_split_without_validation_pairs_exits_2(self, command, tmp_path, monkeypatch, capsys):
         manifest, model, cfg = self._split_workspace(tmp_path, [0.8, 0.0, 0.2])
         ds = load_dataset(manifest)
         assert not ds.pairs_for_split("val") and ds.pairs_for_split("test")
@@ -763,9 +814,23 @@ class TestCliPlumbing:
             command = [*command, "--dataset", str(manifest), "--model", str(model), "--scorer", "motif"]
         out = tmp_path / "out"
         capsys.readouterr()
+        made = self._record_maps(monkeypatch)
         assert main([*command, "--seed", "3", "--jobs", "1", "--config", str(cfg), "--out", str(out)]) == 2
         assert "ground-truth attributes" in capsys.readouterr().err
         assert not out.is_file() and not (out / "phi.json").exists() and not (out / "report.json").exists()
+        if command[0] == "pipeline":  # refused before it writes or maps anything
+            assert made == [] and not out.exists()
+
+    def test_pipeline_without_test_pairs_exits_2_before_writing(self, tmp_path, monkeypatch, capsys):
+        manifest, _, cfg = self._split_workspace(tmp_path, [0.8, 0.2, 0.0])
+        assert not load_dataset(manifest).pairs_for_split("test")
+        made = self._record_maps(monkeypatch)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["pipeline", "--n-images", "16", "--attributes", "4", "--epochs", "5", "--rise-masks", "100",
+                     "--limit", "2", "--seed", "3", "--jobs", "1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no pairs" in capsys.readouterr().err
+        assert made == [] and not out.exists()
 
     def test_curve_suites_over_no_test_pairs_exit_2(self, tmp_path, monkeypatch, capsys):
         manifest, model, cfg = self._split_workspace(tmp_path, [0.8, 0.2, 0.0])
@@ -788,7 +853,7 @@ class TestCliPlumbing:
         labels = ds.labels.copy()
         labels[ds.row(pairs[0].query_id)] = 0
         ds = dataclasses.replace(ds, labels=labels)
-        model = load_model(model_path, ds.dims)
+        model = load_model(model_path, ds.dims, ds.n_attributes)
         scorer = cli.make_scorer("motif", ds, 11)
         cfg = build_config(se.SaliencyConfig, {"method": "sliding_window",
                                                "sliding": {"windows_query": 9, "windows_ref": 4}}, "saliency", seed=11)
@@ -800,6 +865,41 @@ class TestCliPlumbing:
         n_labelled = sum(p.query_id != pairs[0].query_id for p in pairs)
         assert 0 < n_labelled < len(pairs) and hits > 0
         assert report["attribute"]["top1"]["full"] == 100.0 * hits / n_labelled
+
+    @pytest.mark.parametrize("command", ["explain", "fit-phi"])
+    def test_model_of_another_catalog_exits_2(self, command, tmp_path, monkeypatch, capsys):
+        """An 8-attribute model on a 4-attribute dataset (explain) and a
+        4-attribute model on an 8-attribute dataset (fit-phi)."""
+        for n in ("8", "4"):
+            assert main(["synth", "--out", str(tmp_path / f"d{n}"), "--n-images", "16", "--attributes", n,
+                         "--seed", "1"]) == 0
+            assert main(["train-attr", "--dataset", str(tmp_path / f"d{n}"), "--out", str(tmp_path / f"m{n}.sane"),
+                         "--epochs", "1", "--seed", "1"]) == 0
+        data, model, argv = {"explain": ("d4", "m8.sane", ["--pair", "img000:img001"]),
+                             "fit-phi": ("d8", "m4.sane", ["--grid-step", "0.5"])}[command]
+        made = self._record_maps(monkeypatch)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main([command, *argv, "--dataset", str(tmp_path / data), "--model", str(tmp_path / model),
+                     "--method", "sliding_window", "--scorer", "motif", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{model[1]} attributes" in err and f"dataset's {data[1]}" in err
+        assert made == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "train-attr"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_u64_exits_2_before_writing(self, command, seed, cli_workspace, tmp_path, capsys):
+        _, manifest, maps, _ = cli_workspace
+        out = tmp_path / "out"
+        argv = {"pipeline": ["pipeline", "--n-images", "16", "--attributes", "3", "--epochs", "2"],
+                "train-attr": ["train-attr", "--dataset", str(manifest), "--maps", str(maps), "--epochs", "1"]}[command]
+        argv += ["--out", str(out), "--seed"]
+        assert build_parser().parse_args([*argv, str(2 ** 64 - 1)]).seed == 2 ** 64 - 1
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, seed])
+        assert exc.value.code == 2
+        assert "[0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
 
     # The arguments each command needs besides the one under test.
     _REQUIRED = {
@@ -846,7 +946,7 @@ _SCORER = ["--scorer", "--external-cmd"]
                         "--limit"], ["--out"]),
     ("fit-phi", True, ["--dataset", "--model", "--out", "--method", "--split", "--grid-step"],
      ["--dataset", "--model", "--out"]),
-    ("explain", True, ["--dataset", "--model", "--out", "--method", "--pair", "--phi", "--phi-file", "--prior"],
+    ("explain", True, ["--dataset", "--model", "--out", "--method", "--pair", "--phi-file"],
      ["--dataset", "--model", "--out", "--pair"]),
     ("eval", True, ["--dataset", "--model", "--out", "--suite", "--methods", "--insertion-step", "--limit"],
      ["--dataset", "--model", "--out"]),

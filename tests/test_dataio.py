@@ -215,7 +215,7 @@ class TestModelFile:
         model = AttributeModel(extractor, rng.normal(size=(3, 6)), rng.normal(size=3))
         path = tmp_path / "model.sane"
         save_model(path, model)
-        loaded = load_model(path, (14, 14, 2))
+        loaded = load_model(path, (14, 14, 2), 3)
         assert loaded.extractor.seed == 9
         np.testing.assert_array_equal(loaded.extractor.weight, extractor.weight)
         np.testing.assert_allclose(loaded.head_weights, model.head_weights, atol=1e-7)
@@ -232,7 +232,7 @@ class TestModelFile:
         raw[37:37 + 72] = head.astype("<f4").tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(InvalidDataError, match="finite"):
-            load_model(path, (14, 14, 2))
+            load_model(path, (14, 14, 2), 3)
 
     @pytest.mark.parametrize("where", ["weights", "bias"])
     def test_head_beyond_float32_refused_before_writing(self, where, tmp_path):
@@ -244,19 +244,27 @@ class TestModelFile:
             save_model(path, AttributeModel(extractor, w, b))
         assert not path.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_u64_refused_before_writing(self, seed, tmp_path):
+        extractor = FeatureExtractor((14, 14, 2), n_filters=6, seed=seed)
+        path = tmp_path / "model.sane"
+        with pytest.raises(InvalidDataError, match="u64"):
+            save_model(path, AttributeModel(extractor, np.zeros((3, 6)), np.zeros(3)))
+        assert not path.exists()
+
     def test_float32_extremes_round_trip(self, tmp_path):
         extractor = FeatureExtractor((14, 14, 2), n_filters=6, seed=9)
         big = float(np.finfo(np.float32).max)
         path = tmp_path / "model.sane"
         save_model(path, AttributeModel(extractor, np.full((3, 6), big), np.full(3, -big)))
-        loaded = load_model(path, (14, 14, 2))
+        loaded = load_model(path, (14, 14, 2), 3)
         assert np.all(loaded.head_weights == big) and np.all(loaded.head_bias == -big)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.sane"
         path.write_bytes(b"WRONG" + b"\x00" * 40)
         with pytest.raises(ParseError, match="magic"):
-            load_model(path, (14, 14, 2))
+            load_model(path, (14, 14, 2), 3)
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +280,7 @@ def written_files(tmp_path_factory):
     extractor = FeatureExtractor(dataset.dims, n_filters=4)
     save_model(root / "model.sane", AttributeModel(extractor, rng.normal(size=(3, 4)), rng.normal(size=3)))
     load = {"map.smap": lambda: dataio.load_saliency(root / "map.smap"),
-            "model.sane": lambda: load_model(root / "model.sane", dataset.dims)}
+            "model.sane": lambda: load_model(root / "model.sane", dataset.dims, dataset.n_attributes)}
     for name in ("manifest.json", "labels.txt", "pairs.txt", "images/img000.grid"):
         load[f"dataset/{name}"] = lambda: dataio.load_dataset(root / "dataset")
     return root, load

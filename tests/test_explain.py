@@ -45,7 +45,8 @@ class TestPhiWeights:
             PhiWeights(0.0, 0.0, 0.0)
 
     def test_documented_defaults(self):
-        assert PhiWeights().as_tuple() == (0.1, 0.9, 0.05)
+        phi = PhiWeights()
+        assert (phi.phi1, phi.phi2, phi.phi3) == (0.1, 0.9, 0.05)
 
 
 class TestExplanationScores:
@@ -199,7 +200,7 @@ class TestFitPhi:
         feats = _features([0] * 4, 2)
         phi = fit_phi(feats, Prior.uniform(2), grid_step=1.0)
         assert phi is not None
-        assert any(v != 0 for v in phi.as_tuple())
+        assert any(v != 0 for v in (phi.phi1, phi.phi2, phi.phi3))
 
     def test_tie_prefers_larger_phi2(self):
         # all mixes score identically: every signal points at the only GT attr
