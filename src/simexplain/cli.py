@@ -176,16 +176,26 @@ def _config_payload(obj) -> object:
     return obj
 
 
-def _echo_config(out: Path, resolved: dict) -> None:
-    target = out / "run_config.json" if out.is_dir() else out.with_name(out.name + ".config.json")
+def _make_out(args) -> Path:
+    """``--out``, once the directory the command writes in exists: ``--out``
+    itself for a directory, its parent for a file."""
+    (args.out if args.out_kind == "directory" else args.out.parent).mkdir(parents=True, exist_ok=True)
+    return args.out
+
+
+def _echo_config(args, resolved: dict) -> None:
+    """The resolved configuration, in a directory ``--out`` as
+    run_config.json, beside a file one as <name>.config.json."""
+    out = args.out
+    target = out / "run_config.json" if args.out_kind == "directory" else out.with_name(out.name + ".config.json")
     dump_json(target, _config_payload(resolved))
 
 
-def _write_result(out: Path, payload: dict, resolved: dict) -> None:
-    """Write a command's JSON result next to the echo of its configuration."""
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dump_json(out, payload)
-    _echo_config(out, resolved)
+def _write_result(args, payload: dict, resolved: dict) -> None:
+    """Write a command's JSON result at ``--out``, next to the echo of its
+    configuration."""
+    dump_json(_make_out(args), payload)
+    _echo_config(args, resolved)
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
@@ -223,6 +233,21 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _out_path(text: str, kind: str) -> Path:
+    """An argparse type: ``--out`` as a path a command can write a
+    ``kind`` ("directory" or "file") at. An existing path must be of that
+    kind and the nearest existing ancestor a directory; nothing is created."""
+    path = Path(text)
+    if path.exists():
+        if path.is_dir() != (kind == "directory"):
+            raise argparse.ArgumentTypeError(f"{text} exists and is not a {kind}")
+        return path
+    parent = next(p for p in path.parents if p.exists())
+    if not parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{text}: {parent} is not a directory")
+    return path
 
 
 def _dims(text: str) -> tuple[int, int, int]:
@@ -283,9 +308,8 @@ def cmd_synth(args) -> dict:
         "max_attrs_per_image": args.max_attrs, "pairs_per_query": args.pairs_per_query,
     })["synth"]
     dataset = generate_dataset(spec)
-    out = Path(args.out)
-    manifest = save_dataset(dataset, out)
-    _echo_config(out, {"command": "synth", "spec": _config_payload(spec)})
+    manifest = save_dataset(dataset, args.out)
+    _echo_config(args, {"command": "synth", "spec": _config_payload(spec)})
     return {
         "manifest": str(manifest),
         "n_images": dataset.n_images,
@@ -309,16 +333,14 @@ def cmd_saliency(args) -> dict:
     dataset = load_dataset(args.dataset)
     cfg = run_config(args, saliency={"method": args.method, "fixed_reference": args.fixed_reference})["saliency"]
     pairs = _select_pairs(dataset, args.pair, args.split, args.limit)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         maps = _maps(scorer, dataset, pairs, cfg, args.jobs)
+    out = _make_out(args)
     for pair, smap in zip(pairs, maps):
         stem = f"{pair.query_id}__{pair.reference_id}"
         save_saliency(out / f"{stem}.smap", smap)
         write_pgm(out / f"{stem}.pgm", smap.data)
-    _echo_config(out, {"command": "saliency", "saliency": _config_payload(cfg), "pairs": len(pairs)})
+    _echo_config(args, {"command": "saliency", "saliency": _config_payload(cfg), "pairs": len(pairs)})
     return {"out": str(out), "maps": len(maps)}
 
 
@@ -344,12 +366,10 @@ def cmd_train_attr(args) -> dict:
     cfg = run_config(args, train={"epochs": args.epochs, "lr": args.lr, "lam": args.lam,
                                   "k_maps": args.k})["train"]
     model = train(dataset, bank, cfg)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(out, model)
-    _echo_config(out, {"command": "train-attr", "train": _config_payload(cfg), "bank_images": len(bank)})
+    save_model(_make_out(args), model)
+    _echo_config(args, {"command": "train-attr", "train": _config_payload(cfg), "bank_images": len(bank)})
     val_map = map_metric(model, dataset, "val") if dataset.image_ids_for_split("val") else None
-    return {"model": str(out), "val_map": val_map}
+    return {"model": str(args.out), "val_map": val_map}
 
 
 def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pairs: list[Pair],
@@ -393,10 +413,9 @@ def cmd_fit_phi(args) -> dict:
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split(args.split),
                                          cfg, args.jobs, args.grid_step)
-    out = Path(args.out)
-    _write_result(out, _fit_payload(estimate, phi), {"command": "fit-phi", "saliency": _config_payload(cfg),
-                   "split": args.split, "grid_step": args.grid_step})
-    return {"out": str(out), "phi": [phi.phi1, phi.phi2, phi.phi3]}
+    _write_result(args, _fit_payload(estimate, phi), {"command": "fit-phi", "saliency": _config_payload(cfg),
+                  "split": args.split, "grid_step": args.grid_step})
+    return {"out": str(args.out), "phi": [phi.phi1, phi.phi2, phi.phi3]}
 
 
 def cmd_explain(args) -> dict:
@@ -412,8 +431,7 @@ def cmd_explain(args) -> dict:
             dataset.image(pair.reference_id), dataset.image(pair.query_id), cfg,
             query_id=pair.query_id, reference_id=pair.reference_id,
         )
-    out = Path(args.out)
-    smap_path = out.with_suffix(".smap")
+    smap_path = args.out.with_suffix(".smap")
     payload = {
         "query": result.query_id,
         "reference": result.reference_id,
@@ -421,10 +439,10 @@ def cmd_explain(args) -> dict:
         "phi": {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3},
         "ranked": [{**dataclasses.asdict(r), "name": dataset.catalog.names[r.attribute]} for r in result.ranked],
     }
-    _write_result(out, payload, {"command": "explain", "saliency": _config_payload(saliency_cfg),
-                                 "pair": args.pair})
+    _write_result(args, payload, {"command": "explain", "saliency": _config_payload(saliency_cfg),
+                                  "pair": args.pair})
     save_saliency(smap_path, result.saliency)
-    return {"out": str(out), "top1": dataset.catalog.names[result.top1]}
+    return {"out": str(args.out), "top1": dataset.catalog.names[result.top1]}
 
 
 def _test_pairs(dataset: Dataset, suites: list[str], limit: int | None) -> list[Pair]:
@@ -535,10 +553,9 @@ def cmd_eval(args) -> dict:
         report = run_eval(dataset, model, scorer, saliency_cfg, suites, methods,
                           seed=args.seed, insertion_step=args.insertion_step,
                           limit_pairs=args.limit, jobs=args.jobs, prior=prior, phi=phi)
-    out = Path(args.out)
-    _write_result(out, report, {"command": "eval", "saliency": _config_payload(saliency_cfg),
-                                "suites": suites, "methods": [m[0] for m in methods], "seed": args.seed})
-    return {"out": str(out), **report.get("attribute", {})}
+    _write_result(args, report, {"command": "eval", "saliency": _config_payload(saliency_cfg),
+                                 "suites": suites, "methods": [m[0] for m in methods], "seed": args.seed})
+    return {"out": str(args.out), **report.get("attribute", {})}
 
 
 def cmd_discover(args) -> dict:
@@ -550,7 +567,6 @@ def cmd_discover(args) -> dict:
         assignment = discover(dataset, scorer, cfg)
         deltas = removal_eval_discovered(assignment, scorer, dataset,
                                          dataset.pairs_for_split("test"), seed=args.seed)
-    out = Path(args.out)
     payload = {
         "n_clusters": assignment.n_clusters,
         "labels_by_image": {k: list(v) for k, v in sorted(assignment.labels_by_image.items())},
@@ -562,9 +578,9 @@ def cmd_discover(args) -> dict:
         "removal": {k: {"delta": v.mean_delta, "n_used": v.n_used, "n_skipped": v.n_skipped}
                     for k, v in deltas.items()},
     }
-    _write_result(out, payload, {"command": "discover", "discovery": _config_payload(cfg)})
-    _write_montage(out.with_suffix(".pgm"), dataset, assignment)
-    return {"out": str(out), "removal": payload["removal"]}
+    _write_result(args, payload, {"command": "discover", "discovery": _config_payload(cfg)})
+    _write_montage(args.out.with_suffix(".pgm"), dataset, assignment)
+    return {"out": str(args.out), "removal": payload["removal"]}
 
 
 def _write_montage(path: Path, dataset: Dataset, assignment) -> None:
@@ -608,8 +624,7 @@ def cmd_pipeline(args) -> dict:
     # the refusals of the fit and of run_eval, before anything is written
     _require_labelled(_ground_truth(dataset, dataset.pairs_for_split("val")))
     _test_pairs(dataset, _SUITES, args.limit)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args)
     save_dataset(dataset, out / "dataset")
 
     maps_dir = out / "maps"
@@ -643,7 +658,7 @@ def cmd_pipeline(args) -> dict:
         report = run_eval(dataset, model, scorer, saliency_cfg, _SUITES, methods,
                           seed=seed, limit_pairs=args.limit, jobs=args.jobs, prior=estimate.prior, phi=phi)
     dump_json(out / "report.json", report)
-    _echo_config(out, {
+    _echo_config(args, {
         "command": "pipeline",
         "seed": seed,
         "spec": _config_payload(spec),
@@ -665,15 +680,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"simexplain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, files=("out",), scorer="triplet", method=False):
-        """A subcommand with the common flags, the scorer flags (``scorer``
-        is their default scorer; None for no scorer), the required file
-        flags ``files`` and, if ``method``, ``--method``."""
+    def command(name, func, help, out, files=(), scorer="triplet", method=False, jobs=False):
+        """A subcommand with the common flags, ``--out`` (``out``, the kind
+        it names: "directory", "file" or None for no output), the scorer
+        flags (``scorer`` is their default scorer; None for no scorer), the
+        required input file flags ``files`` and, if ``method``, ``--method``
+        and, if ``jobs``, ``--jobs``."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, out_kind=out)
         p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--config", default=None, help="JSON run-config file")
-        p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
+        if jobs:
+            p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
         p.add_argument("--json", action="store_true", help="print a machine-readable result line")
         p.add_argument("--verbose", action="store_true")
         if scorer:
@@ -682,16 +700,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--external-cmd", default=None, help="command line of an external scorer process")
         for flag in files:
             p.add_argument(f"--{flag}", required=True)
+        if out:
+            p.add_argument("--out", type=lambda text: _out_path(text, out), required=True, help=f"output {out}")
         if method:
             p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
         return p
 
-    p = command("synth", cmd_synth, "generate a synthetic motif dataset", scorer=None)
+    p = command("synth", cmd_synth, "generate a synthetic motif dataset", "directory", scorer=None)
     for flag, kind in (("--n-images", int), ("--side", int), ("--attributes", int), ("--noise", float),
                        ("--max-attrs", int), ("--pairs-per-query", int)):
         p.add_argument(flag, type=kind, default=None)
 
-    p = command("saliency", cmd_saliency, "write saliency maps for pairs", ("dataset", "out"), method=True)
+    p = command("saliency", cmd_saliency, "write saliency maps for pairs", "directory", ("dataset",), method=True,
+                jobs=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--fixed-ref", dest="fixed_reference", action="store_const", const=True, default=None)
     group.add_argument("--dual", dest="fixed_reference", action="store_const", const=False)
@@ -699,39 +720,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default=None, choices=["train", "val", "test"])
     p.add_argument("--limit", type=_positive_int, default=None)
 
-    p = command("train-attr", cmd_train_attr, "train the attribute model", ("dataset", "out"), scorer=None)
+    p = command("train-attr", cmd_train_attr, "train the attribute model", "file", ("dataset",), scorer=None)
     p.add_argument("--maps", default=None, help="saliency bank directory")
     for flag, kind in (("--epochs", int), ("--lr", float), ("--lam", float), ("--k", int)):
         p.add_argument(flag, type=kind, default=None)
 
     p = command("fit-phi", cmd_fit_phi, "fit the attribute prior and the explanation weights on held-out pairs",
-                ("dataset", "model", "out"), method=True)
+                "file", ("dataset", "model"), method=True, jobs=True)
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
     p.add_argument("--grid-step", type=float, default=0.05)
 
-    p = command("explain", cmd_explain, "explain one pair", ("dataset", "model", "out"), method=True)
+    p = command("explain", cmd_explain, "explain one pair", "file", ("dataset", "model"), method=True)
     p.add_argument("--pair", required=True, help="query_id:reference_id")
     p.add_argument("--phi-file", default=None, help="fit file of fit-phi or pipeline: phi and the prior")
 
-    p = command("eval", cmd_eval, "run the metric suites", ("dataset", "model", "out"))
+    p = command("eval", cmd_eval, "run the metric suites", "file", ("dataset", "model"), jobs=True)
     p.add_argument("--suite", default=",".join(_SUITES))
     p.add_argument("--methods", default="rise,sliding_window")
     p.add_argument("--insertion-step", type=float, default=0.01)
     p.add_argument("--limit", type=_positive_int, default=None, help="cap on test pairs")
 
-    p = command("discover", cmd_discover, "mine pseudo-attributes from salient patches", ("dataset", "out"),
-                scorer="motif", method=True)
+    # discover runs serially; it keeps --jobs, which the benchmark's study session passes, for when its
+    # maps go through the pool (ROADMAP item 4)
+    p = command("discover", cmd_discover, "mine pseudo-attributes from salient patches", "file", ("dataset",),
+                scorer="motif", method=True, jobs=True)
     p.add_argument("--k", type=int, default=None, help="k-NN neighbors per query")
     for flag in ("--clusters", "--top-n", "--patch"):
         p.add_argument(flag, type=int, default=None)
 
-    p = command("serve-stub", cmd_serve_stub, "serve the reference external scorer", (), scorer=None)
+    p = command("serve-stub", cmd_serve_stub, "serve the reference external scorer", None, scorer=None)
     p.add_argument("--dims", type=_dims, default="56,56,3")
     p.add_argument("--embed-dim", type=_positive_int, default=16)
     p.add_argument("--max-batch", type=_positive_int, default=64)
     p.add_argument("--no-embed", action="store_true")
 
-    p = command("pipeline", cmd_pipeline, "synth through eval, end to end")
+    p = command("pipeline", cmd_pipeline, "synth through eval, end to end", "directory", jobs=True)
     for flag in ("--n-images", "--attributes", "--epochs", "--rise-masks"):
         p.add_argument(flag, type=int, default=None)
     p.add_argument("--methods", default="rise,sliding_window")

@@ -86,7 +86,11 @@ def save_saliency(path: str | Path, smap: SaliencyMap) -> None:
 
 
 def load_saliency(path: str | Path) -> SaliencyMap:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot open saliency map file: {exc}") from exc
+    with fh:
         if _read_exact(fh, 5, "magic") != SMAP_MAGIC:
             raise ParseError(f"{path}: bad magic, expected SMAP1")
         rows, cols = struct.unpack("<II", _read_exact(fh, 8, "dims"))

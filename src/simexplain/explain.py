@@ -160,7 +160,11 @@ def pair_features(
     dataset: Dataset,
     pairs: Sequence[Pair],
 ) -> PairFeatures:
-    """The features of all pairs from their saliency maps; ``maps[i]`` belongs to ``pairs[i]``."""
+    """The features of all pairs from their saliency maps; ``maps[i]`` belongs to ``pairs[i]``.
+    A model of another attribute catalog than the dataset's is refused."""
+    if model.n_attributes != dataset.n_attributes:
+        raise InvalidArgumentError(f"the model is for {model.n_attributes} attributes, "
+                                   f"not the dataset's {dataset.n_attributes}")
     shape = (len(pairs), model.n_attributes)
     table = PairFeatures(np.zeros(shape), np.zeros(shape), _ground_truth(dataset, pairs))
     for i, (smap, p) in enumerate(zip(maps, pairs, strict=True)):

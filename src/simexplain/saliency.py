@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -267,12 +268,16 @@ class RiseMasks:
         return np.array([big[y:y + h, x:x + w]
                          for big, y, x in zip(oversize, self.dy[start:stop], self.dx[start:stop])])
 
-    def _offsets(self):
+    @cached_property
+    def _offsets(self) -> list:
         """Each row offset in use with the (column offset, mask indices)
-        of each of its column offsets."""
+        of each of its column offsets, in ``np.unique`` order and draw
+        order within an offset: grouped once per mask set, on first use."""
+        groups = []
         for y in np.unique(self.dy):
             at_y = self.dy == y
-            yield y, [(x, np.flatnonzero(at_y & (self.dx == x))) for x in np.unique(self.dx[at_y])]
+            groups.append((y, [(x, np.flatnonzero(at_y & (self.dx == x))) for x in np.unique(self.dx[at_y])]))
+        return groups
 
     def embed(self, keep_kernel: np.ndarray) -> EmbeddedRows:
         """The rows of the masked queries, from the query's (D, H*W) keep
@@ -281,7 +286,7 @@ class RiseMasks:
         h, w = self.shape
         g = keep_kernel.reshape(-1, h, w)
         emb = np.empty((len(self), g.shape[0]), dtype=np.float64)
-        for y, at_y in self._offsets():
+        for y, at_y in self._offsets:
             half = self.rows[y:y + h].T @ g  # (D, g, W), once per row offset
             for x, idx in at_y:
                 kernel = (half @ self.cols[x:x + w]).reshape(g.shape[0], -1)
@@ -292,7 +297,7 @@ class RiseMasks:
         """sum_n weights[n] * mask n, each offset's masks summed as grids."""
         h, w = self.shape
         out = np.zeros((h, w), dtype=np.float64)
-        for y, at_y in self._offsets():
+        for y, at_y in self._offsets:
             right = sum(np.einsum("n,nij->ij", weights[idx], self.grids[idx]) @ self.cols[x:x + w].T
                         for x, idx in at_y)
             out += self.rows[y:y + h] @ right

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import inspect
 import json
+import re
 import shlex
 import struct
 import subprocess
@@ -668,6 +670,17 @@ class TestCliPlumbing:
         assert main(["train-attr", "--dataset", str(manifest), "--maps", str(maps),
                      "--out", str(tmp_path / "m.sane"), "--epochs", "1", "--seed", "11"]) == 2
 
+    def test_unopenable_map_file_exits_2(self, cli_workspace, tmp_path, capsys):
+        _, manifest, _, _ = cli_workspace
+        pair = load_dataset(manifest).pairs_for_split("train")[0]
+        smap = tmp_path / "maps" / f"{pair.query_id}__{pair.reference_id}.smap"
+        smap.mkdir(parents=True)  # a directory where a map file belongs
+        out = tmp_path / "m.sane"
+        assert main(["train-attr", "--dataset", str(manifest), "--maps", str(smap.parent),
+                     "--out", str(out), "--epochs", "1", "--seed", "11"]) == 2
+        assert f"{smap}: cannot open saliency map file" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("holds", [None, "notes.txt"])
     def test_maps_path_without_smap_files_exits_2(self, holds, cli_workspace, tmp_path, capsys):
         _, manifest, _, _ = cli_workspace
@@ -915,7 +928,8 @@ class TestCliPlumbing:
     }
 
     @pytest.mark.parametrize("command, flag, bad, good", [
-        *[(command, "--jobs", bad, "2") for command in _REQUIRED for bad in ("0", "-1")],
+        *[(command, "--jobs", bad, "2") for command in ("saliency", "fit-phi", "eval", "discover", "pipeline")
+          for bad in ("0", "-1")],
         *[(command, "--limit", bad, "2") for command in ("saliency", "eval", "pipeline") for bad in ("0", "-1")],
         *[("serve-stub", "--dims", bad, "56,56,3") for bad in ("56,56", "56,56,x", "56,0,3", "56,56,3,1")],
         *[("serve-stub", flag, bad, "16") for flag in ("--embed-dim", "--max-batch") for bad in ("0", "-3")],
@@ -928,8 +942,57 @@ class TestCliPlumbing:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    # Each command that writes, with inputs it would run on, and the kind of
+    # path its --out names.
+    _WRITES = {
+        "synth": (["synth", "--n-images", "8"], "directory"),
+        "saliency": (["saliency", "--dataset", "{manifest}", "--scorer", "motif", "--method", "sliding_window",
+                      "--pair", "{pair}"], "directory"),
+        "pipeline": (["pipeline", "--n-images", "16", "--attributes", "3", "--epochs", "2"], "directory"),
+        "train-attr": (["train-attr", "--dataset", "{manifest}", "--epochs", "1"], "file"),
+        "fit-phi": (["fit-phi", "--dataset", "{manifest}", "--model", "{model}", "--scorer", "motif",
+                     "--method", "sliding_window", "--grid-step", "0.5"], "file"),
+        "explain": (["explain", "--dataset", "{manifest}", "--model", "{model}", "--scorer", "motif",
+                     "--method", "sliding_window", "--pair", "{pair}"], "file"),
+        "eval": (["eval", "--dataset", "{manifest}", "--model", "{model}", "--scorer", "motif", "--suite", "map"],
+                 "file"),
+        "discover": (["discover", "--dataset", "{manifest}", "--method", "sliding_window", "--k", "1",
+                      "--top-n", "1", "--clusters", "2"], "file"),
+    }
 
-_COMMON = ["--seed", "--config", "--jobs", "--json", "--verbose"]
+    @pytest.mark.parametrize("bad", ["other-kind", "under-a-file"])
+    @pytest.mark.parametrize("command", list(_WRITES))
+    def test_bad_out_path_exits_2_before_any_work(self, command, bad, cli_workspace, tmp_path, monkeypatch,
+                                                  capsys):
+        """An --out of the other kind (a file where the command writes a
+        directory, a directory where it writes a file) or under a file is
+        refused as the arguments are parsed."""
+        _, manifest, _, model = cli_workspace
+        pair = load_dataset(manifest).pairs_for_split("test")[0]
+        argv, kind = self._WRITES[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"saliency": {"sliding": {"windows_query": 9, "windows_ref": 4}}}))
+        (tmp_path / "afile").write_text("not a directory")
+        (tmp_path / "adir").mkdir()
+        out = {"other-kind": tmp_path / ("afile" if kind == "directory" else "adir"),
+               "under-a-file": tmp_path / "afile" / "out"}[bad]
+        before = sorted(tmp_path.rglob("*"))
+        made = self._record_maps(monkeypatch)
+        for name in ("load_dataset", "generate_dataset", "make_scorer"):
+            monkeypatch.setattr(cli, name, lambda *a, _n=name, _real=getattr(cli, name), **k:
+                                made.append(_n) or _real(*a, **k))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(manifest=manifest, model=model, pair=f"{pair.query_id}:{pair.reference_id}")
+                  for a in argv] + ["--seed", "11", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --out: {out}" in err and "Traceback" not in err
+        assert made == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+_COMMON = ["--seed", "--config", "--json", "--verbose"]
 _SCORER = ["--scorer", "--external-cmd"]
 
 
@@ -939,18 +1002,19 @@ _SCORER = ["--scorer", "--external-cmd"]
     ("synth", False, ["--out", "--n-images", "--side", "--attributes", "--noise", "--max-attrs",
                       "--pairs-per-query"], ["--out"]),
     ("saliency", True, ["--dataset", "--out", "--method", "--fixed-ref", "--dual", "--pair", "--split",
-                        "--limit"], ["--dataset", "--out"]),
+                        "--limit", "--jobs"], ["--dataset", "--out"]),
     ("train-attr", False, ["--dataset", "--out", "--maps", "--epochs", "--lr", "--lam", "--k"],
      ["--dataset", "--out"]),
     ("pipeline", True, ["--out", "--n-images", "--attributes", "--epochs", "--rise-masks", "--methods",
-                        "--limit"], ["--out"]),
-    ("fit-phi", True, ["--dataset", "--model", "--out", "--method", "--split", "--grid-step"],
+                        "--limit", "--jobs"], ["--out"]),
+    ("fit-phi", True, ["--dataset", "--model", "--out", "--method", "--split", "--grid-step", "--jobs"],
      ["--dataset", "--model", "--out"]),
     ("explain", True, ["--dataset", "--model", "--out", "--method", "--pair", "--phi-file"],
      ["--dataset", "--model", "--out", "--pair"]),
-    ("eval", True, ["--dataset", "--model", "--out", "--suite", "--methods", "--insertion-step", "--limit"],
+    ("eval", True, ["--dataset", "--model", "--out", "--suite", "--methods", "--insertion-step", "--limit",
+                    "--jobs"],
      ["--dataset", "--model", "--out"]),
-    ("discover", True, ["--dataset", "--out", "--method", "--k", "--clusters", "--top-n", "--patch"],
+    ("discover", True, ["--dataset", "--out", "--method", "--k", "--clusters", "--top-n", "--patch", "--jobs"],
      ["--dataset", "--out"]),
     ("serve-stub", False, ["--dims", "--embed-dim", "--max-batch", "--no-embed"], []),
 ])
@@ -962,3 +1026,35 @@ def test_cli_surface(command, scorer, flags, required):
     assert sorted(o for a in actions for o in a.option_strings) == sorted(
         _COMMON + (_SCORER if scorer else []) + flags)
     assert sorted(o for a in actions if a.required for o in a.option_strings) == sorted(required)
+
+
+def _reads(func) -> set[str]:
+    """The ``args`` attributes ``func`` reads, in its own source or in that
+    of a cli function it hands ``args`` to (``run_config`` reads --seed and
+    --config)."""
+    source = inspect.getsource(func)
+    names = set(re.findall(r"\bargs\.(\w+)", source)) | set(re.findall(r'getattr\(args, "(\w+)"', source))
+    for helper in set(re.findall(r"\b(\w+)\(args\b", source)) - {func.__name__}:
+        if callable(getattr(cli, helper, None)):
+            names |= _reads(getattr(cli, helper))
+    return names
+
+
+# discover runs serially and reads no --jobs, but keeps the flag: the
+# benchmark's study session passes it (StudyWorkload.request in
+# perfbench/workloads.py), and ROADMAP item 4 puts discover's maps through
+# the pool.
+_UNREAD = {("discover", "jobs")}
+
+
+@pytest.mark.parametrize("command", ["synth", "saliency", "train-attr", "fit-phi", "explain", "eval", "discover",
+                                     "serve-stub", "pipeline"])
+def test_every_flag_is_read(command):
+    """A subcommand registers only flags that its command, or ``main``
+    (--json, --verbose), reads."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    parser = sub.choices[command]
+    read = _reads(parser.get_default("func")) | _reads(main)
+    unread = {(command, a.dest) for a in parser._actions if a.option_strings and a.dest != "help"} - {
+        (command, dest) for dest in read}
+    assert unread == {entry for entry in _UNREAD if entry[0] == command}

@@ -14,6 +14,7 @@ from simexplain.explain import (
     estimate_prior,
     explain_pair,
     fit_phi,
+    pair_features,
     rank_attributes,
 )
 from simexplain.synth import _PATTERNS, _palette, _render_motif, motif_slots
@@ -116,6 +117,13 @@ class TestExplanationScores:
         cfg = ExplainConfig(saliency=sliding_cfg, prior=Prior.uniform(model.n_attributes + 1))
         with pytest.raises(InvalidArgumentError):
             explain_pair(scorer, model, query, query, cfg)
+
+    def test_model_of_another_catalog_refused(self, trained_setup, small_dataset):
+        _, _, _, model = trained_setup  # 6 attributes, against the dataset's 8
+        pairs = small_dataset.pairs[:2]
+        maps = [se.SaliencyMap(np.ones((7, 7)), se.Method.SLIDING_WINDOW)] * len(pairs)
+        with pytest.raises(InvalidArgumentError, match="6 attributes, not the dataset's 8"):
+            pair_features(model, maps, small_dataset, pairs)
 
 
 def _features(winners, A):

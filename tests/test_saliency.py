@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from simexplain.saliency import (
     _CHUNK,
     _STREAM_QUERY_MASKS,
     MaskObjective,
+    RiseMasks,
     _interp_matrix,
     _occlusion_keep,
     _references,
@@ -549,6 +551,22 @@ class TestCodePath:
             assert first.norms.tobytes() == every.norms[:n].tobytes()
             singles = np.concatenate([part_of(slice(i, i + 1)).embed(kernel).emb for i in range(n)])
             assert singles.tobytes() == first.emb.tobytes()
+
+    @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "dual"])
+    def test_rise_groups_its_offsets_once(self, fixed, images, monkeypatch):
+        # embed and weighted_sum read one grouping of the query masks, and
+        # the reference masks of dual mode, which are only built, none
+        cfg = small_cfg(se.Method.RISE, seed=4, fixed_reference=fixed)
+        scorer = se.LinearToyScorer.random(DIMS, embed_dim=8, seed=5)
+        before = se.generate(scorer, images[0], images[1], cfg)
+        grouped = []
+        real = RiseMasks._offsets.func
+        counting = functools.cached_property(lambda masks: grouped.append(masks) or real(masks))
+        counting.__set_name__(RiseMasks, "_offsets")
+        monkeypatch.setattr(RiseMasks, "_offsets", counting)
+        after = se.generate(scorer, images[0], images[1], cfg)
+        assert len(grouped) == 1 and len(grouped[0]) == cfg.rise.n_masks
+        assert after.data.tobytes() == before.data.tobytes()
 
 
 class TestLime:
