@@ -183,12 +183,15 @@ def _make_out(args) -> Path:
     return args.out
 
 
+def _echo_path(out: Path, kind: str) -> Path:
+    """Where a command echoes its resolved configuration: in a directory
+    ``--out`` as run_config.json, beside a file one as <name>.config.json."""
+    return out / "run_config.json" if kind == "directory" else out.with_name(out.name + ".config.json")
+
+
 def _echo_config(args, resolved: dict) -> None:
-    """The resolved configuration, in a directory ``--out`` as
-    run_config.json, beside a file one as <name>.config.json."""
-    out = args.out
-    target = out / "run_config.json" if args.out_kind == "directory" else out.with_name(out.name + ".config.json")
-    dump_json(target, _config_payload(resolved))
+    """Write the resolved configuration at ``_echo_path``."""
+    dump_json(_echo_path(args.out, args.out_kind), _config_payload(resolved))
 
 
 def _write_result(args, payload: dict, resolved: dict) -> None:
@@ -235,18 +238,29 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _out_path(text: str, kind: str) -> Path:
+def _out_path(text: str, kind: str, second: str | None) -> Path:
     """An argparse type: ``--out`` as a path a command can write a
     ``kind`` ("directory" or "file") at. An existing path must be of that
-    kind and the nearest existing ancestor a directory; nothing is created."""
+    kind and the nearest existing ancestor a directory; nothing is created.
+    A file ``--out`` has its configuration echo beside it and, if
+    ``second`` is a suffix, a second output at ``--out`` with that suffix:
+    neither may exist as a directory, and the second may not be ``--out``."""
     path = Path(text)
     if path.exists():
         if path.is_dir() != (kind == "directory"):
             raise argparse.ArgumentTypeError(f"{text} exists and is not a {kind}")
-        return path
-    parent = next(p for p in path.parents if p.exists())
-    if not parent.is_dir():
-        raise argparse.ArgumentTypeError(f"{text}: {parent} is not a directory")
+    else:
+        parent = next(p for p in path.parents if p.exists())
+        if not parent.is_dir():
+            raise argparse.ArgumentTypeError(f"{text}: {parent} is not a directory")
+    if kind == "file":
+        beside = [_echo_path(path, kind)] + ([path.with_suffix(second)] if second else [])
+        if path in beside:
+            raise argparse.ArgumentTypeError(f"{text}: the command writes its {second} output there too; "
+                                             f"give --out another suffix")
+        for other in beside:
+            if other.is_dir():
+                raise argparse.ArgumentTypeError(f"{text}: {other} exists and is not a file")
     return path
 
 
@@ -431,7 +445,7 @@ def cmd_explain(args) -> dict:
             dataset.image(pair.reference_id), dataset.image(pair.query_id), cfg,
             query_id=pair.query_id, reference_id=pair.reference_id,
         )
-    smap_path = args.out.with_suffix(".smap")
+    smap_path = args.out.with_suffix(args.out_second)
     payload = {
         "query": result.query_id,
         "reference": result.reference_id,
@@ -564,7 +578,7 @@ def cmd_discover(args) -> dict:
         "k_nn": args.k, "n_clusters": args.clusters, "top_n": args.top_n, "patch": args.patch,
     })["discovery"]
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
-        assignment = discover(dataset, scorer, cfg)
+        assignment = discover(dataset, scorer, cfg, lambda fn, items: _parallel_map(fn, items, args.jobs))
         deltas = removal_eval_discovered(assignment, scorer, dataset,
                                          dataset.pairs_for_split("test"), seed=args.seed)
     payload = {
@@ -579,7 +593,7 @@ def cmd_discover(args) -> dict:
                     for k, v in deltas.items()},
     }
     _write_result(args, payload, {"command": "discover", "discovery": _config_payload(cfg)})
-    _write_montage(args.out.with_suffix(".pgm"), dataset, assignment)
+    _write_montage(args.out.with_suffix(args.out_second), dataset, assignment)
     return {"out": str(args.out), "removal": payload["removal"]}
 
 
@@ -680,14 +694,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"simexplain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, out, files=(), scorer="triplet", method=False, jobs=False):
+    def command(name, func, help, out, files=(), scorer="triplet", method=False, jobs=False, second=None):
         """A subcommand with the common flags, ``--out`` (``out``, the kind
-        it names: "directory", "file" or None for no output), the scorer
+        it names: "directory", "file" or None for no output; ``second``, the
+        suffix of a second output written at ``--out`` with it), the scorer
         flags (``scorer`` is their default scorer; None for no scorer), the
         required input file flags ``files`` and, if ``method``, ``--method``
         and, if ``jobs``, ``--jobs``."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func, out_kind=out)
+        p.set_defaults(func=func, out_kind=out, out_second=second)
         p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--config", default=None, help="JSON run-config file")
         if jobs:
@@ -701,7 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in files:
             p.add_argument(f"--{flag}", required=True)
         if out:
-            p.add_argument("--out", type=lambda text: _out_path(text, out), required=True, help=f"output {out}")
+            p.add_argument("--out", type=lambda text: _out_path(text, out, second), required=True,
+                           help=f"output {out}")
         if method:
             p.add_argument("--method", default=None, choices=sorted(_METHOD_NAMES))
         return p
@@ -730,7 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
     p.add_argument("--grid-step", type=float, default=0.05)
 
-    p = command("explain", cmd_explain, "explain one pair", "file", ("dataset", "model"), method=True)
+    p = command("explain", cmd_explain, "explain one pair", "file", ("dataset", "model"), method=True,
+                second=".smap")
     p.add_argument("--pair", required=True, help="query_id:reference_id")
     p.add_argument("--phi-file", default=None, help="fit file of fit-phi or pipeline: phi and the prior")
 
@@ -740,10 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--insertion-step", type=float, default=0.01)
     p.add_argument("--limit", type=_positive_int, default=None, help="cap on test pairs")
 
-    # discover runs serially; it keeps --jobs, which the benchmark's study session passes, for when its
-    # maps go through the pool (ROADMAP item 4)
     p = command("discover", cmd_discover, "mine pseudo-attributes from salient patches", "file", ("dataset",),
-                scorer="motif", method=True, jobs=True)
+                scorer="motif", method=True, jobs=True, second=".pgm")
     p.add_argument("--k", type=int, default=None, help="k-NN neighbors per query")
     for flag in ("--clusters", "--top-n", "--patch"):
         p.add_argument(flag, type=int, default=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -129,45 +129,59 @@ def _upsampled_patch_embedding(scorer: Scorer, image: np.ndarray, center: tuple[
     return (emb / norm if norm > 0 else emb), (top, left)
 
 
-def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig) -> ClusterAssignment:
+def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
+             map_fn: Callable[[Callable, list], list] | None = None) -> ClusterAssignment:
     """Six steps: k-NN references per query, query-side saliency, modal
     peak-bin filtering, salient-patch cropping from each kept reference,
-    patch embedding, and k-means over all patches."""
+    patch embedding, and k-means over all patches.
+
+    The maps are made in two passes, each one ``map_fn(fn, items)`` call:
+    an order-preserving map, serial by default, that the command line runs
+    over its thread pool. The result does not depend on it."""
     if not scorer.caps.can_embed:
         raise InvalidArgumentError("discovery needs an embedding-capable scorer")
+    map_fn = map_fn or (lambda fn, items: [fn(x) for x in items])
     ids = [img_id for img_id, _ in dataset.images]
     embeddings = np.stack([scorer.embed(img).data for _, img in dataset.images])
     h, w, _ = dataset.dims
-    peaks: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
 
-    def peaks_of(ri: int, qi: int) -> tuple[int, tuple[int, int]]:
-        """The peak bin and the upsampled argmax pixel of the map of
-        reference ``ri`` and query ``qi``. A query-side map of one query is
-        the reference-side map of a mutual neighbour, so each is made once."""
-        if (ri, qi) not in peaks:
-            smap = generate(scorer, dataset.image(ids[ri]), dataset.image(ids[qi]), cfg.saliency)
-            up = resize_bilinear(smap.data, h, w)
-            peaks[ri, qi] = peak_bin(smap, cfg.peak_grid), divmod(int(np.argmax(up)), w)
-        return peaks[ri, qi]
+    def peaks_of(pair: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+        """The peak bin and the upsampled argmax pixel of the map of a
+        (reference, query) pair of indices."""
+        ri, qi = pair
+        smap = generate(scorer, dataset.image(ids[ri]), dataset.image(ids[qi]), cfg.saliency)
+        up = resize_bilinear(smap.data, h, w)
+        return peak_bin(smap, cfg.peak_grid), divmod(int(np.argmax(up)), w)
 
-    patch_embs: list[np.ndarray] = []
-    patch_meta: list[tuple[str, str, tuple[int, int]]] = []
-    for qi, query_id in enumerate(ids):
+    neighbors = []
+    for qi in range(len(ids)):
         sims = np.array([
             cosine(embeddings[qi], embeddings[ri]) if ri != qi else -np.inf
             for ri in range(len(ids))
         ])
-        neighbor_idx = [int(ri) for ri in np.argsort(-sims, kind="stable")[: cfg.k_nn]]
-        bins = [peaks_of(ri, qi)[0] for ri in neighbor_idx]
+        neighbors.append([int(ri) for ri in np.argsort(-sims, kind="stable")[: cfg.k_nn]])
+    pairs = [(ri, qi) for qi, neighbor_idx in enumerate(neighbors) for ri in neighbor_idx]
+    peaks = dict(zip(pairs, map_fn(peaks_of, pairs)))
+    kept = []
+    for qi, neighbor_idx in enumerate(neighbors):
+        bins = [peaks[ri, qi][0] for ri in neighbor_idx]
         modal_bin = _modal(bins)
-        kept = [ri for ri, b in zip(neighbor_idx, bins) if b == modal_bin][: cfg.top_n]
-        for ri in kept:
+        kept.append([ri for ri, b in zip(neighbor_idx, bins) if b == modal_bin][: cfg.top_n])
+    # a kept reference's patch is centred on its own query-side map; that of
+    # a mutual neighbour was made in the first pass
+    pairs = [(qi, ri) for qi, kept_idx in enumerate(kept) for ri in kept_idx if (qi, ri) not in peaks]
+    peaks.update(zip(pairs, map_fn(peaks_of, pairs)))
+
+    patch_embs: list[np.ndarray] = []
+    patch_meta: list[tuple[str, str, tuple[int, int]]] = []
+    for qi, kept_idx in enumerate(kept):
+        for ri in kept_idx:
             ref_id = ids[ri]
             emb, topleft = _upsampled_patch_embedding(
-                scorer, dataset.image(ref_id).data.astype(np.float64), peaks_of(qi, ri)[1], cfg.patch
+                scorer, dataset.image(ref_id).data.astype(np.float64), peaks[qi, ri][1], cfg.patch
             )
             patch_embs.append(emb)
-            patch_meta.append((ref_id, query_id, topleft))
+            patch_meta.append((ref_id, ids[qi], topleft))
 
     if len(patch_embs) < cfg.n_clusters:
         raise InvalidArgumentError(

@@ -289,6 +289,14 @@ class TripletToyScorer(LinearEmbeddingScorer):
     Trained with plain per-sample SGD: for each (anchor, positive,
     negative) the loss is max(0, margin - cos(a, p) + cos(a, n)).
     Training is seed-deterministic.
+
+    ``epochs`` is an upper bound: the fit stops after the first epoch in
+    which no triplet violates the margin. Such an epoch leaves the weight
+    unchanged, so every later epoch would compute the same hinge values
+    from the same weight and skip every triplet again; the permutations
+    it would draw come from the fit's own rng, which nothing reads after
+    the fit. The weight returned is the one the full loop returns, bit
+    for bit.
     """
 
     def __init__(self, weight: np.ndarray, dims: tuple[int, int, int], margin: float = 0.2):
@@ -326,6 +334,7 @@ class TripletToyScorer(LinearEmbeddingScorer):
         weight = rng.normal(scale=0.1, size=(embed_dim, h * w * c))
         for _ in range(epochs):
             order = rng.permutation(len(triplets))
+            moved = False
             for k in order:
                 a_id, p_id, n_id = triplets[k]
                 a, p, n = flats[a_id], flats[p_id], flats[n_id]
@@ -337,4 +346,7 @@ class TripletToyScorer(LinearEmbeddingScorer):
                 # dL/dW = -(d cos_ap/dW) + (d cos_an/dW)
                 grad = np.outer(dna - dpa, a) - np.outer(dpp, p) + np.outer(dnn, n)
                 weight -= lr * grad
+                moved = True
+            if not moved:
+                break
         return cls(weight, (h, w, c), margin=margin)

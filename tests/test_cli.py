@@ -246,19 +246,31 @@ class TestCliCommands:
         path.write_text(json.dumps(cfg))
         return path
 
-    def test_discover_command(self, tmp_path):
+    def test_discover_command(self, tmp_path, monkeypatch):
+        """discover makes its maps in two passes through the pool; its
+        result and montage are the same bytes at any --jobs."""
         data = tmp_path / "motifs"
         main(["synth", "--out", str(data), "--n-images", "20", "--attributes", "2",
               "--max-attrs", "1", "--seed", "4"])
-        out = tmp_path / "clusters.json"
-        code = main(["discover", "--dataset", str(data / "manifest.json"),
-                     "--method", "sliding_window", "--scorer", "motif", "--seed", "4",
-                     "--k", "5", "--clusters", "2", "--top-n", "3", "--out", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
+        pools = []
+        real = cli._parallel_map
+        monkeypatch.setattr(cli, "_parallel_map", lambda fn, items, jobs:
+                            pools.append((len(items), jobs)) or real(fn, items, jobs))
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"clusters_{jobs}.json"
+            code = main(["discover", "--dataset", str(data / "manifest.json"),
+                         "--method", "sliding_window", "--scorer", "motif", "--seed", "4",
+                         "--k", "5", "--clusters", "2", "--top-n", "3", "--jobs", jobs,
+                         "--config", str(self._fast_config(tmp_path)), "--out", str(out)])
+            assert code == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".pgm").read_bytes()))
+        payload = json.loads(outputs[0][0])
         assert payload["n_clusters"] == 2
         assert set(payload["removal"]) == {"patch", "random", "full_frame"}
-        assert out.with_suffix(".pgm").exists()
+        assert outputs[0] == outputs[1]
+        # 20 queries times 5 neighbours, then the reverse maps not made yet
+        assert pools[0][0] == 100 and [jobs for _, jobs in pools] == [1, 1, 2, 2]
 
 
 class TestCliPlumbing:
@@ -960,13 +972,21 @@ class TestCliPlumbing:
                       "--top-n", "1", "--clusters", "2"], "file"),
     }
 
-    @pytest.mark.parametrize("bad", ["other-kind", "under-a-file"])
-    @pytest.mark.parametrize("command", list(_WRITES))
+    # The suffix of the second output a file command writes at --out.
+    _SECOND = {"explain": ".smap", "discover": ".pgm"}
+
+    @pytest.mark.parametrize("command, bad", [
+        *[(command, bad) for command in _WRITES for bad in ("other-kind", "under-a-file")],
+        *[(command, "echo-is-a-directory") for command, (_, kind) in _WRITES.items() if kind == "file"],
+        *[(command, bad) for command in _SECOND for bad in ("second-is-out", "second-is-a-directory")],
+    ])
     def test_bad_out_path_exits_2_before_any_work(self, command, bad, cli_workspace, tmp_path, monkeypatch,
                                                   capsys):
         """An --out of the other kind (a file where the command writes a
         directory, a directory where it writes a file) or under a file is
-        refused as the arguments are parsed."""
+        refused as the arguments are parsed, and so is a file --out whose
+        configuration echo or second output exists as a directory, or whose
+        second output would overwrite it."""
         _, manifest, _, model = cli_workspace
         pair = load_dataset(manifest).pairs_for_split("test")[0]
         argv, kind = self._WRITES[command]
@@ -974,8 +994,15 @@ class TestCliPlumbing:
         cfg.write_text(json.dumps({"saliency": {"sliding": {"windows_query": 9, "windows_ref": 4}}}))
         (tmp_path / "afile").write_text("not a directory")
         (tmp_path / "adir").mkdir()
+        if bad == "echo-is-a-directory":
+            (tmp_path / "res.json.config.json").mkdir()
+        if bad == "second-is-a-directory":
+            (tmp_path / f"res{self._SECOND[command]}").mkdir()
         out = {"other-kind": tmp_path / ("afile" if kind == "directory" else "adir"),
-               "under-a-file": tmp_path / "afile" / "out"}[bad]
+               "under-a-file": tmp_path / "afile" / "out",
+               "echo-is-a-directory": tmp_path / "res.json",
+               "second-is-out": tmp_path / f"res{self._SECOND.get(command)}",
+               "second-is-a-directory": tmp_path / "res.json"}[bad]
         before = sorted(tmp_path.rglob("*"))
         made = self._record_maps(monkeypatch)
         for name in ("load_dataset", "generate_dataset", "make_scorer"):
@@ -1040,13 +1067,6 @@ def _reads(func) -> set[str]:
     return names
 
 
-# discover runs serially and reads no --jobs, but keeps the flag: the
-# benchmark's study session passes it (StudyWorkload.request in
-# perfbench/workloads.py), and ROADMAP item 4 puts discover's maps through
-# the pool.
-_UNREAD = {("discover", "jobs")}
-
-
 @pytest.mark.parametrize("command", ["synth", "saliency", "train-attr", "fit-phi", "explain", "eval", "discover",
                                      "serve-stub", "pipeline"])
 def test_every_flag_is_read(command):
@@ -1057,4 +1077,4 @@ def test_every_flag_is_read(command):
     read = _reads(parser.get_default("func")) | _reads(main)
     unread = {(command, a.dest) for a in parser._actions if a.option_strings and a.dest != "help"} - {
         (command, dest) for dest in read}
-    assert unread == {entry for entry in _UNREAD if entry[0] == command}
+    assert unread == set()

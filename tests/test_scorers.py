@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import simexplain as se
+from simexplain import scorers
+from simexplain.core import make_rng
 from simexplain.errors import InvalidArgumentError, UnsupportedError
 from simexplain.scorers import _cosine_grad_pair, cosine, score_image_stack
 
@@ -175,3 +177,69 @@ class TestTripletScorer:
     def test_margin_recorded(self, dataset):
         scorer = se.TripletToyScorer.train_on(dataset, seed=4, epochs=5, margin=0.3)
         assert scorer.margin == 0.3
+
+
+def _full_triplet_fit(dataset, embed_dim=16, margin=0.2, epochs=200, lr=0.05, seed=0):
+    """The triplet fit as it ran before it stopped at its fixed point: every
+    one of ``epochs`` epochs, active or not. Returns the weight and the
+    epochs in which some triplet updated it."""
+    rng = make_rng(seed, 0x7219)
+    h, w, c = dataset.dims
+    flats = {img_id: img.data.astype(np.float64).reshape(-1) for img_id, img in dataset.images}
+    ids = [img_id for img_id, _ in dataset.images]
+    triplets = []
+    for pair in dataset.pairs_for_split("train"):
+        anchor_attrs = set(dataset.gt_attributes(pair.query_id))
+        disjoint = [i for i in ids
+                    if i != pair.query_id and not anchor_attrs & set(dataset.gt_attributes(i))]
+        pool = disjoint or [i for i in ids if i != pair.query_id]
+        triplets.append((pair.query_id, pair.reference_id, pool[rng.integers(len(pool))]))
+    weight = rng.normal(scale=0.1, size=(embed_dim, h * w * c))
+    active = []
+    for epoch in range(epochs):
+        for k in rng.permutation(len(triplets)):
+            a, p, n = (flats[i] for i in triplets[k])
+            ea, ep, en = (weight @ a, weight @ p, weight @ n)
+            dpa, dpp, cos_ap = _cosine_grad_pair(ea, ep)
+            dna, dnn, cos_an = _cosine_grad_pair(ea, en)
+            if margin - cos_ap + cos_an <= 0.0:
+                continue
+            weight -= lr * (np.outer(dna - dpa, a) - np.outer(dpp, p) + np.outer(dnn, n))
+            if not active or active[-1] != epoch:
+                active.append(epoch)
+    return weight, active
+
+
+class TestTripletFixedPoint:
+    """The fit stops after its first epoch without an update; the weight is
+    the one the full 200-epoch loop returns, byte for byte."""
+
+    # (spec, seed, epochs in which the full loop updates, epochs the fit runs)
+    CASES = {
+        # the study workload's size: no triplet ever violates the margin
+        "no_active_step": (dict(n_images=24, n_attributes=4, pairs_per_query=2, seed=7), 7, [], 1),
+        # updates in epochs 0-2, as in the default-size fit at seed 7
+        "settles_in_epoch_2": (dict(n_images=12, side=20, n_attributes=4, pairs_per_query=2, seed=6), 6,
+                               [0, 1, 2], 4),
+        # a triplet flips in every epoch, so every epoch runs
+        "never_settles": (dict(n_images=8, side=20, n_attributes=4, pairs_per_query=2, seed=0), 0,
+                          list(range(200)), 200),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_weight_equals_the_full_loop(self, case, monkeypatch):
+        spec, seed, active_epochs, epochs_run = self.CASES[case]
+        dataset = se.generate_dataset(se.SyntheticSpec(**spec))
+        reference, active = _full_triplet_fit(dataset, seed=seed)
+        assert active == active_epochs
+        calls = []
+
+        def counted(u, v):
+            calls.append(1)
+            return _cosine_grad_pair(u, v)
+
+        monkeypatch.setattr(scorers, "_cosine_grad_pair", counted)
+        fitted = se.TripletToyScorer.train_on(dataset, seed=seed)
+        assert fitted.weight.tobytes() == reference.tobytes()
+        # two cosine gradients per triplet per epoch: 56 at the study size, 11,200 for the full loop
+        assert len(calls) == 2 * len(dataset.pairs_for_split("train")) * epochs_run
