@@ -27,7 +27,6 @@ from .errors import (
     UnsupportedError,
 )
 from .scorers import (
-    ConstantScorer,
     Embedding,
     LinearToyScorer,
     Rect,

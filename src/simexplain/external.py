@@ -9,7 +9,25 @@ connection; the peer answers every request with the same id, in order.
     <- {"id":2,"scores":[...]}
     -> {"id":3,"op":"embed","image":"<b64>"}
     <- {"id":3,"dim":D,"data":"<b64 f32 LE>"}
+    -> {"id":4,"op":"score_masks","ref":"<b64>","query":"<b64>","n":n,"form":...}
+    <- {"id":4,"scores":[...]}
     <- {"id":N,"error":{"code":"unsupported|bad_input|internal","msg":"..."}}
+
+``score_masks`` (advertised in the hello's caps) scores the query times n
+keep masks, 1 <= n <= max_batch, sent as the codes ``saliency`` holds
+them in; the peer rebuilds the code form and runs ``score_masked`` on it,
+so a peer with ``keep_kernel`` never builds a masked copy. Bits are
+``np.packbits`` of the C-order array, base64-encoded. The three forms:
+
+    "form":"pixels","bits":"<b64 bits of (n,H,W)>"  boolean masks
+    "form":"pixels","keep":"<b64 f32 (n,H,W)>"      other masks, in [0, 1]
+    "form":"rise","g":g,"grids":"<b64 bits of (n,g,g)>","dy":[...],"dx":[...]
+        0/1 grids, upsampled one cell oversize and cropped at row offset
+        dy[i] in [0, ceil(H/g)) and column offset dx[i] in [0, ceil(W/g))
+    "form":"selections","s":S,"keep":"<b64 bits of (n,S)>","segments":[...]
+        superpixel choices over H*W segment labels in [0, S)
+
+A field of the wrong size, type or range is answered with ``bad_input``.
 
 The client retries a request exactly once, and only after a transport
 failure (dead pipe, truncated line, missed deadline); error responses are
@@ -28,6 +46,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -38,6 +57,7 @@ import numpy as np
 
 from .core import _as_image
 from .errors import InvalidArgumentError, TransportError, UnsupportedError
+from .saliency import RiseMasks, _Pixels, _Selections, score_masked
 from .scorers import Embedding, Scorer, ScorerCaps
 
 _DEADLINE_S = 60.0
@@ -47,14 +67,86 @@ def encode_f32(arr: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f4").tobytes()).decode("ascii")
 
 
-def decode_f32(payload: str) -> np.ndarray:
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _decode_b64(payload: str) -> bytes:
     try:
-        raw = base64.b64decode(payload.encode("ascii"), validate=True)
+        return base64.b64decode(payload.encode("ascii"), validate=True)
     except Exception as exc:
         raise InvalidArgumentError(f"bad base64 payload: {exc}") from exc
+
+
+def decode_f32(payload: str) -> np.ndarray:
+    raw = _decode_b64(payload)
     if len(raw) % 4:
         raise InvalidArgumentError("f32 payload length not a multiple of 4")
     return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+
+
+def _encode_bits(bits: np.ndarray) -> str:
+    return base64.b64encode(np.packbits(np.asarray(bits, dtype=bool), axis=None).tobytes()).decode("ascii")
+
+
+def _decode_bits(payload: str, shape: tuple[int, ...]) -> np.ndarray:
+    count = math.prod(shape)
+    raw = _decode_b64(payload)
+    if len(raw) != -(-count // 8):
+        raise InvalidArgumentError(f"bit payload of {len(raw)} bytes for {count} bits")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count).astype(bool).reshape(shape)
+
+
+def _index_list(value, size: int, stop: int, name: str) -> np.ndarray:
+    """A JSON list of ``size`` integers in [0, stop)."""
+    arr = np.asarray(value) if isinstance(value, list) else np.empty(0)
+    if arr.shape != (size,) or arr.dtype.kind != "i" or arr.min() < 0 or arr.max() >= stop:
+        raise InvalidArgumentError(f"{name} must be a list of {size} integers in [0, {stop})")
+    return arr.astype(np.intp)
+
+
+def _mask_fields(masks, start: int, stop: int) -> dict:
+    """The wire form of masks start..stop of a ``score_masked`` code form."""
+    if isinstance(masks, RiseMasks):
+        return {"form": "rise", "g": masks.grids.shape[1], "grids": _encode_bits(masks.grids[start:stop] == 1.0),
+                "dy": masks.dy[start:stop].tolist(), "dx": masks.dx[start:stop].tolist()}
+    if isinstance(masks, _Selections):
+        return {"form": "selections", "s": masks.keep.shape[1], "keep": _encode_bits(masks.keep[start:stop]),
+                "segments": masks.segments.ravel().tolist()}
+    keep = masks.block(start, stop)
+    if keep.dtype == bool:
+        return {"form": "pixels", "bits": _encode_bits(keep)}
+    return {"form": "pixels", "keep": encode_f32(keep)}
+
+
+def _masks_of(msg: dict, n: int, shape: tuple[int, int]):
+    """The code form of a ``score_masks`` request's n masks."""
+    h, w = shape
+    form = msg.get("form")
+    if form == "pixels" and "bits" in msg:
+        return _Pixels(_decode_bits(msg["bits"], (n, h, w)), shape)
+    if form == "pixels":
+        keep = decode_f32(msg["keep"])
+        if keep.size != n * h * w:
+            raise InvalidArgumentError(f"f32 masks carry {keep.size} values, not {n} x {h} x {w}")
+        # NaN fails both comparisons
+        if not np.all((keep >= 0.0) & (keep <= 1.0)):
+            raise InvalidArgumentError("f32 masks must be finite and in [0, 1]")
+        return _Pixels(keep.reshape(n, h, w), shape)
+    if form == "rise":
+        g = msg["g"]
+        if not _is_count(g) or g > max(h, w):
+            raise InvalidArgumentError(f"RISE grid g must be an integer in [1, {max(h, w)}], got {g!r}")
+        dy = _index_list(msg["dy"], n, math.ceil(h / g), "dy")
+        dx = _index_list(msg["dx"], n, math.ceil(w / g), "dx")
+        return RiseMasks.of_grids(_decode_bits(msg["grids"], (n, g, g)).astype(np.float64), dy, dx, shape)
+    if form == "selections":
+        s = msg["s"]
+        if not _is_count(s) or s > h * w:
+            raise InvalidArgumentError(f"segment count s must be an integer in [1, {h * w}], got {s!r}")
+        segments = _index_list(msg["segments"], h * w, s, "segments").reshape(h, w)
+        return _Selections(_decode_bits(msg["keep"], (n, s)), segments)
+    raise InvalidArgumentError(f"unknown mask form {form!r}")
 
 
 class _Connection:
@@ -155,10 +247,6 @@ class _Connection:
         return msg
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 _ERROR_MAP = {
     "unsupported": UnsupportedError,
     "bad_input": InvalidArgumentError,
@@ -185,7 +273,8 @@ class ExternalScorer(Scorer):
             max_batch = hello.get("max_batch", 1)
             if not isinstance(caps, list) or not _is_count(max_batch):
                 raise TransportError(f"hello response carries no usable caps or max_batch: {hello}")
-            self._caps = ScorerCaps(can_embed="embed" in caps, max_batch=max_batch)
+            self._caps = ScorerCaps(can_embed="embed" in caps, max_batch=max_batch,
+                                    can_score_masks="score_masks" in caps)
             dims = hello.get("dims")
             if not isinstance(dims, list) or len(dims) != 3 or not all(map(_is_count, dims)):
                 raise TransportError(f"hello response carries no usable dims: {hello}")
@@ -218,6 +307,18 @@ class ExternalScorer(Scorer):
     def _encode_image(self, image) -> str:
         return encode_f32(_as_image(image, self.dims))
 
+    def _scores(self, payload: dict, count: int) -> list:
+        """The ``count`` scores the peer answers ``payload`` with."""
+        got = self._call(payload).get("scores")
+        op = payload["op"]
+        if not isinstance(got, list) or len(got) != count:
+            raise TransportError(f"{op} returned {got!r} for a chunk of {count}")
+        bad = [s for s in got
+               if isinstance(s, bool) or not isinstance(s, (int, float)) or not -1.0 <= s <= 1.0]
+        if bad:
+            raise TransportError(f"{op} returned scores that are not numbers in [-1, 1]: {bad[:3]!r}")
+        return got
+
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
         ref_b64 = self._encode_image(ref)
         scores = np.empty(len(queries), dtype=np.float64)
@@ -225,15 +326,20 @@ class ExternalScorer(Scorer):
         for start in range(0, len(queries), step):
             # encode one chunk at a time: a RISE stack as base64 is ~100 MB
             chunk = [self._encode_image(q) for q in queries[start:start + step]]
-            msg = self._call({"op": "score_batch", "ref": ref_b64, "queries": chunk})
-            got = msg.get("scores")
-            if not isinstance(got, list) or len(got) != len(chunk):
-                raise TransportError(f"score_batch returned {got!r} for a chunk of {len(chunk)}")
-            bad = [s for s in got
-                   if isinstance(s, bool) or not isinstance(s, (int, float)) or not -1.0 <= s <= 1.0]
-            if bad:
-                raise TransportError(f"score_batch returned scores that are not numbers in [-1, 1]: {bad[:3]!r}")
-            scores[start:start + len(chunk)] = got
+            scores[start:start + len(chunk)] = self._scores(
+                {"op": "score_batch", "ref": ref_b64, "queries": chunk}, len(chunk))
+        return scores
+
+    def score_masks(self, ref, query, masks) -> np.ndarray:
+        """Scores against ``ref`` of the query times each mask of a
+        ``score_masked`` code form, sent as codes max_batch at a time."""
+        head = {"op": "score_masks", "ref": self._encode_image(ref), "query": self._encode_image(query)}
+        scores = np.empty(len(masks), dtype=np.float64)
+        step = self._caps.max_batch
+        for start in range(0, len(masks), step):
+            stop = min(start + step, len(masks))
+            scores[start:stop] = self._scores({**head, "n": stop - start, **_mask_fields(masks, start, stop)},
+                                              stop - start)
         return scores
 
     def embed(self, image) -> Embedding:
@@ -295,7 +401,7 @@ def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) 
     h, w, c = scorer.dims
     try:
         if op == "hello":
-            caps = ["score"] + (["embed"] if scorer.caps.can_embed else [])
+            caps = ["score", "score_masks"] + (["embed"] if scorer.caps.can_embed else [])
             return json.dumps(
                 {"id": req_id, "caps": caps, "max_batch": max_batch, "dims": [h, w, c]},
                 separators=(",", ":"),
@@ -309,6 +415,14 @@ def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) 
                 raise InvalidArgumentError(f"batch of {len(raw_queries)} exceeds max_batch {max_batch}")
             queries = [decode_f32(q).reshape(h, w, c) for q in raw_queries]
             scores = scorer.score_batch(ref, queries)
+            return json.dumps({"id": req_id, "scores": [float(s) for s in scores]}, separators=(",", ":"))
+        if op == "score_masks":
+            n = msg["n"]
+            if not _is_count(n) or n > max_batch:
+                raise InvalidArgumentError(f"mask count n must be an integer in [1, {max_batch}], got {n!r}")
+            masks = _masks_of(msg, n, (h, w))
+            ref, query = (decode_f32(msg[k]).reshape(h, w, c) for k in ("ref", "query"))
+            scores = score_masked(scorer, [ref], query, masks)
             return json.dumps({"id": req_id, "scores": [float(s) for s in scores]}, separators=(",", ":"))
         if op == "embed":
             emb = scorer.embed(decode_f32(msg["image"]).reshape(h, w, c))

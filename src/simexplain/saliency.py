@@ -27,10 +27,13 @@ so a masked query embeds to its code times a kernel made from the query's
 keep kernel: one (D, g*g) kernel per RISE offset, one (S, D) kernel for
 the superpixels, the keep kernel itself for pixels. No masked copy exists,
 and the (N, D) rows are scored against each reference manipulation, so
-dual mode does fixed mode's scorer work plus M reference embeddings. Any
-other scorer (external, score-only) gets blocks of ``_CHUNK`` masked
-copies built from the codes and scores each against each reference
-manipulation: M x N images, never an N-sized stack. RISE sums its map per
+dual mode does fixed mode's scorer work plus M reference embeddings. A
+scorer whose caps say ``can_score_masks`` (an external peer) is sent the
+codes themselves, against each reference manipulation, and runs this
+same ``score_masked`` on its side. Any other scorer (score-only, or a
+peer without that request) gets blocks of ``_CHUNK`` masked copies built
+from the codes and scores each against each reference manipulation:
+M x N images, never an N-sized stack. RISE sums its map per
 offset in grid space on both paths. A non-finite score raises
 ``InvalidDataError``. The learned mask embeds its upsampled cells once
 through the keep kernel, and its Adam steps call no scorer (see
@@ -194,22 +197,24 @@ def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, masks) -> np.n
     """Attributed score of the query times each keep mask: the mean of its
     scores against the reference variants. ``masks`` is a code form
     (``RiseMasks``, ``_Selections``) or an (N, H, W) array (``_Pixels``).
-    A scorer with ``keep_kernel`` embeds the codes; any other scorer scores
-    blocks of ``_CHUNK`` masked copies."""
+    A scorer with ``keep_kernel`` embeds the codes, and one whose caps say
+    ``can_score_masks`` (an external peer) is sent them; any other scorer
+    scores blocks of ``_CHUNK`` masked copies."""
     if not hasattr(masks, "embed"):
         masks = _Pixels(masks, query.shape[:2])
     kernel_of = getattr(scorer, "keep_kernel", None)
-    if kernel_of is None:
-        return _score_blocks(scorer, ref_variants, query, len(masks), masks.block)
-    return _score_rows(scorer, ref_variants, masks.embed(kernel_of(query)))
+    if kernel_of is not None:
+        rows = masks.embed(kernel_of(query))
+        return _score_each(scorer, ref_variants, lambda ref_v: scorer.score_batch_flat(ref_v, rows))
+    if scorer.caps.can_score_masks:
+        return _score_each(scorer, ref_variants, lambda ref_v: scorer.score_masks(ref_v, query, masks))
+    return _score_blocks(scorer, ref_variants, query, len(masks), masks.block)
 
 
-def _score_rows(scorer: Scorer, ref_variants, rows: EmbeddedRows) -> np.ndarray:
-    """Mean score of embedded query rows against the reference variants."""
-    total = np.zeros(rows.shape[0], dtype=np.float64)
-    for ref_v in ref_variants:
-        total += scorer.score_batch_flat(ref_v, rows)
-    return _finite_mean(scorer, total, len(ref_variants))
+def _score_each(scorer: Scorer, ref_variants, scores_against) -> np.ndarray:
+    """Mean of the scores ``scores_against(ref_v)`` over the reference
+    variants, summed in their order."""
+    return _finite_mean(scorer, sum(scores_against(ref_v) for ref_v in ref_variants), len(ref_variants))
 
 
 def _score_blocks(scorer: Scorer, ref_variants, query: np.ndarray, n: int, block) -> np.ndarray:
@@ -257,6 +262,15 @@ class RiseMasks:
     rows: np.ndarray   # ((g + 1) * ceil(H / g), g) upsampling matrix
     cols: np.ndarray   # ((g + 1) * ceil(W / g), g)
     shape: tuple[int, int]
+
+    @classmethod
+    def of_grids(cls, grids: np.ndarray, dy: np.ndarray, dx: np.ndarray, shape: tuple[int, int]) -> "RiseMasks":
+        """The masks of (N, g, g) 0/1 grids cropped at (dy, dx) for an
+        (H, W) image: the one place that builds the upsampling matrices."""
+        g = grids.shape[1]
+        h, w = shape
+        return cls(grids, dy, dx, _interp_matrix(g, (g + 1) * math.ceil(h / g)),
+                   _interp_matrix(g, (g + 1) * math.ceil(w / g)), (h, w))
 
     def __len__(self) -> int:
         return self.grids.shape[0]
@@ -313,11 +327,9 @@ def sample_rise_masks(cfg: RiseCfg, height: int, width: int, seed: int,
     n = cfg.n_masks if count is None else count
     g = cfg.grid
     grids = (rng.random((n, g, g)) < cfg.keep_prob).astype(np.float64)
-    cell_h, cell_w = math.ceil(height / g), math.ceil(width / g)
-    dy = rng.integers(0, cell_h, size=n)
-    dx = rng.integers(0, cell_w, size=n)
-    return RiseMasks(grids, dy, dx, _interp_matrix(g, (g + 1) * cell_h), _interp_matrix(g, (g + 1) * cell_w),
-                     (height, width))
+    dy = rng.integers(0, math.ceil(height / g), size=n)
+    dx = rng.integers(0, math.ceil(width / g), size=n)
+    return RiseMasks.of_grids(grids, dy, dx, (height, width))
 
 
 def _degenerate_result(scores: np.ndarray) -> bool:

@@ -33,6 +33,8 @@ NORM_EPS = 1e-12
 class ScorerCaps:
     can_embed: bool = False
     max_batch: int = 1024
+    # the scorer answers score_masks(ref, query, masks) on keep-mask codes
+    can_score_masks: bool = False
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -217,24 +219,6 @@ class LinearToyScorer(LinearEmbeddingScorer):
             patch = rng.normal(size=(embed_dim, r.height, r.width, c))
             weight[:, r.top:r.top + r.height, r.left:r.left + r.width, :] = patch
         return cls(weight.reshape(embed_dim, -1), dims)
-
-
-class ConstantScorer(Scorer):
-    """Returns the same score for every input; the no-signal edge case."""
-
-    def __init__(self, dims: tuple[int, int, int], value: float = 0.5):
-        self.dims = dims
-        self.value = float(value)
-
-    @property
-    def caps(self) -> ScorerCaps:
-        return ScorerCaps(can_embed=False, max_batch=4096)
-
-    def score_batch(self, ref, queries: Sequence) -> np.ndarray:
-        _as_image(ref, self.dims)
-        for q in queries:
-            _as_image(q, self.dims)
-        return np.full(len(queries), self.value, dtype=np.float64)
 
 
 def score_image_stack(scorer: Scorer, ref, stack: np.ndarray) -> np.ndarray:

@@ -5,6 +5,26 @@ import pytest
 
 import simexplain as se
 from simexplain.attrmodel import TrainConfig, train
+from simexplain.core import _as_image
+from simexplain.scorers import Scorer, ScorerCaps
+
+
+class ConstantScorer(Scorer):
+    """Returns the same score for every input; the no-signal edge case."""
+
+    def __init__(self, dims: tuple[int, int, int], value: float = 0.5):
+        self.dims = dims
+        self.value = float(value)
+
+    @property
+    def caps(self) -> ScorerCaps:
+        return ScorerCaps(can_embed=False, max_batch=4096)
+
+    def score_batch(self, ref, queries) -> np.ndarray:
+        _as_image(ref, self.dims)
+        for q in queries:
+            _as_image(q, self.dims)
+        return np.full(len(queries), self.value, dtype=np.float64)
 
 
 def build_bank(dataset, scorer, cfg, k=5):

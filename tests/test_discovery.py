@@ -17,6 +17,8 @@ from simexplain.discovery import (
 from simexplain.errors import InvalidArgumentError
 from simexplain.synth import slots_from_meta
 
+from conftest import ConstantScorer
+
 
 class TestPeakBin:
     def test_corner_peak(self):
@@ -125,7 +127,7 @@ class TestDiscover:
 
     def test_requires_embedding_scorer(self, two_motif_setup):
         ds, _, cfg, _ = two_motif_setup
-        const = se.ConstantScorer(ds.images[0][1].shape)
+        const = ConstantScorer(ds.images[0][1].shape)
         with pytest.raises(InvalidArgumentError, match="embedding-capable"):
             discover(ds, const, cfg)
 

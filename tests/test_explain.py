@@ -19,6 +19,8 @@ from simexplain.explain import (
 )
 from simexplain.synth import _PATTERNS, _palette, _render_motif, motif_slots
 
+from conftest import ConstantScorer
+
 
 class TestPrior:
     def test_uniform(self):
@@ -104,7 +106,7 @@ class TestExplanationScores:
         _, dataset, _, model = trained_setup
         query = dataset.image(dataset.pairs[0].query_id)
         cfg = ExplainConfig(saliency=sliding_cfg, phi=PhiWeights(0.5, 0.5, 0.0))
-        result = explain_pair(se.ConstantScorer(dataset.dims), model, query, query, cfg)
+        result = explain_pair(ConstantScorer(dataset.dims), model, query, query, cfg)
         assert not result.saliency.data.any()
         conf = model.forward(query).confidences
         for r in result.ranked:

@@ -22,6 +22,8 @@ from simexplain.metrics import (
 )
 from simexplain.scorers import Scorer, score_image_stack
 
+from conftest import ConstantScorer
+
 DIMS = (4, 4, 2)
 
 
@@ -133,7 +135,7 @@ class TestInsertionDeletion:
         assert ins.raw_scores[0] == pytest.approx(blank, abs=1e-12)
 
     def test_constant_scorer_convention(self, rng):
-        const = se.ConstantScorer(DIMS, value=0.7)
+        const = ConstantScorer(DIMS, value=0.7)
         curve = insertion_curve(const, rng.random(DIMS), rng.random(DIMS), rng.random((4, 4)))
         assert curve.degenerate
         assert curve.auc == 0.5
@@ -141,7 +143,7 @@ class TestInsertionDeletion:
 
     @pytest.mark.parametrize("curve", [insertion_curve, deletion_curve])
     def test_non_finite_scores_rejected(self, curve, rng):
-        nan_scorer = se.ConstantScorer(DIMS, value=float("nan"))
+        nan_scorer = ConstantScorer(DIMS, value=float("nan"))
         with pytest.raises(InvalidDataError):
             curve(nan_scorer, rng.random(DIMS), rng.random(DIMS), rng.random((4, 4)))
 
@@ -305,7 +307,7 @@ class TestRemoval:
     def test_requires_embedding_scorer(self, setup):
         ds, _ = setup
         with pytest.raises(InvalidArgumentError, match="embedding-capable"):
-            attribute_removal_delta(se.ConstantScorer(ds.dims), ds, ds.pairs[:2], [0, 0], [i for i, _ in ds.images])
+            attribute_removal_delta(ConstantScorer(ds.dims), ds, ds.pairs[:2], [0, 0], [i for i, _ in ds.images])
 
 
 class TestHelpers:

@@ -37,6 +37,8 @@ from simexplain.saliency import (
 )
 from simexplain.scorers import Scorer, _cosine_grad_pair, score_image_stack
 
+from conftest import ConstantScorer
+
 DIMS = (28, 28, 3)
 # one float32 ulp at 1.0, the largest value of a normalized map
 F32_ULP = 2.0 ** -23
@@ -109,13 +111,13 @@ class TestDefaultsMatchDocumentedValues:
 class TestDegenerateScorer:
     @pytest.mark.parametrize("method", [se.Method.SLIDING_WINDOW, se.Method.RISE, se.Method.LIME])
     def test_constant_scorer_degenerates(self, method, images):
-        const = se.ConstantScorer(DIMS, value=0.4)
+        const = ConstantScorer(DIMS, value=0.4)
         smap = se.generate(const, images[0], images[1], small_cfg(method))
         assert smap.degenerate
 
     @pytest.mark.parametrize("method", [se.Method.SLIDING_WINDOW, se.Method.RISE, se.Method.LIME])
     def test_non_finite_scores_rejected(self, method, images):
-        nan_scorer = se.ConstantScorer(DIMS, value=float("nan"))
+        nan_scorer = ConstantScorer(DIMS, value=float("nan"))
         with pytest.raises(InvalidDataError):
             se.generate(nan_scorer, images[0], images[1], small_cfg(method))
 
@@ -705,7 +707,7 @@ class TestMask:
         assert se.generate(scorer, images[0], images[1], cfg).degenerate
 
     def test_no_grad_no_fallback_unsupported(self, images):
-        const = se.ConstantScorer(DIMS)
+        const = ConstantScorer(DIMS)
         with pytest.raises(UnsupportedError, match="keep_kernel"):
             se.generate(const, images[0], images[1], small_cfg(se.Method.MASK))
 

@@ -7,6 +7,8 @@ from simexplain.core import make_rng
 from simexplain.errors import InvalidArgumentError, UnsupportedError
 from simexplain.scorers import _cosine_grad_pair, cosine, score_image_stack
 
+from conftest import ConstantScorer
+
 DIMS = (12, 12, 3)
 
 
@@ -116,7 +118,7 @@ class TestEmbedAndGrad:
             linear.score(rng.random((8, 8, 3)), rng.random((8, 8, 3)))
 
     def test_missing_capability(self, rng):
-        const = se.ConstantScorer(DIMS)
+        const = ConstantScorer(DIMS)
         with pytest.raises(UnsupportedError):
             const.embed(rng.random(DIMS))
 
