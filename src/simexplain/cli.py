@@ -56,7 +56,9 @@ from .metrics import (
     map_metric,
     mean_and_stderr,
 )
-from .saliency import SaliencyConfig, generate
+# generate stays bound here: perfbench's traced run wraps each module's
+# name for it, though this module makes its maps through query_maps
+from .saliency import SaliencyConfig, generate, map_by_query, map_codes, query_maps  # noqa: F401
 from .scorers import LinearToyScorer, Scorer, TripletToyScorer
 from .synth import SyntheticSpec, generate_dataset, motif_scorer_for, planted_scorer_for
 
@@ -276,10 +278,26 @@ def _default_jobs() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _maps(scorer: Scorer, dataset: Dataset, pairs: list[Pair], cfg: SaliencyConfig, jobs: int) -> list[SaliencyMap]:
-    """The saliency map of each pair under ``cfg``, in pair order."""
-    return _parallel_map(
-        lambda p: generate(scorer, dataset.image(p.reference_id), dataset.image(p.query_id), cfg), pairs, jobs)
+def _maps(scorer: Scorer, dataset: Dataset, pairs: list[Pair], cfg: SaliencyConfig, jobs: int,
+          codebook: dict | None = None) -> list[SaliencyMap]:
+    """The saliency map of each pair under ``cfg``, in pair order. The pairs
+    are grouped by query, one ``--jobs`` item per query, and
+    ``query_maps`` embeds each query's masked rows once for all its
+    references. ``codebook`` maps each config to its ``map_codes``: a
+    command passes one to all its calls, so each config's masks are built
+    once per command."""
+    if not pairs:
+        return []
+    codebook = {} if codebook is None else codebook
+    if cfg not in codebook:
+        codebook[cfg] = map_codes(cfg, *dataset.dims[:2])
+    codes = codebook[cfg]
+
+    def group_maps(query_id: str, ref_ids: list[str]) -> list[SaliencyMap]:
+        return query_maps(scorer, [dataset.image(r) for r in ref_ids], dataset.image(query_id), cfg, codes)
+
+    return map_by_query(group_maps, [(p.reference_id, p.query_id) for p in pairs],
+                        lambda fn, items: _parallel_map(fn, items, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +405,12 @@ def cmd_train_attr(args) -> dict:
 
 
 def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pairs: list[Pair],
-                     saliency_cfg: SaliencyConfig, jobs: int,
-                     grid_step: float = 0.05) -> tuple[PriorEstimate, PhiWeights]:
+                     saliency_cfg: SaliencyConfig, jobs: int, grid_step: float = 0.05,
+                     codebook: dict | None = None) -> tuple[PriorEstimate, PhiWeights]:
     """Held-out pair features -> attribute prior -> phi grid search: the one
     fit of the explanation, behind `fit-phi`, `eval` and `pipeline`. A
     split without a labelled pair is refused."""
-    features = pair_features(model, _maps(scorer, dataset, pairs, saliency_cfg, jobs), dataset, pairs)
+    features = pair_features(model, _maps(scorer, dataset, pairs, saliency_cfg, jobs, codebook), dataset, pairs)
     estimate = estimate_prior(features, dataset.n_attributes)
     return estimate, fit_phi(features, estimate.prior, grid_step)
 
@@ -481,13 +499,15 @@ def run_eval(
     jobs: int = 1,
     prior: Prior | None = None,
     phi: PhiWeights | None = None,
+    codebook: dict | None = None,
 ) -> dict:
     """Shared evaluation harness behind `eval` and `pipeline`.
 
     ``methods`` holds the parsed ``--methods`` entries. The `top1` and
     `removal` suites rank with the ``prior`` and ``phi`` the caller fitted
     on the validation pairs. Each saliency config's test maps are made once
-    and shared by every suite that reads them.
+    and shared by every suite that reads them; ``codebook`` is the
+    command's, as ``_maps`` takes it.
     """
     report: dict = {"schema_version": 1, "saliency": {}, "attribute": {}, "counts": {}}
     test_pairs = _test_pairs(dataset, suites, limit_pairs)
@@ -497,7 +517,7 @@ def run_eval(
 
     def maps_for(cfg: SaliencyConfig) -> list[SaliencyMap]:
         if cfg not in test_maps:
-            test_maps[cfg] = _maps(scorer, dataset, test_pairs, cfg, jobs)
+            test_maps[cfg] = _maps(scorer, dataset, test_pairs, cfg, jobs, codebook)
         return test_maps[cfg]
 
     curve_suites = [(name, fn) for name, fn in (("insertion", insertion_curve), ("deletion", deletion_curve))
@@ -538,9 +558,11 @@ def run_eval(
             }
         if "removal" in suites:
             corpus = dataset.image_ids_for_split("test")
+            embeddings: dict = {}
             removal = {}
             for name, attrs in (("random", random_attrs), ("confidence_only", conf_attrs), ("full", full_attrs)):
-                res = attribute_removal_delta(scorer, dataset, test_pairs, attrs, corpus_ids=corpus)
+                res = attribute_removal_delta(scorer, dataset, test_pairs, attrs, corpus_ids=corpus,
+                                              embeddings=embeddings)
                 removal[name] = {"delta": res.mean_delta, "n_used": res.n_used, "n_skipped": res.n_skipped}
             report["attribute"]["removal"] = removal
     return report
@@ -560,13 +582,14 @@ def cmd_eval(args) -> dict:
         raise ParseError(f"unknown suite(s): {', '.join(sorted(unknown))}")
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         prior = phi = None
+        codebook: dict = {}
         if {"top1", "removal"} & set(suites):
             estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"),
-                                             saliency_cfg, args.jobs)
+                                             saliency_cfg, args.jobs, codebook=codebook)
             prior = estimate.prior
         report = run_eval(dataset, model, scorer, saliency_cfg, suites, methods,
                           seed=args.seed, insertion_step=args.insertion_step,
-                          limit_pairs=args.limit, jobs=args.jobs, prior=prior, phi=phi)
+                          limit_pairs=args.limit, jobs=args.jobs, prior=prior, phi=phi, codebook=codebook)
     _write_result(args, report, {"command": "eval", "saliency": _config_payload(saliency_cfg),
                                  "suites": suites, "methods": [m[0] for m in methods], "seed": args.seed})
     return {"out": str(args.out), **report.get("attribute", {})}
@@ -578,9 +601,11 @@ def cmd_discover(args) -> dict:
         "k_nn": args.k, "n_clusters": args.clusters, "top_n": args.top_n, "patch": args.patch,
     })["discovery"]
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
-        assignment = discover(dataset, scorer, cfg, lambda fn, items: _parallel_map(fn, items, args.jobs))
-        deltas = removal_eval_discovered(assignment, scorer, dataset,
-                                         dataset.pairs_for_split("test"), seed=args.seed)
+        embeddings: dict = {}
+        assignment = discover(dataset, scorer, cfg, lambda fn, items: _parallel_map(fn, items, args.jobs),
+                              embeddings=embeddings)
+        deltas = removal_eval_discovered(assignment, scorer, dataset, dataset.pairs_for_split("test"),
+                                         seed=args.seed, embeddings=embeddings)
     payload = {
         "n_clusters": assignment.n_clusters,
         "labels_by_image": {k: list(v) for k, v in sorted(assignment.labels_by_image.items())},
@@ -653,8 +678,9 @@ def cmd_pipeline(args) -> dict:
         bank_pairs.append(p)
 
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
+        codebook: dict = {}
         written = {}
-        for pair, smap in zip(bank_pairs, _maps(scorer, dataset, bank_pairs, saliency_cfg, args.jobs)):
+        for pair, smap in zip(bank_pairs, _maps(scorer, dataset, bank_pairs, saliency_cfg, args.jobs, codebook)):
             name = f"{pair.query_id}__{pair.reference_id}.smap"
             save_saliency(maps_dir / name, smap)
             written[name] = (pair.query_id, smap)
@@ -667,10 +693,10 @@ def cmd_pipeline(args) -> dict:
         save_model(out / "model.sane", model)
 
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"), saliency_cfg,
-                                         args.jobs)
+                                         args.jobs, codebook=codebook)
         dump_json(out / "phi.json", _fit_payload(estimate, phi))
-        report = run_eval(dataset, model, scorer, saliency_cfg, _SUITES, methods,
-                          seed=seed, limit_pairs=args.limit, jobs=args.jobs, prior=estimate.prior, phi=phi)
+        report = run_eval(dataset, model, scorer, saliency_cfg, _SUITES, methods, seed=seed,
+                          limit_pairs=args.limit, jobs=args.jobs, prior=estimate.prior, phi=phi, codebook=codebook)
     dump_json(out / "report.json", report)
     _echo_config(args, {
         "command": "pipeline",

@@ -17,8 +17,10 @@ import numpy as np
 
 from .core import Dataset, _as_grid, make_rng, pool_boundaries, resize_bilinear
 from .errors import InvalidArgumentError
-from .metrics import RemovalResult, attribute_removal_delta
-from .saliency import SaliencyConfig, generate
+from .metrics import RemovalResult, attribute_removal_delta, embed_images
+# generate stays bound here: perfbench's traced run wraps each module's
+# name for it, though this module makes its maps through query_maps
+from .saliency import SaliencyConfig, generate, map_by_query, map_codes, query_maps  # noqa: F401
 from .scorers import NORM_EPS, Scorer, cosine
 
 _STREAM_KMEANS = 31
@@ -130,28 +132,33 @@ def _upsampled_patch_embedding(scorer: Scorer, image: np.ndarray, center: tuple[
 
 
 def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
-             map_fn: Callable[[Callable, list], list] | None = None) -> ClusterAssignment:
+             map_fn: Callable[[Callable, list], list] | None = None,
+             embeddings: dict[str, np.ndarray] | None = None) -> ClusterAssignment:
     """Six steps: k-NN references per query, query-side saliency, modal
     peak-bin filtering, salient-patch cropping from each kept reference,
     patch embedding, and k-means over all patches.
 
-    The maps are made in two passes, each one ``map_fn(fn, items)`` call:
-    an order-preserving map, serial by default, that the command line runs
-    over its thread pool. The result does not depend on it."""
+    The maps are made in two passes, each one ``map_fn(fn, items)`` call
+    with one item per query: an order-preserving map, serial by default,
+    that the command line runs over its thread pool. The result does not
+    depend on it. The masks are built once for both passes. The image
+    embeddings go through ``embed_images`` with ``embeddings``."""
     if not scorer.caps.can_embed:
         raise InvalidArgumentError("discovery needs an embedding-capable scorer")
     map_fn = map_fn or (lambda fn, items: [fn(x) for x in items])
     ids = [img_id for img_id, _ in dataset.images]
-    embeddings = np.stack([scorer.embed(img).data for _, img in dataset.images])
+    table = embed_images(scorer, dataset, ids, embeddings)
+    embeddings = np.stack([table[i] for i in ids])
     h, w, _ = dataset.dims
+    codes = map_codes(cfg.saliency, h, w)
 
-    def peaks_of(pair: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-        """The peak bin and the upsampled argmax pixel of the map of a
-        (reference, query) pair of indices."""
-        ri, qi = pair
-        smap = generate(scorer, dataset.image(ids[ri]), dataset.image(ids[qi]), cfg.saliency)
-        up = resize_bilinear(smap.data, h, w)
-        return peak_bin(smap, cfg.peak_grid), divmod(int(np.argmax(up)), w)
+    def peaks_of(qi: int, ref_idx: list[int]) -> list[tuple[int, tuple[int, int]]]:
+        """The peak bin and the upsampled argmax pixel of the map of query
+        ``qi`` against each reference in ``ref_idx`` (image indices)."""
+        smaps = query_maps(scorer, [dataset.image(ids[ri]) for ri in ref_idx], dataset.image(ids[qi]),
+                           cfg.saliency, codes)
+        return [(peak_bin(smap, cfg.peak_grid), divmod(int(np.argmax(resize_bilinear(smap.data, h, w))), w))
+                for smap in smaps]
 
     neighbors = []
     for qi in range(len(ids)):
@@ -161,7 +168,7 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
         ])
         neighbors.append([int(ri) for ri in np.argsort(-sims, kind="stable")[: cfg.k_nn]])
     pairs = [(ri, qi) for qi, neighbor_idx in enumerate(neighbors) for ri in neighbor_idx]
-    peaks = dict(zip(pairs, map_fn(peaks_of, pairs)))
+    peaks = dict(zip(pairs, map_by_query(peaks_of, pairs, map_fn)))
     kept = []
     for qi, neighbor_idx in enumerate(neighbors):
         bins = [peaks[ri, qi][0] for ri in neighbor_idx]
@@ -170,7 +177,7 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
     # a kept reference's patch is centred on its own query-side map; that of
     # a mutual neighbour was made in the first pass
     pairs = [(qi, ri) for qi, kept_idx in enumerate(kept) for ri in kept_idx if (qi, ri) not in peaks]
-    peaks.update(zip(pairs, map_fn(peaks_of, pairs)))
+    peaks.update(zip(pairs, map_by_query(peaks_of, pairs, map_fn)))
 
     patch_embs: list[np.ndarray] = []
     patch_meta: list[tuple[str, str, tuple[int, int]]] = []
@@ -220,13 +227,15 @@ def removal_eval_discovered(
     dataset: Dataset,
     pairs: Sequence,
     seed: int = 0,
+    embeddings: dict[str, np.ndarray] | None = None,
 ) -> dict[str, RemovalResult]:
     """Removal deltas treating cluster ids as attributes, with the two
     reference baselines: random assignment and full-frame clustering.
 
     Each variant retrieves only among images its labeling covers: an
     image the patch clustering never touched has unknown attributes, not
-    absent ones.
+    absent ones. The baseline and all three variants embed through
+    ``embed_images`` with ``embeddings``.
     """
     n_clusters = assignment.n_clusters
     all_ids = [img_id for img_id, _ in dataset.images]
@@ -237,9 +246,10 @@ def removal_eval_discovered(
     rng = make_rng(seed, _STREAM_RANDOM_ASSIGN)
     random_labels = {img_id: (int(rng.integers(n_clusters)),) for img_id in all_ids}
 
-    embeddings = np.stack([scorer.embed(img).data for _, img in dataset.images])
-    norms = np.maximum(np.linalg.norm(embeddings, axis=1, keepdims=True), NORM_EPS)
-    frame_labels_arr, _, _ = kmeans(embeddings / norms, n_clusters, seed)
+    embeddings = embed_images(scorer, dataset, all_ids, embeddings)
+    frame = np.stack([embeddings[i] for i in all_ids])
+    norms = np.maximum(np.linalg.norm(frame, axis=1, keepdims=True), NORM_EPS)
+    frame_labels_arr, _, _ = kmeans(frame / norms, n_clusters, seed)
     frame_labels = {img_id: (int(frame_labels_arr[k]),) for k, img_id in enumerate(all_ids)}
 
     variants = {
@@ -248,5 +258,6 @@ def removal_eval_discovered(
         "full_frame": (frame_labels, [frame_labels[p.query_id][0] for p in pairs], all_ids),
     }
     return {name: attribute_removal_delta(scorer, dataset, pairs, attrs, corpus,
-                                          labels=_cluster_label_matrix(dataset, labels, n_clusters))
+                                          labels=_cluster_label_matrix(dataset, labels, n_clusters),
+                                          embeddings=embeddings)
             for name, (labels, attrs, corpus) in variants.items()}

@@ -140,6 +140,18 @@ def map_metric(model, dataset: Dataset, split: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def embed_images(scorer: Scorer, dataset: Dataset, ids: Sequence[str],
+                 embeddings: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """``embeddings`` (a new dict when None) with the scorer's embedding of
+    each image in ``ids`` it lacks added by id: a caller that passes one
+    dict to every call embeds each image once."""
+    embeddings = {} if embeddings is None else embeddings
+    for i in ids:
+        if i not in embeddings:
+            embeddings[i] = scorer.embed(dataset.image(i)).data
+    return embeddings
+
+
 @dataclass(frozen=True)
 class RemovalResult:
     mean_delta: float  # x100 similarity points
@@ -154,6 +166,7 @@ def attribute_removal_delta(
     explained_attrs: Sequence[int | None],
     corpus_ids: Sequence[str],
     labels: np.ndarray | None = None,
+    embeddings: dict[str, np.ndarray] | None = None,
 ) -> RemovalResult:
     """Similarity drop when the explained attribute is "removed".
 
@@ -162,7 +175,8 @@ def attribute_removal_delta(
     attribute in ``labels`` (the dataset's ground truth by default), and
     report mean(s(ref, query) - s(ref, retrieved)) x100. A pair without an
     explained attribute (None) or without an eligible corpus image is
-    skipped.
+    skipped. The corpus and query embeddings go through ``embed_images``
+    with ``embeddings``.
     """
     if len(explained_attrs) != len(pairs):
         raise InvalidArgumentError("need exactly one explained attribute per pair")
@@ -170,7 +184,7 @@ def attribute_removal_delta(
         raise InvalidArgumentError("attribute removal needs an embedding-capable scorer")
     labels = dataset.labels if labels is None else labels
     corpus_ids = list(corpus_ids)
-    embeddings = {i: scorer.embed(dataset.image(i)).data for i in corpus_ids}
+    embeddings = embed_images(scorer, dataset, [*corpus_ids, *(p.query_id for p in pairs)], embeddings)
 
     deltas = []
     skipped = 0
@@ -180,8 +194,7 @@ def attribute_removal_delta(
         if not candidates:
             skipped += 1
             continue
-        query_emb = scorer.embed(dataset.image(pair.query_id)).data
-        sims = [cosine(query_emb, embeddings[cid]) for cid in candidates]
+        sims = [cosine(embeddings[pair.query_id], embeddings[cid]) for cid in candidates]
         retrieved = candidates[int(np.argmax(sims))]
         ref_img = dataset.image(pair.reference_id)
         original = scorer.score(ref_img, dataset.image(pair.query_id))

@@ -2,9 +2,16 @@
 
 Four methods share one contract: perturb the query (and optionally the
 reference), read how the similarity score reacts, and aggregate the
-reactions into an importance grid over the query. ``generate`` is the
-entry point: it checks both images against the scorer, runs the method
-the config names, and normalizes the resulting grid.
+reactions into an importance grid over the query. ``query_maps`` is the
+entry point: it checks a query and its references against the scorer,
+runs the method the config names once for the query, and normalizes each
+reference's grid. ``generate`` is its one-reference case. The work that
+only the config and the image size decide (RISE's mask draw, grouped by
+crop offset as it is built; the occlusion windows; LIME's grid segments
+and selections; the dual-mode reference masks) is a ``MapCodes`` value
+from ``map_codes``: a caller making many maps builds it once per config
+and passes it in, and a lone call builds its own. Every map has the bits
+its pair gets alone.
 
 * sliding window - regular occlusion windows, per-pixel drop averaging
 * RISE           - random low-res keep masks, score-weighted mask sum
@@ -26,15 +33,16 @@ an occlusion window or curve step an (H, W) mask over the pixels
 so a masked query embeds to its code times a kernel made from the query's
 keep kernel: one (D, g*g) kernel per RISE offset, one (S, D) kernel for
 the superpixels, the keep kernel itself for pixels. No masked copy exists,
-and the (N, D) rows are scored against each reference manipulation, so
-dual mode does fixed mode's scorer work plus M reference embeddings. A
-scorer whose caps say ``can_score_masks`` (an external peer) is sent the
-codes themselves, against each reference manipulation, and runs this
-same ``score_masked`` on its side. Any other scorer (score-only, or a
-peer without that request) gets blocks of ``_CHUNK`` masked copies built
-from the codes and scores each against each reference manipulation:
-M x N images, never an N-sized stack. RISE sums its map per
-offset in grid space on both paths. A non-finite score raises
+and the (N, D) rows, embedded once per query, are scored against each
+reference manipulation of each reference, so dual mode does fixed mode's
+scorer work plus M reference embeddings per map. A scorer whose caps say
+``can_score_masks`` (an external peer) is sent the codes themselves, one
+request stream per reference manipulation, and runs this same
+``score_masked`` on its side. Any other scorer (score-only, or a peer
+without that request) gets blocks of ``_CHUNK`` masked copies built from
+the codes, each block built once per query and scored against every
+reference manipulation: M x N images, never an N-sized stack. RISE sums
+its map per offset in grid space on both paths. A non-finite score raises
 ``InvalidDataError``. The learned mask embeds its upsampled cells once
 through the keep kernel, and its Adam steps call no scorer (see
 ``MaskObjective``).
@@ -45,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -202,13 +209,25 @@ def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, masks) -> np.n
     scores blocks of ``_CHUNK`` masked copies."""
     if not hasattr(masks, "embed"):
         masks = _Pixels(masks, query.shape[:2])
+    [scores] = _score_refs(scorer, [ref_variants], query, masks)
+    return scores
+
+
+def _score_refs(scorer: Scorer, ref_sets, query: np.ndarray, masks) -> list[np.ndarray]:
+    """``score_masked`` of one query against each set of reference
+    variants in ``ref_sets``, in order. The query's masked rows are
+    embedded once for every set, and a score-only scorer's blocks of
+    masked copies are built once and scored against every set; each
+    set's scores keep the bits they have alone."""
     kernel_of = getattr(scorer, "keep_kernel", None)
     if kernel_of is not None:
         rows = masks.embed(kernel_of(query))
-        return _score_each(scorer, ref_variants, lambda ref_v: scorer.score_batch_flat(ref_v, rows))
+        return [_score_each(scorer, ref_variants, lambda ref_v: scorer.score_batch_flat(ref_v, rows))
+                for ref_variants in ref_sets]
     if scorer.caps.can_score_masks:
-        return _score_each(scorer, ref_variants, lambda ref_v: scorer.score_masks(ref_v, query, masks))
-    return _score_blocks(scorer, ref_variants, query, len(masks), masks.block)
+        return [_score_each(scorer, ref_variants, lambda ref_v: scorer.score_masks(ref_v, query, masks))
+                for ref_variants in ref_sets]
+    return _score_blocks(scorer, list(ref_sets), query, len(masks), masks.block)
 
 
 def _score_each(scorer: Scorer, ref_variants, scores_against) -> np.ndarray:
@@ -217,16 +236,19 @@ def _score_each(scorer: Scorer, ref_variants, scores_against) -> np.ndarray:
     return _finite_mean(scorer, sum(scores_against(ref_v) for ref_v in ref_variants), len(ref_variants))
 
 
-def _score_blocks(scorer: Scorer, ref_variants, query: np.ndarray, n: int, block) -> np.ndarray:
-    """Mean score of the masked copies of the query under the N keep masks
-    ``block(start, stop)`` gives, built and scored ``_CHUNK`` at a time."""
-    total = np.zeros(n, dtype=np.float64)
+def _score_blocks(scorer: Scorer, ref_sets: list, query: np.ndarray, n: int, block) -> list[np.ndarray]:
+    """Mean score, against each set of reference variants, of the masked
+    copies of the query under the N keep masks ``block(start, stop)``
+    gives, built ``_CHUNK`` at a time and each block scored against every
+    set before the next is built."""
+    totals = [np.zeros(n, dtype=np.float64) for _ in ref_sets]
     for s in range(0, n, _CHUNK):
         stack = _masked(query, block(s, s + _CHUNK))
-        for ref_v in ref_variants:
-            total[s:s + _CHUNK] += score_image_stack(scorer, ref_v, stack)
+        for total, ref_variants in zip(totals, ref_sets):
+            for ref_v in ref_variants:
+                total[s:s + _CHUNK] += score_image_stack(scorer, ref_v, stack)
         del stack  # free this block before the next one is built
-    return _finite_mean(scorer, total, len(ref_variants))
+    return [_finite_mean(scorer, total, len(ref_variants)) for total, ref_variants in zip(totals, ref_sets)]
 
 
 def _finite_mean(scorer: Scorer, total: np.ndarray, count: int) -> np.ndarray:
@@ -262,6 +284,12 @@ class RiseMasks:
     rows: np.ndarray   # ((g + 1) * ceil(H / g), g) upsampling matrix
     cols: np.ndarray   # ((g + 1) * ceil(W / g), g)
     shape: tuple[int, int]
+    # each row offset in use with the (column offset, mask indices) of each
+    # of its column offsets, grouped as the masks are built
+    offsets: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "offsets", _group_offsets(self.dy, self.dx))
 
     @classmethod
     def of_grids(cls, grids: np.ndarray, dy: np.ndarray, dx: np.ndarray, shape: tuple[int, int]) -> "RiseMasks":
@@ -282,17 +310,6 @@ class RiseMasks:
         return np.array([big[y:y + h, x:x + w]
                          for big, y, x in zip(oversize, self.dy[start:stop], self.dx[start:stop])])
 
-    @cached_property
-    def _offsets(self) -> list:
-        """Each row offset in use with the (column offset, mask indices)
-        of each of its column offsets, in ``np.unique`` order and draw
-        order within an offset: grouped once per mask set, on first use."""
-        groups = []
-        for y in np.unique(self.dy):
-            at_y = self.dy == y
-            groups.append((y, [(x, np.flatnonzero(at_y & (self.dx == x))) for x in np.unique(self.dx[at_y])]))
-        return groups
-
     def embed(self, keep_kernel: np.ndarray) -> EmbeddedRows:
         """The rows of the masked queries, from the query's (D, H*W) keep
         kernel G: mask n embeds to ``grids[n].ravel() @ K.T``, where the
@@ -300,7 +317,7 @@ class RiseMasks:
         h, w = self.shape
         g = keep_kernel.reshape(-1, h, w)
         emb = np.empty((len(self), g.shape[0]), dtype=np.float64)
-        for y, at_y in self._offsets:
+        for y, at_y in self.offsets:
             half = self.rows[y:y + h].T @ g  # (D, g, W), once per row offset
             for x, idx in at_y:
                 kernel = (half @ self.cols[x:x + w]).reshape(g.shape[0], -1)
@@ -311,11 +328,22 @@ class RiseMasks:
         """sum_n weights[n] * mask n, each offset's masks summed as grids."""
         h, w = self.shape
         out = np.zeros((h, w), dtype=np.float64)
-        for y, at_y in self._offsets:
+        for y, at_y in self.offsets:
             right = sum(np.einsum("n,nij->ij", weights[idx], self.grids[idx]) @ self.cols[x:x + w].T
                         for x, idx in at_y)
             out += self.rows[y:y + h] @ right
         return out
+
+
+def _group_offsets(dy: np.ndarray, dx: np.ndarray) -> list:
+    """Each row offset of ``dy`` with the (column offset, mask indices) of
+    each of its column offsets, in ``np.unique`` order and draw order
+    within an offset, so every per-offset sum keeps one order."""
+    groups = []
+    for y in np.unique(dy):
+        at_y = dy == y
+        groups.append((y, [(x, np.flatnonzero(at_y & (dx == x))) for x in np.unique(dx[at_y])]))
+    return groups
 
 
 def sample_rise_masks(cfg: RiseCfg, height: int, width: int, seed: int,
@@ -346,22 +374,20 @@ def _reference_keep(cfg: SaliencyConfig, height: int, width: int) -> np.ndarray:
     return _occlusion_keep(height, width, cfg.sliding.windows_ref, cfg.sliding.window_area_frac)
 
 
-def _references(ref: np.ndarray, cfg: SaliencyConfig) -> list[np.ndarray]:
+def _references(ref: np.ndarray, codes: MapCodes) -> list[np.ndarray]:
     """The reference variants each query score is averaged over: the
     reference itself in fixed mode, its masked copies in dual mode."""
-    if cfg.fixed_reference:
+    if codes.ref_keep is None:
         return [ref]
-    return list(_masked(ref, _reference_keep(cfg, ref.shape[0], ref.shape[1])))
+    return list(_masked(ref, codes.ref_keep))
 
 
-def _rise(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfig) -> np.ndarray | None:
+def _rise(scorer: Scorer, refs: list, query: np.ndarray, codes: MapCodes) -> list:
     """Score-weighted average of random keep masks."""
-    h, w, _ = query.shape
-    masks = sample_rise_masks(cfg.rise, h, w, cfg.seed)
-    scores = score_masked(scorer, _references(ref, cfg), query, masks)
-    if _degenerate_result(scores):
-        return None
-    return masks.weighted_sum(scores) / (len(masks) * cfg.rise.keep_prob)
+    masks = codes.masks
+    all_scores = _score_refs(scorer, (_references(ref, codes) for ref in refs), query, masks)
+    return [None if _degenerate_result(scores) else masks.weighted_sum(scores) / (len(masks) * codes.cfg.rise.keep_prob)
+            for scores in all_scores]
 
 
 def _window_side(area_frac: float, height: int, width: int) -> int:
@@ -389,24 +415,24 @@ def _occlusion_keep(height: int, width: int, n_windows: int, area_frac: float) -
     return keep
 
 
-def _sliding_window(scorer: Scorer, ref: np.ndarray, query: np.ndarray,
-                    cfg: SaliencyConfig) -> np.ndarray | None:
+def _sliding_window(scorer: Scorer, refs: list, query: np.ndarray, codes: MapCodes) -> list:
     """Per-pixel similarity drop, averaged over every occlusion covering
     the pixel: saliency = s_full - mean(s_occluded)."""
-    h, w, _ = query.shape
-    keep = _occlusion_keep(h, w, cfg.sliding.windows_query, cfg.sliding.window_area_frac)
     # the unoccluded query scores as the last row of the same stack
-    all_scores = score_masked(scorer, _references(ref, cfg), query,
-                              np.concatenate([keep, np.ones((1, h, w), dtype=bool)]))
-    if _degenerate_result(all_scores):
-        return None
-    base, occluded = float(all_scores[-1]), ~keep
-    drop_sum = np.zeros((h, w))
-    for s_occ, window in zip(all_scores[:-1], occluded):
-        # one window at a time, so each pixel sums its drops in window order
-        np.add(drop_sum, base - s_occ, out=drop_sum, where=window)
+    occluded = ~codes.masks.keep[:-1]
     cover = occluded.sum(axis=0)
-    return np.divide(drop_sum, cover, out=np.zeros_like(drop_sum), where=cover > 0)
+    raws = []
+    for all_scores in _score_refs(scorer, (_references(ref, codes) for ref in refs), query, codes.masks):
+        if _degenerate_result(all_scores):
+            raws.append(None)
+            continue
+        base = float(all_scores[-1])
+        drop_sum = np.zeros(codes.shape)
+        for s_occ, window in zip(all_scores[:-1], occluded):
+            # one window at a time, so each pixel sums its drops in window order
+            np.add(drop_sum, base - s_occ, out=drop_sum, where=window)
+        raws.append(np.divide(drop_sum, cover, out=np.zeros_like(drop_sum), where=cover > 0))
+    return raws
 
 
 # ---------------------------------------------------------------------------
@@ -480,34 +506,39 @@ class _Selections:
         return _with_norms(embed_codes(embed_codes(keep_kernel, basis).T, self.keep))
 
 
-def _lime(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfig) -> np.ndarray | None:
+def _lime_selections(cfg: SaliencyConfig, segments: np.ndarray) -> _Selections:
+    """LIME's random superpixel selections over ``segments``."""
+    rng = make_rng(cfg.seed, _STREAM_LIME)
+    # boolean selections multiply and centre with the same bits as 1.0/0.0
+    keep = rng.random((cfg.lime.n_samples, int(segments.max()) + 1)) < cfg.lime.keep_prob
+    return _Selections(keep, segments)
+
+
+def _lime(scorer: Scorer, refs: list, query: np.ndarray, codes: MapCodes) -> list:
     """Lasso surrogate over random superpixel deletions.
 
     The map paints each superpixel with its nonnegative-clipped
     regression coefficient; region selection beyond the painting is out
     of scope. Fixed-reference only.
     """
+    cfg = codes.cfg
     if not cfg.fixed_reference:
         raise UnsupportedError("the superpixel surrogate is defined for fixed-reference mode only")
-    h, w, _ = query.shape
-    if cfg.lime.segmentation == "grid":
-        segments = grid_segments(h, w, cfg.lime.n_segments)
-    else:
-        segments = slic_like_segments(query, cfg.lime.n_segments)
-    n_seg = int(segments.max()) + 1
-
-    rng = make_rng(cfg.seed, _STREAM_LIME)
-    # boolean selections multiply and centre with the same bits as 1.0/0.0
-    keep = rng.random((cfg.lime.n_samples, n_seg)) < cfg.lime.keep_prob
-    scores = score_masked(scorer, [ref], query, _Selections(keep, segments))
-    if _degenerate_result(scores):
-        return None
-
+    selections = codes.masks
+    if selections is None:  # the segments follow the query
+        selections = _lime_selections(cfg, slic_like_segments(query, cfg.lime.n_segments))
+    keep, segments = selections.keep, selections.segments
     X = keep - keep.mean(axis=0, keepdims=True)
-    y = scores - scores.mean()
-    coef = lasso_coordinate_descent(X, y, alpha=cfg.lime.lasso_alpha * cfg.lime.n_samples,
-                                    max_sweeps=cfg.lime.max_sweeps)
-    return np.maximum(coef, 0.0)[segments]
+    raws = []
+    for scores in _score_refs(scorer, ([ref] for ref in refs), query, selections):
+        if _degenerate_result(scores):
+            raws.append(None)
+            continue
+        y = scores - scores.mean()
+        coef = lasso_coordinate_descent(X, y, alpha=cfg.lime.lasso_alpha * cfg.lime.n_samples,
+                                        max_sweeps=cfg.lime.max_sweeps)
+        raws.append(np.maximum(coef, 0.0)[segments])
+    return raws
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +666,7 @@ class MaskObjective:
         return value, np.concatenate(grad_parts)
 
 
-def _mask(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfig) -> np.ndarray:
+def _learn_mask(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfig) -> np.ndarray:
     """Learn the keep mask with Adam and return 1 - mask (high = important).
 
     The best-loss iterate is kept, not the last one: Adam's sign-scaled
@@ -664,12 +695,52 @@ def _mask(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: SaliencyConfi
     return 1.0 - _sigmoid(best_theta[: g * g].reshape(g, g))
 
 
+def _mask(scorer: Scorer, refs: list, query: np.ndarray, codes: MapCodes) -> list:
+    """The learned mask of each pair on its own: an Adam run per reference."""
+    return [_learn_mask(scorer, ref, query, codes.cfg) for ref in refs]
+
+
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-# Each returns the raw importance grid, or None for a degenerate (all-equal)
-# score response.
+
+@dataclass(frozen=True, eq=False)
+class MapCodes:
+    """The work of a saliency config that no image changes, for (H, W)
+    images. Built once by ``map_codes`` and shared by every map made under
+    the config, whatever the pair.
+
+    ``masks`` are the query's keep masks as codes: RISE's ``RiseMasks``,
+    grouped by offset; the occlusion windows and then the whole image as
+    ``_Pixels``; LIME's selections over grid segments. It is None for the
+    learned mask and for ``slic_like`` LIME, whose segments follow the
+    query. ``ref_keep`` holds the keep masks of the reference variants in
+    dual-mode RISE and sliding window, and is None otherwise."""
+
+    cfg: SaliencyConfig
+    shape: tuple[int, int]
+    masks: object
+    ref_keep: np.ndarray | None
+
+
+def map_codes(cfg: SaliencyConfig, height: int, width: int) -> MapCodes:
+    """The per-config work of the maps ``cfg`` makes of (height, width)
+    images: mask draws, occlusion windows, grid segments."""
+    masks = None
+    if cfg.method is Method.RISE:
+        masks = sample_rise_masks(cfg.rise, height, width, cfg.seed)
+    elif cfg.method is Method.SLIDING_WINDOW:
+        keep = _occlusion_keep(height, width, cfg.sliding.windows_query, cfg.sliding.window_area_frac)
+        masks = _Pixels(np.concatenate([keep, np.ones((1, height, width), dtype=bool)]), (height, width))
+    elif cfg.method is Method.LIME and cfg.lime.segmentation == "grid":
+        masks = _lime_selections(cfg, grid_segments(height, width, cfg.lime.n_segments))
+    dual = not cfg.fixed_reference and cfg.method in (Method.RISE, Method.SLIDING_WINDOW)
+    return MapCodes(cfg, (height, width), masks, _reference_keep(cfg, height, width) if dual else None)
+
+
+# Each returns, per reference, the raw importance grid, or None for a
+# degenerate (all-equal) score response.
 _GENERATORS = {
     Method.SLIDING_WINDOW: _sliding_window,
     Method.RISE: _rise,
@@ -678,12 +749,44 @@ _GENERATORS = {
 }
 
 
+def query_maps(scorer: Scorer, refs, query, cfg: SaliencyConfig, codes: MapCodes | None = None) -> list[SaliencyMap]:
+    """The normalized saliency map of ``query`` against each of ``refs``
+    under the method ``cfg`` names, in order. The query's masked rows are
+    embedded once for all references. ``codes`` is ``map_codes(cfg, H, W)``
+    for the images' (H, W), built here when None. Each map has the bits
+    that ``generate`` gives its pair alone."""
+    refs = [_as_image(ref, scorer.dims) for ref in refs]
+    query = _as_image(query, scorer.dims)
+    if codes is None:
+        codes = map_codes(cfg, *query.shape[:2])
+    elif codes.cfg != cfg or codes.shape != query.shape[:2]:
+        raise InvalidArgumentError("the map codes were built for another config or image size")
+    raws = _GENERATORS[cfg.method](scorer, refs, query, codes)
+    return [SaliencyMap(normalize_map(np.zeros(query.shape[:2]) if raw is None else raw),
+                        method=cfg.method, fixed_reference=cfg.fixed_reference, normalized=True)
+            for raw in raws]
+
+
 def generate(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     """The normalized saliency map of ``query`` against ``ref`` under the
-    method ``cfg`` names. Deterministic in (seed, cfg, scorer, images); an
-    all-equal score response yields the degenerate zero map rather than
-    an error."""
-    ref, query = _as_image(ref, scorer.dims), _as_image(query, scorer.dims)
-    raw = _GENERATORS[cfg.method](scorer, ref, query, cfg)
-    return SaliencyMap(normalize_map(np.zeros(query.shape[:2]) if raw is None else raw),
-                       method=cfg.method, fixed_reference=cfg.fixed_reference, normalized=True)
+    method ``cfg`` names: ``query_maps`` of one reference. Deterministic in
+    (seed, cfg, scorer, images); an all-equal score response yields the
+    degenerate zero map rather than an error."""
+    [smap] = query_maps(scorer, [ref], query, cfg)
+    return smap
+
+
+def map_by_query(fn, pairs, map_fn) -> list:
+    """``fn(query, refs)``, a list with one result per reference, for the
+    (reference, query) keys in ``pairs`` grouped by query: one call per
+    query, in order of first appearance, made through the order-preserving
+    ``map_fn(fn, items)``. The results come back in pair order."""
+    groups: dict = {}
+    for k, (_, query) in enumerate(pairs):
+        groups.setdefault(query, []).append(k)
+    items = [(query, [pairs[k][0] for k in idx]) for query, idx in groups.items()]
+    results = [None] * len(pairs)
+    for idx, out in zip(groups.values(), map_fn(lambda item: fn(*item), items)):
+        for k, result in zip(idx, out):
+            results[k] = result
+    return results

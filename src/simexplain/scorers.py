@@ -316,20 +316,26 @@ class TripletToyScorer(LinearEmbeddingScorer):
             raise InvalidArgumentError("dataset has no train pairs to build triplets from")
 
         weight = rng.normal(scale=0.1, size=(embed_dim, h * w * c))
+        # weight @ x of each image since the last update, the same product
+        # bit for bit as computing it again from the unchanged weight
+        embedded: dict[str, np.ndarray] = {}
         for _ in range(epochs):
             order = rng.permutation(len(triplets))
             moved = False
             for k in order:
-                a_id, p_id, n_id = triplets[k]
-                a, p, n = flats[a_id], flats[p_id], flats[n_id]
-                ea, ep, en = (weight @ a, weight @ p, weight @ n)
+                for img_id in triplets[k]:
+                    if img_id not in embedded:
+                        embedded[img_id] = weight @ flats[img_id]
+                ea, ep, en = (embedded[img_id] for img_id in triplets[k])
                 dpa, dpp, cos_ap = _cosine_grad_pair(ea, ep)
                 dna, dnn, cos_an = _cosine_grad_pair(ea, en)
                 if margin - cos_ap + cos_an <= 0.0:
                     continue
+                a, p, n = (flats[img_id] for img_id in triplets[k])
                 # dL/dW = -(d cos_ap/dW) + (d cos_an/dW)
                 grad = np.outer(dna - dpa, a) - np.outer(dpp, p) + np.outer(dnn, n)
                 weight -= lr * grad
+                embedded.clear()
                 moved = True
             if not moved:
                 break

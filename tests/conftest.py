@@ -6,6 +6,7 @@ import pytest
 import simexplain as se
 from simexplain.attrmodel import TrainConfig, train
 from simexplain.core import _as_image
+from simexplain.saliency import map_codes, query_maps
 from simexplain.scorers import Scorer, ScorerCaps
 
 
@@ -27,6 +28,18 @@ class ConstantScorer(Scorer):
         return np.full(len(queries), self.value, dtype=np.float64)
 
 
+class KernelCounter(se.LinearToyScorer):
+    """A linear scorer that records the query of each keep kernel it builds."""
+
+    def __init__(self, inner):
+        super().__init__(inner.weight, inner.dims)
+        self.kernels = []
+
+    def keep_kernel(self, query):
+        self.kernels.append(np.asarray(getattr(query, "data", query), dtype=np.float64).tobytes())
+        return super().keep_kernel(query)
+
+
 def build_bank(dataset, scorer, cfg, k=5):
     """Fixed-reference saliency maps for train queries, up to k per query."""
     bank = {}
@@ -43,6 +56,19 @@ def build_bank(dataset, scorer, cfg, k=5):
 def maps_of(dataset, scorer, pairs, cfg):
     """The saliency map of each pair, in pair order."""
     return [se.generate(scorer, dataset.image(p.reference_id), dataset.image(p.query_id), cfg) for p in pairs]
+
+
+def assert_query_maps_equal_single_pairs(scorer, refs, query, cfg):
+    """query_maps of a group, and of its last reference alone with codes
+    built once, give each map the bytes generate gives its pair."""
+    want = [se.generate(scorer, ref, query, cfg) for ref in refs]
+    got = query_maps(scorer, refs, query, cfg)
+    [alone] = query_maps(scorer, refs[-1:], query, cfg, map_codes(cfg, *query.shape[:2]))
+    for smap, single in zip([*got, alone], [*want, want[-1]]):
+        assert smap.data.tobytes() == single.data.tobytes()
+        assert (smap.method, smap.fixed_reference, smap.degenerate) == (
+            single.method, single.fixed_reference, single.degenerate)
+    return got
 
 
 @pytest.fixture(scope="session")

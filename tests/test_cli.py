@@ -18,10 +18,13 @@ import simexplain as se
 import simexplain.cli as cli
 import simexplain.discovery as se_discovery
 import simexplain.explain as se_explain
+import simexplain.saliency as se_saliency
 from simexplain.cli import build_config, build_parser, load_saliency_bank, main
 from simexplain.dataio import GRID_MAGIC, SMAP_MAGIC, load_dataset, load_model, load_saliency, save_grid
 from simexplain.errors import IntegrityError, InvalidArgumentError, ParseError
 from simexplain.synth import motif_slots
+
+from conftest import KernelCounter
 
 
 def tree_hashes(root: Path) -> dict:
@@ -269,8 +272,9 @@ class TestCliCommands:
         assert payload["n_clusters"] == 2
         assert set(payload["removal"]) == {"patch", "random", "full_frame"}
         assert outputs[0] == outputs[1]
-        # 20 queries times 5 neighbours, then the reverse maps not made yet
-        assert pools[0][0] == 100 and [jobs for _, jobs in pools] == [1, 1, 2, 2]
+        # one item per query: 20 queries with 5 neighbours each, then the
+        # queries of the reverse maps not made yet
+        assert pools[0][0] == 20 and [jobs for _, jobs in pools] == [1, 1, 2, 2]
 
 
 class TestCliPlumbing:
@@ -750,14 +754,21 @@ class TestCliPlumbing:
     @staticmethod
     def _record_maps(monkeypatch) -> list:
         """Record the (reference, query, config) key of every map a command
-        makes, wherever it makes it."""
+        makes, wherever it makes it: one entry per reference of each
+        per-query call, and one per single-pair call."""
         made = []
-        for module in (cli, se_explain, se_discovery):
-            def recording(scorer, ref, query, cfg, _real=module.generate):
-                made.append((ref.data.tobytes(), query.data.tobytes(), cfg))
-                return _real(scorer, ref, query, cfg)
+        for module in (cli, se_discovery):
+            def recording(scorer, refs, query, cfg, codes=None, _real=module.query_maps):
+                made.extend((ref.data.tobytes(), query.data.tobytes(), cfg) for ref in refs)
+                return _real(scorer, refs, query, cfg, codes)
 
-            monkeypatch.setattr(module, "generate", recording)
+            monkeypatch.setattr(module, "query_maps", recording)
+
+        def recording_one(scorer, ref, query, cfg, _real=se_explain.generate):
+            made.append((ref.data.tobytes(), query.data.tobytes(), cfg))
+            return _real(scorer, ref, query, cfg)
+
+        monkeypatch.setattr(se_explain, "generate", recording_one)
         return made
 
     def test_pipeline_makes_each_map_once(self, tmp_path, monkeypatch):
@@ -769,6 +780,47 @@ class TestCliPlumbing:
                      "--epochs", "2", "--rise-masks", "20", "--methods", "rise,sliding_window",
                      "--limit", "2", "--seed", "3", "--jobs", "2", "--config", str(cfg)]) == 0
         assert made and max(Counter(made).values()) == 1
+
+    def test_each_config_builds_its_masks_once_per_command(self, tmp_path, monkeypatch):
+        """One RISE mask draw per stream and one offset grouping per config
+        per command, whichever maps, passes and pool items read them."""
+        draws, groupings = [], []
+        sample, group = se_saliency.sample_rise_masks, se_saliency._group_offsets
+        monkeypatch.setattr(se_saliency, "sample_rise_masks", lambda *a, **kw: draws.append(
+            kw.get("stream", se_saliency._STREAM_QUERY_MASKS)) or sample(*a, **kw))
+        monkeypatch.setattr(se_saliency, "_group_offsets", lambda dy, dx: groupings.append(dy.size) or group(dy, dx))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"saliency": {"rise": {"n_masks": 20, "n_ref_masks": 4},
+                                                "sliding": {"windows_query": 9, "windows_ref": 4}}}))
+        run = tmp_path / "run"
+        assert main(["pipeline", "--out", str(run), "--n-images", "16", "--attributes", "3", "--epochs", "2",
+                     "--methods", "rise,rise_dual,sliding_window", "--limit", "2", "--seed", "3", "--jobs", "2",
+                     "--config", str(cfg)]) == 0
+        # the fixed config's masks serve the bank, the fit and the test maps;
+        # the dual config draws its query masks and its reference masks
+        assert sorted(draws) == [1, 1, 2] and sorted(groupings) == [4, 20, 20]
+        draws.clear()
+        groupings.clear()
+        assert main(["discover", "--dataset", str(run / "dataset" / "manifest.json"), "--method", "rise",
+                     "--seed", "3", "--k", "3", "--clusters", "2", "--top-n", "2", "--jobs", "2",
+                     "--config", str(cfg), "--out", str(tmp_path / "d.json")]) == 0
+        assert draws == [1] and groupings == [20]
+
+    @pytest.mark.parametrize("method", ["rise", "sliding_window", "lime"])
+    def test_maps_embed_each_query_once(self, method):
+        """``_maps`` asks for one keep kernel per query, however many of its
+        pairs share that query, and returns the maps in pair order."""
+        ds = se.generate_dataset(se.SyntheticSpec(n_images=16, n_attributes=3, seed=3))
+        pairs = ds.pairs_for_split("train")
+        queries = {p.query_id for p in pairs}
+        assert len(pairs) > len(queries)
+        scorer = KernelCounter(se.motif_scorer_for(ds, seed=3))
+        cfg = build_config(se.SaliencyConfig, {"method": method, "sliding": {"windows_query": 9},
+                                               "rise": {"n_masks": 20}, "lime": {"n_samples": 40}}, "saliency", seed=3)
+        maps = cli._maps(scorer, ds, pairs, cfg, 2)
+        assert sorted(scorer.kernels) == sorted(ds.image(q).data.astype(np.float64).tobytes() for q in queries)
+        assert [m.data.tobytes() for m in maps] == [
+            se.generate(scorer, ds.image(p.reference_id), ds.image(p.query_id), cfg).data.tobytes() for p in pairs]
 
     def test_eval_makes_each_map_once(self, cli_workspace, tmp_path, monkeypatch):
         _, manifest, _, model = cli_workspace

@@ -17,7 +17,7 @@ from simexplain.discovery import (
 from simexplain.errors import InvalidArgumentError
 from simexplain.synth import slots_from_meta
 
-from conftest import ConstantScorer
+from conftest import ConstantScorer, KernelCounter
 
 
 class TestPeakBin:
@@ -92,6 +92,24 @@ def two_motif_setup():
 
 
 class TestDiscover:
+    def test_each_query_is_embedded_once_per_pass(self, two_motif_setup):
+        # one map_fn item per query in each of the two passes, and one keep
+        # kernel per item
+        ds, scorer, cfg, assignment = two_motif_setup
+        counting = KernelCounter(scorer)
+        passes = []
+
+        def serial(fn, items):
+            passes.append(len(items))
+            return [fn(x) for x in items]
+
+        again = discover(ds, counting, cfg, serial)
+        assert again.patches == assignment.patches
+        assert len(passes) == 2 and passes[0] == ds.n_images
+        assert len(counting.kernels) == sum(passes)
+        assert len(set(counting.kernels[:passes[0]])) == passes[0]
+        assert len(set(counting.kernels[passes[0]:])) == passes[1]
+
     def test_patches_inside_bounds(self, two_motif_setup):
         ds, _, cfg, assignment = two_motif_setup
         side = ds.images[0][1].height

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from simexplain.errors import InvalidArgumentError, TransportError, UnsupportedE
 from simexplain.external import ExternalScorer, _ScoreOnly, _encode_bits, _handle_line, decode_f32, encode_f32
 from simexplain.metrics import deletion_curve, insertion_curve
 from simexplain.saliency import LimeCfg, RiseCfg, SaliencyConfig, SlidingCfg, score_masked
+
+from conftest import assert_query_maps_equal_single_pairs
 
 DIMS = (10, 10, 3)
 
@@ -385,6 +388,22 @@ class TestMaskCodes:
         for curve in (insertion_curve, deletion_curve):  # 101 steps each
             assert (curve(ext, ref, query, want).raw_scores.tobytes()
                     == curve(local, ref, query, want).raw_scores.tobytes())
+        assert set(ops) == {"score_masks"}
+
+    @pytest.mark.parametrize("peer", ["kernel", "score_only"])
+    @pytest.mark.parametrize("name, fixed", [(name, True) for name in CODE_CFGS]
+                             + [("rise", False), ("sliding_window", False)])
+    def test_query_maps_equal_single_pairs(self, code_peers, monkeypatch, name, fixed, peer):
+        # one score_masks stream per reference, each map with its pair's bits
+        ext = code_peers[peer]
+        rng = np.random.default_rng(6)
+        refs = [f32_exact(rng, CODE_DIMS), np.zeros(CODE_DIMS), f32_exact(rng, CODE_DIMS)]
+        cfg = CODE_CFGS[name]
+        cfg = dataclasses.replace(cfg, fixed_reference=fixed, rise=dataclasses.replace(cfg.rise, n_ref_masks=3),
+                                  sliding=dataclasses.replace(cfg.sliding, windows_ref=4))
+        ops = record_ops(ext, monkeypatch)
+        got = assert_query_maps_equal_single_pairs(ext, refs, f32_exact(rng, CODE_DIMS), cfg)
+        assert got[1].degenerate and not got[0].degenerate
         assert set(ops) == {"score_masks"}
 
     def test_float64_images_and_float_masks_within_1e6(self, code_peers, rng):

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import tracemalloc
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simexplain as se
+from simexplain import saliency
 from simexplain.core import make_rng, resize_average_pool
 from simexplain.errors import (
     ConvergenceError,
@@ -22,7 +22,6 @@ from simexplain.saliency import (
     _CHUNK,
     _STREAM_QUERY_MASKS,
     MaskObjective,
-    RiseMasks,
     _interp_matrix,
     _occlusion_keep,
     _references,
@@ -31,13 +30,15 @@ from simexplain.saliency import (
     _window_origins,
     _window_side,
     grid_segments,
+    map_codes,
+    query_maps,
     sample_rise_masks,
     score_masked,
     slic_like_segments,
 )
 from simexplain.scorers import Scorer, _cosine_grad_pair, score_image_stack
 
-from conftest import ConstantScorer
+from conftest import ConstantScorer, assert_query_maps_equal_single_pairs
 
 DIMS = (28, 28, 3)
 # one float32 ulp at 1.0, the largest value of a normalized map
@@ -501,7 +502,7 @@ class TestCodePath:
         ref, query = rng.random(dims), rng.random(dims)
         cfg = small_cfg(se.Method.RISE, seed=4, fixed_reference=fixed,
                         rise=se.RiseCfg(n_masks=n_masks, grid=grid, n_ref_masks=4))
-        refs = _references(ref, cfg)
+        refs = _references(ref, map_codes(cfg, h, w))
         masks = sample_rise_masks(cfg.rise, h, w, cfg.seed)
         full = full_masks(masks)
         scores = score_masked(scorer, refs, query, masks)
@@ -556,18 +557,17 @@ class TestCodePath:
 
     @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "dual"])
     def test_rise_groups_its_offsets_once(self, fixed, images, monkeypatch):
-        # embed and weighted_sum read one grouping of the query masks, and
-        # the reference masks of dual mode, which are only built, none
+        # embed and weighted_sum read the one grouping the query masks got
+        # when they were built; the reference masks of dual mode are built
+        # from a RiseMasks of their own
         cfg = small_cfg(se.Method.RISE, seed=4, fixed_reference=fixed)
         scorer = se.LinearToyScorer.random(DIMS, embed_dim=8, seed=5)
         before = se.generate(scorer, images[0], images[1], cfg)
         grouped = []
-        real = RiseMasks._offsets.func
-        counting = functools.cached_property(lambda masks: grouped.append(masks) or real(masks))
-        counting.__set_name__(RiseMasks, "_offsets")
-        monkeypatch.setattr(RiseMasks, "_offsets", counting)
+        real = saliency._group_offsets
+        monkeypatch.setattr(saliency, "_group_offsets", lambda dy, dx: grouped.append(dy.size) or real(dy, dx))
         after = se.generate(scorer, images[0], images[1], cfg)
-        assert len(grouped) == 1 and len(grouped[0]) == cfg.rise.n_masks
+        assert grouped == [cfg.rise.n_masks] + ([] if fixed else [cfg.rise.n_ref_masks])
         assert after.data.tobytes() == before.data.tobytes()
 
 
@@ -872,3 +872,39 @@ class TestModelRandomization:
         redrawn = se.TripletToyScorer(make_rng(7, 1).normal(scale=0.1, size=trained.weight.shape), dataset.dims)
         rho = self._mean_correlations(dataset, trained, redrawn)
         assert all(r < self.BOUND for r in rho.values()), rho
+
+
+# (method, fixed) of every map a scorer of each kind can make; the learned
+# mask needs keep_kernel, and LIME is fixed-reference only
+QUERY_MAP_CASES = {
+    "kernel": [(m, fixed) for m in se.Method for fixed in (True, False) if fixed or m is not se.Method.LIME],
+    "score_only": [(m, fixed) for m in (se.Method.SLIDING_WINDOW, se.Method.RISE, se.Method.LIME)
+                   for fixed in (True, False) if fixed or m is not se.Method.LIME],
+}
+
+
+class TestQueryMaps:
+    """The maps of one query against several references, made with the
+    query's masked rows embedded once, have the bits of single pairs."""
+
+    @pytest.mark.parametrize("kind, method, fixed",
+                             [(kind, m, f) for kind, cases in QUERY_MAP_CASES.items() for m, f in cases],
+                             ids=lambda v: getattr(v, "name", str(v)).lower())
+    def test_group_equals_single_pairs(self, kind, method, fixed, images):
+        scorer = se.LinearToyScorer.random(DIMS, embed_dim=8, seed=5)
+        if kind == "score_only":
+            scorer = _ScoreOnly(scorer)
+        cfg = small_cfg(method, seed=2, fixed_reference=fixed)
+        # a blank reference embeds to 0, so every score is 0: a degenerate map
+        ref2 = np.random.default_rng(3).random(DIMS)
+        got = assert_query_maps_equal_single_pairs(scorer, [images[0], np.zeros(DIMS), ref2, images[0]],
+                                                   images[1], cfg)
+        assert (not got[0].degenerate) and (got[1].degenerate or method is se.Method.MASK)
+
+    def test_codes_of_another_config_are_refused(self, images):
+        scorer = se.LinearToyScorer.random(DIMS, embed_dim=8, seed=5)
+        cfg = small_cfg(se.Method.RISE)
+        with pytest.raises(InvalidArgumentError):
+            query_maps(scorer, [images[0]], images[1], cfg, map_codes(dataclasses.replace(cfg, seed=1), *DIMS[:2]))
+        with pytest.raises(InvalidArgumentError):
+            query_maps(scorer, [images[0]], images[1], cfg, map_codes(cfg, DIMS[0], DIMS[1] + 1))

@@ -226,6 +226,11 @@ class TestTripletFixedPoint:
         # a triplet flips in every epoch, so every epoch runs
         "never_settles": (dict(n_images=8, side=20, n_attributes=4, pairs_per_query=2, seed=0), 0,
                           list(range(200)), 200),
+        # the study workload's size at seed 42, which never settles either
+        "study_size_never_settles": (dict(n_images=24, n_attributes=4, pairs_per_query=2, seed=42), 42,
+                                     list(range(200)), 200),
+        # the default-size fit of `pipeline --seed 7`
+        "default_size": (dict(seed=7), 7, [0, 1, 2], 4),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
