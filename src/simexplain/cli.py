@@ -58,7 +58,7 @@ from .metrics import (
 )
 # generate stays bound here: perfbench's traced run wraps each module's
 # name for it, though this module makes its maps through query_maps
-from .saliency import SaliencyConfig, generate, map_by_query, map_codes, query_maps  # noqa: F401
+from .saliency import MapCodes, SaliencyConfig, generate, map_by_query, map_codes, query_maps  # noqa: F401
 from .scorers import LinearToyScorer, Scorer, TripletToyScorer
 from .synth import SyntheticSpec, generate_dataset, motif_scorer_for, planted_scorer_for
 
@@ -204,25 +204,24 @@ def _write_result(args, payload: dict, resolved: dict) -> None:
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
-    """Order-preserving map; results land by index so parallelism never
-    changes the output."""
+    """Order-preserving map: the results, and the first exception, come in
+    item order, so parallelism never changes the output."""
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    results = [None] * len(items)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(fn, item): k for k, item in enumerate(items)}
-        for fut, k in futures.items():
-            results[k] = fut.result()
-    return results
+        return list(pool.map(fn, items))
 
 
-def _parse_methods(text: str) -> list[tuple[str, Method, bool]]:
-    """``--methods`` as (name, method, dual) entries. A "_dual" suffix
-    evaluates the both-images-manipulated variant, so fixed and dual rows
-    can sit side by side in one report."""
+def _parse_methods(text: str, saliency_cfg: SaliencyConfig) -> list[tuple[str, SaliencyConfig]]:
+    """``--methods`` as (name, config) entries: ``saliency_cfg`` with the
+    method each name gives. A "_dual" suffix evaluates the
+    both-images-manipulated variant, so fixed and dual rows can sit side
+    by side in one report. A config no method can run is refused here."""
     names = [m.strip() for m in text.split(",") if m.strip()]
-    return [(name, _parse_method(name.removesuffix("_dual")), name.endswith("_dual")) for name in names]
+    return [(name, dataclasses.replace(saliency_cfg, method=_parse_method(name.removesuffix("_dual")),
+                                       fixed_reference=saliency_cfg.fixed_reference and not name.endswith("_dual")))
+            for name in names]
 
 
 def _seed(text: str) -> int:
@@ -278,23 +277,15 @@ def _default_jobs() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _maps(scorer: Scorer, dataset: Dataset, pairs: list[Pair], cfg: SaliencyConfig, jobs: int,
-          codebook: dict | None = None) -> list[SaliencyMap]:
-    """The saliency map of each pair under ``cfg``, in pair order. The pairs
-    are grouped by query, one ``--jobs`` item per query, and
-    ``query_maps`` embeds each query's masked rows once for all its
-    references. ``codebook`` maps each config to its ``map_codes``: a
-    command passes one to all its calls, so each config's masks are built
-    once per command."""
-    if not pairs:
-        return []
-    codebook = {} if codebook is None else codebook
-    if cfg not in codebook:
-        codebook[cfg] = map_codes(cfg, *dataset.dims[:2])
-    codes = codebook[cfg]
+def _maps(scorer: Scorer, dataset: Dataset, pairs: list[Pair], codes: MapCodes, jobs: int) -> list[SaliencyMap]:
+    """The saliency map of each pair under the config of ``codes``, in pair
+    order. The pairs are grouped by query, one ``--jobs`` item per query,
+    and ``query_maps`` embeds each query's masked rows once for all its
+    references. A command builds each config's codes once and passes them
+    to all its calls."""
 
     def group_maps(query_id: str, ref_ids: list[str]) -> list[SaliencyMap]:
-        return query_maps(scorer, [dataset.image(r) for r in ref_ids], dataset.image(query_id), cfg, codes)
+        return query_maps(scorer, [dataset.image(r) for r in ref_ids], dataset.image(query_id), codes)
 
     return map_by_query(group_maps, [(p.reference_id, p.query_id) for p in pairs],
                         lambda fn, items: _parallel_map(fn, items, jobs))
@@ -366,7 +357,7 @@ def cmd_saliency(args) -> dict:
     cfg = run_config(args, saliency={"method": args.method, "fixed_reference": args.fixed_reference})["saliency"]
     pairs = _select_pairs(dataset, args.pair, args.split, args.limit)
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
-        maps = _maps(scorer, dataset, pairs, cfg, args.jobs)
+        maps = _maps(scorer, dataset, pairs, map_codes(cfg, *dataset.dims[:2]), args.jobs)
     out = _make_out(args)
     for pair, smap in zip(pairs, maps):
         stem = f"{pair.query_id}__{pair.reference_id}"
@@ -405,12 +396,11 @@ def cmd_train_attr(args) -> dict:
 
 
 def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pairs: list[Pair],
-                     saliency_cfg: SaliencyConfig, jobs: int, grid_step: float = 0.05,
-                     codebook: dict | None = None) -> tuple[PriorEstimate, PhiWeights]:
+                     codes: MapCodes, jobs: int, grid_step: float = 0.05) -> tuple[PriorEstimate, PhiWeights]:
     """Held-out pair features -> attribute prior -> phi grid search: the one
-    fit of the explanation, behind `fit-phi`, `eval` and `pipeline`. A
-    split without a labelled pair is refused."""
-    features = pair_features(model, _maps(scorer, dataset, pairs, saliency_cfg, jobs, codebook), dataset, pairs)
+    fit of the explanation, behind `fit-phi`, `eval` and `pipeline`, with
+    the maps of ``codes``. A split without a labelled pair is refused."""
+    features = pair_features(model, _maps(scorer, dataset, pairs, codes, jobs), dataset, pairs)
     estimate = estimate_prior(features, dataset.n_attributes)
     return estimate, fit_phi(features, estimate.prior, grid_step)
 
@@ -444,7 +434,7 @@ def cmd_fit_phi(args) -> dict:
     cfg = run_config(args, saliency={"method": args.method})["saliency"]
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split(args.split),
-                                         cfg, args.jobs, args.grid_step)
+                                         map_codes(cfg, *dataset.dims[:2]), args.jobs, args.grid_step)
     _write_result(args, _fit_payload(estimate, phi), {"command": "fit-phi", "saliency": _config_payload(cfg),
                   "split": args.split, "grid_step": args.grid_step})
     return {"out": str(args.out), "phi": [phi.phi1, phi.phi2, phi.phi3]}
@@ -490,24 +480,24 @@ def run_eval(
     dataset: Dataset,
     model: AttributeModel,
     scorer: Scorer,
-    saliency_cfg: SaliencyConfig,
+    codes: MapCodes,
     suites: list[str],
-    methods: list[tuple[str, Method, bool]],
+    methods: list[tuple[str, SaliencyConfig]],
     seed: int,
     insertion_step: float = 0.01,
     limit_pairs: int | None = None,
     jobs: int = 1,
     prior: Prior | None = None,
     phi: PhiWeights | None = None,
-    codebook: dict | None = None,
 ) -> dict:
     """Shared evaluation harness behind `eval` and `pipeline`.
 
-    ``methods`` holds the parsed ``--methods`` entries. The `top1` and
-    `removal` suites rank with the ``prior`` and ``phi`` the caller fitted
-    on the validation pairs. Each saliency config's test maps are made once
-    and shared by every suite that reads them; ``codebook`` is the
-    command's, as ``_maps`` takes it.
+    ``codes`` are those of the command's saliency config, whose maps the
+    `top1` and `removal` suites rank with the ``prior`` and ``phi`` the
+    caller fitted on the validation pairs. ``methods`` holds the parsed
+    ``--methods`` entries, whose curves reuse ``codes`` for that config
+    and build each other config's once. Each config's test maps are made
+    once and shared by every suite that reads them.
     """
     report: dict = {"schema_version": 1, "saliency": {}, "attribute": {}, "counts": {}}
     test_pairs = _test_pairs(dataset, suites, limit_pairs)
@@ -517,14 +507,13 @@ def run_eval(
 
     def maps_for(cfg: SaliencyConfig) -> list[SaliencyMap]:
         if cfg not in test_maps:
-            test_maps[cfg] = _maps(scorer, dataset, test_pairs, cfg, jobs, codebook)
+            cfg_codes = codes if cfg == codes.cfg else map_codes(cfg, *codes.shape)
+            test_maps[cfg] = _maps(scorer, dataset, test_pairs, cfg_codes, jobs)
         return test_maps[cfg]
 
     curve_suites = [(name, fn) for name, fn in (("insertion", insertion_curve), ("deletion", deletion_curve))
                     if name in suites]
-    for _, method, dual in (methods if curve_suites else []):
-        cfg = dataclasses.replace(saliency_cfg, method=method,
-                                  fixed_reference=saliency_cfg.fixed_reference and not dual)
+    for _, cfg in (methods if curve_suites else []):
 
         def curves(pair_map: tuple[Pair, SaliencyMap]) -> list[float]:
             pair, smap = pair_map
@@ -535,7 +524,7 @@ def run_eval(
         entry = {}
         for k, (name, _) in enumerate(curve_suites):
             entry[f"{name}_auc"], entry[f"{name}_stderr"] = mean_and_stderr([r[k] for r in results])
-        report["saliency"][f"{method.name.lower()}_{'fixed' if cfg.fixed_reference else 'dual'}"] = entry
+        report["saliency"][f"{cfg.method.name.lower()}_{'fixed' if cfg.fixed_reference else 'dual'}"] = entry
 
     if "map" in suites:
         report["attribute"]["map"] = map_metric(model, dataset, "test")
@@ -544,7 +533,7 @@ def run_eval(
         if prior is None or phi is None:
             raise InvalidArgumentError("the top1 and removal suites need a fitted prior and phi")
         report["attribute"]["phi"] = [phi.phi1, phi.phi2, phi.phi3]
-        test_features = pair_features(model, maps_for(saliency_cfg), dataset, test_pairs)
+        test_features = pair_features(model, maps_for(codes.cfg), dataset, test_pairs)
         full_attrs = test_features.top1(prior, phi).tolist()
         conf_attrs = test_features.top1(prior, CONFIDENCE_ONLY_PHI).tolist()
         rng = make_rng(seed, 77)
@@ -572,26 +561,26 @@ _SUITES = ["insertion", "deletion", "map", "top1", "removal"]
 
 
 def cmd_eval(args) -> dict:
-    methods = _parse_methods(args.methods)
+    saliency_cfg = run_config(args)["saliency"]
+    methods = _parse_methods(args.methods, saliency_cfg)
     dataset = load_dataset(args.dataset)
     model = load_model(args.model, dataset.dims, dataset.n_attributes)
-    saliency_cfg = run_config(args)["saliency"]
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     unknown = set(suites) - set(_SUITES)
     if unknown:
         raise ParseError(f"unknown suite(s): {', '.join(sorted(unknown))}")
+    codes = map_codes(saliency_cfg, *dataset.dims[:2])
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         prior = phi = None
-        codebook: dict = {}
         if {"top1", "removal"} & set(suites):
             estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"),
-                                             saliency_cfg, args.jobs, codebook=codebook)
+                                             codes, args.jobs)
             prior = estimate.prior
-        report = run_eval(dataset, model, scorer, saliency_cfg, suites, methods,
+        report = run_eval(dataset, model, scorer, codes, suites, methods,
                           seed=args.seed, insertion_step=args.insertion_step,
-                          limit_pairs=args.limit, jobs=args.jobs, prior=prior, phi=phi, codebook=codebook)
+                          limit_pairs=args.limit, jobs=args.jobs, prior=prior, phi=phi)
     _write_result(args, report, {"command": "eval", "saliency": _config_payload(saliency_cfg),
-                                 "suites": suites, "methods": [m[0] for m in methods], "seed": args.seed})
+                                 "suites": suites, "methods": [name for name, _ in methods], "seed": args.seed})
     return {"out": str(args.out), **report.get("attribute", {})}
 
 
@@ -653,50 +642,43 @@ def cmd_serve_stub(args) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    """synth -> scorer -> saliency bank -> train-attr -> fit-phi (prior, phi) -> eval."""
+    """synth -> scorer -> saliency bank -> train-attr -> fit-phi (prior, phi) -> eval,
+    every output written once the last of them is computed."""
     seed = args.seed
-    methods = _parse_methods(args.methods)
     run_cfg = run_config(args, synth={"n_images": args.n_images, "n_attributes": args.attributes},
                          saliency={"rise": {"n_masks": args.rise_masks}}, train={"epochs": args.epochs})
     spec, saliency_cfg, train_cfg = run_cfg["synth"], run_cfg["saliency"], run_cfg["train"]
+    methods = _parse_methods(args.methods, saliency_cfg)
     dataset = generate_dataset(spec)
-    # the refusals of the fit and of run_eval, before anything is written
+    # the refusals of the fit and of run_eval, before any work
     _require_labelled(_ground_truth(dataset, dataset.pairs_for_split("val")))
     _test_pairs(dataset, _SUITES, args.limit)
-    out = _make_out(args)
-    save_dataset(dataset, out / "dataset")
 
-    maps_dir = out / "maps"
-    maps_dir.mkdir(exist_ok=True)
+    # the bank: each train query's first k_maps pairs
     train_pairs = dataset.pairs_for_split("train")
-    per_query: dict[str, int] = {}
-    bank_pairs = []
-    for p in train_pairs:
-        if per_query.get(p.query_id, 0) >= train_cfg.k_maps:
-            continue
-        per_query[p.query_id] = per_query.get(p.query_id, 0) + 1
-        bank_pairs.append(p)
+    bank_pairs = [p for k, p in enumerate(train_pairs)
+                  if sum(q.query_id == p.query_id for q in train_pairs[:k]) < train_cfg.k_maps]
 
+    codes = map_codes(saliency_cfg, *dataset.dims[:2])
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
-        codebook: dict = {}
-        written = {}
-        for pair, smap in zip(bank_pairs, _maps(scorer, dataset, bank_pairs, saliency_cfg, args.jobs, codebook)):
-            name = f"{pair.query_id}__{pair.reference_id}.smap"
-            save_saliency(maps_dir / name, smap)
-            written[name] = (pair.query_id, smap)
-
+        written = {f"{pair.query_id}__{pair.reference_id}.smap": (pair.query_id, smap)
+                   for pair, smap in zip(bank_pairs, _maps(scorer, dataset, bank_pairs, codes, args.jobs))}
         bank: dict[str, list[SaliencyMap]] = {}
         for name in sorted(written):  # the order load_saliency_bank reads the files in
             query_id, smap = written[name]
             bank.setdefault(query_id, []).append(smap)
         model = train(dataset, bank, train_cfg)
-        save_model(out / "model.sane", model)
+        estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"), codes, args.jobs)
+        report = run_eval(dataset, model, scorer, codes, _SUITES, methods, seed=seed,
+                          limit_pairs=args.limit, jobs=args.jobs, prior=estimate.prior, phi=phi)
 
-        estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"), saliency_cfg,
-                                         args.jobs, codebook=codebook)
-        dump_json(out / "phi.json", _fit_payload(estimate, phi))
-        report = run_eval(dataset, model, scorer, saliency_cfg, _SUITES, methods, seed=seed,
-                          limit_pairs=args.limit, jobs=args.jobs, prior=estimate.prior, phi=phi, codebook=codebook)
+    out = _make_out(args)
+    save_dataset(dataset, out / "dataset")
+    (out / "maps").mkdir(exist_ok=True)
+    for name, (_, smap) in written.items():
+        save_saliency(out / "maps" / name, smap)
+    save_model(out / "model.sane", model)
+    dump_json(out / "phi.json", _fit_payload(estimate, phi))
     dump_json(out / "report.json", report)
     _echo_config(args, {
         "command": "pipeline",
@@ -704,7 +686,7 @@ def cmd_pipeline(args) -> dict:
         "spec": _config_payload(spec),
         "saliency": _config_payload(saliency_cfg),
         "train": _config_payload(train_cfg),
-        "methods": [m[0] for m in methods],
+        "methods": [name for name, _ in methods],
     })
     return {"out": str(out), "report": str(out / "report.json")}
 

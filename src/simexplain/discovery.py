@@ -155,8 +155,7 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
     def peaks_of(qi: int, ref_idx: list[int]) -> list[tuple[int, tuple[int, int]]]:
         """The peak bin and the upsampled argmax pixel of the map of query
         ``qi`` against each reference in ``ref_idx`` (image indices)."""
-        smaps = query_maps(scorer, [dataset.image(ids[ri]) for ri in ref_idx], dataset.image(ids[qi]),
-                           cfg.saliency, codes)
+        smaps = query_maps(scorer, [dataset.image(ids[ri]) for ri in ref_idx], dataset.image(ids[qi]), codes)
         return [(peak_bin(smap, cfg.peak_grid), divmod(int(np.argmax(resize_bilinear(smap.data, h, w))), w))
                 for smap in smaps]
 

@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import _as_image
-from .errors import InvalidArgumentError, TransportError, UnsupportedError
+from .errors import InvalidArgumentError, InvalidDataError, TransportError, UnsupportedError
 from .saliency import RiseMasks, _Pixels, _Selections, score_masked
 from .scorers import Embedding, Scorer, ScorerCaps
 
@@ -307,40 +307,35 @@ class ExternalScorer(Scorer):
     def _encode_image(self, image) -> str:
         return encode_f32(_as_image(image, self.dims))
 
-    def _scores(self, payload: dict, count: int) -> list:
-        """The ``count`` scores the peer answers ``payload`` with."""
-        got = self._call(payload).get("scores")
-        op = payload["op"]
-        if not isinstance(got, list) or len(got) != count:
-            raise TransportError(f"{op} returned {got!r} for a chunk of {count}")
-        bad = [s for s in got
-               if isinstance(s, bool) or not isinstance(s, (int, float)) or not -1.0 <= s <= 1.0]
-        if bad:
-            raise TransportError(f"{op} returned scores that are not numbers in [-1, 1]: {bad[:3]!r}")
-        return got
+    def _chunked_scores(self, head: dict, count: int, fields) -> np.ndarray:
+        """The scores of ``count`` items sent max_batch at a time: each
+        request is ``head`` and then ``fields(start, stop)``, built just
+        before it is sent (a RISE stack as base64 is ~100 MB)."""
+        scores = np.empty(count, dtype=np.float64)
+        step = self._caps.max_batch
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            got = self._call({**head, **fields(start, stop)}).get("scores")
+            if not isinstance(got, list) or len(got) != stop - start:
+                raise TransportError(f"{head['op']} returned {got!r} for a chunk of {stop - start}")
+            bad = [s for s in got
+                   if isinstance(s, bool) or not isinstance(s, (int, float)) or not -1.0 <= s <= 1.0]
+            if bad:
+                raise TransportError(f"{head['op']} returned scores that are not numbers in [-1, 1]: {bad[:3]!r}")
+            scores[start:stop] = got
+        return scores
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
-        ref_b64 = self._encode_image(ref)
-        scores = np.empty(len(queries), dtype=np.float64)
-        step = self._caps.max_batch
-        for start in range(0, len(queries), step):
-            # encode one chunk at a time: a RISE stack as base64 is ~100 MB
-            chunk = [self._encode_image(q) for q in queries[start:start + step]]
-            scores[start:start + len(chunk)] = self._scores(
-                {"op": "score_batch", "ref": ref_b64, "queries": chunk}, len(chunk))
-        return scores
+        return self._chunked_scores({"op": "score_batch", "ref": self._encode_image(ref)}, len(queries),
+                                    lambda start, stop: {"queries": [self._encode_image(q)
+                                                                     for q in queries[start:stop]]})
 
     def score_masks(self, ref, query, masks) -> np.ndarray:
         """Scores against ``ref`` of the query times each mask of a
-        ``score_masked`` code form, sent as codes max_batch at a time."""
+        ``score_masked`` code form, sent as codes."""
         head = {"op": "score_masks", "ref": self._encode_image(ref), "query": self._encode_image(query)}
-        scores = np.empty(len(masks), dtype=np.float64)
-        step = self._caps.max_batch
-        for start in range(0, len(masks), step):
-            stop = min(start + step, len(masks))
-            scores[start:stop] = self._scores({**head, "n": stop - start, **_mask_fields(masks, start, stop)},
-                                              stop - start)
-        return scores
+        return self._chunked_scores(head, len(masks),
+                                    lambda start, stop: {"n": stop - start, **_mask_fields(masks, start, stop)})
 
     def embed(self, image) -> Embedding:
         if not self._caps.can_embed:
@@ -383,8 +378,18 @@ class _ScoreOnly(Scorer):
         return self._inner.score_batch_flat(ref, rows)
 
 
-def _error_line(req_id: int, code: str, msg: str) -> str:
-    return json.dumps({"id": req_id, "error": {"code": code, "msg": msg}}, separators=(",", ":"))
+def _reply(req_id: int, **fields) -> str:
+    """One response line: the request's id, then ``fields``."""
+    return json.dumps({"id": req_id, **fields}, separators=(",", ":"))
+
+
+def _image_of(payload: str, dims: tuple[int, int, int]) -> np.ndarray:
+    """An image field of a request; one holding a NaN or inf is refused,
+    so no score computed from it can reach a reply."""
+    image = decode_f32(payload).reshape(dims)
+    if not np.all(np.isfinite(image)):
+        raise InvalidDataError("images must hold finite pixel values")
+    return image
 
 
 def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) -> str:
@@ -392,51 +397,43 @@ def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) 
         msg = json.loads(line)
         req_id = int(msg["id"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        return _error_line(0, "bad_input", "unparseable request line")
+        return _reply(0, error={"code": "bad_input", "msg": "unparseable request line"})
     if req_id <= last_id[0]:
-        return _error_line(req_id, "bad_input", f"ids must increase, got {req_id} after {last_id[0]}")
+        return _reply(req_id, error={"code": "bad_input", "msg": f"ids must increase, got {req_id} after {last_id[0]}"})
     last_id[0] = req_id
 
     op = msg.get("op")
-    h, w, c = scorer.dims
+    dims = scorer.dims
     try:
         if op == "hello":
             caps = ["score", "score_masks"] + (["embed"] if scorer.caps.can_embed else [])
-            return json.dumps(
-                {"id": req_id, "caps": caps, "max_batch": max_batch, "dims": [h, w, c]},
-                separators=(",", ":"),
-            )
+            return _reply(req_id, caps=caps, max_batch=max_batch, dims=list(dims))
         if op == "score_batch":
-            ref = decode_f32(msg["ref"]).reshape(h, w, c)
+            ref = _image_of(msg["ref"], dims)
             raw_queries = msg["queries"]
             if not isinstance(raw_queries, list):
                 raise InvalidArgumentError(f"queries must be a list, got {type(raw_queries).__name__}")
             if len(raw_queries) > max_batch:
                 raise InvalidArgumentError(f"batch of {len(raw_queries)} exceeds max_batch {max_batch}")
-            queries = [decode_f32(q).reshape(h, w, c) for q in raw_queries]
-            scores = scorer.score_batch(ref, queries)
-            return json.dumps({"id": req_id, "scores": [float(s) for s in scores]}, separators=(",", ":"))
+            scores = scorer.score_batch(ref, [_image_of(q, dims) for q in raw_queries])
+            return _reply(req_id, scores=[float(s) for s in scores])
         if op == "score_masks":
             n = msg["n"]
             if not _is_count(n) or n > max_batch:
                 raise InvalidArgumentError(f"mask count n must be an integer in [1, {max_batch}], got {n!r}")
-            masks = _masks_of(msg, n, (h, w))
-            ref, query = (decode_f32(msg[k]).reshape(h, w, c) for k in ("ref", "query"))
-            scores = score_masked(scorer, [ref], query, masks)
-            return json.dumps({"id": req_id, "scores": [float(s) for s in scores]}, separators=(",", ":"))
+            masks = _masks_of(msg, n, dims[:2])
+            ref, query = (_image_of(msg[k], dims) for k in ("ref", "query"))
+            return _reply(req_id, scores=[float(s) for s in score_masked(scorer, [ref], query, masks)])
         if op == "embed":
-            emb = scorer.embed(decode_f32(msg["image"]).reshape(h, w, c))
-            return json.dumps(
-                {"id": req_id, "dim": emb.dim, "data": encode_f32(emb.data)},
-                separators=(",", ":"),
-            )
-        return _error_line(req_id, "bad_input", f"unknown op {op!r}")
+            emb = scorer.embed(_image_of(msg["image"], dims))
+            return _reply(req_id, dim=emb.dim, data=encode_f32(emb.data))
+        raise InvalidArgumentError(f"unknown op {op!r}")
     except UnsupportedError as exc:
-        return _error_line(req_id, "unsupported", str(exc))
-    except (InvalidArgumentError, KeyError, ValueError) as exc:
-        return _error_line(req_id, "bad_input", str(exc))
+        return _reply(req_id, error={"code": "unsupported", "msg": str(exc)})
+    except (InvalidArgumentError, InvalidDataError, KeyError, ValueError) as exc:
+        return _reply(req_id, error={"code": "bad_input", "msg": str(exc)})
     except Exception as exc:  # pragma: no cover - defensive
-        return _error_line(req_id, "internal", str(exc))
+        return _reply(req_id, error={"code": "internal", "msg": str(exc)})
 
 
 def serve_stdio(scorer: Scorer, max_batch: int = 64) -> None:

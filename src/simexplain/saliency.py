@@ -2,16 +2,20 @@
 
 Four methods share one contract: perturb the query (and optionally the
 reference), read how the similarity score reacts, and aggregate the
-reactions into an importance grid over the query. ``query_maps`` is the
-entry point: it checks a query and its references against the scorer,
-runs the method the config names once for the query, and normalizes each
-reference's grid. ``generate`` is its one-reference case. The work that
-only the config and the image size decide (RISE's mask draw, grouped by
-crop offset as it is built; the occlusion windows; LIME's grid segments
-and selections; the dual-mode reference masks) is a ``MapCodes`` value
-from ``map_codes``: a caller making many maps builds it once per config
-and passes it in, and a lone call builds its own. Every map has the bits
-its pair gets alone.
+reactions into an importance grid over the query. A config travels as
+one ``MapCodes`` value from ``map_codes``: the config with the work that
+only it and the image size decide (RISE's mask draw, grouped by crop
+offset as it is built; the occlusion windows; LIME's grid segments and
+selections; the dual-mode reference masks). A caller making many maps
+builds it once per config; ``generate``, the one-pair case, builds its
+own. ``query_maps(scorer, refs, query, codes)`` is the entry point, and
+the three perturbation methods share its one skeleton: expand each
+reference into its variants, score the query's masks against all of them
+in one pass, give a reference whose scores are all equal the degenerate
+zero map, and hand every other reference's scores to the method's
+aggregation (RISE's weighted mask sum, the sliding window's drop average,
+LIME's Lasso surrogate). The learned mask is one Adam fit per pair. Every map has the
+bits its pair gets alone.
 
 * sliding window - regular occlusion windows, per-pixel drop averaging
 * RISE           - random low-res keep masks, score-weighted mask sum
@@ -165,6 +169,10 @@ class SaliencyConfig:
     lime: LimeCfg = field(default_factory=LimeCfg)
     mask: MaskCfg = field(default_factory=MaskCfg)
 
+    def __post_init__(self):
+        if self.method is Method.LIME and not self.fixed_reference:
+            raise UnsupportedError("the superpixel surrogate is defined for fixed-reference mode only")
+
 
 def _masked(image: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The (N, H, W, C) copies of an (H, W, C) image under (N, H, W) keep
@@ -222,28 +230,24 @@ def _score_refs(scorer: Scorer, ref_sets, query: np.ndarray, masks) -> list[np.n
     kernel_of = getattr(scorer, "keep_kernel", None)
     if kernel_of is not None:
         rows = masks.embed(kernel_of(query))
-        return [_score_each(scorer, ref_variants, lambda ref_v: scorer.score_batch_flat(ref_v, rows))
-                for ref_variants in ref_sets]
-    if scorer.caps.can_score_masks:
-        return [_score_each(scorer, ref_variants, lambda ref_v: scorer.score_masks(ref_v, query, masks))
-                for ref_variants in ref_sets]
-    return _score_blocks(scorer, list(ref_sets), query, len(masks), masks.block)
+        scores_against = lambda ref_v: scorer.score_batch_flat(ref_v, rows)
+    elif scorer.caps.can_score_masks:
+        scores_against = lambda ref_v: scorer.score_masks(ref_v, query, masks)
+    else:
+        return _score_blocks(scorer, list(ref_sets), query, masks)
+    # each set's scores summed in variant order
+    return [_finite_mean(scorer, sum(scores_against(ref_v) for ref_v in ref_variants), len(ref_variants))
+            for ref_variants in ref_sets]
 
 
-def _score_each(scorer: Scorer, ref_variants, scores_against) -> np.ndarray:
-    """Mean of the scores ``scores_against(ref_v)`` over the reference
-    variants, summed in their order."""
-    return _finite_mean(scorer, sum(scores_against(ref_v) for ref_v in ref_variants), len(ref_variants))
-
-
-def _score_blocks(scorer: Scorer, ref_sets: list, query: np.ndarray, n: int, block) -> list[np.ndarray]:
+def _score_blocks(scorer: Scorer, ref_sets: list, query: np.ndarray, masks) -> list[np.ndarray]:
     """Mean score, against each set of reference variants, of the masked
-    copies of the query under the N keep masks ``block(start, stop)``
-    gives, built ``_CHUNK`` at a time and each block scored against every
-    set before the next is built."""
-    totals = [np.zeros(n, dtype=np.float64) for _ in ref_sets]
-    for s in range(0, n, _CHUNK):
-        stack = _masked(query, block(s, s + _CHUNK))
+    copies of the query under the keep masks of the code form ``masks``,
+    built ``_CHUNK`` at a time and each block scored against every set
+    before the next is built."""
+    totals = [np.zeros(len(masks), dtype=np.float64) for _ in ref_sets]
+    for s in range(0, len(masks), _CHUNK):
+        stack = _masked(query, masks.block(s, s + _CHUNK))
         for total, ref_variants in zip(totals, ref_sets):
             for ref_v in ref_variants:
                 total[s:s + _CHUNK] += score_image_stack(scorer, ref_v, stack)
@@ -360,10 +364,6 @@ def sample_rise_masks(cfg: RiseCfg, height: int, width: int, seed: int,
     return RiseMasks.of_grids(grids, dy, dx, (height, width))
 
 
-def _degenerate_result(scores: np.ndarray) -> bool:
-    return scores.size > 0 and float(scores.max()) == float(scores.min())
-
-
 def _reference_keep(cfg: SaliencyConfig, height: int, width: int) -> np.ndarray:
     """The keep masks of the reference's dual-mode variants: RISE masks
     from their own stream, or the reference's occlusion windows."""
@@ -382,12 +382,11 @@ def _references(ref: np.ndarray, codes: MapCodes) -> list[np.ndarray]:
     return list(_masked(ref, codes.ref_keep))
 
 
-def _rise(scorer: Scorer, refs: list, query: np.ndarray, codes: MapCodes) -> list:
+def _rise(codes: MapCodes, query: np.ndarray):
     """Score-weighted average of random keep masks."""
     masks = codes.masks
-    all_scores = _score_refs(scorer, (_references(ref, codes) for ref in refs), query, masks)
-    return [None if _degenerate_result(scores) else masks.weighted_sum(scores) / (len(masks) * codes.cfg.rise.keep_prob)
-            for scores in all_scores]
+    scale = len(masks) * codes.cfg.rise.keep_prob
+    return masks, lambda scores: masks.weighted_sum(scores) / scale
 
 
 def _window_side(area_frac: float, height: int, width: int) -> int:
@@ -415,24 +414,22 @@ def _occlusion_keep(height: int, width: int, n_windows: int, area_frac: float) -
     return keep
 
 
-def _sliding_window(scorer: Scorer, refs: list, query: np.ndarray, codes: MapCodes) -> list:
+def _sliding_window(codes: MapCodes, query: np.ndarray):
     """Per-pixel similarity drop, averaged over every occlusion covering
     the pixel: saliency = s_full - mean(s_occluded)."""
     # the unoccluded query scores as the last row of the same stack
     occluded = ~codes.masks.keep[:-1]
     cover = occluded.sum(axis=0)
-    raws = []
-    for all_scores in _score_refs(scorer, (_references(ref, codes) for ref in refs), query, codes.masks):
-        if _degenerate_result(all_scores):
-            raws.append(None)
-            continue
-        base = float(all_scores[-1])
+
+    def aggregate(scores: np.ndarray) -> np.ndarray:
+        base = float(scores[-1])
         drop_sum = np.zeros(codes.shape)
-        for s_occ, window in zip(all_scores[:-1], occluded):
+        for s_occ, window in zip(scores[:-1], occluded):
             # one window at a time, so each pixel sums its drops in window order
             np.add(drop_sum, base - s_occ, out=drop_sum, where=window)
-        raws.append(np.divide(drop_sum, cover, out=np.zeros_like(drop_sum), where=cover > 0))
-    return raws
+        return np.divide(drop_sum, cover, out=np.zeros_like(drop_sum), where=cover > 0)
+
+    return codes.masks, aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -514,31 +511,25 @@ def _lime_selections(cfg: SaliencyConfig, segments: np.ndarray) -> _Selections:
     return _Selections(keep, segments)
 
 
-def _lime(scorer: Scorer, refs: list, query: np.ndarray, codes: MapCodes) -> list:
+def _lime(codes: MapCodes, query: np.ndarray):
     """Lasso surrogate over random superpixel deletions.
 
     The map paints each superpixel with its nonnegative-clipped
     regression coefficient; region selection beyond the painting is out
-    of scope. Fixed-reference only.
+    of scope. Fixed-reference only (``SaliencyConfig`` refuses dual mode).
     """
     cfg = codes.cfg
-    if not cfg.fixed_reference:
-        raise UnsupportedError("the superpixel surrogate is defined for fixed-reference mode only")
     selections = codes.masks
     if selections is None:  # the segments follow the query
         selections = _lime_selections(cfg, slic_like_segments(query, cfg.lime.n_segments))
-    keep, segments = selections.keep, selections.segments
-    X = keep - keep.mean(axis=0, keepdims=True)
-    raws = []
-    for scores in _score_refs(scorer, ([ref] for ref in refs), query, selections):
-        if _degenerate_result(scores):
-            raws.append(None)
-            continue
-        y = scores - scores.mean()
-        coef = lasso_coordinate_descent(X, y, alpha=cfg.lime.lasso_alpha * cfg.lime.n_samples,
+    X = selections.keep - selections.keep.mean(axis=0, keepdims=True)
+
+    def aggregate(scores: np.ndarray) -> np.ndarray:
+        coef = lasso_coordinate_descent(X, scores - scores.mean(), alpha=cfg.lime.lasso_alpha * cfg.lime.n_samples,
                                         max_sweeps=cfg.lime.max_sweeps)
-        raws.append(np.maximum(coef, 0.0)[segments])
-    return raws
+        return np.maximum(coef, 0.0)[selections.segments]
+
+    return selections, aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +686,6 @@ def _learn_mask(scorer: Scorer, ref: np.ndarray, query: np.ndarray, cfg: Salienc
     return 1.0 - _sigmoid(best_theta[: g * g].reshape(g, g))
 
 
-def _mask(scorer: Scorer, refs: list, query: np.ndarray, codes: MapCodes) -> list:
-    """The learned mask of each pair on its own: an Adam run per reference."""
-    return [_learn_mask(scorer, ref, query, codes.cfg) for ref in refs]
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -707,9 +693,10 @@ def _mask(scorer: Scorer, refs: list, query: np.ndarray, codes: MapCodes) -> lis
 
 @dataclass(frozen=True, eq=False)
 class MapCodes:
-    """The work of a saliency config that no image changes, for (H, W)
-    images. Built once by ``map_codes`` and shared by every map made under
-    the config, whatever the pair.
+    """A saliency config with the work of it that no image changes, for
+    (H, W) images: the one handle by which a map's config travels. Built
+    once by ``map_codes`` and shared by every map made under the config,
+    whatever the pair.
 
     ``masks`` are the query's keep masks as codes: RISE's ``RiseMasks``,
     grouped by offset; the occlusion windows and then the whole image as
@@ -739,40 +726,49 @@ def map_codes(cfg: SaliencyConfig, height: int, width: int) -> MapCodes:
     return MapCodes(cfg, (height, width), masks, _reference_keep(cfg, height, width) if dual else None)
 
 
-# Each returns, per reference, the raw importance grid, or None for a
-# degenerate (all-equal) score response.
-_GENERATORS = {
+# The perturbation methods. Each takes a config's codes and one query and
+# returns the query's keep masks as codes, with the function that turns one
+# reference's attributed scores into its raw importance grid; what only the
+# query decides is prepared there, once per query.
+_AGGREGATIONS = {
     Method.SLIDING_WINDOW: _sliding_window,
     Method.RISE: _rise,
     Method.LIME: _lime,
-    Method.MASK: _mask,
 }
 
 
-def query_maps(scorer: Scorer, refs, query, cfg: SaliencyConfig, codes: MapCodes | None = None) -> list[SaliencyMap]:
-    """The normalized saliency map of ``query`` against each of ``refs``
-    under the method ``cfg`` names, in order. The query's masked rows are
-    embedded once for all references. ``codes`` is ``map_codes(cfg, H, W)``
-    for the images' (H, W), built here when None. Each map has the bits
-    that ``generate`` gives its pair alone."""
+def query_maps(scorer: Scorer, refs, query, codes: MapCodes) -> list[SaliencyMap]:
+    """The normalized saliency map of ``query`` against each of ``refs``,
+    in order, under the config of ``codes``, which must be built for the
+    images' (H, W). A perturbation method scores the query's masks against
+    every reference in one pass, its masked rows embedded once, and
+    aggregates each reference's scores; an all-equal response is the
+    degenerate zero map. The learned mask runs one Adam fit per pair. Each
+    map has the bits that ``generate`` gives its pair alone."""
     refs = [_as_image(ref, scorer.dims) for ref in refs]
     query = _as_image(query, scorer.dims)
-    if codes is None:
-        codes = map_codes(cfg, *query.shape[:2])
-    elif codes.cfg != cfg or codes.shape != query.shape[:2]:
-        raise InvalidArgumentError("the map codes were built for another config or image size")
-    raws = _GENERATORS[cfg.method](scorer, refs, query, codes)
-    return [SaliencyMap(normalize_map(np.zeros(query.shape[:2]) if raw is None else raw),
-                        method=cfg.method, fixed_reference=cfg.fixed_reference, normalized=True)
+    if codes.shape != query.shape[:2]:
+        raise InvalidArgumentError("the map codes were built for another image size")
+    cfg = codes.cfg
+    if cfg.method is Method.MASK:
+        raws = [_learn_mask(scorer, ref, query, cfg) for ref in refs]
+    else:
+        masks, aggregate = _AGGREGATIONS[cfg.method](codes, query)
+        all_scores = _score_refs(scorer, (_references(ref, codes) for ref in refs), query, masks)
+        # an all-equal score response carries no signal: the zero map
+        raws = [np.zeros(codes.shape) if scores.max() == scores.min() else aggregate(scores)
+                for scores in all_scores]
+    return [SaliencyMap(normalize_map(raw), method=cfg.method, fixed_reference=cfg.fixed_reference, normalized=True)
             for raw in raws]
 
 
 def generate(scorer: Scorer, ref, query, cfg: SaliencyConfig) -> SaliencyMap:
     """The normalized saliency map of ``query`` against ``ref`` under the
-    method ``cfg`` names: ``query_maps`` of one reference. Deterministic in
-    (seed, cfg, scorer, images); an all-equal score response yields the
-    degenerate zero map rather than an error."""
-    [smap] = query_maps(scorer, [ref], query, cfg)
+    method ``cfg`` names: ``query_maps`` of one reference, with codes built
+    for the scorer's image size. Deterministic in (seed, cfg, scorer,
+    images); an all-equal score response yields the degenerate zero map
+    rather than an error."""
+    [smap] = query_maps(scorer, [ref], query, map_codes(cfg, *scorer.dims[:2]))
     return smap
 
 

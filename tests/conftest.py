@@ -59,11 +59,12 @@ def maps_of(dataset, scorer, pairs, cfg):
 
 
 def assert_query_maps_equal_single_pairs(scorer, refs, query, cfg):
-    """query_maps of a group, and of its last reference alone with codes
-    built once, give each map the bytes generate gives its pair."""
+    """query_maps of a group, and of its last reference alone with the
+    same codes, give each map the bytes generate gives its pair."""
     want = [se.generate(scorer, ref, query, cfg) for ref in refs]
-    got = query_maps(scorer, refs, query, cfg)
-    [alone] = query_maps(scorer, refs[-1:], query, cfg, map_codes(cfg, *query.shape[:2]))
+    codes = map_codes(cfg, *query.shape[:2])
+    got = query_maps(scorer, refs, query, codes)
+    [alone] = query_maps(scorer, refs[-1:], query, codes)
     for smap, single in zip([*got, alone], [*want, want[-1]]):
         assert smap.data.tobytes() == single.data.tobytes()
         assert (smap.method, smap.fixed_reference, smap.degenerate) == (

@@ -521,8 +521,10 @@ class TestCliPlumbing:
         code = main([*argv, "--dataset", str(data / "manifest.json"), "--seed", "2", "--config", str(cfg),
                      "--scorer", "external", "--external-cmd", stub])
         assert code == 2
-        assert len(spawned) == 1
-        assert spawned[0].poll() is not None  # the stub child was shut down
+        # LIME in dual mode is refused as its config is built, before the
+        # stub starts; discover fails once the stub is running
+        assert len(spawned) == (command[0] == "discover")
+        assert all(proc.poll() is not None for proc in spawned)  # the stub child was shut down
 
     def test_discover_needs_an_embedding_scorer_and_closes_it(self, spawned, tmp_path, capsys):
         data = tmp_path / "d"
@@ -548,6 +550,28 @@ class TestCliPlumbing:
         assert code == 2
         err = capsys.readouterr().err
         assert "keep_kernel" in err and "fd_fallback" not in err
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None  # the stub child was shut down
+
+    @pytest.mark.parametrize("stub_flags, config, message", [
+        (["--no-embed"], {"saliency": {"rise": {"n_masks": 20}, "sliding": {"windows_query": 9, "windows_ref": 4}}},
+         "embedding-capable"),
+        ([], {"saliency": {"method": "mask"}}, "keep_kernel"),
+    ], ids=["removal-needs-embed", "mask-needs-keep-kernel"])
+    def test_pipeline_refused_late_writes_nothing(self, stub_flags, config, message, spawned, tmp_path, capsys):
+        """pipeline writes its outputs only after its last computation, so a
+        refusal at the removal suite or at the first bank map leaves no run
+        directory, and the stub child is shut down."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        stub = shlex.join([sys.executable, "-m", "simexplain", "serve-stub", *stub_flags])
+        out = tmp_path / "run"
+        code = main(["pipeline", "--n-images", "16", "--attributes", "3", "--epochs", "2", "--rise-masks", "20",
+                     "--methods", "sliding_window", "--limit", "1", "--seed", "3", "--jobs", "1",
+                     "--config", str(cfg), "--scorer", "external", "--external-cmd", stub, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
         assert len(spawned) == 1
         assert spawned[0].poll() is not None  # the stub child was shut down
 
@@ -758,9 +782,9 @@ class TestCliPlumbing:
         per-query call, and one per single-pair call."""
         made = []
         for module in (cli, se_discovery):
-            def recording(scorer, refs, query, cfg, codes=None, _real=module.query_maps):
-                made.extend((ref.data.tobytes(), query.data.tobytes(), cfg) for ref in refs)
-                return _real(scorer, refs, query, cfg, codes)
+            def recording(scorer, refs, query, codes, _real=module.query_maps):
+                made.extend((ref.data.tobytes(), query.data.tobytes(), codes.cfg) for ref in refs)
+                return _real(scorer, refs, query, codes)
 
             monkeypatch.setattr(module, "query_maps", recording)
 
@@ -817,7 +841,7 @@ class TestCliPlumbing:
         scorer = KernelCounter(se.motif_scorer_for(ds, seed=3))
         cfg = build_config(se.SaliencyConfig, {"method": method, "sliding": {"windows_query": 9},
                                                "rise": {"n_masks": 20}, "lime": {"n_samples": 40}}, "saliency", seed=3)
-        maps = cli._maps(scorer, ds, pairs, cfg, 2)
+        maps = cli._maps(scorer, ds, pairs, se_saliency.map_codes(cfg, *ds.dims[:2]), 2)
         assert sorted(scorer.kernels) == sorted(ds.image(q).data.astype(np.float64).tobytes() for q in queries)
         assert [m.data.tobytes() for m in maps] == [
             se.generate(scorer, ds.image(p.reference_id), ds.image(p.query_id), cfg).data.tobytes() for p in pairs]
@@ -844,6 +868,30 @@ class TestCliPlumbing:
         assert main([*argv, "--methods", methods, "--jobs", "1", "--out", str(out)]) == 2
         assert made == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [
+        (["pipeline", "--methods", "rise,lime_dual"], {}),
+        (["pipeline"], {"saliency": {"method": "lime", "fixed_reference": False}}),
+        (["eval", "--methods", "lime_dual"], {}),
+    ], ids=["pipeline-methods", "pipeline-config", "eval-methods"])
+    def test_lime_dual_is_refused_before_any_work(self, command, config, cli_workspace, tmp_path, monkeypatch,
+                                                  capsys):
+        """LIME in dual mode is refused as its config is built: no scorer,
+        no map and no file comes first."""
+        _, manifest, _, model = cli_workspace
+        made = self._record_maps(monkeypatch)
+        scorers = []
+        make_scorer = cli.make_scorer
+        monkeypatch.setattr(cli, "make_scorer", lambda *a: scorers.append(a) or make_scorer(*a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = {"pipeline": ["--n-images", "16", "--attributes", "3", "--epochs", "2"],
+                "eval": ["--dataset", str(manifest), "--model", str(model), "--scorer", "motif"]}[command[0]]
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main([*command, *argv, "--jobs", "1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "fixed-reference mode only" in capsys.readouterr().err
+        assert made == [] and scorers == [] and not out.exists()
 
     @pytest.mark.parametrize("curve_suite", ["insertion", "deletion"])
     def test_eval_scores_only_the_curves_it_reports(self, curve_suite, cli_workspace, tmp_path, monkeypatch):
@@ -934,10 +982,11 @@ class TestCliPlumbing:
         scorer = cli.make_scorer("motif", ds, 11)
         cfg = build_config(se.SaliencyConfig, {"method": "sliding_window",
                                                "sliding": {"windows_query": 9, "windows_ref": 4}}, "saliency", seed=11)
+        codes = se_saliency.map_codes(cfg, *ds.dims[:2])
         prior, phi = se.Prior.uniform(ds.n_attributes), se.PhiWeights()
-        report = cli.run_eval(ds, model, scorer, cfg, ["top1"], [], seed=11, limit_pairs=4, jobs=1,
+        report = cli.run_eval(ds, model, scorer, codes, ["top1"], [], seed=11, limit_pairs=4, jobs=1,
                               prior=prior, phi=phi)
-        features = se_explain.pair_features(model, cli._maps(scorer, ds, pairs, cfg, 1), ds, pairs)
+        features = se_explain.pair_features(model, cli._maps(scorer, ds, pairs, codes, 1), ds, pairs)
         hits = int(features.gt[np.arange(len(pairs)), features.top1(prior, phi)].sum())
         n_labelled = sum(p.query_id != pairs[0].query_id for p in pairs)
         assert 0 < n_labelled < len(pairs) and hits > 0

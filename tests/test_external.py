@@ -15,7 +15,7 @@ from simexplain.external import ExternalScorer, _ScoreOnly, _encode_bits, _handl
 from simexplain.metrics import deletion_curve, insertion_curve
 from simexplain.saliency import LimeCfg, RiseCfg, SaliencyConfig, SlidingCfg, score_masked
 
-from conftest import assert_query_maps_equal_single_pairs
+from conftest import ConstantScorer, assert_query_maps_equal_single_pairs
 
 DIMS = (10, 10, 3)
 
@@ -258,6 +258,33 @@ class TestServerValidation:
         out = self._call(wrapped, json.dumps(
             {"id": 1, "op": "embed", "image": encode_f32(rng.random(DIMS))}), [0])
         assert out["error"]["code"] == "unsupported"
+
+    @staticmethod
+    def _strict(line: str) -> dict:
+        """A reply parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+        def refuse(constant):
+            raise AssertionError(f"reply is not JSON: it holds {constant}")
+        return json.loads(line, parse_constant=refuse)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("op, field", [("score_batch", "ref"), ("score_batch", "queries"),
+                                           ("score_masks", "ref"), ("score_masks", "query"), ("embed", "image")])
+    def test_non_finite_image_is_bad_input(self, reference, rng, op, field, value):
+        good = encode_f32(rng.random(DIMS))
+        image = rng.random(DIMS)
+        image[4, 7, 1] = value
+        bad = encode_f32(image)
+        request = {"score_batch": {"id": 1, "op": op, "ref": good, "queries": [good, good]},
+                   "score_masks": json.loads(masks_request("bits")),
+                   "embed": {"id": 1, "op": op, "image": good}}[op]
+        request[field] = [good, bad] if field == "queries" else bad
+        out = self._strict(_handle_line(json.dumps(request), reference, 8, [0]))
+        assert out["error"]["code"] == "bad_input" and "finite" in out["error"]["msg"], out
+
+    def test_non_finite_scores_are_bad_input(self):
+        # a scorer whose scores are NaN makes score_masked raise InvalidDataError
+        out = self._strict(_handle_line(masks_request("bits"), ConstantScorer(DIMS, value=float("nan")), 8, [0]))
+        assert out["error"]["code"] == "bad_input" and "non-finite" in out["error"]["msg"], out
 
 
 class TestClientValidation:
