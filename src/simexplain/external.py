@@ -17,7 +17,7 @@ connection; the peer answers every request with the same id, in order.
 keep masks, 1 <= n <= max_batch, sent as the codes ``saliency`` holds
 them in; the peer rebuilds the code form and runs ``score_masked`` on it,
 so a peer with ``keep_kernel`` never builds a masked copy. Bits are
-``np.packbits`` of the C-order array, base64-encoded. The three forms:
+``np.packbits`` of the C-order array, base64-encoded. The five forms:
 
     "form":"pixels","bits":"<b64 bits of (n,H,W)>"  boolean masks
     "form":"pixels","keep":"<b64 f32 (n,H,W)>"      other masks, in [0, 1]
@@ -26,8 +26,17 @@ so a peer with ``keep_kernel`` never builds a masked copy. Bits are
         dy[i] in [0, ceil(H/g)) and column offset dx[i] in [0, ceil(W/g))
     "form":"selections","s":S,"keep":"<b64 bits of (n,S)>","segments":[...]
         superpixel choices over H*W segment labels in [0, S)
+    "form":"boxes","top":[...],"bottom":[...],"left":[...],"right":[...]
+        mask i keeps all but rows top[i]:bottom[i] of columns
+        left[i]:right[i], with 0 <= top <= bottom <= H and
+        0 <= left <= right <= W; an empty box keeps the whole image
+    "form":"nested","order":[...],"counts":[...],"insertion":true|false
+        mask i keeps the first counts[i] in [0, H*W] pixels of ``order``,
+        a permutation of the H*W raster indices (insertion), or all the
+        others (deletion)
 
-A field of the wrong size, type or range is answered with ``bad_input``.
+Index lists hold JSON integers, never booleans. A field that is missing
+or of the wrong size, type or range is answered with ``bad_input``.
 
 The client retries a request exactly once, and only after a transport
 failure (dead pipe, truncated line, missed deadline); error responses are
@@ -57,10 +66,12 @@ import numpy as np
 
 from .core import _as_image
 from .errors import InvalidArgumentError, InvalidDataError, TransportError, UnsupportedError
-from .saliency import RiseMasks, _Pixels, _Selections, score_masked
+from .saliency import RiseMasks, _Boxes, _Nested, _Pixels, _Selections, score_masked
 from .scorers import Embedding, Scorer, ScorerCaps
 
 _DEADLINE_S = 60.0
+# the index lists of the "boxes" form, in the order of _Boxes' fields
+_BOX_SIDES = ("top", "bottom", "left", "right")
 
 
 def encode_f32(arr: np.ndarray) -> str:
@@ -98,11 +109,20 @@ def _decode_bits(payload: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _index_list(value, size: int, stop: int, name: str) -> np.ndarray:
-    """A JSON list of ``size`` integers in [0, stop)."""
-    arr = np.asarray(value) if isinstance(value, list) else np.empty(0)
-    if arr.shape != (size,) or arr.dtype.kind != "i" or arr.min() < 0 or arr.max() >= stop:
+    """A JSON list of ``size`` integers in [0, stop); a bool is no integer."""
+    ints = isinstance(value, list) and len(value) == size and set(map(type, value)) == {int}
+    # an integer beyond int64 makes an object or uint64 array
+    arr = np.array(value) if ints else np.empty(0)
+    if arr.dtype.kind != "i" or arr.min() < 0 or arr.max() >= stop:
         raise InvalidArgumentError(f"{name} must be a list of {size} integers in [0, {stop})")
     return arr.astype(np.intp)
+
+
+def _field(msg: dict, name: str):
+    """A field of a mask form; a missing one is bad input."""
+    if name not in msg:
+        raise InvalidArgumentError(f"the mask form has no {name!r} field")
+    return msg[name]
 
 
 def _mask_fields(masks, start: int, stop: int) -> dict:
@@ -113,6 +133,11 @@ def _mask_fields(masks, start: int, stop: int) -> dict:
     if isinstance(masks, _Selections):
         return {"form": "selections", "s": masks.keep.shape[1], "keep": _encode_bits(masks.keep[start:stop]),
                 "segments": masks.segments.ravel().tolist()}
+    if isinstance(masks, _Boxes):
+        return {"form": "boxes", **{side: getattr(masks, side)[start:stop].tolist() for side in _BOX_SIDES}}
+    if isinstance(masks, _Nested):
+        return {"form": "nested", "order": masks.order.tolist(), "counts": masks.counts[start:stop].tolist(),
+                "insertion": masks.insertion}
     keep = masks.block(start, stop)
     if keep.dtype == bool:
         return {"form": "pixels", "bits": _encode_bits(keep)}
@@ -123,10 +148,25 @@ def _masks_of(msg: dict, n: int, shape: tuple[int, int]):
     """The code form of a ``score_masks`` request's n masks."""
     h, w = shape
     form = msg.get("form")
+    if form == "boxes":
+        top, bottom = (_index_list(_field(msg, side), n, h + 1, side) for side in _BOX_SIDES[:2])
+        left, right = (_index_list(_field(msg, side), n, w + 1, side) for side in _BOX_SIDES[2:])
+        if np.any(bottom < top) or np.any(right < left):
+            raise InvalidArgumentError("a box must not end before it starts")
+        return _Boxes(top, bottom, left, right, shape)
+    if form == "nested":
+        order = _index_list(_field(msg, "order"), h * w, h * w, "order")
+        if np.any(np.bincount(order, minlength=h * w) != 1):
+            raise InvalidArgumentError(f"order must be a permutation of the {h * w} pixel indices")
+        counts = _index_list(_field(msg, "counts"), n, h * w + 1, "counts")
+        insertion = _field(msg, "insertion")
+        if not isinstance(insertion, bool):
+            raise InvalidArgumentError(f"insertion must be true or false, got {insertion!r}")
+        return _Nested(order, counts, insertion, shape)
     if form == "pixels" and "bits" in msg:
         return _Pixels(_decode_bits(msg["bits"], (n, h, w)), shape)
     if form == "pixels":
-        keep = decode_f32(msg["keep"])
+        keep = decode_f32(_field(msg, "keep"))
         if keep.size != n * h * w:
             raise InvalidArgumentError(f"f32 masks carry {keep.size} values, not {n} x {h} x {w}")
         # NaN fails both comparisons
@@ -134,18 +174,18 @@ def _masks_of(msg: dict, n: int, shape: tuple[int, int]):
             raise InvalidArgumentError("f32 masks must be finite and in [0, 1]")
         return _Pixels(keep.reshape(n, h, w), shape)
     if form == "rise":
-        g = msg["g"]
+        g = _field(msg, "g")
         if not _is_count(g) or g > max(h, w):
             raise InvalidArgumentError(f"RISE grid g must be an integer in [1, {max(h, w)}], got {g!r}")
-        dy = _index_list(msg["dy"], n, math.ceil(h / g), "dy")
-        dx = _index_list(msg["dx"], n, math.ceil(w / g), "dx")
-        return RiseMasks.of_grids(_decode_bits(msg["grids"], (n, g, g)).astype(np.float64), dy, dx, shape)
+        dy = _index_list(_field(msg, "dy"), n, math.ceil(h / g), "dy")
+        dx = _index_list(_field(msg, "dx"), n, math.ceil(w / g), "dx")
+        return RiseMasks.of_grids(_decode_bits(_field(msg, "grids"), (n, g, g)).astype(np.float64), dy, dx, shape)
     if form == "selections":
-        s = msg["s"]
+        s = _field(msg, "s")
         if not _is_count(s) or s > h * w:
             raise InvalidArgumentError(f"segment count s must be an integer in [1, {h * w}], got {s!r}")
-        segments = _index_list(msg["segments"], h * w, s, "segments").reshape(h, w)
-        return _Selections(_decode_bits(msg["keep"], (n, s)), segments)
+        segments = _index_list(_field(msg, "segments"), h * w, s, "segments").reshape(h, w)
+        return _Selections(_decode_bits(_field(msg, "keep"), (n, s)), segments)
     raise InvalidArgumentError(f"unknown mask form {form!r}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Curve, Dataset, Pair, _as_grid, _as_image, resize_bilinear, trapezoid_auc
 from .errors import InvalidArgumentError
-from .saliency import score_masked
+from .saliency import _Nested, score_masked
 from .scorers import Scorer, cosine
 
 log = logging.getLogger(__name__)
@@ -60,14 +60,10 @@ def _composite_curve(
     zeroed (deletion) at each step of the sweep."""
     query_arr = _as_image(query, scorer.dims)
     h, w, _ = query_arr.shape
-    rank = np.empty(h * w, dtype=np.intp)
-    rank[_pixel_order(smap, h, w)] = np.arange(h * w)
     fractions = _step_fractions(step_frac)
-    # selected[k, p]: pixel p is among the top round(fractions[k] * h * w)
-    selected = rank[None, :] < np.rint(fractions * h * w).astype(np.intp)[:, None]
-    keep = selected if keep_selected else ~selected
-    raw = score_masked(scorer, [ref], query_arr, keep.reshape(fractions.size, h, w))
-    return _curve_from_raw(fractions, raw)
+    # step k selects the top round(fractions[k] * h * w) pixels
+    steps = _Nested(_pixel_order(smap, h, w), np.rint(fractions * h * w).astype(np.intp), keep_selected, (h, w))
+    return _curve_from_raw(fractions, score_masked(scorer, [ref], query_arr, steps))
 
 
 def insertion_curve(scorer: Scorer, ref, query, smap, step_frac: float = 0.01) -> Curve:

@@ -29,18 +29,22 @@ as in fixed mode (fixed mode is the M=1 identity special case).
 
 Sliding window, RISE, LIME and the insertion/deletion curves in
 ``metrics`` perturb an image one way: ``score_masked`` scores the query
-times keep masks held as codes over a basis. A RISE mask is a g x g 0/1
-grid upsampled and cropped at one of ceil(H/g) * ceil(W/g) offsets
+times keep masks held as codes. A RISE mask is a g x g 0/1 grid
+upsampled and cropped at one of ceil(H/g) * ceil(W/g) offsets
 (``RiseMasks``), a LIME sample a choice of superpixels (``_Selections``),
-an occlusion window or curve step an (H, W) mask over the pixels
-(``_Pixels``). A scorer with ``keep_kernel`` is linear in the keep mask,
-so a masked query embeds to its code times a kernel made from the query's
-keep kernel: one (D, g*g) kernel per RISE offset, one (S, D) kernel for
-the superpixels, the keep kernel itself for pixels. No masked copy exists,
-and the (N, D) rows, embedded once per query, are scored against each
-reference manipulation of each reference, so dual mode does fixed mode's
-scorer work plus M reference embeddings per map. A scorer whose caps say
-``can_score_masks`` (an external peer) is sent the codes themselves, one
+an occlusion window the whole image less one box (``_Boxes``), a curve
+step a prefix or the rest of one pixel order (``_Nested``), and any other
+mask an (H, W) array over the pixels (``_Pixels``). A scorer with
+``keep_kernel`` is linear in the keep mask, so a masked query embeds from
+the query's (D, H*W) keep kernel G alone: through one (D, g*g) kernel per
+RISE offset, one (S, D) kernel for the superpixels, four lookups per box
+in one summed-area table of G, a prefix (insertion) or suffix (deletion)
+sum of G's columns in the pixel order per curve step, and G itself for
+pixels. No masked copy exists, and the (N, D) rows, embedded once per
+query, are scored against each reference manipulation of each reference,
+so dual mode does fixed mode's scorer work plus M reference embeddings
+per map. A scorer whose caps say ``can_score_masks`` (an external peer)
+is sent the codes themselves, each form in its own wire form, one
 request stream per reference manipulation, and runs this same
 ``score_masked`` on its side. Any other scorer (score-only, or a peer
 without that request) gets blocks of ``_CHUNK`` masked copies built from
@@ -54,9 +58,9 @@ through the keep kernel, and its Adam steps call no scorer (see
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +91,13 @@ class SlidingCfg:
     def __post_init__(self):
         if self.windows_query < 1 or self.windows_ref < 1:
             raise InvalidArgumentError("window counts must be >= 1")
+        # the windows lie on a square lattice of origins
+        for name in ("windows_query", "windows_ref"):
+            n = getattr(self, name)
+            root = math.isqrt(n)
+            if root * root != n:
+                raise InvalidArgumentError(f"{name} must be a square number, such as {root * root} or "
+                                           f"{(root + 1) ** 2}, got {n}")
         if not 0.0 < self.window_area_frac < 1.0:
             raise InvalidArgumentError("window_area_frac must lie in (0, 1)")
 
@@ -208,10 +219,95 @@ class _Pixels:
         return _with_norms(emb)
 
 
+@dataclass(frozen=True, eq=False)
+class _Boxes:
+    """Keep masks that drop one box each: mask n keeps every pixel but rows
+    top[n]:bottom[n] of columns left[n]:right[n]. An empty box keeps the
+    whole image."""
+
+    top: np.ndarray     # (N,) in [0, H], each <= bottom
+    bottom: np.ndarray  # (N,) in [0, H]
+    left: np.ndarray    # (N,) in [0, W], each <= right
+    right: np.ndarray   # (N,) in [0, W]
+    shape: tuple[int, int]
+
+    def __len__(self) -> int:
+        return self.top.shape[0]
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Masks start..stop as (n, H, W) boolean keep masks."""
+        boxes = list(zip(self.top[start:stop], self.bottom[start:stop], self.left[start:stop], self.right[start:stop]))
+        keep = np.ones((len(boxes), *self.shape), dtype=bool)
+        for k, (t, b, l, r) in enumerate(boxes):
+            keep[k, t:b, l:r] = False
+        return keep
+
+    @cached_property
+    def cover(self) -> np.ndarray:
+        """(H, W) count of the boxes holding each pixel."""
+        h, w = self.shape
+        # a 2-D difference array of the box corners, summed back up
+        corners = np.zeros((h + 1, w + 1), dtype=np.intp)
+        for rows, cols, sign in ((self.top, self.left, 1), (self.top, self.right, -1),
+                                 (self.bottom, self.left, -1), (self.bottom, self.right, 1)):
+            np.add.at(corners, (rows, cols), sign)
+        return corners.cumsum(axis=0).cumsum(axis=1)[:h, :w]
+
+    def embed(self, keep_kernel: np.ndarray) -> EmbeddedRows:
+        """The rows of the masked queries, from the query's (D, H*W) keep
+        kernel G: the whole image's row minus the box's sum of G, four
+        lookups in one summed-area table of G (Crow, SIGGRAPH 1984)."""
+        h, w = self.shape
+        table = np.zeros((h + 1, w + 1, keep_kernel.shape[0]))
+        # table[y, x] sums G over the pixels above y and left of x
+        table[1:, 1:] = keep_kernel.T.reshape(h, w, -1).cumsum(axis=0).cumsum(axis=1)
+        t, b, l, r = self.top, self.bottom, self.left, self.right
+        # differences of rows first: a box whose rows or whose columns hold
+        # no weight of G sums to exactly 0, and its row is the whole image's
+        box = (table[b, r] - table[b, l]) - (table[t, r] - table[t, l])
+        return _with_norms(table[h, w] - box)
+
+
+@dataclass(frozen=True, eq=False)
+class _Nested:
+    """The steps of an insertion or deletion curve: step n keeps the first
+    counts[n] pixels of ``order`` (insertion) or all the others
+    (deletion)."""
+
+    order: np.ndarray   # (H*W,) a permutation of the raster pixel indices
+    counts: np.ndarray  # (N,) in [0, H*W]
+    insertion: bool
+    shape: tuple[int, int]
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Steps start..stop as (n, H, W) boolean keep masks."""
+        rank = np.empty(self.order.size, dtype=np.intp)
+        rank[self.order] = np.arange(self.order.size)
+        selected = rank[None, :] < self.counts[start:stop, None]
+        return (selected if self.insertion else ~selected).reshape(-1, *self.shape)
+
+    def embed(self, keep_kernel: np.ndarray) -> EmbeddedRows:
+        """The rows of the masked queries, from the query's (D, H*W) keep
+        kernel G: prefix sums of G's columns in ``order`` for insertion,
+        suffix sums for deletion, so an empty step is exactly 0."""
+        cols = keep_kernel.T[self.order]
+        # sums[k]: the sum of the kept pixels of a step of count k
+        sums = np.zeros((cols.shape[0] + 1, cols.shape[1]))
+        if self.insertion:
+            np.cumsum(cols, axis=0, out=sums[1:])
+        else:
+            np.cumsum(cols[::-1], axis=0, out=sums[-2::-1])
+        return _with_norms(sums[self.counts])
+
+
 def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, masks) -> np.ndarray:
     """Attributed score of the query times each keep mask: the mean of its
     scores against the reference variants. ``masks`` is a code form
-    (``RiseMasks``, ``_Selections``) or an (N, H, W) array (``_Pixels``).
+    (``RiseMasks``, ``_Selections``, ``_Boxes``, ``_Nested``) or an
+    (N, H, W) array (``_Pixels``).
     A scorer with ``keep_kernel`` embeds the codes, and one whose caps say
     ``can_score_masks`` (an external peer) is sent them; any other scorer
     scores blocks of ``_CHUNK`` masked copies."""
@@ -402,34 +498,39 @@ def _window_origins(extent: int, side: int, n: int) -> np.ndarray:
     return np.rint(np.arange(n) * ((extent - side) / (n - 1))).astype(np.intp)
 
 
-def _occlusion_keep(height: int, width: int, n_windows: int, area_frac: float) -> np.ndarray:
-    """Boolean keep masks of square occlusions, one per window of a
-    regular origin lattice, in raster order."""
-    g = max(int(round(math.sqrt(n_windows))), 1)
+def _occlusion_boxes(height: int, width: int, n_windows: int, area_frac: float) -> _Boxes:
+    """Square occlusions, one per window of a regular origin lattice of
+    ``n_windows`` (a square) origins, in raster order, and then the empty
+    box of the unoccluded image."""
+    g = math.isqrt(n_windows)
     side = _window_side(area_frac, height, width)
-    keep = np.ones((g * g, height, width), dtype=bool)
-    origins = itertools.product(_window_origins(height, side, g), _window_origins(width, side, g))
-    for k, (r, c) in enumerate(origins):
-        keep[k, r:r + side, c:c + side] = False
-    return keep
+    top, left = (o.ravel() for o in np.meshgrid(_window_origins(height, side, g), _window_origins(width, side, g),
+                                                 indexing="ij"))
+    return _Boxes(np.append(top, 0), np.append(top + side, 0), np.append(left, 0), np.append(left + side, 0),
+                  (height, width))
+
+
+def _occlusion_keep(height: int, width: int, n_windows: int, area_frac: float) -> np.ndarray:
+    """Boolean keep masks of the square occlusions of ``_occlusion_boxes``."""
+    boxes = _occlusion_boxes(height, width, n_windows, area_frac)
+    return boxes.block(0, len(boxes) - 1)
 
 
 def _sliding_window(codes: MapCodes, query: np.ndarray):
     """Per-pixel similarity drop, averaged over every occlusion covering
     the pixel: saliency = s_full - mean(s_occluded)."""
-    # the unoccluded query scores as the last row of the same stack
-    occluded = ~codes.masks.keep[:-1]
-    cover = occluded.sum(axis=0)
+    boxes = codes.masks
 
     def aggregate(scores: np.ndarray) -> np.ndarray:
+        # the unoccluded query scores as the last row, an empty box
         base = float(scores[-1])
         drop_sum = np.zeros(codes.shape)
-        for s_occ, window in zip(scores[:-1], occluded):
+        for s_occ, t, b, l, r in zip(scores[:-1], boxes.top, boxes.bottom, boxes.left, boxes.right):
             # one window at a time, so each pixel sums its drops in window order
-            np.add(drop_sum, base - s_occ, out=drop_sum, where=window)
-        return np.divide(drop_sum, cover, out=np.zeros_like(drop_sum), where=cover > 0)
+            drop_sum[t:b, l:r] += base - s_occ
+        return np.divide(drop_sum, boxes.cover, out=np.zeros_like(drop_sum), where=boxes.cover > 0)
 
-    return codes.masks, aggregate
+    return boxes, aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +801,8 @@ class MapCodes:
 
     ``masks`` are the query's keep masks as codes: RISE's ``RiseMasks``,
     grouped by offset; the occlusion windows and then the whole image as
-    ``_Pixels``; LIME's selections over grid segments. It is None for the
+    ``_Boxes``, the last one empty, with the count of windows covering
+    each pixel; LIME's selections over grid segments. It is None for the
     learned mask and for ``slic_like`` LIME, whose segments follow the
     query. ``ref_keep`` holds the keep masks of the reference variants in
     dual-mode RISE and sliding window, and is None otherwise."""
@@ -718,8 +820,7 @@ def map_codes(cfg: SaliencyConfig, height: int, width: int) -> MapCodes:
     if cfg.method is Method.RISE:
         masks = sample_rise_masks(cfg.rise, height, width, cfg.seed)
     elif cfg.method is Method.SLIDING_WINDOW:
-        keep = _occlusion_keep(height, width, cfg.sliding.windows_query, cfg.sliding.window_area_frac)
-        masks = _Pixels(np.concatenate([keep, np.ones((1, height, width), dtype=bool)]), (height, width))
+        masks = _occlusion_boxes(height, width, cfg.sliding.windows_query, cfg.sliding.window_area_frac)
     elif cfg.method is Method.LIME and cfg.lime.segmentation == "grid":
         masks = _lime_selections(cfg, grid_segments(height, width, cfg.lime.n_segments))
     dual = not cfg.fixed_reference and cfg.method in (Method.RISE, Method.SLIDING_WINDOW)

@@ -384,6 +384,16 @@ class TestCliPlumbing:
         assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(cfg)]) == 2
         assert "preserve_sign" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, count, nearest", [("windows_query", 50, "49 or 64"),
+                                                     ("windows_ref", 8, "4 or 9")])
+    def test_non_square_window_count_in_config_exits_2(self, key, count, nearest, tmp_path, capsys):
+        # the windows lie on a square lattice: no count is rounded silently
+        cfg = tmp_path / "windows.json"
+        cfg.write_text(json.dumps({"saliency": {"sliding": {key: count}}}))
+        assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(cfg)]) == 2
+        assert key in (err := capsys.readouterr().err) and nearest in err
+        assert not (tmp_path / "d").exists()
+
     def test_removed_fd_fallback_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "fd.json"
         cfg.write_text(json.dumps({"saliency": {"mask": {"fd_fallback": True}}}))

@@ -7,13 +7,23 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simexplain as se
 from simexplain import external
 from simexplain.errors import InvalidArgumentError, TransportError, UnsupportedError
-from simexplain.external import ExternalScorer, _ScoreOnly, _encode_bits, _handle_line, decode_f32, encode_f32
+from simexplain.external import (
+    ExternalScorer,
+    _encode_bits,
+    _handle_line,
+    _masks_of,
+    _ScoreOnly,
+    decode_f32,
+    encode_f32,
+)
 from simexplain.metrics import deletion_curve, insertion_curve
-from simexplain.saliency import LimeCfg, RiseCfg, SaliencyConfig, SlidingCfg, score_masked
+from simexplain.saliency import LimeCfg, RiseCfg, SaliencyConfig, SlidingCfg, _Pixels, score_masked
 
 from conftest import ConstantScorer, assert_query_maps_equal_single_pairs
 
@@ -530,10 +540,21 @@ def masks_request(kind, **fields):
     elif kind == "rise":  # g 4 at 10 px: offsets in [0, 3)
         msg.update(form="rise", g=4, grids=_encode_bits(rng.random((n, 4, 4)) < 0.5),
                    dy=[0, 1, 2], dx=[2, 1, 0])
-    else:
+    elif kind == "selections":
         msg.update(form="selections", s=4, keep=_encode_bits(rng.random((n, 4)) < 0.5),
                    segments=(np.arange(h * w) % 4).tolist())
+    elif kind == "boxes":  # an empty box, one inside, one to the bottom-right corner
+        msg.update(form="boxes", top=[0, 2, 0], bottom=[0, 5, 10], left=[0, 1, 9], right=[0, 7, 10])
+    else:
+        msg.update(form="nested", order=rng.permutation(h * w).tolist(), counts=[0, 37, 100], insertion=True)
     msg.update(fields)
+    return json.dumps(msg)
+
+
+def without(line, key):
+    """A request line with the field `key` dropped."""
+    msg = json.loads(line)
+    del msg[key]
     return json.dumps(msg)
 
 
@@ -578,17 +599,78 @@ BAD_MASK_REQUESTS = {
     "query-bad-base64": ("base64", masks_request("bits", query="&&&")),
     "query-wrong-size": ("reshape", masks_request("bits", query=encode_f32(np.zeros(299)))),
     "unknown-form": ("mask form", masks_request("bits", form="wavelets")),
+    "boxes-end-before-start": ("end before", masks_request("boxes", bottom=[0, 1, 10])),
+    "boxes-right-before-left": ("end before", masks_request("boxes", right=[0, 7, 8])),
+    "boxes-top-past-h": ("top must", masks_request("boxes", top=[0, 2, 11], bottom=[0, 5, 11])),
+    "boxes-right-past-w": ("right must", masks_request("boxes", right=[0, 7, 11])),
+    "boxes-left-negative": ("left must", masks_request("boxes", left=[-1, 1, 9])),
+    "boxes-not-n-long": ("top must", masks_request("boxes", top=[0, 2])),
+    "boxes-floats": ("bottom must", masks_request("boxes", bottom=[0.0, 5.0, 10.0])),
+    "boxes-bools": ("left must", masks_request("boxes", left=[False, True, 9])),
+    "boxes-not-a-list": ("right must", masks_request("boxes", right="0,7,10")),
+    "boxes-beyond-int64": ("bottom must", masks_request("boxes", bottom=[0, 5, 2 ** 64])),
+    "boxes-below-int64": ("top must", masks_request("boxes", top=[0, 2, -2 ** 63 - 1])),
+    "boxes-missing-side": ("no 'bottom' field", without(masks_request("boxes"), "bottom")),
+    "nested-order-repeats": ("permutation", masks_request("nested", order=[0, 0] + list(range(2, 100)))),
+    "nested-order-short": ("order must", masks_request("nested", order=list(range(99)))),
+    "nested-order-past-pixels": ("order must", masks_request("nested", order=list(range(1, 101)))),
+    "nested-order-bools": ("order must", masks_request("nested", order=[False, True] + list(range(2, 100)))),
+    "nested-counts-above-pixels": ("counts must", masks_request("nested", counts=[0, 37, 101])),
+    "nested-counts-negative": ("counts must", masks_request("nested", counts=[-1, 37, 100])),
+    "nested-counts-not-n-long": ("counts must", masks_request("nested", counts=[0, 37])),
+    "nested-counts-bools": ("counts must", masks_request("nested", counts=[False, True, 100])),
+    "nested-insertion-int": ("insertion must", masks_request("nested", insertion=1)),
+    "nested-insertion-string": ("insertion must", masks_request("nested", insertion="true")),
+    "nested-insertion-null": ("insertion must", masks_request("nested", insertion=None)),
+    "nested-missing-order": ("no 'order' field", without(masks_request("nested"), "order")),
 }
+
+# any value a JSON line decodes to, NaN and infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 120) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_form(draw):
+    """A valid boxes or nested request with one field dropped or replaced,
+    or one entry of one of its lists replaced."""
+    msg = json.loads(masks_request(draw(st.sampled_from(["boxes", "nested"]))))
+    key = draw(st.sampled_from([k for k in msg if k not in ("id", "op", "ref", "query", "n")]))
+    how = draw(st.sampled_from(["drop", "replace", "entry"]))
+    if how == "drop":
+        del msg[key]
+    elif how == "entry" and isinstance(msg[key], list):
+        msg[key][draw(st.integers(0, len(msg[key]) - 1))] = draw(JSON_VALUES)
+    else:
+        msg[key] = draw(JSON_VALUES)
+    return msg
 
 
 class TestMaskCodeValidation:
     """The peer answers a malformed score_masks request with bad_input
     (max_batch is 8 here, DIMS 10x10x3)."""
 
-    @pytest.mark.parametrize("kind", ["bits", "f32", "rise", "selections"])
+    @pytest.mark.parametrize("kind", ["bits", "f32", "rise", "selections", "boxes", "nested"])
     def test_valid_request_is_scored(self, reference, kind):
         out = json.loads(_handle_line(masks_request(kind), reference, 8, [0]))
         assert len(out["scores"]) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(msg=mutated_form())
+    def test_mutated_boxes_and_nested_end_as_bad_input_or_a_valid_form(self, msg):
+        # a form that is built holds n masks in range: its rows are those
+        # of its full-resolution masks
+        try:
+            form = _masks_of(msg, 3, DIMS[:2])
+        except InvalidArgumentError:
+            return
+        keep = form.block(0, len(form))
+        assert keep.shape == (3, *DIMS[:2]) and keep.dtype == bool
+        kernel = np.random.default_rng(0).normal(size=(6, DIMS[0] * DIMS[1]))
+        np.testing.assert_allclose(form.embed(kernel).emb, _Pixels(keep, DIMS[:2]).embed(kernel).emb,
+                                   rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("fragment, line", BAD_MASK_REQUESTS.values(), ids=BAD_MASK_REQUESTS.keys())
     def test_malformed_request_is_bad_input(self, reference, fragment, line):

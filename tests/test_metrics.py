@@ -67,7 +67,8 @@ class TestInsertionDeletion:
     def test_keep_masks_equal_copy_and_fill_stacks(self, curve, rng, monkeypatch):
         # the curve stack built the old way, by copying the selected pixels
         # onto a blank image (insertion) or zeroing them (deletion), has
-        # the same bits as query * keep, and so the same raw scores
+        # the same bits as query times the keep masks of the curve's steps,
+        # and so the same raw scores
         scorer = se.LinearToyScorer.random(DIMS, embed_dim=5, seed=3)
         ref, query, smap = rng.random(DIMS), rng.random(DIMS), rng.random((3, 3))
         seen = []
@@ -87,7 +88,8 @@ class TestInsertionDeletion:
             img[order[:count]] = flat[order[:count]] if curve is insertion_curve else 0.0
             old.append(img.reshape(DIMS))
         old = np.array(old)
-        [keep] = seen
+        [steps] = seen
+        keep = steps.block(0, len(steps))
         assert (query[None] * keep[..., None]).tobytes() == old.tobytes()
         # the embedding scorer embeds from the keep masks, summing in
         # another order; the score-only wrapper scores the stack itself
@@ -133,6 +135,8 @@ class TestInsertionDeletion:
         blank = scorer.score(ref, np.zeros(DIMS))
         assert dele.raw_scores[-1] == pytest.approx(blank, abs=1e-12)
         assert ins.raw_scores[0] == pytest.approx(blank, abs=1e-12)
+        # the blank steps embed to exact zeros, which score exactly 0
+        assert ins.raw_scores[0] == dele.raw_scores[-1] == 0.0
 
     def test_constant_scorer_convention(self, rng):
         const = ConstantScorer(DIMS, value=0.7)

@@ -23,6 +23,9 @@ from simexplain.saliency import (
     _STREAM_QUERY_MASKS,
     MaskObjective,
     _interp_matrix,
+    _Boxes,
+    _Nested,
+    _occlusion_boxes,
     _occlusion_keep,
     _references,
     _Pixels,
@@ -107,6 +110,15 @@ class TestDefaultsMatchDocumentedValues:
         # the boundary values stay valid
         se.MaskCfg(tv_weight=0.0, l1_weight=0.0)
         se.LimeCfg(lasso_alpha=0.0)
+
+
+    @pytest.mark.parametrize("key, count, nearest", [("windows_query", 50, "49 or 64"), ("windows_query", 2, "1 or 4"),
+                                                     ("windows_query", 8, "4 or 9"), ("windows_ref", 35, "25 or 36")])
+    def test_non_square_window_count_rejected(self, key, count, nearest):
+        # 50 windows would be a 7 x 7 lattice of 49, 2 one window, 8 nine
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be a square number, such as {nearest}"):
+            se.SlidingCfg(**{key: count})
+        se.SlidingCfg(**{key: math.isqrt(count) ** 2})
 
 
 class TestDegenerateScorer:
@@ -295,16 +307,23 @@ class TestDualEmbedOnce:
             embedded.append(codes.shape[0])
             return project_codes(kernel, codes)
 
+        def counting_boxes(boxes, kernel):
+            # the occlusion rows, embedded from a summed-area table
+            embedded.append(len(boxes))
+            return project_boxes(boxes, kernel)
+
+        project_boxes = saliency._Boxes.embed
         monkeypatch.setattr(scorer, "embed_batch_flat", counting)
         monkeypatch.setattr(saliency, "embed_codes", counting_codes)
+        monkeypatch.setattr(saliency._Boxes, "embed", counting_boxes)
         fast = se.generate(scorer, images[0], images[1], cfg)
         if method is se.Method.RISE:
             # rows from the grids sum in another order than the masked copies
             np.testing.assert_allclose(fast.data, reference_path.data, rtol=0, atol=F32_ULP)
         else:
             assert fast.data.tobytes() == reference_path.data.tobytes()
-        # each query variant (from its grid or keep mask) and each
-        # reference variant is embedded once
+        # each query variant (from its grid or box) and each reference
+        # variant is embedded once
         assert sum(embedded) == n_query + n_ref
 
 
@@ -400,13 +419,139 @@ class TestFactorizedKernel:
             with pytest.raises(InvalidArgumentError):
                 score_masked(scorer, [images[0]], images[1], keep)
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", KINDS + ["boxes", "nested"])
     def test_rows_equal_single_mask_calls_zero_ulp(self, kind, scorer, images):
         ref, query = images
-        keep = _keep_masks(kind, 2 * _CHUNK + 3, np.random.default_rng(1))
-        batch = score_masked(scorer, [ref], query, keep)
-        singles = np.concatenate([score_masked(scorer, [ref], query, keep[i:i + 1]) for i in range(len(keep))])
-        assert batch.tobytes() == singles.tobytes()
+        n, rng = 2 * _CHUNK + 3, np.random.default_rng(1)
+        if kind == "boxes":
+            forms = [_code_form(kind, n, rng)]
+        elif kind == "nested":
+            forms = [_code_form(direction, n, rng) for direction in ("insertion", "deletion")]
+        else:
+            keep = _keep_masks(kind, n, rng)
+            forms = [keep]
+        for masks in forms:
+            batch = score_masked(scorer, [ref], query, masks)
+            singles = np.concatenate([score_masked(scorer, [ref], query, _one_mask(masks, i)) for i in range(n)])
+            assert batch.tobytes() == singles.tobytes()
+
+
+def _code_form(kind: str, n: int, rng, shape=DIMS[:2]):
+    """n random boxes (the first empty, the second the whole image), or n
+    insertion or deletion steps over a random pixel order (the first of
+    count 0, the last of count H*W)."""
+    h, w = shape
+    if kind == "boxes":
+        rows = np.sort(rng.integers(0, h + 1, size=(n, 2)), axis=1)
+        cols = np.sort(rng.integers(0, w + 1, size=(n, 2)), axis=1)
+        rows[0] = cols[0] = 0
+        rows[1:2], cols[1:2] = (0, h), (0, w)
+        return _Boxes(rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 1], shape)
+    counts = rng.integers(0, h * w + 1, size=n)
+    counts[0], counts[-1] = 0, h * w
+    return _Nested(rng.permutation(h * w), counts, kind == "insertion", shape)
+
+
+def _one_mask(masks, i: int):
+    """Mask i of a code form or an array, as its own one-mask stack."""
+    if isinstance(masks, _Boxes):
+        return _Boxes(*(side[i:i + 1] for side in (masks.top, masks.bottom, masks.left, masks.right)), masks.shape)
+    if isinstance(masks, _Nested):
+        return dataclasses.replace(masks, counts=masks.counts[i:i + 1])
+    return masks[i:i + 1]
+
+
+def _occlusion_keep_by_window(height: int, width: int, n_windows: int, area_frac: float) -> np.ndarray:
+    """The occlusion keep masks drawn one window at a time into a stack of
+    ones: the reference for the boxes."""
+    g = math.isqrt(n_windows)
+    side = _window_side(area_frac, height, width)
+    keep = np.ones((g * g, height, width), dtype=bool)
+    origins = [(r, c) for r in _window_origins(height, side, g) for c in _window_origins(width, side, g)]
+    for k, (r, c) in enumerate(origins):
+        keep[k, r:r + side, c:c + side] = False
+    return keep
+
+
+class TestBoxesAndNested:
+    """Occlusion windows embed as the whole image's row less a box, from a
+    summed-area table of the keep kernel, and curve steps as prefix or
+    suffix sums of its columns in the pixel order. Both sum in another
+    order than their full-resolution masks (``_Pixels``), so rows agree
+    within 1e-9; their blocks are those masks byte for byte, so a
+    score-only scorer keeps its bits."""
+
+    @pytest.fixture(scope="class")
+    def scorer(self):
+        return se.LinearToyScorer.random(DIMS, embed_dim=8, seed=5)
+
+    @pytest.mark.parametrize("kind", ["boxes", "insertion", "deletion"])
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_rows_agree_with_pixels(self, kind, n, scorer, images):
+        ref, query = images
+        form = _code_form(kind, n, np.random.default_rng(n))
+        keep = form.block(0, n)
+        kernel = scorer.keep_kernel(query)
+        rows, pixel_rows = form.embed(kernel), _Pixels(keep, DIMS[:2]).embed(kernel)
+        np.testing.assert_allclose(rows.emb, pixel_rows.emb, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rows.norms, pixel_rows.norms, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(score_masked(scorer, [ref], query, form),
+                                   score_masked(scorer, [ref], query, keep), rtol=0, atol=1e-9)
+        score_only = _ScoreOnly(scorer)
+        assert (score_masked(score_only, [ref], query, form).tobytes()
+                == score_masked(score_only, [ref], query, keep).tobytes())
+        # _CHUNK-sized blocks give the whole stack's masks
+        assert np.concatenate([form.block(s, s + _CHUNK) for s in range(0, n, _CHUNK)]).tobytes() == keep.tobytes()
+
+    def test_empty_steps_embed_and_score_to_exact_zero(self, scorer, images):
+        # deletion rows are suffix sums, not the whole less a prefix, so
+        # the last deletion step is 0 and not a residual under NORM_EPS
+        ref, query = images
+        h, w = DIMS[:2]
+        for kind, empty in (("insertion", 0), ("deletion", -1)):
+            steps = _code_form(kind, 9, np.random.default_rng(4))
+            rows = steps.embed(scorer.keep_kernel(query))
+            assert rows.emb[empty].tobytes() == np.zeros(rows.shape[1]).tobytes()
+            assert score_masked(scorer, [ref], query, steps)[empty] == 0.0
+
+    @pytest.mark.parametrize("height, width, n_windows, area_frac",
+                             [(28, 28, 81, 0.1), (56, 56, 625, 0.12), (30, 17, 9, 0.2), (28, 28, 1, 0.1)])
+    def test_occlusion_boxes_block_and_cover(self, height, width, n_windows, area_frac):
+        boxes = _occlusion_boxes(height, width, n_windows, area_frac)
+        keep = _occlusion_keep_by_window(height, width, n_windows, area_frac)
+        assert _occlusion_keep(height, width, n_windows, area_frac).tobytes() == keep.tobytes()
+        # the windows, then the unoccluded image as an empty box
+        whole = np.concatenate([keep, np.ones((1, height, width), dtype=bool)])
+        assert boxes.block(0, len(boxes)).tobytes() == whole.tobytes()
+        np.testing.assert_array_equal(boxes.cover, (~keep).sum(axis=0))
+
+    @pytest.mark.parametrize("insertion", [True, False])
+    def test_nested_block_equals_selection_masks(self, insertion):
+        # the masks as the curves selected pixels: by rank below the count
+        h, w = DIMS[:2]
+        steps = _code_form("insertion" if insertion else "deletion", 40, np.random.default_rng(8))
+        rank = np.empty(h * w, dtype=np.intp)
+        rank[steps.order] = np.arange(h * w)
+        selected = rank[None, :] < steps.counts[:, None]
+        keep = (selected if insertion else ~selected).reshape(-1, h, w)
+        assert steps.block(0, len(steps)).tobytes() == keep.tobytes()
+
+    def test_sliding_window_drops_equal_masked_window_sums(self, planted, images):
+        # the drops are summed window by window over each box's slice, in
+        # the order and with the bits of a masked add over each window
+        _, scorer = planted
+        cfg = small_cfg(se.Method.SLIDING_WINDOW)
+        codes = map_codes(cfg, *DIMS[:2])
+        assert isinstance(codes.masks, _Boxes) and len(codes.masks) == 81 + 1
+        masks, aggregate = saliency._sliding_window(codes, images[1])
+        scores = score_masked(scorer, [images[0]], images[1], masks)
+        occluded = ~masks.block(0, len(masks))[:-1]
+        drop_sum = np.zeros(DIMS[:2])
+        for s_occ, window in zip(scores[:-1], occluded):
+            np.add(drop_sum, float(scores[-1]) - s_occ, out=drop_sum, where=window)
+        cover = occluded.sum(axis=0)
+        expected = np.divide(drop_sum, cover, out=np.zeros_like(drop_sum), where=cover > 0)
+        assert aggregate(scores).tobytes() == expected.tobytes()
 
 
 def _traced_peak(fn, *args) -> int:
