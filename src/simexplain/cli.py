@@ -217,8 +217,11 @@ def _parse_methods(text: str, saliency_cfg: SaliencyConfig) -> list[tuple[str, S
     """``--methods`` as (name, config) entries: ``saliency_cfg`` with the
     method each name gives. A "_dual" suffix evaluates the
     both-images-manipulated variant, so fixed and dual rows can sit side
-    by side in one report. A config no method can run is refused here."""
+    by side in one report. A config no method can run, or an empty list,
+    is refused here."""
     names = [m.strip() for m in text.split(",") if m.strip()]
+    if not names:
+        raise ParseError(f"--methods names no method: {text!r}")
     return [(name, dataclasses.replace(saliency_cfg, method=_parse_method(name.removesuffix("_dual")),
                                        fixed_reference=saliency_cfg.fixed_reference and not name.endswith("_dual")))
             for name in names]
@@ -237,6 +240,21 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _step(least: float):
+    """An argparse type: a step as a fraction of the whole, in [least, 1],
+    so a step that would make no progress, or a runaway number of steps,
+    exits 2 before any work."""
+    def parse(text: str) -> float:
+        try:
+            ok = least <= float(text) <= 1.0  # NaN fails both comparisons
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected a number in [{least:g}, 1], got {text!r}")
+        return float(text)
+    return parse
 
 
 def _out_path(text: str, kind: str, second: str | None) -> Path:
@@ -563,12 +581,14 @@ _SUITES = ["insertion", "deletion", "map", "top1", "removal"]
 def cmd_eval(args) -> dict:
     saliency_cfg = run_config(args)["saliency"]
     methods = _parse_methods(args.methods, saliency_cfg)
-    dataset = load_dataset(args.dataset)
-    model = load_model(args.model, dataset.dims, dataset.n_attributes)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not suites:
+        raise ParseError(f"--suite names no suite: {args.suite!r}")
     unknown = set(suites) - set(_SUITES)
     if unknown:
         raise ParseError(f"unknown suite(s): {', '.join(sorted(unknown))}")
+    dataset = load_dataset(args.dataset)
+    model = load_model(args.model, dataset.dims, dataset.n_attributes)
     codes = map_codes(saliency_cfg, *dataset.dims[:2])
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         prior = phi = None
@@ -752,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("fit-phi", cmd_fit_phi, "fit the attribute prior and the explanation weights on held-out pairs",
                 "file", ("dataset", "model"), method=True, jobs=True)
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--grid-step", type=_step(0.01), default=0.05)
 
     p = command("explain", cmd_explain, "explain one pair", "file", ("dataset", "model"), method=True,
                 second=".smap")
@@ -762,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("eval", cmd_eval, "run the metric suites", "file", ("dataset", "model"), jobs=True)
     p.add_argument("--suite", default=",".join(_SUITES))
     p.add_argument("--methods", default="rise,sliding_window")
-    p.add_argument("--insertion-step", type=float, default=0.01)
+    p.add_argument("--insertion-step", type=_step(1e-4), default=0.01)
     p.add_argument("--limit", type=_positive_int, default=None, help="cap on test pairs")
 
     p = command("discover", cmd_discover, "mine pseudo-attributes from salient patches", "file", ("dataset",),

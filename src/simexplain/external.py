@@ -17,10 +17,8 @@ connection; the peer answers every request with the same id, in order.
 keep masks, 1 <= n <= max_batch, sent as the codes ``saliency`` holds
 them in; the peer rebuilds the code form and runs ``score_masked`` on it,
 so a peer with ``keep_kernel`` never builds a masked copy. Bits are
-``np.packbits`` of the C-order array, base64-encoded. The five forms:
+``np.packbits`` of the C-order array, base64-encoded. The four forms:
 
-    "form":"pixels","bits":"<b64 bits of (n,H,W)>"  boolean masks
-    "form":"pixels","keep":"<b64 f32 (n,H,W)>"      other masks, in [0, 1]
     "form":"rise","g":g,"grids":"<b64 bits of (n,g,g)>","dy":[...],"dx":[...]
         0/1 grids, upsampled one cell oversize and cropped at row offset
         dy[i] in [0, ceil(H/g)) and column offset dx[i] in [0, ceil(W/g))
@@ -36,12 +34,15 @@ so a peer with ``keep_kernel`` never builds a masked copy. Bits are
         others (deletion)
 
 Index lists hold JSON integers, never booleans. A field that is missing
-or of the wrong size, type or range is answered with ``bad_input``.
+or of the wrong size, type or range, or another form, is answered with
+``bad_input``. So is a line that is not a JSON object whose id is an
+integer >= 1, under id 0.
 
 The client retries a request exactly once, and only after a transport
-failure (dead pipe, truncated line, missed deadline); error responses are
-never retried. A score that is not a finite number in [-1, 1] is a
-transport error.
+failure (dead pipe, truncated or unparseable line, a reply id that is not
+the request's integer id, missed deadline); error responses are never
+retried. A score that is not a finite number in [-1, 1] is a transport
+error.
 
 The peer is a child process spoken to over its stdin and stdout. Every
 request has a deadline of 60 s: a peer that has not answered by then is
@@ -66,7 +67,7 @@ import numpy as np
 
 from .core import _as_image
 from .errors import InvalidArgumentError, InvalidDataError, TransportError, UnsupportedError
-from .saliency import RiseMasks, _Boxes, _Nested, _Pixels, _Selections, score_masked
+from .saliency import RiseMasks, _Boxes, _Nested, _Selections, score_masked
 from .scorers import Embedding, Scorer, ScorerCaps
 
 _DEADLINE_S = 60.0
@@ -138,10 +139,7 @@ def _mask_fields(masks, start: int, stop: int) -> dict:
     if isinstance(masks, _Nested):
         return {"form": "nested", "order": masks.order.tolist(), "counts": masks.counts[start:stop].tolist(),
                 "insertion": masks.insertion}
-    keep = masks.block(start, stop)
-    if keep.dtype == bool:
-        return {"form": "pixels", "bits": _encode_bits(keep)}
-    return {"form": "pixels", "keep": encode_f32(keep)}
+    raise InvalidArgumentError(f"{type(masks).__name__} has no wire form")
 
 
 def _masks_of(msg: dict, n: int, shape: tuple[int, int]):
@@ -163,16 +161,6 @@ def _masks_of(msg: dict, n: int, shape: tuple[int, int]):
         if not isinstance(insertion, bool):
             raise InvalidArgumentError(f"insertion must be true or false, got {insertion!r}")
         return _Nested(order, counts, insertion, shape)
-    if form == "pixels" and "bits" in msg:
-        return _Pixels(_decode_bits(msg["bits"], (n, h, w)), shape)
-    if form == "pixels":
-        keep = decode_f32(_field(msg, "keep"))
-        if keep.size != n * h * w:
-            raise InvalidArgumentError(f"f32 masks carry {keep.size} values, not {n} x {h} x {w}")
-        # NaN fails both comparisons
-        if not np.all((keep >= 0.0) & (keep <= 1.0)):
-            raise InvalidArgumentError("f32 masks must be finite and in [0, 1]")
-        return _Pixels(keep.reshape(n, h, w), shape)
     if form == "rise":
         g = _field(msg, "g")
         if not _is_count(g) or g > max(h, w):
@@ -187,6 +175,16 @@ def _masks_of(msg: dict, n: int, shape: tuple[int, int]):
         segments = _index_list(_field(msg, "segments"), h * w, s, "segments").reshape(h, w)
         return _Selections(_decode_bits(_field(msg, "keep"), (n, s)), segments)
     raise InvalidArgumentError(f"unknown mask form {form!r}")
+
+
+def _json_object(line: str) -> dict:
+    """The JSON object a line holds, or an empty one for any other line, one
+    nested deeper than the parser's recursion limit included."""
+    try:
+        msg = json.loads(line)
+    except (ValueError, RecursionError):
+        return {}
+    return msg if isinstance(msg, dict) else {}
 
 
 class _Connection:
@@ -276,14 +274,11 @@ class _Connection:
             self.close()
             raise TransportError(f"peer closed the connection or missed the {_DEADLINE_S:g} s deadline "
                                  f"during {payload.get('op')}")
-        try:
-            msg = json.loads(answer)
-        except json.JSONDecodeError as exc:
-            raise TransportError(f"peer sent a non-JSON line: {answer[:80]!r}") from exc
-        if not isinstance(msg, dict):
-            raise TransportError(f"peer sent a line that is not a JSON object: {answer[:80]!r}")
-        if msg.get("id") != req_id:
-            raise TransportError(f"response id {msg.get('id')} does not match request id {req_id}")
+        msg = _json_object(answer)
+        # True == 1 == 1.0, but only the integer is the request's id
+        if type(msg.get("id")) is not int or msg["id"] != req_id:
+            self.close()
+            raise TransportError(f"peer sent a line that is not a JSON reply to request {req_id}: {answer[:80]!r}")
         return msg
 
 
@@ -433,11 +428,10 @@ def _image_of(payload: str, dims: tuple[int, int, int]) -> np.ndarray:
 
 
 def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) -> str:
-    try:
-        msg = json.loads(line)
-        req_id = int(msg["id"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        return _reply(0, error={"code": "bad_input", "msg": "unparseable request line"})
+    msg = _json_object(line)
+    req_id = msg.get("id")
+    if not _is_count(req_id):
+        return _reply(0, error={"code": "bad_input", "msg": "a request is a JSON object with an integer id >= 1"})
     if req_id <= last_id[0]:
         return _reply(req_id, error={"code": "bad_input", "msg": f"ids must increase, got {req_id} after {last_id[0]}"})
     last_id[0] = req_id

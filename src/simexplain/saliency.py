@@ -29,31 +29,30 @@ as in fixed mode (fixed mode is the M=1 identity special case).
 
 Sliding window, RISE, LIME and the insertion/deletion curves in
 ``metrics`` perturb an image one way: ``score_masked`` scores the query
-times keep masks held as codes. A RISE mask is a g x g 0/1 grid
-upsampled and cropped at one of ceil(H/g) * ceil(W/g) offsets
-(``RiseMasks``), a LIME sample a choice of superpixels (``_Selections``),
-an occlusion window the whole image less one box (``_Boxes``), a curve
-step a prefix or the rest of one pixel order (``_Nested``), and any other
-mask an (H, W) array over the pixels (``_Pixels``). A scorer with
-``keep_kernel`` is linear in the keep mask, so a masked query embeds from
-the query's (D, H*W) keep kernel G alone: through one (D, g*g) kernel per
-RISE offset, one (S, D) kernel for the superpixels, four lookups per box
-in one summed-area table of G, a prefix (insertion) or suffix (deletion)
-sum of G's columns in the pixel order per curve step, and G itself for
-pixels. No masked copy exists, and the (N, D) rows, embedded once per
-query, are scored against each reference manipulation of each reference,
-so dual mode does fixed mode's scorer work plus M reference embeddings
-per map. A scorer whose caps say ``can_score_masks`` (an external peer)
-is sent the codes themselves, each form in its own wire form, one
-request stream per reference manipulation, and runs this same
-``score_masked`` on its side. Any other scorer (score-only, or a peer
-without that request) gets blocks of ``_CHUNK`` masked copies built from
-the codes, each block built once per query and scored against every
-reference manipulation: M x N images, never an N-sized stack. RISE sums
-its map per offset in grid space on both paths. A non-finite score raises
-``InvalidDataError``. The learned mask embeds its upsampled cells once
-through the keep kernel, and its Adam steps call no scorer (see
-``MaskObjective``).
+times keep masks held as codes, in one of four forms. A RISE mask is a
+g x g 0/1 grid upsampled and cropped at one of ceil(H/g) * ceil(W/g)
+offsets (``RiseMasks``), a LIME sample a choice of superpixels
+(``_Selections``), an occlusion window the whole image less one box
+(``_Boxes``), and a curve step a prefix or the rest of one pixel order
+(``_Nested``). A scorer with ``keep_kernel`` is linear in the keep mask,
+so a masked query embeds from the query's (D, H*W) keep kernel G alone:
+through one (D, g*g) kernel per RISE offset, one (S, D) kernel for the
+superpixels, four lookups per box in one summed-area table of G, and a
+prefix (insertion) or suffix (deletion) sum of G's columns in the pixel
+order per curve step. No masked copy exists, and the (N, D) rows,
+embedded once per query, are scored against each reference manipulation
+of each reference, so dual mode does fixed mode's scorer work plus M
+reference embeddings per map. A scorer whose caps say
+``can_score_masks`` (an external peer) is sent the codes themselves,
+each form in its own wire form, one request stream per reference
+manipulation, and runs this same ``score_masked`` on its side. Any other
+scorer (score-only, or a peer without that request) gets blocks of
+``_CHUNK`` masked copies built from the codes, each block built once per
+query and scored against every reference manipulation: M x N images,
+never an N-sized stack. RISE sums its map per offset in grid space on
+both paths. A non-finite score raises ``InvalidDataError``. The learned
+mask embeds its upsampled cells once through the keep kernel, and its
+Adam steps call no scorer (see ``MaskObjective``).
 """
 
 from __future__ import annotations
@@ -69,10 +68,9 @@ from .errors import InvalidArgumentError, InvalidDataError, OptimizationError, U
 from .optim import Adam, lasso_coordinate_descent
 from .scorers import EmbeddedRows, Scorer, _cosine_grad_pair, _with_norms, embed_codes, score_image_stack
 
-# Masks per block, in embedding pixel masks and in the masked copies built
-# for score-only scorers: 128 masked 56x56x3 float64 images are 9.6 MB, and
-# a multiple of the stub's max_batch (64) keeps external round trips as few
-# as one whole stack needs.
+# Masks per block of the masked copies built for score-only scorers: 128
+# masked 56x56x3 float64 images are 9.6 MB, and a multiple of the stub's
+# max_batch (64) keeps external round trips as few as one whole stack needs.
 _CHUNK = 128
 
 # rng stream tags so every randomness source is independent of the others
@@ -197,28 +195,6 @@ def _masked(image: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Pixels:
-    """(N, H, W) keep masks as codes over the pixel basis, whose kernel is
-    the keep kernel itself; they become float64 ``_CHUNK`` at a time."""
-
-    def __init__(self, keep, shape: tuple[int, int]):
-        self.keep = np.asarray(keep)
-        if self.keep.ndim != 3 or self.keep.shape[1:] != shape:
-            raise InvalidArgumentError(f"keep masks must be (N, {shape[0]}, {shape[1]}), got {self.keep.shape}")
-
-    def __len__(self) -> int:
-        return self.keep.shape[0]
-
-    def block(self, start: int, stop: int) -> np.ndarray:
-        return self.keep[start:stop]
-
-    def embed(self, keep_kernel: np.ndarray) -> EmbeddedRows:
-        emb = np.empty((len(self), keep_kernel.shape[0]), dtype=np.float64)
-        for s in range(0, len(self), _CHUNK):
-            emb[s:s + _CHUNK] = embed_codes(keep_kernel, self.block(s, s + _CHUNK).reshape(-1, keep_kernel.shape[1]))
-        return _with_norms(emb)
-
-
 @dataclass(frozen=True, eq=False)
 class _Boxes:
     """Keep masks that drop one box each: mask n keeps every pixel but rows
@@ -306,13 +282,14 @@ class _Nested:
 def score_masked(scorer: Scorer, ref_variants, query: np.ndarray, masks) -> np.ndarray:
     """Attributed score of the query times each keep mask: the mean of its
     scores against the reference variants. ``masks`` is a code form
-    (``RiseMasks``, ``_Selections``, ``_Boxes``, ``_Nested``) or an
-    (N, H, W) array (``_Pixels``).
+    (``RiseMasks``, ``_Selections``, ``_Boxes``, ``_Nested``) of the
+    query's (H, W); anything else is refused before any scorer call.
     A scorer with ``keep_kernel`` embeds the codes, and one whose caps say
     ``can_score_masks`` (an external peer) is sent them; any other scorer
     scores blocks of ``_CHUNK`` masked copies."""
-    if not hasattr(masks, "embed"):
-        masks = _Pixels(masks, query.shape[:2])
+    if not isinstance(masks, (RiseMasks, _Selections, _Boxes, _Nested)) or masks.shape != query.shape[:2]:
+        raise InvalidArgumentError(f"masks must be a code form of the query's {query.shape[:2]} size, "
+                                   f"got {type(masks).__name__} of {getattr(masks, 'shape', None)}")
     [scores] = _score_refs(scorer, [ref_variants], query, masks)
     return scores
 
@@ -588,6 +565,10 @@ class _Selections:
 
     keep: np.ndarray      # (N, S) bool
     segments: np.ndarray  # (H, W) labels in [0, S)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.segments.shape
 
     def __len__(self) -> int:
         return self.keep.shape[0]

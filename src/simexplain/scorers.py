@@ -10,10 +10,10 @@ chunking of it are bitwise identical, as is a stack embedded once with
 ``embed_batch_flat`` and then scored against many references.
 ``keep_kernel(query)`` is the (D, H*W) matrix G that embeds
 ``query * keep`` as ``G @ keep.ravel()``. The saliency methods embed keep
-masks held as codes over a basis (pixels, RISE grids, LIME superpixels)
-through ``embed_codes`` with a kernel folded from G: each row is bitwise
-independent of N and of block edges, and agrees within 1e-9 with
-embedding the masked copy, which sums in another order.
+masks held as codes (RISE grids, LIME superpixels, occlusion boxes,
+curve steps) from a kernel folded from G or from sums of its columns:
+each row is bitwise independent of N and of block edges, and agrees
+within 1e-9 with embedding the masked copy, which sums in another order.
 """
 
 from __future__ import annotations

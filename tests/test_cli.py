@@ -657,10 +657,12 @@ class TestCliPlumbing:
     def test_nan_grid_step_exits_2(self, cli_workspace, tmp_path, capsys):
         _, manifest, _, model = cli_workspace
         out = tmp_path / "phi.json"
-        assert main(["fit-phi", "--dataset", str(manifest), "--model", str(model),
-                     "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
-                     "--grid-step", "nan", "--out", str(out)]) == 2
-        assert "grid_step" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-phi", "--dataset", str(manifest), "--model", str(model),
+                  "--method", "sliding_window", "--scorer", "motif", "--seed", "11",
+                  "--grid-step", "nan", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--grid-step" in capsys.readouterr().err
         assert not out.exists()
 
     # {header field offset: new value}, or None for one trailing byte
@@ -868,7 +870,8 @@ class TestCliPlumbing:
         assert made and max(Counter(made).values()) == 1
 
     @pytest.mark.parametrize("command", ["pipeline", "eval"])
-    @pytest.mark.parametrize("methods", ["rise,bogus", "rise,bogus_dual"])
+    @pytest.mark.parametrize("methods", ["rise,bogus", "rise,bogus_dual", pytest.param("", id="empty"),
+                                         pytest.param(",", id="no-name")])
     def test_unknown_method_fails_before_any_work(self, command, methods, cli_workspace, tmp_path, monkeypatch):
         _, manifest, _, model = cli_workspace
         made = self._record_maps(monkeypatch)
@@ -1036,6 +1039,31 @@ class TestCliPlumbing:
         assert exc.value.code == 2
         assert "[0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("suite", [pytest.param("", id="empty"), pytest.param(" , ", id="no-name")])
+    def test_empty_suite_fails_before_any_work(self, suite, cli_workspace, tmp_path, monkeypatch, capsys):
+        _, manifest, _, model = cli_workspace
+        made = self._record_maps(monkeypatch)
+        out = tmp_path / "r.json"
+        assert main(["eval", "--dataset", str(manifest), "--model", str(model), "--scorer", "motif",
+                     "--suite", suite, "--jobs", "1", "--out", str(out)]) == 2
+        assert "--suite" in capsys.readouterr().err
+        assert made == []
+        assert not out.exists()
+
+    # (0 and below make no progress; 1e-12 asks for 10^12 curve steps and
+    # 1e-4 for 3e8 phi candidates, so those are only ever parsed here)
+    @pytest.mark.parametrize("command, flag, bad, good", [
+        *[("eval", "--insertion-step", bad, "0.01") for bad in ("0", "-0.5", "1.5", "nan", "inf", "x", "1e-12")],
+        *[("fit-phi", "--grid-step", bad, "0.05") for bad in ("0", "-0.5", "1.5", "nan", "inf", "x", "1e-4")],
+    ])
+    def test_step_flags_out_of_range_exit_2(self, command, flag, bad, good, capsys):
+        argv = [command, *self._REQUIRED[command], flag]
+        build_parser().parse_args(argv + [good])  # everything else parses
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [bad])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a number in" in capsys.readouterr().err
 
     # The arguments each command needs besides the one under test.
     _REQUIRED = {

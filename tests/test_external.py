@@ -23,7 +23,16 @@ from simexplain.external import (
     encode_f32,
 )
 from simexplain.metrics import deletion_curve, insertion_curve
-from simexplain.saliency import LimeCfg, RiseCfg, SaliencyConfig, SlidingCfg, _Pixels, score_masked
+from simexplain.saliency import (
+    LimeCfg,
+    RiseCfg,
+    SaliencyConfig,
+    SlidingCfg,
+    _masked,
+    _Selections,
+    sample_rise_masks,
+    score_masked,
+)
 
 from conftest import ConstantScorer, assert_query_maps_equal_single_pairs
 
@@ -39,6 +48,25 @@ def stub_command(*extra):
 HELLO = {"caps": ["score", "embed"], "max_batch": 4, "dims": list(DIMS)}
 
 
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every child process started while the test runs; one still running
+    at its end is killed."""
+    procs = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        procs.append(real_popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    yield procs
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
 def scripted_peer(hello, reply=None):
     """A stdio peer answering hello with `hello` and any other request with
     `reply`; the request id is added to each reply that is a JSON object."""
@@ -51,6 +79,12 @@ def scripted_peer(hello, reply=None):
               "        out = {'id': req['id'], **out}\n"
               "    print(json.dumps(out), flush=True)\n")
     return [sys.executable, "-c", script]
+
+
+def bool_masks(rng, n, shape=DIMS[:2]):
+    """n random boolean keep masks, as choices of one-pixel superpixels."""
+    h, w = shape
+    return _Selections(rng.random((n, h * w)) < 0.5, np.arange(h * w).reshape(h, w))
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +162,7 @@ class TestStdioRoundTrip:
             assert len(started) == 1
             for _ in range(3):
                 ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(20)])
-                score_masked(ext, [rng.random(DIMS)], rng.random(DIMS), rng.random((20, *DIMS[:2])) < 0.5)
+                score_masked(ext, [rng.random(DIMS)], rng.random(DIMS), bool_masks(rng, 20))
             assert len(started) == 1
         assert not started[0].is_alive()
 
@@ -187,17 +221,9 @@ class TestTransportRecovery:
             got = ext.score_batch(ref, [q])
             assert got[0] == pytest.approx(reference.score(ref, q), abs=1e-6)
 
-    def test_hung_stdio_peer_misses_the_deadline(self, monkeypatch, rng):
+    def test_hung_stdio_peer_misses_the_deadline(self, monkeypatch, spawned, rng):
         deadline = 0.5
         monkeypatch.setattr(external, "_DEADLINE_S", deadline)
-        spawned = []
-        real_popen = subprocess.Popen
-
-        def recording_popen(*args, **kwargs):
-            spawned.append(real_popen(*args, **kwargs))
-            return spawned[-1]
-
-        monkeypatch.setattr(subprocess, "Popen", recording_popen)
         # answers the hello, then reads every other request and never replies
         peer = ("import json, sys\n"
                 "for line in sys.stdin:\n"
@@ -258,6 +284,24 @@ class TestServerValidation:
         out = self._call(reference, "this is not json", [0])
         assert out["error"]["code"] == "bad_input"
 
+    # 1e400 and Infinity parse as inf, which has no int; the nesting is past
+    # the parser's depth; the other ids are no JSON integer
+    MALFORMED_LINES = {
+        "id-1e400": '{"id":1e400,"op":"hello"}',
+        "id-infinity": '{"id":Infinity,"op":"hello"}',
+        "nested-100000": "[" * 100_000 + "]" * 100_000,
+        "id-true": '{"id":true,"op":"hello"}',
+        "id-string": '{"id":"7","op":"hello"}',
+        "id-fraction": '{"id":2.9,"op":"hello"}',
+    }
+
+    @pytest.mark.parametrize("line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+    def test_malformed_line_is_bad_input_under_id_0(self, reference, line):
+        last = [0]
+        out = self._call(reference, line, last)
+        assert out["id"] == 0 and out["error"]["code"] == "bad_input", out
+        assert last == [0]
+
     def test_queries_not_a_list_rejected(self, reference, rng):
         out = self._call(reference, json.dumps(
             {"id": 1, "op": "score_batch", "ref": encode_f32(rng.random(DIMS)), "queries": 5}), [0])
@@ -285,7 +329,7 @@ class TestServerValidation:
         image[4, 7, 1] = value
         bad = encode_f32(image)
         request = {"score_batch": {"id": 1, "op": op, "ref": good, "queries": [good, good]},
-                   "score_masks": json.loads(masks_request("bits")),
+                   "score_masks": json.loads(masks_request("selections")),
                    "embed": {"id": 1, "op": op, "image": good}}[op]
         request[field] = [good, bad] if field == "queries" else bad
         out = self._strict(_handle_line(json.dumps(request), reference, 8, [0]))
@@ -293,7 +337,7 @@ class TestServerValidation:
 
     def test_non_finite_scores_are_bad_input(self):
         # a scorer whose scores are NaN makes score_masked raise InvalidDataError
-        out = self._strict(_handle_line(masks_request("bits"), ConstantScorer(DIMS, value=float("nan")), 8, [0]))
+        out = self._strict(_handle_line(masks_request("selections"), ConstantScorer(DIMS, value=float("nan")), 8, [0]))
         assert out["error"]["code"] == "bad_input" and "non-finite" in out["error"]["msg"], out
 
 
@@ -317,30 +361,28 @@ class TestClientValidation:
             with pytest.raises(TransportError, match="-1, 1"):
                 ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(3)])
 
-    def test_failed_hello_stops_the_child(self, monkeypatch):
-        spawned = []
-        real_popen = subprocess.Popen
-
-        def recording_popen(*args, **kwargs):
-            spawned.append(real_popen(*args, **kwargs))
-            return spawned[-1]
-
-        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    def test_failed_hello_stops_the_child(self, spawned):
         # answers the hello without dims, then waits for its stdin to close
         peer = ("import sys\n"
                 "sys.stdin.readline()\n"
                 "print('{\"id\": 1, \"caps\": [\"score\"], \"max_batch\": 4}', flush=True)\n"
                 "sys.stdin.read()\n")
-        try:
-            with pytest.raises(TransportError, match="dims"):
-                ExternalScorer(command=[sys.executable, "-c", peer])
-            assert len(spawned) == 1
-            assert spawned[0].poll() is not None
-        finally:
-            for proc in spawned:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=10)
+        with pytest.raises(TransportError, match="dims"):
+            ExternalScorer(command=[sys.executable, "-c", peer])
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None
+
+    @pytest.mark.parametrize("line", ['"[" * 100_000 + "]" * 100_000', repr(json.dumps({**HELLO, "id": True})),
+                                      repr(json.dumps({**HELLO, "id": 1.0}))],
+                             ids=["nested-100000", "id-true", "id-float"])
+    def test_malformed_reply_line_is_transport_error(self, spawned, line):
+        # a line nested past the parser's depth, or a reply whose id equals
+        # the request's without being its integer (True == 1 == 1.0)
+        peer = f"import sys\nline = {line}\nfor _ in sys.stdin:\n    print(line, flush=True)\n"
+        with pytest.raises(TransportError, match="not a JSON reply"):
+            ExternalScorer(command=[sys.executable, "-c", peer])
+        assert len(spawned) == 2  # the hello and its one retry
+        assert all(proc.poll() is not None for proc in spawned)
 
     @pytest.mark.parametrize("reply", [[1, 2], {"error": "boom"}], ids=["list", "error-string"])
     def test_malformed_reply_is_transport_error(self, reply, rng):
@@ -444,21 +486,34 @@ class TestMaskCodes:
         assert set(ops) == {"score_masks"}
 
     def test_float64_images_and_float_masks_within_1e6(self, code_peers, rng):
-        # the images and the non-boolean masks go as float32; two
-        # references, as in dual mode, whose masked variants are not f32-exact
+        # the images go as float32, the boolean and the float (RISE) masks
+        # as their codes; two references, as in dual mode, whose masked
+        # variants are not f32-exact
         local = se.LinearToyScorer.random(CODE_DIMS, embed_dim=6, seed=31)
         refs = [rng.random(CODE_DIMS) for _ in range(2)]
         query = rng.random(CODE_DIMS)
-        for keep in (rng.random((30, *CODE_DIMS[:2])) < 0.5, rng.random((30, *CODE_DIMS[:2]))):
-            want = score_masked(local, refs, query, keep)
+        for masks in (bool_masks(rng, 30, CODE_DIMS[:2]),
+                      sample_rise_masks(RiseCfg(n_masks=30, grid=4), *CODE_DIMS[:2], seed=1)):
+            want = score_masked(local, refs, query, masks)
             for ext in code_peers.values():
-                np.testing.assert_allclose(score_masked(ext, refs, query, keep), want, rtol=0, atol=1e-6)
+                np.testing.assert_allclose(score_masked(ext, refs, query, masks), want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("peer", ["kernel", "score_only"])
+    def test_arrays_are_refused_before_any_request(self, code_peers, monkeypatch, rng, peer):
+        # the pixel-array mask form is retired: an (N, H, W) array, boolean
+        # or float, is no code form and never reaches the wire
+        ext = code_peers[peer]
+        ops = record_ops(ext, monkeypatch)
+        for keep in (rng.random((3, *CODE_DIMS[:2])) < 0.5, rng.random((3, *CODE_DIMS[:2]))):
+            with pytest.raises(InvalidArgumentError, match="code form"):
+                score_masked(ext, [rng.random(CODE_DIMS)], rng.random(CODE_DIMS), keep)
+        assert ops == []
 
     def test_peer_without_score_masks_gets_masked_images(self, monkeypatch, rng):
         with ExternalScorer(command=scripted_peer(HELLO, {"scores": [0.5, 0.25, -0.5]})) as ext:
             assert not ext.caps.can_score_masks
             ops = record_ops(ext, monkeypatch)
-            got = score_masked(ext, [rng.random(DIMS)], rng.random(DIMS), rng.random((3, *DIMS[:2])) < 0.5)
+            got = score_masked(ext, [rng.random(DIMS)], rng.random(DIMS), bool_masks(rng, 3))
             np.testing.assert_array_equal(got, [0.5, 0.25, -0.5])
             assert ops == ["score_batch"]
 
@@ -526,8 +581,9 @@ class TestPayload:
 
 
 def masks_request(kind, **fields):
-    """A valid score_masks request line of three masks at DIMS in wire form
-    `kind`, with `fields` replaced."""
+    """A score_masks request line of three masks at DIMS in wire form
+    `kind`, with `fields` replaced: a valid one, or for "bits" and "f32" one
+    in the retired pixel form, as boolean or float32 masks."""
     rng = np.random.default_rng(2)
     h, w, _ = DIMS
     n = 3
@@ -562,17 +618,19 @@ def ones_bits(*shape):
     return _encode_bits(np.ones(shape, dtype=bool))
 
 
+PIXELS = "unknown mask form 'pixels'"
+
 # each case, with a fragment of the peer's message
 BAD_MASK_REQUESTS = {
-    "bits-short": ("bit payload", masks_request("bits", bits=ones_bits(3 * 100 - 8))),
-    "bits-long": ("bit payload", masks_request("bits", bits=ones_bits(3 * 100 + 8))),
-    "bits-bad-base64": ("base64", masks_request("bits", bits="@@@@")),
-    "bits-not-a-string": ("base64", masks_request("bits", bits=5)),
-    "n-zero": ("mask count", masks_request("bits", n=0, bits="")),
-    "n-above-max-batch": ("mask count", masks_request("bits", n=9, bits=ones_bits(9, 10, 10))),
-    "n-not-the-payload": ("bit payload", masks_request("bits", n=2, bits=ones_bits(3, 10, 10))),
-    "n-bool": ("mask count", masks_request("bits", n=True, bits=ones_bits(1, 10, 10))),
-    "n-null": ("mask count", masks_request("bits", n=None)),
+    "bits-short": ("bit payload", masks_request("rise", grids=ones_bits(3 * 16 - 8))),
+    "bits-long": ("bit payload", masks_request("rise", grids=ones_bits(3 * 16 + 8))),
+    "bits-bad-base64": ("base64", masks_request("selections", keep="@@@@")),
+    "bits-not-a-string": ("base64", masks_request("selections", keep=5)),
+    "n-zero": ("mask count", masks_request("selections", n=0, keep="")),
+    "n-above-max-batch": ("mask count", masks_request("selections", n=9, keep=ones_bits(9, 4))),
+    "n-not-the-payload": ("bit payload", masks_request("selections", n=2, keep=ones_bits(3, 4))),
+    "n-bool": ("mask count", masks_request("selections", n=True, keep=ones_bits(1, 4))),
+    "n-null": ("mask count", masks_request("selections", n=None)),
     "rise-dy-at-stop": ("dy must", masks_request("rise", dy=[0, 3, 0])),
     "rise-dx-negative": ("dx must", masks_request("rise", dx=[0, -1, 0])),
     "rise-dy-not-n-long": ("dy must", masks_request("rise", dy=[0, 1])),
@@ -590,15 +648,18 @@ BAD_MASK_REQUESTS = {
     "selections-s-zero": ("segment count", masks_request("selections", s=0)),
     "selections-s-above-pixels": ("segment count", masks_request("selections", s=101)),
     "selections-keep-short": ("bit payload", masks_request("selections", keep=ones_bits(8))),
-    "f32-nan": ("in [0, 1]", masks_request("f32", keep=encode_f32(np.full((3, 10, 10), np.nan)))),
-    "f32-inf": ("in [0, 1]", masks_request("f32", keep=encode_f32(np.full((3, 10, 10), np.inf)))),
-    "f32-above-one": ("in [0, 1]", masks_request("f32", keep=encode_f32(np.full((3, 10, 10), 1.5)))),
-    "f32-negative": ("in [0, 1]", masks_request("f32", keep=encode_f32(np.full((3, 10, 10), -0.25)))),
-    "f32-short": ("f32 masks carry", masks_request("f32", keep=encode_f32(np.zeros((3, 10, 9))))),
-    "f32-bad-base64": ("base64", masks_request("f32", keep="a")),
-    "query-bad-base64": ("base64", masks_request("bits", query="&&&")),
-    "query-wrong-size": ("reshape", masks_request("bits", query=encode_f32(np.zeros(299)))),
-    "unknown-form": ("mask form", masks_request("bits", form="wavelets")),
+    # the retired pixel form, valid or not, is an unknown form
+    "pixels-bits": (PIXELS, masks_request("bits")),
+    "pixels-keep": (PIXELS, masks_request("f32")),
+    "f32-nan": (PIXELS, masks_request("f32", keep=encode_f32(np.full((3, 10, 10), np.nan)))),
+    "f32-inf": (PIXELS, masks_request("f32", keep=encode_f32(np.full((3, 10, 10), np.inf)))),
+    "f32-above-one": (PIXELS, masks_request("f32", keep=encode_f32(np.full((3, 10, 10), 1.5)))),
+    "f32-negative": (PIXELS, masks_request("f32", keep=encode_f32(np.full((3, 10, 10), -0.25)))),
+    "f32-short": (PIXELS, masks_request("f32", keep=encode_f32(np.zeros((3, 10, 9))))),
+    "f32-bad-base64": (PIXELS, masks_request("f32", keep="a")),
+    "query-bad-base64": ("base64", masks_request("selections", query="&&&")),
+    "query-wrong-size": ("reshape", masks_request("selections", query=encode_f32(np.zeros(299)))),
+    "unknown-form": ("mask form", masks_request("selections", form="wavelets")),
     "boxes-end-before-start": ("end before", masks_request("boxes", bottom=[0, 1, 10])),
     "boxes-right-before-left": ("end before", masks_request("boxes", right=[0, 7, 8])),
     "boxes-top-past-h": ("top must", masks_request("boxes", top=[0, 2, 11], bottom=[0, 5, 11])),
@@ -652,24 +713,25 @@ class TestMaskCodeValidation:
     """The peer answers a malformed score_masks request with bad_input
     (max_batch is 8 here, DIMS 10x10x3)."""
 
-    @pytest.mark.parametrize("kind", ["bits", "f32", "rise", "selections", "boxes", "nested"])
+    @pytest.mark.parametrize("kind", ["rise", "selections", "boxes", "nested"])
     def test_valid_request_is_scored(self, reference, kind):
         out = json.loads(_handle_line(masks_request(kind), reference, 8, [0]))
         assert len(out["scores"]) == 3
 
     @settings(max_examples=300, deadline=None)
     @given(msg=mutated_form())
-    def test_mutated_boxes_and_nested_end_as_bad_input_or_a_valid_form(self, msg):
+    def test_mutated_boxes_and_nested_end_as_bad_input_or_a_valid_form(self, reference, msg):
         # a form that is built holds n masks in range: its rows are those
-        # of its full-resolution masks
+        # of its masked copies
         try:
             form = _masks_of(msg, 3, DIMS[:2])
         except InvalidArgumentError:
             return
         keep = form.block(0, len(form))
         assert keep.shape == (3, *DIMS[:2]) and keep.dtype == bool
-        kernel = np.random.default_rng(0).normal(size=(6, DIMS[0] * DIMS[1]))
-        np.testing.assert_allclose(form.embed(kernel).emb, _Pixels(keep, DIMS[:2]).embed(kernel).emb,
+        query = np.random.default_rng(0).random(DIMS)
+        np.testing.assert_allclose(form.embed(reference.keep_kernel(query)).emb,
+                                   reference.embed_batch_flat(_masked(query, keep).reshape(3, -1)).emb,
                                    rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("fragment, line", BAD_MASK_REQUESTS.values(), ids=BAD_MASK_REQUESTS.keys())
@@ -684,7 +746,7 @@ class TestMaskCodeValidation:
         hello = {**HELLO, "caps": ["score", "score_masks"]}
         with ExternalScorer(command=scripted_peer(hello, reply)) as ext:
             with pytest.raises(TransportError, match="score_masks"):
-                score_masked(ext, [rng.random(DIMS)], rng.random(DIMS), rng.random((3, *DIMS[:2])) < 0.5)
+                score_masked(ext, [rng.random(DIMS)], rng.random(DIMS), bool_masks(rng, 3))
 
     def test_one_retry_on_dead_peer(self, tmp_path, reference, rng):
         # each child answers one line: the hello, then the retried request
@@ -698,20 +760,12 @@ class TestMaskCodeValidation:
             "    sys.stdout.write(_handle_line(line, scorer, 64, [0]) + '\\n')\n"
             "    sys.stdout.flush()\n"
         )
-        ref, query, keep = rng.random(DIMS), rng.random(DIMS), rng.random((5, *DIMS[:2])) < 0.5
+        ref, query, keep = rng.random(DIMS), rng.random(DIMS), bool_masks(rng, 5)
         with ExternalScorer(command=[sys.executable, str(script)]) as ext:
             got = score_masked(ext, [ref], query, keep)
         np.testing.assert_allclose(got, score_masked(reference, [ref], query, keep), rtol=0, atol=1e-6)
 
-    def test_peer_dying_twice_is_transport_error(self, monkeypatch, rng):
-        spawned = []
-        real_popen = subprocess.Popen
-
-        def recording_popen(*args, **kwargs):
-            spawned.append(real_popen(*args, **kwargs))
-            return spawned[-1]
-
-        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    def test_peer_dying_twice_is_transport_error(self, spawned, rng):
         hello = {**HELLO, "caps": ["score", "score_masks"]}
         # answers the hello and exits on any other request
         peer = ("import json, sys\n"
@@ -722,6 +776,6 @@ class TestMaskCodeValidation:
                 f"    print(json.dumps({{'id': req['id'], **{hello!r}}}), flush=True)\n")
         with ExternalScorer(command=[sys.executable, "-c", peer]) as ext:
             with pytest.raises(TransportError):
-                score_masked(ext, [rng.random(DIMS)], rng.random(DIMS), rng.random((3, *DIMS[:2])) < 0.5)
+                score_masked(ext, [rng.random(DIMS)], rng.random(DIMS), bool_masks(rng, 3))
         assert len(spawned) == 2
         assert all(proc.returncode is not None for proc in spawned)

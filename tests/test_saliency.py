@@ -23,12 +23,12 @@ from simexplain.saliency import (
     _STREAM_QUERY_MASKS,
     MaskObjective,
     _interp_matrix,
+    _masked,
     _Boxes,
     _Nested,
     _occlusion_boxes,
     _occlusion_keep,
     _references,
-    _Pixels,
     _Selections,
     _window_origins,
     _window_side,
@@ -338,14 +338,10 @@ class TestBlocks:
     def test_score_masked_equals_whole_stack(self, n, n_refs, score_only, planted, images):
         _, scorer = planted
         rng = np.random.default_rng(n)
-        keep = rng.random((n, *DIMS[:2]))
+        masks = sample_rise_masks(se.RiseCfg(n_masks=n, grid=7), *DIMS[:2], seed=n)
         refs = [images[0]] + [rng.random(DIMS) for _ in range(n_refs - 1)]
-        stack = images[1][None] * keep[..., None]
-        expected = np.zeros(n)
-        for ref in refs:
-            expected += score_image_stack(scorer, ref, stack)
-        expected /= n_refs
-        got = score_masked(_ScoreOnly(scorer) if score_only else scorer, refs, images[1], keep)
+        expected = _stack_scores(scorer, refs, images[1], full_masks(masks))
+        got = score_masked(_ScoreOnly(scorer) if score_only else scorer, refs, images[1], masks)
         if score_only:
             assert got.tobytes() == expected.tobytes()
         else:
@@ -368,28 +364,44 @@ class TestBlocks:
         assert full_masks(sample_rise_masks(cfg, height, width, seed=9)).tobytes() == one_shot.tobytes()
 
 
-def _keep_masks(kind: str, n: int, rng) -> np.ndarray:
-    """n keep masks of one kind a method or curve makes, the first all zero."""
+def _stack_scores(scorer, refs, query, keep) -> np.ndarray:
+    """The reference for score_masked: the masked copies of the query under
+    the (N, H, W) keep masks, scored as one stack against each reference,
+    summed in reference order and averaged."""
+    stack = _masked(query, keep)
+    total = np.zeros(len(keep))
+    for ref in refs:
+        total += score_image_stack(scorer, ref, stack)
+    return total / len(refs)
+
+
+def _method_masks(kind: str, n: int, rng):
+    """n keep masks of one kind a method or curve makes, in their code form,
+    the first keeping no pixel."""
     h, w = DIMS[:2]
     if kind == "rise":
-        keep = full_masks(sample_rise_masks(se.RiseCfg(n_masks=n, grid=7), h, w, seed=n))
+        masks = sample_rise_masks(se.RiseCfg(n_masks=n, grid=7), h, w, seed=n)
+        masks.grids[0] = 0.0
     elif kind == "occlusion":
-        windows = _occlusion_keep(h, w, 81, 0.1)
-        keep = windows[np.arange(n) % len(windows)]
+        windows = _occlusion_boxes(h, w, 81, 0.1)
+        sides = [side[np.arange(n) % 81] for side in (windows.top, windows.bottom, windows.left, windows.right)]
+        masks = _Boxes(*sides, (h, w))
+        masks.top[0], masks.bottom[0], masks.left[0], masks.right[0] = 0, h, 0, w
     elif kind == "lime":
-        keep = (rng.random((n, 49)) < 0.5)[:, grid_segments(h, w, 49)]
+        masks = _Selections(rng.random((n, 49)) < 0.5, grid_segments(h, w, 49))
+        masks.keep[0] = False
     else:  # the curves' top-k pixel selections
-        rank = rng.permutation(h * w)
-        keep = (rank[None, :] < rng.integers(0, h * w + 1, size=n)[:, None]).reshape(n, h, w)
-    keep[0] = 0
-    return keep
+        masks = _code_form("insertion", n, rng)
+        masks.counts[0] = 0
+    return masks
 
 
 class TestFactorizedKernel:
-    """score_masked embeds query * keep from the keep masks alone, through
-    the query's keep kernel. It sums in another order than embedding the
-    masked stack, so the two paths agree within 1e-9; each of its rows is
-    still independent of N."""
+    """score_masked embeds query * keep from the codes of the keep masks
+    alone, through the query's keep kernel. It sums in another order than
+    embedding the masked copies of the form's own blocks, so the two paths
+    agree within 1e-9, and a score-only scorer, which is given those
+    copies, keeps their bits; each row is still independent of N."""
 
     KINDS = ["rise", "occlusion", "lime", "curve"]
 
@@ -401,23 +413,41 @@ class TestFactorizedKernel:
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
     def test_agrees_with_stack_path(self, kind, n, scorer, images):
         ref, query = images
-        keep = _keep_masks(kind, n, np.random.default_rng(n))
-        stack = query[None] * keep[..., None]
-        rows = _Pixels(keep, DIMS[:2]).embed(scorer.keep_kernel(query))
+        masks = _method_masks(kind, n, np.random.default_rng(n))
+        stack = _masked(query, masks.block(0, n))
+        rows = masks.embed(scorer.keep_kernel(query))
         stack_rows = scorer.embed_batch_flat(stack.reshape(n, -1))
         np.testing.assert_allclose(rows.emb, stack_rows.emb, rtol=0, atol=1e-9)
         np.testing.assert_allclose(rows.norms, stack_rows.norms, rtol=0, atol=1e-9)
-        got = score_masked(scorer, [ref], query, keep)
+        got = score_masked(scorer, [ref], query, masks)
         expected = score_image_stack(scorer, ref, stack)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
         assert got[0] == 0.0 and expected[0] == 0.0
+        assert score_masked(_ScoreOnly(scorer), [ref], query, masks).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("score_only", [False, True], ids=["embedding", "score-only"])
     def test_keep_masks_of_another_shape_rejected(self, score_only, scorer, images):
         scorer = _ScoreOnly(scorer) if score_only else scorer
-        for keep in (np.ones((2, 28, 27)), np.ones((28, 28)), np.ones((2, 27, 28, 1)), np.ones((3, 28, 28, 1))):
-            with pytest.raises(InvalidArgumentError):
+        rng = np.random.default_rng(0)
+        for masks in (sample_rise_masks(se.RiseCfg(n_masks=2, grid=7), 28, 27, seed=0),
+                      _Selections(rng.random((2, 4)) < 0.5, grid_segments(27, 28, 4)),
+                      _code_form("boxes", 2, rng, shape=(28, 27)), _code_form("insertion", 2, rng, shape=(27, 28))):
+            with pytest.raises(InvalidArgumentError, match="code form"):
+                score_masked(scorer, [images[0]], images[1], masks)
+
+    @pytest.mark.parametrize("score_only", [False, True], ids=["embedding", "score-only"])
+    def test_arrays_are_refused_before_any_scorer_call(self, score_only, images, monkeypatch):
+        # the pixel-array mask form is retired: an (N, H, W) array, boolean
+        # or float, is no code form
+        inner = se.LinearToyScorer.random(DIMS, embed_dim=8, seed=5)
+        calls = []
+        for name in ("keep_kernel", "embed_batch_flat", "score_batch", "score_batch_flat"):
+            monkeypatch.setattr(inner, name, lambda *args, name=name: calls.append(name))
+        scorer = _ScoreOnly(inner) if score_only else inner
+        for keep in (np.ones((3, 28, 28), dtype=bool), np.random.default_rng(0).random((3, 28, 28))):
+            with pytest.raises(InvalidArgumentError, match="code form"):
                 score_masked(scorer, [images[0]], images[1], keep)
+        assert calls == []
 
     @pytest.mark.parametrize("kind", KINDS + ["boxes", "nested"])
     def test_rows_equal_single_mask_calls_zero_ulp(self, kind, scorer, images):
@@ -428,11 +458,11 @@ class TestFactorizedKernel:
         elif kind == "nested":
             forms = [_code_form(direction, n, rng) for direction in ("insertion", "deletion")]
         else:
-            keep = _keep_masks(kind, n, rng)
-            forms = [keep]
+            forms = [_method_masks(kind, n, rng)]
         for masks in forms:
             batch = score_masked(scorer, [ref], query, masks)
-            singles = np.concatenate([score_masked(scorer, [ref], query, _one_mask(masks, i)) for i in range(n)])
+            singles = np.concatenate([score_masked(scorer, [ref], query, _part(masks, slice(i, i + 1)))
+                                      for i in range(n)])
             assert batch.tobytes() == singles.tobytes()
 
 
@@ -452,13 +482,16 @@ def _code_form(kind: str, n: int, rng, shape=DIMS[:2]):
     return _Nested(rng.permutation(h * w), counts, kind == "insertion", shape)
 
 
-def _one_mask(masks, i: int):
-    """Mask i of a code form or an array, as its own one-mask stack."""
+def _part(masks, part):
+    """The masks ``part`` (a slice or index array) of a code form, as a
+    form of their own."""
+    if isinstance(masks, saliency.RiseMasks):
+        return dataclasses.replace(masks, grids=masks.grids[part], dy=masks.dy[part], dx=masks.dx[part])
+    if isinstance(masks, _Selections):
+        return dataclasses.replace(masks, keep=masks.keep[part])
     if isinstance(masks, _Boxes):
-        return _Boxes(*(side[i:i + 1] for side in (masks.top, masks.bottom, masks.left, masks.right)), masks.shape)
-    if isinstance(masks, _Nested):
-        return dataclasses.replace(masks, counts=masks.counts[i:i + 1])
-    return masks[i:i + 1]
+        return _Boxes(*(side[part] for side in (masks.top, masks.bottom, masks.left, masks.right)), masks.shape)
+    return dataclasses.replace(masks, counts=masks.counts[part])
 
 
 def _occlusion_keep_by_window(height: int, width: int, n_windows: int, area_frac: float) -> np.ndarray:
@@ -477,9 +510,9 @@ class TestBoxesAndNested:
     """Occlusion windows embed as the whole image's row less a box, from a
     summed-area table of the keep kernel, and curve steps as prefix or
     suffix sums of its columns in the pixel order. Both sum in another
-    order than their full-resolution masks (``_Pixels``), so rows agree
-    within 1e-9; their blocks are those masks byte for byte, so a
-    score-only scorer keeps its bits."""
+    order than embedding their masked copies, so rows agree within 1e-9;
+    their blocks are the full-resolution masks byte for byte, so a
+    score-only scorer keeps the bits of scoring those copies."""
 
     @pytest.fixture(scope="class")
     def scorer(self):
@@ -491,15 +524,13 @@ class TestBoxesAndNested:
         ref, query = images
         form = _code_form(kind, n, np.random.default_rng(n))
         keep = form.block(0, n)
-        kernel = scorer.keep_kernel(query)
-        rows, pixel_rows = form.embed(kernel), _Pixels(keep, DIMS[:2]).embed(kernel)
-        np.testing.assert_allclose(rows.emb, pixel_rows.emb, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(rows.norms, pixel_rows.norms, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(score_masked(scorer, [ref], query, form),
-                                   score_masked(scorer, [ref], query, keep), rtol=0, atol=1e-9)
-        score_only = _ScoreOnly(scorer)
-        assert (score_masked(score_only, [ref], query, form).tobytes()
-                == score_masked(score_only, [ref], query, keep).tobytes())
+        rows = form.embed(scorer.keep_kernel(query))
+        stack_rows = scorer.embed_batch_flat(_masked(query, keep).reshape(n, -1))
+        np.testing.assert_allclose(rows.emb, stack_rows.emb, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rows.norms, stack_rows.norms, rtol=0, atol=1e-9)
+        expected = _stack_scores(scorer, [ref], query, keep)
+        np.testing.assert_allclose(score_masked(scorer, [ref], query, form), expected, rtol=0, atol=1e-9)
+        assert score_masked(_ScoreOnly(scorer), [ref], query, form).tobytes() == expected.tobytes()
         # _CHUNK-sized blocks give the whole stack's masks
         assert np.concatenate([form.block(s, s + _CHUNK) for s in range(0, n, _CHUNK)]).tobytes() == keep.tobytes()
 
@@ -569,18 +600,18 @@ class TestBlockMemory:
 
     @pytest.fixture(scope="class")
     def inputs(self):
-        masks = full_masks(sample_rise_masks(se.RiseCfg(n_masks=1000), *self.BIG[:2], seed=0))
+        masks = sample_rise_masks(se.RiseCfg(n_masks=1000), *self.BIG[:2], seed=0)
         query = np.random.default_rng(0).random(self.BIG)
         return masks, query, se.LinearToyScorer.random(self.BIG, seed=0)
 
     def test_score_masked_peak_is_a_block_not_the_stack(self, inputs):
         masks, query, scorer = inputs
-        full_stack = masks.nbytes * self.BIG[2]  # the (1000, 56, 56, 3) float64 stack, 75 MB
+        full_stack = len(masks) * query.nbytes  # the (1000, 56, 56, 3) float64 stack, 75 MB
         assert _traced_peak(score_masked, scorer, [query, query], query, masks) < full_stack / 4
 
     def test_score_only_peak_does_not_grow_with_mask_count(self, inputs):
         masks, query, scorer = inputs
-        few = _traced_peak(score_masked, _ScoreOnly(scorer), [query], query, masks[:_CHUNK + 1])
+        few = _traced_peak(score_masked, _ScoreOnly(scorer), [query], query, _part(masks, slice(0, _CHUNK + 1)))
         many = _traced_peak(score_masked, _ScoreOnly(scorer), [query], query, masks)
         assert many < few + 2**20
 
@@ -622,10 +653,10 @@ class TestCodePath:
     """RISE and LIME embed their masked queries from low-dimensional codes
     (grid cells at a crop offset, superpixel choices) through the query's
     keep kernel, and RISE sums its map per offset in grid space. Both sum
-    in another order than the materialized-mask path (score_masked on the
-    full keep masks, codes over the pixels), so scores agree within 1e-12
-    and RISE map sums within 1e-12 per mask; a score-only scorer gets the
-    same blocks of masks and the same score bits."""
+    in another order than the materialized-mask path (the masked copies of
+    the full keep masks, scored as one stack), so scores agree within
+    1e-12 and RISE map sums within 1e-12 per mask; a score-only scorer gets
+    those blocks of masks and the stack's score bits."""
 
     TOL = 1e-12
 
@@ -651,12 +682,11 @@ class TestCodePath:
         masks = sample_rise_masks(cfg.rise, h, w, cfg.seed)
         full = full_masks(masks)
         scores = score_masked(scorer, refs, query, masks)
-        np.testing.assert_allclose(scores, score_masked(scorer, refs, query, full), rtol=0, atol=self.TOL)
+        expected = _stack_scores(scorer, refs, query, full)
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=self.TOL)
         np.testing.assert_allclose(masks.weighted_sum(scores), np.einsum("n,nhw->hw", scores, full),
                                    rtol=0, atol=self.TOL * n_masks)
-        score_only = _ScoreOnly(scorer)
-        assert (score_masked(score_only, refs, query, masks).tobytes()
-                == score_masked(score_only, refs, query, full).tobytes())
+        assert score_masked(_ScoreOnly(scorer), refs, query, masks).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dims", [(28, 28, 3), (30, 17, 3)], ids=["square", "30x17"])
     @pytest.mark.parametrize("kind", ["planted", "triplet"])
@@ -669,12 +699,9 @@ class TestCodePath:
         segments = grid_segments(h, w, 49) if segmentation == "grid" else slic_like_segments(query, 49)
         keep = rng.random((300, int(segments.max()) + 1)) < 0.5
         codes = _Selections(keep, segments)
-        scores = score_masked(scorer, [ref], query, codes)
-        np.testing.assert_allclose(scores, score_masked(scorer, [ref], query, keep[:, segments]),
-                                   rtol=0, atol=self.TOL)
-        score_only = _ScoreOnly(scorer)
-        assert (score_masked(score_only, [ref], query, codes).tobytes()
-                == score_masked(score_only, [ref], query, keep[:, segments]).tobytes())
+        expected = _stack_scores(scorer, [ref], query, keep[:, segments])
+        np.testing.assert_allclose(score_masked(scorer, [ref], query, codes), expected, rtol=0, atol=self.TOL)
+        assert score_masked(_ScoreOnly(scorer), [ref], query, codes).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
     def test_rows_are_batch_invariant(self, n, images):
@@ -685,19 +712,12 @@ class TestCodePath:
         total = 2 * _CHUNK + 3
         rise = sample_rise_masks(se.RiseCfg(n_masks=total, grid=7), *DIMS[:2], seed=1)
         lime = _Selections(np.random.default_rng(1).random((total, 49)) < 0.5, grid_segments(*DIMS[:2], 49))
-
-        def rise_part(part):
-            return dataclasses.replace(rise, grids=rise.grids[part], dy=rise.dy[part], dx=rise.dx[part])
-
-        def lime_part(part):
-            return dataclasses.replace(lime, keep=lime.keep[part])
-
-        for part_of, whole in ((rise_part, rise), (lime_part, lime)):
+        for whole in (rise, lime):
             every = whole.embed(kernel)
-            first = part_of(slice(0, n)).embed(kernel)
+            first = _part(whole, slice(0, n)).embed(kernel)
             assert first.emb.tobytes() == every.emb[:n].tobytes()
             assert first.norms.tobytes() == every.norms[:n].tobytes()
-            singles = np.concatenate([part_of(slice(i, i + 1)).embed(kernel).emb for i in range(n)])
+            singles = np.concatenate([_part(whole, slice(i, i + 1)).embed(kernel).emb for i in range(n)])
             assert singles.tobytes() == first.emb.tobytes()
 
     @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "dual"])
