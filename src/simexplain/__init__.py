@@ -56,7 +56,6 @@ from .attrmodel import (
 )
 from .explain import (
     CONFIDENCE_ONLY_PHI,
-    ExplainConfig,
     ExplanationResult,
     PhiWeights,
     Prior,

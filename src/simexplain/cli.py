@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import shlex
 import sys
@@ -37,7 +38,6 @@ from .errors import (
 )
 from .explain import (
     CONFIDENCE_ONLY_PHI,
-    ExplainConfig,
     PhiWeights,
     Prior,
     PriorEstimate,
@@ -169,8 +169,6 @@ def _config_payload(obj) -> object:
         return {f.name: _config_payload(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Method):
         return obj.name.lower()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, dict):
         return {k: _config_payload(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -378,34 +376,50 @@ def cmd_saliency(args) -> dict:
         maps = _maps(scorer, dataset, pairs, map_codes(cfg, *dataset.dims[:2]), args.jobs)
     out = _make_out(args)
     for pair, smap in zip(pairs, maps):
-        stem = f"{pair.query_id}__{pair.reference_id}"
+        stem = _bank_name(pair)
         save_saliency(out / f"{stem}.smap", smap)
         write_pgm(out / f"{stem}.pgm", smap.data)
     _echo_config(args, {"command": "saliency", "saliency": _config_payload(cfg), "pairs": len(pairs)})
     return {"out": str(out), "maps": len(maps)}
 
 
-def load_saliency_bank(maps_dir: str | Path) -> dict[str, list[SaliencyMap]]:
-    """Group <query>__<reference>.smap files by query id (sorted order).
-    A path that is not a directory holding .smap files is refused."""
-    paths = sorted(Path(maps_dir).glob("*.smap"))
+def _bank_name(pair: Pair) -> str:
+    """The name of a pair's bank map, <query>__<reference>: `saliency`
+    writes its maps under it and `pipeline` its bank."""
+    return f"{pair.query_id}__{pair.reference_id}"
+
+
+def _bank_rule(queries: dict[str, str], k_maps: int) -> dict[str, list[str]]:
+    """The bank rule of `pipeline` and `train-attr`: of the bank maps, named
+    with their query in ``queries``, each query's first ``k_maps`` names in
+    name order, by query id."""
+    kept: dict[str, list[str]] = {}
+    for name in sorted(queries):
+        names = kept.setdefault(queries[name], [])
+        if len(names) < k_maps:
+            names.append(name)
+    return kept
+
+
+def load_saliency_bank(maps_dir: str | Path, k_maps: int) -> dict[str, list[SaliencyMap]]:
+    """The maps the bank rule keeps of the <query>__<reference>.smap files
+    in ``maps_dir``, by query id. A path that is not a directory holding
+    .smap files, or a file of another name, is refused."""
+    paths = {path.stem: path for path in Path(maps_dir).glob("*.smap")}
     if not paths:
         raise ParseError(f"{maps_dir}: not a directory of .smap saliency maps")
-    bank: dict[str, list[SaliencyMap]] = {}
-    for path in paths:
-        stem = path.stem
-        if "__" not in stem:
+    for name, path in paths.items():
+        if "__" not in name:
             raise ParseError(f"{path}: bank file names must be <query>__<reference>.smap")
-        query_id = stem.split("__", 1)[0]
-        bank.setdefault(query_id, []).append(load_saliency(path))
-    return bank
+    return {query: [load_saliency(paths[name]) for name in names]
+            for query, names in _bank_rule({name: name.split("__", 1)[0] for name in paths}, k_maps).items()}
 
 
 def cmd_train_attr(args) -> dict:
     dataset = load_dataset(args.dataset)
-    bank = load_saliency_bank(args.maps) if args.maps else {}
     cfg = run_config(args, train={"epochs": args.epochs, "lr": args.lr, "lam": args.lam,
                                   "k_maps": args.k})["train"]
+    bank = load_saliency_bank(args.maps, cfg.k_maps) if args.maps else {}
     model = train(dataset, bank, cfg)
     save_model(_make_out(args), model)
     _echo_config(args, {"command": "train-attr", "train": _config_payload(cfg), "bank_images": len(bank)})
@@ -416,8 +430,10 @@ def cmd_train_attr(args) -> dict:
 def _fit_explanation(model: AttributeModel, scorer: Scorer, dataset: Dataset, pairs: list[Pair],
                      codes: MapCodes, jobs: int, grid_step: float = 0.05) -> tuple[PriorEstimate, PhiWeights]:
     """Held-out pair features -> attribute prior -> phi grid search: the one
-    fit of the explanation, behind `fit-phi`, `eval` and `pipeline`, with
-    the maps of ``codes``. A split without a labelled pair is refused."""
+    fit of the explanation, behind `fit-phi` and ``run_eval``, with the
+    maps of ``codes``. A split without a labelled pair is refused before
+    any map."""
+    _require_labelled(_ground_truth(dataset, pairs))
     features = pair_features(model, _maps(scorer, dataset, pairs, codes, jobs), dataset, pairs)
     estimate = estimate_prior(features, dataset.n_attributes)
     return estimate, fit_phi(features, estimate.prior, grid_step)
@@ -463,18 +479,14 @@ def cmd_explain(args) -> dict:
     model = load_model(args.model, dataset.dims, dataset.n_attributes)
     saliency_cfg = run_config(args, saliency={"method": args.method})["saliency"]
     phi, prior = _load_fit(args.phi_file, dataset.n_attributes) if args.phi_file else (PhiWeights(), None)
-    cfg = ExplainConfig(saliency=saliency_cfg, phi=phi, prior=prior)
     [pair] = _select_pairs(dataset, args.pair, None, None)
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
-        result = explain_pair(
-            scorer, model,
-            dataset.image(pair.reference_id), dataset.image(pair.query_id), cfg,
-            query_id=pair.query_id, reference_id=pair.reference_id,
-        )
+        result = explain_pair(scorer, model, dataset.image(pair.reference_id), dataset.image(pair.query_id),
+                              saliency_cfg, phi, prior)
     smap_path = args.out.with_suffix(args.out_second)
     payload = {
-        "query": result.query_id,
-        "reference": result.reference_id,
+        "query": pair.query_id,
+        "reference": pair.reference_id,
         "saliency_path": smap_path.name,
         "phi": {"phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3},
         "ranked": [{**dataclasses.asdict(r), "name": dataset.catalog.names[r.attribute]} for r in result.ranked],
@@ -505,20 +517,22 @@ def run_eval(
     insertion_step: float = 0.01,
     limit_pairs: int | None = None,
     jobs: int = 1,
-    prior: Prior | None = None,
-    phi: PhiWeights | None = None,
-) -> dict:
-    """Shared evaluation harness behind `eval` and `pipeline`.
+) -> tuple[dict, tuple[PriorEstimate, PhiWeights] | None]:
+    """Shared evaluation harness behind `eval` and `pipeline`: the report,
+    and the fit of the explanation if a suite ranks attributes (else None).
 
     ``codes`` are those of the command's saliency config, whose maps the
-    `top1` and `removal` suites rank with the ``prior`` and ``phi`` the
-    caller fitted on the validation pairs. ``methods`` holds the parsed
-    ``--methods`` entries, whose curves reuse ``codes`` for that config
-    and build each other config's once. Each config's test maps are made
-    once and shared by every suite that reads them.
+    `top1` and `removal` suites rank with the prior and phi fitted on the
+    validation pairs. ``methods`` holds the parsed ``--methods`` entries,
+    whose curves reuse ``codes`` for that config and build each other
+    config's once. Each config's test maps are made once and shared by
+    every suite that reads them. A test split without pairs, or
+    validation pairs without a labelled one, is refused before any map.
     """
     report: dict = {"schema_version": 1, "saliency": {}, "attribute": {}, "counts": {}}
     test_pairs = _test_pairs(dataset, suites, limit_pairs)
+    fit = (_fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"), codes, jobs)
+           if {"top1", "removal"} & set(suites) else None)
     report["counts"]["test_pairs"] = len(test_pairs)
     report["counts"]["val_pairs"] = len(dataset.pairs_for_split("val"))
     test_maps: dict[SaliencyConfig, list[SaliencyMap]] = {}
@@ -547,9 +561,8 @@ def run_eval(
     if "map" in suites:
         report["attribute"]["map"] = map_metric(model, dataset, "test")
 
-    if {"top1", "removal"} & set(suites):
-        if prior is None or phi is None:
-            raise InvalidArgumentError("the top1 and removal suites need a fitted prior and phi")
+    if fit:
+        prior, phi = fit[0].prior, fit[1]
         report["attribute"]["phi"] = [phi.phi1, phi.phi2, phi.phi3]
         test_features = pair_features(model, maps_for(codes.cfg), dataset, test_pairs)
         full_attrs = test_features.top1(prior, phi).tolist()
@@ -572,7 +585,7 @@ def run_eval(
                                               embeddings=embeddings)
                 removal[name] = {"delta": res.mean_delta, "n_used": res.n_used, "n_skipped": res.n_skipped}
             report["attribute"]["removal"] = removal
-    return report
+    return report, fit
 
 
 _SUITES = ["insertion", "deletion", "map", "top1", "removal"]
@@ -591,14 +604,8 @@ def cmd_eval(args) -> dict:
     model = load_model(args.model, dataset.dims, dataset.n_attributes)
     codes = map_codes(saliency_cfg, *dataset.dims[:2])
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
-        prior = phi = None
-        if {"top1", "removal"} & set(suites):
-            estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"),
-                                             codes, args.jobs)
-            prior = estimate.prior
-        report = run_eval(dataset, model, scorer, codes, suites, methods,
-                          seed=args.seed, insertion_step=args.insertion_step,
-                          limit_pairs=args.limit, jobs=args.jobs, prior=prior, phi=phi)
+        report, _ = run_eval(dataset, model, scorer, codes, suites, methods, seed=args.seed,
+                             insertion_step=args.insertion_step, limit_pairs=args.limit, jobs=args.jobs)
     _write_result(args, report, {"command": "eval", "saliency": _config_payload(saliency_cfg),
                                  "suites": suites, "methods": [name for name, _ in methods], "seed": args.seed})
     return {"out": str(args.out), **report.get("attribute", {})}
@@ -654,6 +661,11 @@ def _write_montage(path: Path, dataset: Dataset, assignment) -> None:
 
 def cmd_serve_stub(args) -> dict:
     run_config(args)
+    # the (embed_dim, H*W*C) float64 weight: 2**26 entries are 512 MiB
+    entries, bound = args.embed_dim * math.prod(args.dims), 2 ** 26
+    if entries > bound:
+        raise InvalidArgumentError(f"--dims {','.join(map(str, args.dims))} and --embed-dim {args.embed_dim} make "
+                                   f"a weight of {entries} entries; the stub holds at most {bound} (512 MiB)")
     scorer = LinearToyScorer.random(args.dims, embed_dim=args.embed_dim, seed=args.seed)
     if args.no_embed:
         scorer = _ScoreOnly(scorer)
@@ -674,29 +686,24 @@ def cmd_pipeline(args) -> dict:
     _require_labelled(_ground_truth(dataset, dataset.pairs_for_split("val")))
     _test_pairs(dataset, _SUITES, args.limit)
 
-    # the bank: each train query's first k_maps pairs
-    train_pairs = dataset.pairs_for_split("train")
-    bank_pairs = [p for k, p in enumerate(train_pairs)
-                  if sum(q.query_id == p.query_id for q in train_pairs[:k]) < train_cfg.k_maps]
+    # the bank: the train maps the bank rule keeps, and only those are made
+    train_pairs = {_bank_name(p): p for p in dataset.pairs_for_split("train")}
+    kept = _bank_rule({name: p.query_id for name, p in train_pairs.items()}, train_cfg.k_maps)
+    names = [name for query_names in kept.values() for name in query_names]
 
     codes = map_codes(saliency_cfg, *dataset.dims[:2])
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
-        written = {f"{pair.query_id}__{pair.reference_id}.smap": (pair.query_id, smap)
-                   for pair, smap in zip(bank_pairs, _maps(scorer, dataset, bank_pairs, codes, args.jobs))}
-        bank: dict[str, list[SaliencyMap]] = {}
-        for name in sorted(written):  # the order load_saliency_bank reads the files in
-            query_id, smap = written[name]
-            bank.setdefault(query_id, []).append(smap)
-        model = train(dataset, bank, train_cfg)
-        estimate, phi = _fit_explanation(model, scorer, dataset, dataset.pairs_for_split("val"), codes, args.jobs)
-        report = run_eval(dataset, model, scorer, codes, _SUITES, methods, seed=seed,
-                          limit_pairs=args.limit, jobs=args.jobs, prior=estimate.prior, phi=phi)
+        written = dict(zip(names, _maps(scorer, dataset, [train_pairs[n] for n in names], codes, args.jobs)))
+        model = train(dataset, {query: [written[n] for n in query_names] for query, query_names in kept.items()},
+                      train_cfg)
+        report, (estimate, phi) = run_eval(dataset, model, scorer, codes, _SUITES, methods, seed=seed,
+                                           limit_pairs=args.limit, jobs=args.jobs)
 
     out = _make_out(args)
     save_dataset(dataset, out / "dataset")
     (out / "maps").mkdir(exist_ok=True)
-    for name, (_, smap) in written.items():
-        save_saliency(out / "maps" / name, smap)
+    for name, smap in written.items():
+        save_saliency(out / "maps" / f"{name}.smap", smap)
     save_model(out / "model.sane", model)
     dump_json(out / "phi.json", _fit_payload(estimate, phi))
     dump_json(out / "report.json", report)

@@ -287,6 +287,13 @@ class Curve:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(*values) -> bool:
+    """Whether ``values`` are JSON integers, at least one: each an int,
+    none a bool. One set of types, so a long index list costs no call
+    per item."""
+    return set(map(type, values)) == {int}
+
+
 def _as_grid(grid: np.ndarray | SaliencyMap) -> np.ndarray:
     arr = grid.data if isinstance(grid, SaliencyMap) else np.asarray(grid)
     arr = arr.astype(np.float64, copy=False)

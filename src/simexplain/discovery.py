@@ -118,8 +118,6 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray, 
 
 def _upsampled_patch_embedding(scorer: Scorer, image: np.ndarray, center: tuple[int, int], patch: int) -> tuple[np.ndarray, tuple[int, int]]:
     h, w, _ = image.shape
-    if patch > min(h, w):
-        raise InvalidArgumentError(f"patch side {patch} exceeds image side {min(h, w)}")
     top = min(max(center[0] - patch // 2, 0), h - patch)
     left = min(max(center[1] - patch // 2, 0), w - patch)
     crop = image[top:top + patch, left:left + patch, :]
@@ -142,14 +140,18 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
     with one item per query: an order-preserving map, serial by default,
     that the command line runs over its thread pool. The result does not
     depend on it. The masks are built once for both passes. The image
-    embeddings go through ``embed_images`` with ``embeddings``."""
+    embeddings go through ``embed_images`` with ``embeddings``. A scorer
+    that cannot embed, or a patch larger than the image side, is refused
+    before any of this work."""
     if not scorer.caps.can_embed:
         raise InvalidArgumentError("discovery needs an embedding-capable scorer")
+    h, w, _ = dataset.dims
+    if cfg.patch > min(h, w):
+        raise InvalidArgumentError(f"patch side {cfg.patch} exceeds image side {min(h, w)}")
     map_fn = map_fn or (lambda fn, items: [fn(x) for x in items])
     ids = [img_id for img_id, _ in dataset.images]
     table = embed_images(scorer, dataset, ids, embeddings)
     embeddings = np.stack([table[i] for i in ids])
-    h, w, _ = dataset.dims
     codes = map_codes(cfg.saliency, h, w)
 
     def peaks_of(qi: int, ref_idx: list[int]) -> list[tuple[int, tuple[int, int]]]:

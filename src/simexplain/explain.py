@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -79,21 +79,12 @@ class RankedAttribute:
 
 @dataclass(frozen=True)
 class ExplanationResult:
-    query_id: str
-    reference_id: str
     saliency: SaliencyMap
     ranked: tuple[RankedAttribute, ...]
 
     @property
     def top1(self) -> int:
         return self.ranked[0].attribute
-
-
-@dataclass(frozen=True)
-class ExplainConfig:
-    saliency: SaliencyConfig = field(default_factory=SaliencyConfig)
-    phi: PhiWeights = field(default_factory=PhiWeights)
-    prior: Prior | None = None
 
 
 def rank_attributes(e: np.ndarray) -> np.ndarray:
@@ -199,17 +190,18 @@ def explain_pair(
     model: AttributeModel,
     ref,
     query,
-    cfg: ExplainConfig,
-    query_id: str = "query",
-    reference_id: str = "reference",
+    saliency: SaliencyConfig,
+    phi: PhiWeights = PhiWeights(),
+    prior: Prior | None = None,
 ) -> ExplanationResult:
-    """Full path: saliency map -> attribute prediction -> ranked scores."""
-    prior = cfg.prior if cfg.prior is not None else Prior.uniform(model.n_attributes)
+    """Full path: the ``saliency`` map -> attribute prediction -> scores
+    ranked under ``phi`` and ``prior`` (uniform if None)."""
+    prior = prior if prior is not None else Prior.uniform(model.n_attributes)
     if prior.p.size != model.n_attributes:
         raise InvalidArgumentError(f"prior has {prior.p.size} entries for {model.n_attributes} attributes")
-    smap = generate(scorer, ref, query, cfg.saliency)
+    smap = generate(scorer, ref, query, saliency)
     confidences, map_match = _features_of(model, smap, query)
-    e = cfg.phi.combine(confidences, map_match, prior)
+    e = phi.combine(confidences, map_match, prior)
     ranked = tuple(
         RankedAttribute(
             attribute=int(a),
@@ -220,7 +212,7 @@ def explain_pair(
         )
         for a in rank_attributes(e)
     )
-    return ExplanationResult(query_id=query_id, reference_id=reference_id, saliency=smap, ranked=ranked)
+    return ExplanationResult(saliency=smap, ranked=ranked)
 
 
 def fit_phi(features: PairFeatures, prior: Prior, grid_step: float = 0.05) -> PhiWeights:

@@ -65,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _as_image
+from .core import _as_image, _is_int
 from .errors import InvalidArgumentError, InvalidDataError, TransportError, UnsupportedError
 from .saliency import RiseMasks, _Boxes, _Nested, _Selections, score_masked
 from .scorers import Embedding, Scorer, ScorerCaps
@@ -80,7 +80,7 @@ def encode_f32(arr: np.ndarray) -> str:
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 def _decode_b64(payload: str) -> bytes:
@@ -111,7 +111,7 @@ def _decode_bits(payload: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def _index_list(value, size: int, stop: int, name: str) -> np.ndarray:
     """A JSON list of ``size`` integers in [0, stop); a bool is no integer."""
-    ints = isinstance(value, list) and len(value) == size and set(map(type, value)) == {int}
+    ints = isinstance(value, list) and len(value) == size and _is_int(*value)
     # an integer beyond int64 makes an object or uint64 array
     arr = np.array(value) if ints else np.empty(0)
     if arr.dtype.kind != "i" or arr.min() < 0 or arr.max() >= stop:
@@ -276,7 +276,7 @@ class _Connection:
                                  f"during {payload.get('op')}")
         msg = _json_object(answer)
         # True == 1 == 1.0, but only the integer is the request's id
-        if type(msg.get("id")) is not int or msg["id"] != req_id:
+        if not _is_int(msg.get("id")) or msg["id"] != req_id:
             self.close()
             raise TransportError(f"peer sent a line that is not a JSON reply to request {req_id}: {answer[:80]!r}")
         return msg

@@ -80,6 +80,17 @@ _STREAM_LIME = 3
 _STREAM_MASK_NOISE = 4
 
 
+def _require_square(cfg, *names: str) -> None:
+    """Refuse a field of ``cfg`` named in ``names`` that is no square
+    number, naming the two squares nearest it: no count is rounded."""
+    for name in names:
+        n = getattr(cfg, name)
+        root = math.isqrt(n)
+        if root * root != n:
+            raise InvalidArgumentError(f"{name} must be a square number, such as {root * root} or "
+                                       f"{(root + 1) ** 2}, got {n}")
+
+
 @dataclass(frozen=True)
 class SlidingCfg:
     windows_query: int = 625
@@ -90,12 +101,7 @@ class SlidingCfg:
         if self.windows_query < 1 or self.windows_ref < 1:
             raise InvalidArgumentError("window counts must be >= 1")
         # the windows lie on a square lattice of origins
-        for name in ("windows_query", "windows_ref"):
-            n = getattr(self, name)
-            root = math.isqrt(n)
-            if root * root != n:
-                raise InvalidArgumentError(f"{name} must be a square number, such as {root * root} or "
-                                           f"{(root + 1) ** 2}, got {n}")
+        _require_square(self, "windows_query", "windows_ref")
         if not 0.0 < self.window_area_frac < 1.0:
             raise InvalidArgumentError("window_area_frac must lie in (0, 1)")
 
@@ -128,6 +134,8 @@ class LimeCfg:
     def __post_init__(self):
         if self.n_samples < 1 or self.n_segments < 1 or self.max_sweeps < 1:
             raise InvalidArgumentError("LIME counts must be >= 1")
+        # the grid segmentation is g x g cells
+        _require_square(self, "n_segments")
         if self.segmentation not in ("grid", "slic_like"):
             raise InvalidArgumentError(f"unknown segmentation {self.segmentation!r}")
         if not 0.0 < self.keep_prob < 1.0:

@@ -283,10 +283,6 @@ class TripletToyScorer(LinearEmbeddingScorer):
     for bit.
     """
 
-    def __init__(self, weight: np.ndarray, dims: tuple[int, int, int], margin: float = 0.2):
-        super().__init__(weight, dims)
-        self.margin = float(margin)
-
     @classmethod
     def train_on(
         cls,
@@ -339,4 +335,4 @@ class TripletToyScorer(LinearEmbeddingScorer):
                 moved = True
             if not moved:
                 break
-        return cls(weight, (h, w, c), margin=margin)
+        return cls(weight, (h, w, c))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttributeCatalog, Dataset, ImageTensor, Pair, make_rng
+from .core import AttributeCatalog, Dataset, ImageTensor, Pair, _is_int, make_rng
 from .errors import InvalidArgumentError, ParseError
 from .scorers import LinearToyScorer, Rect
 
@@ -166,10 +166,6 @@ def generate_dataset(spec: SyntheticSpec) -> Dataset:
     return Dataset(images=tuple(images), labels=labels, pairs=tuple(pairs), catalog=catalog, meta=meta)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def slots_from_meta(dataset: Dataset) -> dict[int, Rect]:
     """Recover motif slots recorded by the generator: ``meta.motif_slots``
     maps catalog names to [top, left, height, width] inside the image."""
@@ -183,7 +179,7 @@ def slots_from_meta(dataset: Dataset) -> dict[int, Rect]:
     for name, slot in raw.items():
         if name not in dataset.catalog.names:
             raise ParseError(f"meta.motif_slots names {name!r}, which the catalog lacks")
-        if not (isinstance(slot, list) and len(slot) == 4 and all(map(_is_int, slot))):
+        if not (isinstance(slot, list) and len(slot) == 4 and _is_int(*slot)):
             raise ParseError(f"meta.motif_slots[{name!r}] must be four integers [top, left, height, width]")
         top, left, h, w = slot
         if min(top, left) < 0 or min(h, w) < 1 or top + h > rows or left + w > cols:

@@ -20,7 +20,8 @@ import simexplain.discovery as se_discovery
 import simexplain.explain as se_explain
 import simexplain.saliency as se_saliency
 from simexplain.cli import build_config, build_parser, load_saliency_bank, main
-from simexplain.dataio import GRID_MAGIC, SMAP_MAGIC, load_dataset, load_model, load_saliency, save_grid
+from simexplain.dataio import (GRID_MAGIC, SMAP_MAGIC, load_dataset, load_model, load_saliency, save_dataset,
+                               save_grid)
 from simexplain.errors import IntegrityError, InvalidArgumentError, ParseError
 from simexplain.synth import motif_slots
 
@@ -144,11 +145,22 @@ class TestCliCommands:
 
     def test_bank_loader_groups_by_query(self, cli_workspace):
         _, _, maps_dir, _ = cli_workspace
-        bank = load_saliency_bank(maps_dir)
+        bank = load_saliency_bank(maps_dir, 5)
         assert bank
         for query_id, maps in bank.items():
             assert query_id.startswith("img")
             assert all(isinstance(m, se.SaliencyMap) for m in maps)
+
+    def test_bank_loader_keeps_each_querys_first_maps_in_name_order(self, cli_workspace):
+        _, _, maps_dir, _ = cli_workspace
+        names = sorted(path.stem for path in maps_dir.glob("*.smap"))
+        first = {}
+        for name in names:
+            first.setdefault(name.split("__")[0], name)
+        assert len(first) < len(names)  # some query has more than one map
+        bank = load_saliency_bank(maps_dir, 1)
+        assert {q: [m.data.tobytes() for m in maps] for q, maps in bank.items()} == {
+            q: [load_saliency(maps_dir / f"{name}.smap").data.tobytes()] for q, name in first.items()}
 
     def test_single_pair_saliency(self, cli_workspace, tmp_path):
         _, manifest, _, _ = cli_workspace
@@ -393,6 +405,28 @@ class TestCliPlumbing:
         assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(cfg)]) == 2
         assert key in (err := capsys.readouterr().err) and nearest in err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("count, nearest", [(50, "49 or 64"), (57, "49 or 64"), (2, "1 or 4")])
+    def test_non_square_segment_count_in_config_exits_2(self, count, nearest, tmp_path, capsys):
+        # the grid segmentation is g x g cells: no count is rounded silently
+        cfg = tmp_path / "segments.json"
+        cfg.write_text(json.dumps({"saliency": {"lime": {"n_segments": count}}}))
+        assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(cfg)]) == 2
+        assert "n_segments" in (err := capsys.readouterr().err) and nearest in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flags", [["--dims", "100000,100000,3"], ["--embed-dim", "100000"]],
+                             ids=["dims", "embed-dim"])
+    def test_serve_stub_refuses_a_weight_it_cannot_hold(self, flags, monkeypatch, capsys):
+        """The weight's size is checked by arithmetic: the refused stub
+        draws no weight and serves nothing."""
+        called = []
+        monkeypatch.setattr(cli.LinearToyScorer, "random", lambda *a, **kw: called.append("random"))
+        monkeypatch.setattr(cli, "serve_stdio", lambda *a, **kw: called.append("serve"))
+        assert main(["serve-stub", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "--dims" in err and "--embed-dim" in err and str(2 ** 26) in err
+        assert called == []
 
     def test_removed_fd_fallback_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "fd.json"
@@ -955,9 +989,7 @@ class TestCliPlumbing:
         made = self._record_maps(monkeypatch)
         assert main([*command, "--seed", "3", "--jobs", "1", "--config", str(cfg), "--out", str(out)]) == 2
         assert "ground-truth attributes" in capsys.readouterr().err
-        assert not out.is_file() and not (out / "phi.json").exists() and not (out / "report.json").exists()
-        if command[0] == "pipeline":  # refused before it writes or maps anything
-            assert made == [] and not out.exists()
+        assert made == [] and not out.exists()  # refused before it writes or maps anything
 
     def test_pipeline_without_test_pairs_exits_2_before_writing(self, tmp_path, monkeypatch, capsys):
         manifest, _, cfg = self._split_workspace(tmp_path, [0.8, 0.2, 0.0])
@@ -982,6 +1014,73 @@ class TestCliPlumbing:
         assert "no pairs" in capsys.readouterr().err
         assert made == [] and not out.exists()
 
+    def test_eval_without_test_pairs_makes_no_validation_map(self, tmp_path, monkeypatch, capsys):
+        """The ranking suites fit on the validation pairs; an empty test
+        split is refused before that fit makes a map."""
+        manifest, model, cfg = self._split_workspace(tmp_path, [0.8, 0.2, 0.0])
+        made = self._record_maps(monkeypatch)
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["eval", "--dataset", str(manifest), "--model", str(model), "--scorer", "motif",
+                     "--methods", "rise", "--seed", "3", "--jobs", "1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no pairs" in capsys.readouterr().err
+        assert made == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["fit-phi", "--grid-step", "0.5"],
+        ["eval", "--suite", "top1", "--limit", "2"],
+        ["eval", "--suite", "removal", "--limit", "2"],
+    ], ids=["fit-phi", "eval-top1", "eval-removal"])
+    def test_unlabelled_validation_pairs_exit_2_before_any_map(self, command, tmp_path, monkeypatch, capsys):
+        manifest, model, cfg = self._split_workspace(tmp_path, [0.6, 0.2, 0.2])
+        ds = load_dataset(manifest)
+        val = ds.pairs_for_split("val")
+        assert val and ds.pairs_for_split("test")
+        labels = ds.labels.copy()
+        labels[[ds.row(p.query_id) for p in val]] = 0
+        save_dataset(dataclasses.replace(ds, labels=labels), tmp_path / "unlabelled")
+        made = self._record_maps(monkeypatch)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main([*command, "--dataset", str(tmp_path / "unlabelled" / "manifest.json"), "--model", str(model),
+                     "--scorer", "motif", "--seed", "3", "--jobs", "1", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "ground-truth attributes" in capsys.readouterr().err
+        assert made == [] and not out.exists()
+
+    def test_pipeline_trains_the_model_of_saliency_and_train_attr(self, tmp_path):
+        """With more pairs per query than k_maps, `pipeline` and `saliency
+        --split train` + `train-attr` keep the same bank maps, each query's
+        first k_maps in name order, and write the same model."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"pairs_per_query": 4}, "train": {"k_maps": 2},
+                                   "saliency": {"method": "sliding_window",
+                                                "sliding": {"windows_query": 9, "windows_ref": 4}}}))
+        common = ["--seed", "5", "--config", str(cfg)]
+        run, maps = tmp_path / "run", tmp_path / "maps"
+        assert main(["pipeline", *common, "--n-images", "16", "--attributes", "3", "--epochs", "3",
+                     "--methods", "sliding_window", "--limit", "1", "--jobs", "1", "--out", str(run)]) == 0
+        manifest = str(run / "dataset" / "manifest.json")
+        assert main(["saliency", *common, "--dataset", manifest, "--split", "train", "--jobs", "1",
+                     "--out", str(maps)]) == 0
+        assert main(["train-attr", *common, "--dataset", manifest, "--maps", str(maps), "--epochs", "3",
+                     "--out", str(tmp_path / "model.sane")]) == 0
+        kept = {path.name: path.read_bytes() for path in (run / "maps").glob("*.smap")}
+        assert len(kept) < len(list(maps.glob("*.smap")))
+        assert kept == {name: (maps / name).read_bytes() for name in kept}
+        assert (tmp_path / "model.sane").read_bytes() == (run / "model.sane").read_bytes()
+
+    def test_discover_patch_beyond_the_image_exits_2_before_any_map(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--n-images", "16", "--seed", "3"]) == 0
+        made = self._record_maps(monkeypatch)
+        out = tmp_path / "d.json"
+        capsys.readouterr()
+        assert main(["discover", "--dataset", str(data / "manifest.json"), "--seed", "3", "--patch", "500",
+                     "--jobs", "1", "--out", str(out)]) == 2
+        assert "patch side 500" in capsys.readouterr().err
+        assert made == [] and not out.exists()
+
     def test_top1_leaves_queries_without_ground_truth_out(self, cli_workspace):
         """A test pair whose query has no ground truth is no miss: the report's
         top-1 accuracy counts the labelled pairs only."""
@@ -996,11 +1095,13 @@ class TestCliPlumbing:
         cfg = build_config(se.SaliencyConfig, {"method": "sliding_window",
                                                "sliding": {"windows_query": 9, "windows_ref": 4}}, "saliency", seed=11)
         codes = se_saliency.map_codes(cfg, *ds.dims[:2])
-        prior, phi = se.Prior.uniform(ds.n_attributes), se.PhiWeights()
-        report = cli.run_eval(ds, model, scorer, codes, ["top1"], [], seed=11, limit_pairs=4, jobs=1,
-                              prior=prior, phi=phi)
+        report, (estimate, phi) = cli.run_eval(ds, model, scorer, codes, ["top1"], [], seed=11, limit_pairs=4,
+                                               jobs=1)
+        fitted_estimate, fitted_phi = cli._fit_explanation(model, scorer, ds, ds.pairs_for_split("val"), codes, 1)
+        assert phi == fitted_phi and estimate.prior.p.tobytes() == fitted_estimate.prior.p.tobytes()
+        assert report["attribute"]["phi"] == [phi.phi1, phi.phi2, phi.phi3]
         features = se_explain.pair_features(model, cli._maps(scorer, ds, pairs, codes, 1), ds, pairs)
-        hits = int(features.gt[np.arange(len(pairs)), features.top1(prior, phi)].sum())
+        hits = int(features.gt[np.arange(len(pairs)), features.top1(estimate.prior, phi)].sum())
         n_labelled = sum(p.query_id != pairs[0].query_id for p in pairs)
         assert 0 < n_labelled < len(pairs) and hits > 0
         assert report["attribute"]["top1"]["full"] == 100.0 * hits / n_labelled

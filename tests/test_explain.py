@@ -7,7 +7,6 @@ import simexplain as se
 from simexplain.errors import InvalidArgumentError
 from simexplain.explain import (
     CONFIDENCE_ONLY_PHI,
-    ExplainConfig,
     PairFeatures,
     PhiWeights,
     Prior,
@@ -69,8 +68,8 @@ class TestExplanationScores:
         _, dataset, scorer, model = trained_setup
         pair = dataset.pairs[0]
         query = dataset.image(pair.query_id)
-        cfg = ExplainConfig(saliency=sliding_cfg, phi=PhiWeights(0.0, 1.0, 0.0))
-        result = explain_pair(scorer, model, dataset.image(pair.reference_id), query, cfg)
+        result = explain_pair(scorer, model, dataset.image(pair.reference_id), query, sliding_cfg,
+                              PhiWeights(0.0, 1.0, 0.0))
         m_q = se.to_match_resolution(result.saliency, model.extractor.grid)
         maps = model.forward(query).maps
         from simexplain.scorers import cosine
@@ -105,8 +104,8 @@ class TestExplanationScores:
     def test_degenerate_map_zeroes_cosine_term(self, trained_setup, sliding_cfg):
         _, dataset, _, model = trained_setup
         query = dataset.image(dataset.pairs[0].query_id)
-        cfg = ExplainConfig(saliency=sliding_cfg, phi=PhiWeights(0.5, 0.5, 0.0))
-        result = explain_pair(ConstantScorer(dataset.dims), model, query, query, cfg)
+        result = explain_pair(ConstantScorer(dataset.dims), model, query, query, sliding_cfg,
+                              PhiWeights(0.5, 0.5, 0.0))
         assert not result.saliency.data.any()
         conf = model.forward(query).confidences
         for r in result.ranked:
@@ -116,9 +115,8 @@ class TestExplanationScores:
     def test_attribute_count_mismatch(self, trained_setup, sliding_cfg):
         _, dataset, scorer, model = trained_setup
         query = dataset.image(dataset.pairs[0].query_id)
-        cfg = ExplainConfig(saliency=sliding_cfg, prior=Prior.uniform(model.n_attributes + 1))
         with pytest.raises(InvalidArgumentError):
-            explain_pair(scorer, model, query, query, cfg)
+            explain_pair(scorer, model, query, query, sliding_cfg, prior=Prior.uniform(model.n_attributes + 1))
 
     def test_model_of_another_catalog_refused(self, trained_setup, small_dataset):
         _, _, _, model = trained_setup  # 6 attributes, against the dataset's 8
@@ -245,9 +243,8 @@ class TestExplainPair:
 
     def test_self_pair_recovers_planted_attribute(self, trained_setup, sliding_cfg):
         spec, _, scorer, model = trained_setup
-        cfg = ExplainConfig(saliency=sliding_cfg, phi=PhiWeights(0.0, 1.0, 0.0))
         img = self._image(spec, [2], 103)
-        result = explain_pair(scorer, model, img, img, cfg)
+        result = explain_pair(scorer, model, img, img, sliding_cfg, PhiWeights(0.0, 1.0, 0.0))
         assert result.top1 == 2
         assert len(result.ranked) == model.n_attributes
         scores = [r.score for r in result.ranked]
@@ -255,20 +252,18 @@ class TestExplainPair:
 
     def test_different_references_change_top1(self, trained_setup, sliding_cfg):
         spec, _, scorer, model = trained_setup
-        cfg = ExplainConfig(saliency=sliding_cfg, phi=PhiWeights(0.0, 1.0, 0.0))
+        phi = PhiWeights(0.0, 1.0, 0.0)
         query = self._image(spec, [0, 1], 100)
         ref_a = self._image(spec, [0], 101)
         ref_b = self._image(spec, [1], 102)
-        top_a = explain_pair(scorer, model, ref_a, query, cfg).top1
-        top_b = explain_pair(scorer, model, ref_b, query, cfg).top1
+        top_a = explain_pair(scorer, model, ref_a, query, sliding_cfg, phi).top1
+        top_b = explain_pair(scorer, model, ref_b, query, sliding_cfg, phi).top1
         assert top_a != top_b
 
     def test_ranked_covers_catalog_once(self, trained_setup, sliding_cfg):
         spec, dataset, scorer, model = trained_setup
         pair = dataset.pairs[0]
-        cfg = ExplainConfig(saliency=sliding_cfg)
-        result = explain_pair(scorer, model, dataset.image(pair.reference_id),
-                              dataset.image(pair.query_id), cfg,
-                              query_id=pair.query_id, reference_id=pair.reference_id)
+        result = explain_pair(scorer, model, dataset.image(pair.reference_id), dataset.image(pair.query_id),
+                              sliding_cfg)
         attrs = sorted(r.attribute for r in result.ranked)
         assert attrs == list(range(model.n_attributes))

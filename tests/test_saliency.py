@@ -120,6 +120,15 @@ class TestDefaultsMatchDocumentedValues:
             se.SlidingCfg(**{key: count})
         se.SlidingCfg(**{key: math.isqrt(count) ** 2})
 
+    @pytest.mark.parametrize("count, nearest", [(50, "49 or 64"), (57, "49 or 64"), (2, "1 or 4"), (15, "9 or 16")])
+    def test_non_square_segment_count_rejected(self, count, nearest):
+        # the grid segmentation has g x g cells: 50 would give 49 segments
+        # and 57 would give 64
+        with pytest.raises(InvalidArgumentError, match=f"n_segments must be a square number, such as {nearest}"):
+            se.LimeCfg(n_segments=count)
+        square = se.LimeCfg(n_segments=math.isqrt(count) ** 2).n_segments
+        assert len(np.unique(saliency.grid_segments(28, 28, square))) == square
+
 
 class TestDegenerateScorer:
     @pytest.mark.parametrize("method", [se.Method.SLIDING_WINDOW, se.Method.RISE, se.Method.LIME])

@@ -176,10 +176,6 @@ class TestTripletScorer:
                 dissimilar.append(scorer.score(dataset.image(other), dataset.image(p.query_id)))
         assert np.mean(similar) > np.mean(dissimilar)
 
-    def test_margin_recorded(self, dataset):
-        scorer = se.TripletToyScorer.train_on(dataset, seed=4, epochs=5, margin=0.3)
-        assert scorer.margin == 0.3
-
 
 def _full_triplet_fit(dataset, embed_dim=16, margin=0.2, epochs=200, lr=0.05, seed=0):
     """The triplet fit as it ran before it stopped at its fixed point: every
