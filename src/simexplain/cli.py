@@ -401,25 +401,31 @@ def _bank_rule(queries: dict[str, str], k_maps: int) -> dict[str, list[str]]:
     return kept
 
 
-def load_saliency_bank(maps_dir: str | Path, k_maps: int) -> dict[str, list[SaliencyMap]]:
+def load_saliency_bank(maps_dir: str | Path, dataset: Dataset, k_maps: int) -> dict[str, list[SaliencyMap]]:
     """The maps the bank rule keeps of the <query>__<reference>.smap files
-    in ``maps_dir``, by query id. A path that is not a directory holding
-    .smap files, or a file of another name, is refused."""
+    in ``maps_dir``, by query id. Image ids may hold "__" themselves, so a
+    name is read at the one "__" that splits it into two image ids of
+    ``dataset``. A path that is not a directory holding .smap files, or a
+    name with no such split or more than one, is refused."""
     paths = {path.stem: path for path in Path(maps_dir).glob("*.smap")}
     if not paths:
         raise ParseError(f"{maps_dir}: not a directory of .smap saliency maps")
+    ids = {img_id for img_id, _ in dataset.images}
+    queries = {}
     for name, path in paths.items():
-        if "__" not in name:
-            raise ParseError(f"{path}: bank file names must be <query>__<reference>.smap")
+        splits = [name[:k] for k in range(len(name)) if name.startswith("__", k) and {name[:k], name[k + 2:]} <= ids]
+        if len(splits) != 1:
+            raise ParseError(f"{path}: splits into {len(splits)} <query>__<reference> pairs of image ids, not 1")
+        queries[name] = splits[0]
     return {query: [load_saliency(paths[name]) for name in names]
-            for query, names in _bank_rule({name: name.split("__", 1)[0] for name in paths}, k_maps).items()}
+            for query, names in _bank_rule(queries, k_maps).items()}
 
 
 def cmd_train_attr(args) -> dict:
     dataset = load_dataset(args.dataset)
     cfg = run_config(args, train={"epochs": args.epochs, "lr": args.lr, "lam": args.lam,
                                   "k_maps": args.k})["train"]
-    bank = load_saliency_bank(args.maps, cfg.k_maps) if args.maps else {}
+    bank = load_saliency_bank(args.maps, dataset, cfg.k_maps) if args.maps else {}
     model = train(dataset, bank, cfg)
     save_model(_make_out(args), model)
     _echo_config(args, {"command": "train-attr", "train": _config_payload(cfg), "bank_images": len(bank)})

@@ -144,23 +144,55 @@ class TestCliCommands:
         assert (maps_dir / (smaps[0].stem + ".pgm")).exists()
 
     def test_bank_loader_groups_by_query(self, cli_workspace):
-        _, _, maps_dir, _ = cli_workspace
-        bank = load_saliency_bank(maps_dir, 5)
+        _, manifest, maps_dir, _ = cli_workspace
+        bank = load_saliency_bank(maps_dir, load_dataset(manifest), 5)
         assert bank
         for query_id, maps in bank.items():
             assert query_id.startswith("img")
             assert all(isinstance(m, se.SaliencyMap) for m in maps)
 
     def test_bank_loader_keeps_each_querys_first_maps_in_name_order(self, cli_workspace):
-        _, _, maps_dir, _ = cli_workspace
+        _, manifest, maps_dir, _ = cli_workspace
         names = sorted(path.stem for path in maps_dir.glob("*.smap"))
         first = {}
         for name in names:
             first.setdefault(name.split("__")[0], name)
         assert len(first) < len(names)  # some query has more than one map
-        bank = load_saliency_bank(maps_dir, 1)
+        bank = load_saliency_bank(maps_dir, load_dataset(manifest), 1)
         assert {q: [m.data.tobytes() for m in maps] for q, maps in bank.items()} == {
             q: [load_saliency(maps_dir / f"{name}.smap").data.tobytes()] for q, name in first.items()}
+
+    def test_bank_keys_ids_that_hold_the_separator(self, tmp_path):
+        """Image ids like img__000: `saliency --split train` and then
+        `train-attr` load every kept map under its real query."""
+        ds = se.generate_dataset(se.SyntheticSpec(n_images=16, seed=3))
+        rename = {img_id: img_id.replace("img", "img__") for img_id, _ in ds.images}
+        ds = dataclasses.replace(
+            ds, images=tuple((rename[img_id], img) for img_id, img in ds.images),
+            pairs=tuple(dataclasses.replace(p, query_id=rename[p.query_id], reference_id=rename[p.reference_id])
+                        for p in ds.pairs))
+        common = ["--dataset", str(save_dataset(ds, tmp_path / "data")), "--seed", "3"]
+        maps, model = tmp_path / "maps", tmp_path / "model.sane"
+        assert main(["saliency", *common, "--method", "sliding_window", "--scorer", "motif", "--split", "train",
+                     "--jobs", "1", "--out", str(maps)]) == 0
+        assert main(["train-attr", *common, "--maps", str(maps), "--k", "2", "--epochs", "2",
+                     "--out", str(model)]) == 0
+        kept: dict = {}
+        for name in sorted(f"{p.query_id}__{p.reference_id}" for p in ds.pairs_for_split("train")):
+            kept.setdefault(name[:len("img__000")], []).append(name)
+        kept = {query: names[:2] for query, names in kept.items()}
+        assert any(len(names) == 2 for names in kept.values())
+        assert json.loads(model.with_name("model.sane.config.json").read_text())["bank_images"] == len(kept)
+        bank = load_saliency_bank(maps, ds, 2)
+        assert {q: [m.data.tobytes() for m in ms] for q, ms in bank.items()} == {
+            q: [load_saliency(maps / f"{name}.smap").data.tobytes() for name in names] for q, names in kept.items()}
+
+    @pytest.mark.parametrize("name, splits", [("a__nobody", 0), ("a__b__c", 2)])
+    def test_bank_name_without_one_split_into_ids_is_refused(self, name, splits, tmp_path):
+        (tmp_path / f"{name}.smap").write_bytes(b"")  # refused by its name, before it is read
+        ids = SimpleNamespace(images=[(img_id, None) for img_id in ("a", "a__b", "b__c", "c")])
+        with pytest.raises(ParseError, match=f"splits into {splits} <query>__<reference> pairs"):
+            load_saliency_bank(tmp_path, ids, 5)
 
     def test_single_pair_saliency(self, cli_workspace, tmp_path):
         _, manifest, _, _ = cli_workspace

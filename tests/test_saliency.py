@@ -845,14 +845,29 @@ class TestMask:
 
     @pytest.mark.parametrize("dual", [False, True])
     def test_separable_upsample_equals_dense_matrix(self, dual):
-        """The grid path (embedded upsampled cells) against the pixel path."""
+        """The objective (separable cell kernels, Laplacian TV, L1 as
+        g*g - sum(m)) against a pixel-path oracle: each masked image
+        composed through the dense upsampling matrix, TV as squared
+        differences of adjacent cells, L1 as sum(1 - m)."""
         h, w, g = 30, 17, 5  # a non-square image, so a swapped axis shows
+        tv_weight, l1_weight = 0.3, 0.07
         scorer = se.LinearToyScorer.random((h, w, 3), embed_dim=6, seed=8)
         rng = np.random.default_rng(3)
         ref, query = rng.random((h, w, 3)), rng.random((h, w, 3))
         U = np.einsum("ri,cj->rcij", _interp_matrix(g, h), _interp_matrix(g, w)).reshape(h * w, g * g)
+
+        def tv_value_grad(m):
+            dr = m[1:, :] - m[:-1, :]
+            dc = m[:, 1:] - m[:, :-1]
+            grad = np.zeros_like(m)
+            grad[1:, :] += 2.0 * dr
+            grad[:-1, :] -= 2.0 * dr
+            grad[:, 1:] += 2.0 * dc
+            grad[:, :-1] -= 2.0 * dc
+            return float((dr**2).sum() + (dc**2).sum()), grad
+
         for perturb in ("delete", "noise", "blur"):
-            cfg = se.MaskCfg(grid=g, tv_weight=0.0, l1_weight=0.0, perturb=perturb)
+            cfg = se.MaskCfg(grid=g, tv_weight=tv_weight, l1_weight=l1_weight, perturb=perturb)
             problem = MaskObjective(scorer, ref, query, cfg, dual=dual, seed=1)
             theta = rng.normal(size=problem.n_params)
             masks = [1.0 / (1.0 + np.exp(-p.reshape(g, g))) for p in np.split(theta, len(problem.parts))]
@@ -865,13 +880,17 @@ class TestMask:
             seen = [composed[1] if dual else ref, composed[0]]
             rows = scorer.embed_batch_flat(np.stack(seen).reshape(2, -1))
             d_ref, d_query, _ = _cosine_grad_pair(rows.emb[0], rows.emb[1])
+            expected_value = scorer.score(*seen)
             expected = []
             for (img, base), d, m in zip(problem.parts, (d_query, d_ref), masks):
+                tv, tv_grad = tv_value_grad(m)
+                expected_value += tv_weight * tv + l1_weight * float((1.0 - m).sum())
                 g_pix = (d @ scorer.weight).reshape(h, w, 3)
-                expected.append((U.T @ (g_pix * (img - base)).sum(axis=2).ravel()) * (m * (1.0 - m)).ravel())
-            # with no regularizer the loss is the score and its gradient the chained score term
+                dm = (U.T @ (g_pix * (img - base)).sum(axis=2).ravel()).reshape(g, g) + tv_weight * tv_grad - l1_weight
+                expected.append((dm * m * (1.0 - m)).ravel())
             value, grad = problem.value_and_grad(theta)
-            assert abs(value - scorer.score(*seen)) <= 1e-12
+            assert abs(value - expected_value) <= 1e-12
+            assert problem.value(theta) == value
             np.testing.assert_allclose(grad, np.concatenate(expected), rtol=0, atol=1e-12)
 
     def test_tv_domination_degenerates(self, planted, images):
