@@ -33,7 +33,6 @@ from .scorers import (
     Scorer,
     ScorerCaps,
     TripletToyScorer,
-    cosine,
 )
 from .external import ExternalScorer
 from .saliency import (

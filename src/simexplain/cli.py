@@ -622,6 +622,9 @@ def cmd_discover(args) -> dict:
     cfg = run_config(args, saliency={"method": args.method}, discovery={
         "k_nn": args.k, "n_clusters": args.clusters, "top_n": args.top_n, "patch": args.patch,
     })["discovery"]
+    if cfg.n_clusters > dataset.n_images:
+        raise InvalidArgumentError(f"n_clusters {cfg.n_clusters} exceeds the {dataset.n_images} images "
+                                   "of the dataset, which the full-frame baseline clusters")
     with make_scorer(args.scorer, dataset, args.seed, args.external_cmd) as scorer:
         embeddings: dict = {}
         assignment = discover(dataset, scorer, cfg, lambda fn, items: _parallel_map(fn, items, args.jobs),

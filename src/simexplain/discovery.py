@@ -5,6 +5,9 @@ the same region of a query are assumed to match it for the same reason,
 so their salient patches are cropped, embedded with the similarity
 model, and clustered. Each cluster is treated as a discovered attribute;
 an image inherits every cluster its patches land in.
+
+Similarities are the scorers' guarded cosine (``scorers.cosines``), and
+the clustered unit embeddings divide by the scorers' guarded norm.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .metrics import RemovalResult, attribute_removal_delta, embed_images
 # generate stays bound here: perfbench's traced run wraps each module's
 # name for it, though this module makes its maps through query_maps
 from .saliency import SaliencyConfig, generate, map_by_query, map_codes, query_maps  # noqa: F401
-from .scorers import NORM_EPS, Scorer, cosine
+from .scorers import Scorer, _with_norms, cosines
 
 _STREAM_KMEANS = 31
 _STREAM_RANDOM_ASSIGN = 32
@@ -92,7 +95,7 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray, 
     n = pts.shape[0]
     if n < n_clusters:
         raise InvalidArgumentError(
-            f"only {n} points for {n_clusters} clusters; lower n_clusters or raise k_nn/top_n"
+            f"only {n} points for n_clusters={n_clusters}"
         )
     rng = make_rng(seed, _STREAM_KMEANS)
     centroids = pts[rng.choice(n, size=n_clusters, replace=False)].copy()
@@ -124,9 +127,13 @@ def _upsampled_patch_embedding(scorer: Scorer, image: np.ndarray, center: tuple[
     upsampled = np.stack(
         [resize_bilinear(crop[:, :, c], h, w) for c in range(crop.shape[2])], axis=2
     )
-    emb = scorer.embed(np.clip(upsampled, 0.0, 1.0)).data
-    norm = np.linalg.norm(emb)
-    return (emb / norm if norm > 0 else emb), (top, left)
+    return scorer.embed(np.clip(upsampled, 0.0, 1.0)).data, (top, left)
+
+
+def _unit_rows(emb: np.ndarray) -> np.ndarray:
+    """Each (N, D) row over its guarded norm, the scorers' own."""
+    rows = _with_norms(emb)
+    return rows.emb / rows.norms[:, None]
 
 
 def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
@@ -135,6 +142,10 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
     """Six steps: k-NN references per query, query-side saliency, modal
     peak-bin filtering, salient-patch cropping from each kept reference,
     patch embedding, and k-means over all patches.
+
+    A query's references are the ``k_nn`` other images whose embeddings
+    have the highest cosine with its own, ties to the lower index; never
+    the query itself, so a ``k_nn`` of N - 1 or more takes all the others.
 
     The maps are made in two passes, each one ``map_fn(fn, items)`` call
     with one item per query: an order-preserving map, serial by default,
@@ -161,13 +172,9 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
         return [(peak_bin(smap, cfg.peak_grid), divmod(int(np.argmax(resize_bilinear(smap.data, h, w))), w))
                 for smap in smaps]
 
-    neighbors = []
-    for qi in range(len(ids)):
-        sims = np.array([
-            cosine(embeddings[qi], embeddings[ri]) if ri != qi else -np.inf
-            for ri in range(len(ids))
-        ])
-        neighbors.append([int(ri) for ri in np.argsort(-sims, kind="stable")[: cfg.k_nn]])
+    rows = _with_norms(embeddings)
+    neighbors = [[int(ri) for ri in np.argsort(-cosines(emb, rows), kind="stable") if ri != qi][: cfg.k_nn]
+                 for qi, emb in enumerate(embeddings)]
     pairs = [(ri, qi) for qi, neighbor_idx in enumerate(neighbors) for ri in neighbor_idx]
     peaks = dict(zip(pairs, map_by_query(peaks_of, pairs, map_fn)))
     kept = []
@@ -196,7 +203,7 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
             f"harvested only {len(patch_embs)} patches for {cfg.n_clusters} clusters; "
             "use a smaller n_clusters or a larger k_nn"
         )
-    labels, centroids, _ = kmeans(np.stack(patch_embs), cfg.n_clusters, cfg.seed)
+    labels, centroids, _ = kmeans(_unit_rows(np.stack(patch_embs)), cfg.n_clusters, cfg.seed)
 
     patches = tuple(
         PatchRecord(source_image_id=src, query_id=q, center=c, cluster=int(k))
@@ -248,9 +255,7 @@ def removal_eval_discovered(
     random_labels = {img_id: (int(rng.integers(n_clusters)),) for img_id in all_ids}
 
     embeddings = embed_images(scorer, dataset, all_ids, embeddings)
-    frame = np.stack([embeddings[i] for i in all_ids])
-    norms = np.maximum(np.linalg.norm(frame, axis=1, keepdims=True), NORM_EPS)
-    frame_labels_arr, _, _ = kmeans(frame / norms, n_clusters, seed)
+    frame_labels_arr, _, _ = kmeans(_unit_rows(np.stack([embeddings[i] for i in all_ids])), n_clusters, seed)
     frame_labels = {img_id: (int(frame_labels_arr[k]),) for k, img_id in enumerate(all_ids)}
 
     variants = {

@@ -2,8 +2,9 @@
 
 An attribute's explanation score mixes three signals: the model's
 attribute confidence, the cosine match between the pair's saliency map
-and the attribute's activation map, and a validation-set prior over
-winning attributes. The mixing weights come from a grid search on held
+and the attribute's min-max normalized activation map (the scorers'
+guarded cosine, ``scorers.cosines``, one batch over all attributes), and
+a validation-set prior over winning attributes. The mixing weights come from a grid search on held
 out pairs.
 """
 
@@ -17,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .attrmodel import AttributeModel
-from .core import Dataset, Pair, SaliencyMap, normalize_map, to_match_resolution
+from .attrmodel import AttributeModel, _minmax
+from .core import Dataset, Pair, SaliencyMap, to_match_resolution
 from .errors import InvalidArgumentError
 from .saliency import SaliencyConfig, generate
-from .scorers import Scorer, cosine
+from .scorers import Scorer, cosines
 
 log = logging.getLogger(__name__)
 
@@ -139,10 +140,12 @@ def _require_labelled(gt: np.ndarray) -> int:
 
 
 def _features_of(model: AttributeModel, smap: SaliencyMap, query) -> tuple[np.ndarray, np.ndarray]:
-    """saliency map -> match-resolution map -> (confidences, cosine match with each attribute map)."""
+    """saliency map -> match-resolution map -> (confidences, cosine match
+    with each normalized attribute map). A constant attribute map
+    normalizes to zero and matches 0."""
     m_q = to_match_resolution(smap, model.extractor.grid)
     pred = model.forward(query)
-    return pred.confidences, np.array([cosine(m_q, normalize_map(m)) for m in pred.maps])
+    return pred.confidences, cosines(m_q, _minmax(pred.maps.reshape(len(pred.maps), -1))[0])
 
 
 def pair_features(

@@ -471,9 +471,13 @@ def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) 
 
 
 def serve_stdio(scorer: Scorer, max_batch: int = 64) -> None:
-    """Answer each request line of stdin on stdout until EOF."""
+    """Answer each request line of stdin on stdout until EOF. Lines are
+    read as bytes, whatever the locale's stdin encoding, and a byte that
+    is not UTF-8 decodes to U+FFFD: a line it leaves no JSON object is
+    answered like any other such line, and the stub stays up."""
     last_id = [0]
-    for line in sys.stdin:
+    for raw in sys.stdin.buffer:
+        line = raw.decode("utf-8", errors="replace")
         if not line.strip():
             continue
         sys.stdout.write(_handle_line(line, scorer, max_batch, last_id) + "\n")

@@ -17,7 +17,7 @@ import numpy as np
 from .core import Curve, Dataset, Pair, _as_grid, _as_image, resize_bilinear, trapezoid_auc
 from .errors import InvalidArgumentError
 from .saliency import _Nested, score_masked
-from .scorers import Scorer, cosine
+from .scorers import Scorer, cosines
 
 log = logging.getLogger(__name__)
 
@@ -167,9 +167,10 @@ def attribute_removal_delta(
     """Similarity drop when the explained attribute is "removed".
 
     For each pair, retrieve the corpus image most similar to the query
-    (scorer embeddings, cosine) among images lacking the explained
-    attribute in ``labels`` (the dataset's ground truth by default), and
-    report mean(s(ref, query) - s(ref, retrieved)) x100. A pair without an
+    (by ``scorers.cosines`` of scorer embeddings, one batch per pair, the
+    first on a tie) among images lacking the explained attribute in
+    ``labels`` (the dataset's ground truth by default), and report
+    mean(s(ref, query) - s(ref, retrieved)) x100. A pair without an
     explained attribute (None) or without an eligible corpus image is
     skipped. The corpus and query embeddings go through ``embed_images``
     with ``embeddings``.
@@ -190,7 +191,7 @@ def attribute_removal_delta(
         if not candidates:
             skipped += 1
             continue
-        sims = [cosine(embeddings[pair.query_id], embeddings[cid]) for cid in candidates]
+        sims = cosines(embeddings[pair.query_id], np.stack([embeddings[cid] for cid in candidates]))
         retrieved = candidates[int(np.argmax(sims))]
         ref_img = dataset.image(pair.reference_id)
         original = scorer.score(ref_img, dataset.image(pair.query_id))

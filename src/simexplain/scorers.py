@@ -84,15 +84,6 @@ class Rect:
         return self.top <= row < self.top + self.height and self.left <= col < self.left + self.width
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity with epsilon-guarded norms (blank inputs give 0)."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    nu = max(float(np.sqrt(u @ u)), NORM_EPS)
-    nv = max(float(np.sqrt(v @ v)), NORM_EPS)
-    return float(np.clip((u @ v) / (nu * nv), -1.0, 1.0))
-
-
 class Scorer:
     """Interface of the similarity model under explanation."""
 
@@ -246,6 +237,15 @@ def _cosines(ref: EmbeddedRows, queries: EmbeddedRows) -> np.ndarray:
     """Cosine of each query row with the one reference row, clipped."""
     dots = np.einsum("nd,d->n", queries.emb, ref.emb[0], optimize=False)
     return np.clip(dots / (queries.norms * ref.norms[0]), -1.0, 1.0)
+
+
+def cosines(u, rows) -> np.ndarray:
+    """The guarded cosine of the vector ``u`` with each of ``rows``, an
+    (N, ...) array or rows already embedded, in the order of ``rows``: the
+    routine the scorers score with, so a zero vector gives exactly 0."""
+    if not isinstance(rows, EmbeddedRows):
+        rows = _with_norms(np.asarray(rows, dtype=np.float64).reshape(len(rows), -1))
+    return _cosines(_with_norms(np.asarray(u, dtype=np.float64).reshape(1, -1)), rows)
 
 
 def _cosine_grad_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -29,7 +29,7 @@ from simexplain.metrics import (
 )
 from simexplain.optim import lasso_coordinate_descent, soft_threshold
 from simexplain.saliency import MaskObjective
-from simexplain.scorers import cosine
+from simexplain.scorers import cosines
 
 from conftest import build_bank, maps_of
 
@@ -367,5 +367,5 @@ def test_criterion_10_non_symmetry():
             query, ref = ds.image(p.query_id), ds.image(p.reference_id)
             m_q = se.generate(scorer, ref, query, cfg).data.ravel()
             m_r = se.generate(scorer, query, ref, cfg).data.ravel()
-            asymmetric += int(cosine(m_q, m_r) < 0.99)
+            asymmetric += int(cosines(m_q, [m_r])[0] < 0.99)
         assert asymmetric >= 90

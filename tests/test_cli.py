@@ -583,8 +583,8 @@ class TestCliPlumbing:
 
     @pytest.mark.parametrize("command", [
         ["saliency", "--method", "lime", "--dual", "--pair", "{pair}", "--out", "{tmp}/maps"],
-        ["discover", "--method", "sliding_window", "--k", "1", "--top-n", "1", "--clusters", "999",
-         "--out", "{tmp}/clusters.json"],
+        # discover refuses an oversized patch once its scorer is built
+        ["discover", "--method", "sliding_window", "--patch", "500", "--out", "{tmp}/clusters.json"],
     ])
     def test_failed_command_closes_external_scorer(self, command, spawned, tmp_path):
         data = tmp_path / "d"
@@ -1111,6 +1111,17 @@ class TestCliPlumbing:
         assert main(["discover", "--dataset", str(data / "manifest.json"), "--seed", "3", "--patch", "500",
                      "--jobs", "1", "--out", str(out)]) == 2
         assert "patch side 500" in capsys.readouterr().err
+        assert made == [] and not out.exists()
+
+    def test_discover_more_clusters_than_images_exits_2_before_any_map(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--n-images", "24", "--seed", "3"]) == 0
+        made = self._record_maps(monkeypatch)
+        out = tmp_path / "d.json"
+        capsys.readouterr()
+        assert main(["discover", "--dataset", str(data / "manifest.json"), "--seed", "3", "--clusters", "30",
+                     "--jobs", "1", "--out", str(out)]) == 2
+        assert "n_clusters 30 exceeds the 24 images" in capsys.readouterr().err
         assert made == [] and not out.exists()
 
     def test_top1_leaves_queries_without_ground_truth_out(self, cli_workspace):

@@ -155,6 +155,14 @@ class TestDiscover:
         with pytest.raises(InvalidArgumentError, match="k_nn"):
             discover(ds, scorer, greedy)
 
+    def test_a_query_is_never_its_own_neighbour(self):
+        """With k_nn past the image count every other image is a neighbour,
+        and the query itself is not, so no patch is cropped from its query."""
+        ds = se.generate_dataset(se.SyntheticSpec(n_images=8, n_attributes=4, seed=3))
+        assignment = discover(ds, se.motif_scorer_for(ds, seed=3), DiscoveryConfig(k_nn=50, n_clusters=2, seed=3))
+        assert assignment.patches
+        assert all(rec.source_image_id != rec.query_id for rec in assignment.patches)
+
     def test_each_ordered_pair_map_made_once(self, monkeypatch):
         ds = se.generate_dataset(se.SyntheticSpec(n_images=12, seed=2, n_attributes=2,
                                                   max_attrs_per_image=1, pairs_per_query=3))

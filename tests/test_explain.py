@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import simexplain as se
+from simexplain.attrmodel import AttributeModel
 from simexplain.errors import InvalidArgumentError
 from simexplain.explain import (
     CONFIDENCE_ONLY_PHI,
@@ -16,6 +17,7 @@ from simexplain.explain import (
     pair_features,
     rank_attributes,
 )
+from simexplain.scorers import cosines
 from simexplain.synth import _PATTERNS, _palette, _render_motif, motif_slots
 
 from conftest import ConstantScorer
@@ -72,11 +74,23 @@ class TestExplanationScores:
                               PhiWeights(0.0, 1.0, 0.0))
         m_q = se.to_match_resolution(result.saliency, model.extractor.grid)
         maps = model.forward(query).maps
-        from simexplain.scorers import cosine
         for r in result.ranked:
             assert r.score == r.map_match
-            assert r.map_match == pytest.approx(cosine(m_q.ravel(), se.normalize_map(maps[r.attribute]).ravel()),
-                                                abs=1e-12)
+            assert r.map_match == pytest.approx(cosines(m_q, [se.normalize_map(maps[r.attribute])])[0], abs=1e-12)
+
+    def test_constant_activation_map_matches_zero(self, trained_setup, sliding_cfg):
+        """A constant attribute map normalizes to zero, so its map match is
+        exactly 0, whatever the pair's map."""
+        _, dataset, scorer, model = trained_setup
+        weights = model.head_weights.copy()
+        weights[2] = 0.0  # attribute 2's map is its bias everywhere
+        flat = AttributeModel(model.extractor, weights, model.head_bias)
+        pair = dataset.pairs[0]
+        result = explain_pair(scorer, flat, dataset.image(pair.reference_id), dataset.image(pair.query_id),
+                              sliding_cfg, PhiWeights(0.0, 1.0, 0.0))
+        match = {r.attribute: r.map_match for r in result.ranked}
+        assert match[2] == 0.0
+        assert any(v != 0.0 for v in match.values())
 
     def test_pure_confidence_ranking(self, parts):
         conf, match, prior = parts

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -301,6 +302,17 @@ class TestServerValidation:
         out = self._call(reference, line, last)
         assert out["id"] == 0 and out["error"]["code"] == "bad_input", out
         assert last == [0]
+
+    def test_non_utf8_line_is_bad_input_and_the_stub_stays_up(self):
+        # under strict stdin decoding, the default in UTF-8 locales, such a
+        # line once ended the stub before it answered the hello
+        done = subprocess.run(stub_command(), input=b'\xff\xfe\n{"id":1,"op":"hello"}\n', capture_output=True,
+                              env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        replies = [json.loads(line) for line in done.stdout.splitlines()]
+        assert len(replies) == 2, replies
+        assert replies[0]["id"] == 0 and replies[0]["error"]["code"] == "bad_input", replies
+        assert replies[1]["id"] == 1 and "caps" in replies[1], replies
 
     def test_queries_not_a_list_rejected(self, reference, rng):
         out = self._call(reference, json.dumps(

@@ -5,7 +5,7 @@ import simexplain as se
 from simexplain import scorers
 from simexplain.core import make_rng
 from simexplain.errors import InvalidArgumentError, UnsupportedError
-from simexplain.scorers import _cosine_grad_pair, cosine, score_image_stack
+from simexplain.scorers import NORM_EPS, _cosine_grad_pair, cosines, score_image_stack
 
 from conftest import ConstantScorer
 
@@ -44,6 +44,29 @@ class TestCosine:
     def test_range_clipped(self, linear, rng):
         scores = linear.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(20)])
         assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
+
+    @staticmethod
+    def _oracle(u, v):
+        """The guarded cosine of two vectors, one scalar at a time."""
+        nu = max(float(np.sqrt(u @ u)), NORM_EPS)
+        nv = max(float(np.sqrt(v @ v)), NORM_EPS)
+        return float(np.clip((u @ v) / (nu * nv), -1.0, 1.0))
+
+    def test_batch_routine_matches_a_scalar_oracle(self, linear, rng):
+        u = rng.normal(size=9)
+        rows = rng.normal(size=(40, 9))
+        rows[3] = 0.0
+        rows[4] = 1e-14 * rows[5]  # below the norm guard
+        rows[6], rows[7] = 2.5 * u, -u
+        got = cosines(u, rows)
+        assert got.shape == (40,)
+        np.testing.assert_allclose(got, [self._oracle(u, v) for v in rows], rtol=0, atol=1e-15)
+        assert got[3] == 0.0 and abs(got[6] - 1.0) <= 1e-15 and abs(got[7] + 1.0) <= 1e-15
+        assert np.all(cosines(np.zeros(9), rows) == 0.0)
+        # rows embedded once score with the same bits as the raw rows
+        w = rng.normal(size=linear.embed_dim)
+        embedded = linear.embed_batch_flat(rng.random((6, linear.weight.shape[1])))
+        assert cosines(w, embedded).tobytes() == cosines(w, embedded.emb).tobytes()
 
 
 class TestBatching:
@@ -90,21 +113,21 @@ class TestBatching:
 class TestEmbedAndGrad:
     def test_embed_consistent_with_score(self, linear, rng):
         a, b = rng.random(DIMS), rng.random(DIMS)
-        via_embed = cosine(linear.embed(a).data, linear.embed(b).data)
+        [via_embed] = cosines(linear.embed(a).data, [linear.embed(b).data])
         assert linear.score(a, b) == pytest.approx(via_embed, abs=1e-6)
 
     def test_gradient_matches_central_differences(self, rng):
         for _ in range(5):
             u, v = rng.normal(size=8), rng.normal(size=8)
             du, dv, c = _cosine_grad_pair(u, v)
-            assert c == pytest.approx(cosine(u, v), abs=1e-15)
+            assert c == pytest.approx(cosines(u, [v])[0], abs=1e-15)
             eps = 1e-5
             for side, grad in ((0, du), (1, dv)):
                 for k in range(8):
                     plus, minus = [u.copy(), v.copy()], [u.copy(), v.copy()]
                     plus[side][k] += eps
                     minus[side][k] -= eps
-                    fd = (cosine(*plus) - cosine(*minus)) / (2 * eps)
+                    fd = (cosines(plus[0], [plus[1]])[0] - cosines(minus[0], [minus[1]])[0]) / (2 * eps)
                     assert abs(fd - grad[k]) <= 1e-4 * max(abs(fd), 1e-6)
 
     def test_zero_query_gradient_finite(self, rng):
