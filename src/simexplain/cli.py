@@ -669,6 +669,8 @@ def _write_montage(path: Path, dataset: Dataset, assignment) -> None:
 
 
 def cmd_serve_stub(args) -> dict:
+    """Serve until EOF. Its stdout carries the protocol's replies only: the
+    empty result prints no line, with or without --json."""
     run_config(args)
     # the (embed_dim, H*W*C) float64 weight: 2**26 entries are 512 MiB
     entries, bound = args.embed_dim * math.prod(args.dims), 2 ** 26
@@ -678,7 +680,7 @@ def cmd_serve_stub(args) -> dict:
     scorer = LinearToyScorer.random(args.dims, embed_dim=args.embed_dim, seed=args.seed)
     if args.no_embed:
         scorer = _ScoreOnly(scorer)
-    serve_stdio(scorer, max_batch=args.max_batch)
+    serve_stdio(scorer)
     return {}
 
 
@@ -810,7 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("serve-stub", cmd_serve_stub, "serve the reference external scorer", None, scorer=None)
     p.add_argument("--dims", type=_dims, default="56,56,3")
     p.add_argument("--embed-dim", type=_positive_int, default=16)
-    p.add_argument("--max-batch", type=_positive_int, default=64)
     p.add_argument("--no-embed", action="store_true")
 
     p = command("pipeline", cmd_pipeline, "synth through eval, end to end", "directory", jobs=True)
@@ -836,7 +837,8 @@ def main(argv: list[str] | None = None) -> int:
     except SimExplainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "json", False):
+    # an empty result prints nothing: serve-stub's stdout is its protocol stream
+    if getattr(args, "json", False) and result:
         print(json.dumps(result, sort_keys=True))
     else:
         for key, value in result.items():

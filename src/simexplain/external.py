@@ -13,11 +13,14 @@ connection; the peer answers every request with the same id, in order.
     <- {"id":4,"scores":[...]}
     <- {"id":N,"error":{"code":"unsupported|bad_input|internal","msg":"..."}}
 
-``score_masks`` (advertised in the hello's caps) scores the query times n
-keep masks, 1 <= n <= max_batch, sent as the codes ``saliency`` holds
-them in; the peer rebuilds the code form and runs ``score_masked`` on it,
-so a peer with ``keep_kernel`` never builds a masked copy. Bits are
-``np.packbits`` of the C-order array, base64-encoded. The four forms:
+``max_batch`` bounds the queries of one ``score_batch`` request; the
+client sends larger batches in chunks of that many. ``score_masks``
+(advertised in the hello's caps) scores the query times n >= 1 keep
+masks, a whole code form in one request, sent as the codes ``saliency``
+holds them in; the peer rebuilds the code form and runs ``score_masked``
+on it once, so a peer with ``keep_kernel`` never builds a masked copy
+and forms the query's kernel once per form. Bits are ``np.packbits`` of
+the C-order array, base64-encoded. The four forms:
 
     "form":"rise","g":g,"grids":"<b64 bits of (n,g,g)>","dy":[...],"dx":[...]
         0/1 grids, upsampled one cell oversize and cropped at row offset
@@ -35,8 +38,10 @@ so a peer with ``keep_kernel`` never builds a masked copy. Bits are
 
 Index lists hold JSON integers, never booleans. A field that is missing
 or of the wrong size, type or range, or another form, is answered with
-``bad_input``. So is a line that is not a JSON object whose id is an
-integer >= 1, under id 0.
+``bad_input``. So is a request that would unpack more than 2**24 mask
+bits (n*g*g for "rise", n*S for "selections"), which the client raises
+as ``InvalidArgumentError``, and a line that is not a JSON object whose
+id is an integer >= 1, under id 0.
 
 The client retries a request exactly once, and only after a transport
 failure (dead pipe, truncated or unparseable line, a reply id that is not
@@ -71,6 +76,11 @@ from .saliency import RiseMasks, _Boxes, _Nested, _Selections, score_masked
 from .scorers import Embedding, Scorer, ScorerCaps
 
 _DEADLINE_S = 60.0
+# the stub's bound on the queries of a score_batch request, sent in its hello
+_MAX_BATCH = 64
+# the most mask bits one score_masks request unpacks: 2**24 admits any
+# form a command makes (2,000 RISE grids of 8 x 8 are 128,000)
+_MAX_BITS = 2 ** 24
 # the index lists of the "boxes" form, in the order of _Boxes' fields
 _BOX_SIDES = ("top", "bottom", "left", "right")
 
@@ -103,6 +113,8 @@ def _encode_bits(bits: np.ndarray) -> str:
 
 def _decode_bits(payload: str, shape: tuple[int, ...]) -> np.ndarray:
     count = math.prod(shape)
+    if count > _MAX_BITS:
+        raise InvalidArgumentError(f"a request unpacks at most {_MAX_BITS} mask bits, not {count}")
     raw = _decode_b64(payload)
     if len(raw) != -(-count // 8):
         raise InvalidArgumentError(f"bit payload of {len(raw)} bytes for {count} bits")
@@ -126,18 +138,18 @@ def _field(msg: dict, name: str):
     return msg[name]
 
 
-def _mask_fields(masks, start: int, stop: int) -> dict:
-    """The wire form of masks start..stop of a ``score_masked`` code form."""
+def _mask_fields(masks) -> dict:
+    """The wire form of a ``score_masked`` code form."""
     if isinstance(masks, RiseMasks):
-        return {"form": "rise", "g": masks.grids.shape[1], "grids": _encode_bits(masks.grids[start:stop] == 1.0),
-                "dy": masks.dy[start:stop].tolist(), "dx": masks.dx[start:stop].tolist()}
+        return {"form": "rise", "g": masks.grids.shape[1], "grids": _encode_bits(masks.grids == 1.0),
+                "dy": masks.dy.tolist(), "dx": masks.dx.tolist()}
     if isinstance(masks, _Selections):
-        return {"form": "selections", "s": masks.keep.shape[1], "keep": _encode_bits(masks.keep[start:stop]),
+        return {"form": "selections", "s": masks.keep.shape[1], "keep": _encode_bits(masks.keep),
                 "segments": masks.segments.ravel().tolist()}
     if isinstance(masks, _Boxes):
-        return {"form": "boxes", **{side: getattr(masks, side)[start:stop].tolist() for side in _BOX_SIDES}}
+        return {"form": "boxes", **{side: getattr(masks, side).tolist() for side in _BOX_SIDES}}
     if isinstance(masks, _Nested):
-        return {"form": "nested", "order": masks.order.tolist(), "counts": masks.counts[start:stop].tolist(),
+        return {"form": "nested", "order": masks.order.tolist(), "counts": masks.counts.tolist(),
                 "insertion": masks.insertion}
     raise InvalidArgumentError(f"{type(masks).__name__} has no wire form")
 
@@ -165,9 +177,10 @@ def _masks_of(msg: dict, n: int, shape: tuple[int, int]):
         g = _field(msg, "g")
         if not _is_count(g) or g > max(h, w):
             raise InvalidArgumentError(f"RISE grid g must be an integer in [1, {max(h, w)}], got {g!r}")
+        grids = _decode_bits(_field(msg, "grids"), (n, g, g))
         dy = _index_list(_field(msg, "dy"), n, math.ceil(h / g), "dy")
         dx = _index_list(_field(msg, "dx"), n, math.ceil(w / g), "dx")
-        return RiseMasks.of_grids(_decode_bits(_field(msg, "grids"), (n, g, g)).astype(np.float64), dy, dx, shape)
+        return RiseMasks.of_grids(grids.astype(np.float64), dy, dx, shape)
     if form == "selections":
         s = _field(msg, "s")
         if not _is_count(s) or s > h * w:
@@ -292,9 +305,11 @@ class ExternalScorer(Scorer):
     """Client for a scorer living in a child process, spoken to over stdio.
 
     Owns one connection; a lock serializes its request/response stream, so
-    concurrent submitters are safe. Batches are chunked to the peer's
-    max_batch and reassembled in order. A constructor that fails closes
-    the connection (and so stops the child) before it raises.
+    concurrent submitters are safe. ``score_batch`` sends its queries in
+    chunks of the peer's max_batch and reassembles them in order;
+    ``score_masks`` sends a code form whole, in one request. A constructor
+    that fails closes the connection (and so stops the child) before it
+    raises.
     """
 
     def __init__(self, command: Sequence[str]):
@@ -342,35 +357,31 @@ class ExternalScorer(Scorer):
     def _encode_image(self, image) -> str:
         return encode_f32(_as_image(image, self.dims))
 
-    def _chunked_scores(self, head: dict, count: int, fields) -> np.ndarray:
-        """The scores of ``count`` items sent max_batch at a time: each
-        request is ``head`` and then ``fields(start, stop)``, built just
-        before it is sent (a RISE stack as base64 is ~100 MB)."""
-        scores = np.empty(count, dtype=np.float64)
-        step = self._caps.max_batch
-        for start in range(0, count, step):
-            stop = min(start + step, count)
-            got = self._call({**head, **fields(start, stop)}).get("scores")
-            if not isinstance(got, list) or len(got) != stop - start:
-                raise TransportError(f"{head['op']} returned {got!r} for a chunk of {stop - start}")
-            bad = [s for s in got
-                   if isinstance(s, bool) or not isinstance(s, (int, float)) or not -1.0 <= s <= 1.0]
-            if bad:
-                raise TransportError(f"{head['op']} returned scores that are not numbers in [-1, 1]: {bad[:3]!r}")
-            scores[start:stop] = got
-        return scores
+    def _scores(self, payload: dict, count: int) -> np.ndarray:
+        """The ``count`` scores of one request's reply: a list of numbers
+        in [-1, 1], anything else a ``TransportError``."""
+        got = self._call(payload).get("scores")
+        if not isinstance(got, list) or len(got) != count:
+            raise TransportError(f"{payload['op']} returned {got!r} for {count} items")
+        bad = [s for s in got if isinstance(s, bool) or not isinstance(s, (int, float)) or not -1.0 <= s <= 1.0]
+        if bad:
+            raise TransportError(f"{payload['op']} returned scores that are not numbers in [-1, 1]: {bad[:3]!r}")
+        return np.array(got, dtype=np.float64)
 
     def score_batch(self, ref, queries: Sequence) -> np.ndarray:
-        return self._chunked_scores({"op": "score_batch", "ref": self._encode_image(ref)}, len(queries),
-                                    lambda start, stop: {"queries": [self._encode_image(q)
-                                                                     for q in queries[start:stop]]})
+        head = {"op": "score_batch", "ref": self._encode_image(ref)}
+        chunks = [queries[s:s + self._caps.max_batch] for s in range(0, len(queries), self._caps.max_batch)]
+        # each chunk is encoded just before its request is sent
+        return np.concatenate([np.empty(0)] + [
+            self._scores({**head, "queries": [self._encode_image(q) for q in chunk]}, len(chunk)) for chunk in chunks])
 
     def score_masks(self, ref, query, masks) -> np.ndarray:
         """Scores against ``ref`` of the query times each mask of a
-        ``score_masked`` code form, sent as codes."""
-        head = {"op": "score_masks", "ref": self._encode_image(ref), "query": self._encode_image(query)}
-        return self._chunked_scores(head, len(masks),
-                                    lambda start, stop: {"n": stop - start, **_mask_fields(masks, start, stop)})
+        ``score_masked`` code form, sent whole as codes in one request."""
+        if not len(masks):
+            return np.empty(0)
+        return self._scores({"op": "score_masks", "ref": self._encode_image(ref), "query": self._encode_image(query),
+                             "n": len(masks), **_mask_fields(masks)}, len(masks))
 
     def embed(self, image) -> Embedding:
         if not self._caps.can_embed:
@@ -427,7 +438,7 @@ def _image_of(payload: str, dims: tuple[int, int, int]) -> np.ndarray:
     return image
 
 
-def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) -> str:
+def _handle_line(line: str, scorer: Scorer, last_id: list[int]) -> str:
     msg = _json_object(line)
     req_id = msg.get("id")
     if not _is_count(req_id):
@@ -441,20 +452,20 @@ def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) 
     try:
         if op == "hello":
             caps = ["score", "score_masks"] + (["embed"] if scorer.caps.can_embed else [])
-            return _reply(req_id, caps=caps, max_batch=max_batch, dims=list(dims))
+            return _reply(req_id, caps=caps, max_batch=_MAX_BATCH, dims=list(dims))
         if op == "score_batch":
             ref = _image_of(msg["ref"], dims)
             raw_queries = msg["queries"]
             if not isinstance(raw_queries, list):
                 raise InvalidArgumentError(f"queries must be a list, got {type(raw_queries).__name__}")
-            if len(raw_queries) > max_batch:
-                raise InvalidArgumentError(f"batch of {len(raw_queries)} exceeds max_batch {max_batch}")
+            if len(raw_queries) > _MAX_BATCH:
+                raise InvalidArgumentError(f"batch of {len(raw_queries)} exceeds max_batch {_MAX_BATCH}")
             scores = scorer.score_batch(ref, [_image_of(q, dims) for q in raw_queries])
             return _reply(req_id, scores=[float(s) for s in scores])
         if op == "score_masks":
             n = msg["n"]
-            if not _is_count(n) or n > max_batch:
-                raise InvalidArgumentError(f"mask count n must be an integer in [1, {max_batch}], got {n!r}")
+            if not _is_count(n):
+                raise InvalidArgumentError(f"mask count n must be an integer >= 1, got {n!r}")
             masks = _masks_of(msg, n, dims[:2])
             ref, query = (_image_of(msg[k], dims) for k in ("ref", "query"))
             return _reply(req_id, scores=[float(s) for s in score_masked(scorer, [ref], query, masks)])
@@ -470,7 +481,7 @@ def _handle_line(line: str, scorer: Scorer, max_batch: int, last_id: list[int]) 
         return _reply(req_id, error={"code": "internal", "msg": str(exc)})
 
 
-def serve_stdio(scorer: Scorer, max_batch: int = 64) -> None:
+def serve_stdio(scorer: Scorer) -> None:
     """Answer each request line of stdin on stdout until EOF. Lines are
     read as bytes, whatever the locale's stdin encoding, and a byte that
     is not UTF-8 decodes to U+FFFD: a line it leaves no JSON object is
@@ -480,5 +491,5 @@ def serve_stdio(scorer: Scorer, max_batch: int = 64) -> None:
         line = raw.decode("utf-8", errors="replace")
         if not line.strip():
             continue
-        sys.stdout.write(_handle_line(line, scorer, max_batch, last_id) + "\n")
+        sys.stdout.write(_handle_line(line, scorer, last_id) + "\n")
         sys.stdout.flush()

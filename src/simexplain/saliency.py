@@ -44,7 +44,7 @@ embedded once per query, are scored against each reference manipulation
 of each reference, so dual mode does fixed mode's scorer work plus M
 reference embeddings per map. A scorer whose caps say
 ``can_score_masks`` (an external peer) is sent the codes themselves,
-each form in its own wire form, one request stream per reference
+each form whole in its own wire form, one request per reference
 manipulation, and runs this same ``score_masked`` on its side. Any other
 scorer (score-only, or a peer without that request) gets blocks of
 ``_CHUNK`` masked copies built from the codes, each block built once per
@@ -72,7 +72,8 @@ from .scorers import NORM_EPS, EmbeddedRows, Scorer, _with_norms, embed_codes, s
 
 # Masks per block of the masked copies built for score-only scorers: 128
 # masked 56x56x3 float64 images are 9.6 MB, and a multiple of the stub's
-# max_batch (64) keeps external round trips as few as one whole stack needs.
+# score_batch bound, max_batch (64), keeps the round trips of a peer
+# without score_masks as few as one whole stack needs.
 _CHUNK = 128
 
 # rng stream tags so every randomness source is independent of the others

@@ -32,6 +32,7 @@ NORM_EPS = 1e-12
 @dataclass(frozen=True)
 class ScorerCaps:
     can_embed: bool = False
+    # the most queries per score_batch request; only an external peer's is read
     max_batch: int = 1024
     # the scorer answers score_masks(ref, query, masks) on keep-mask codes
     can_score_masks: bool = False
@@ -134,7 +135,7 @@ class LinearEmbeddingScorer(Scorer):
 
     @property
     def caps(self) -> ScorerCaps:
-        return ScorerCaps(can_embed=True, max_batch=4096)
+        return ScorerCaps(can_embed=True)
 
     @property
     def embed_dim(self) -> int:

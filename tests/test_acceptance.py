@@ -293,8 +293,7 @@ def test_criterion_8_protocol_roundtrip():
         dims = (12, 12, 3)
         reference = se.LinearToyScorer.random(dims, embed_dim=8, seed=77)
         command = [sys.executable, "-m", "simexplain", "serve-stub",
-                   "--dims", "12,12,3", "--embed-dim", "8", "--seed", "77",
-                   "--max-batch", "64"]
+                   "--dims", "12,12,3", "--embed-dim", "8", "--seed", "77"]
         rng = np.random.default_rng(88)
         refs = [rng.random(dims).astype(np.float32) for _ in range(5)]
         queries = [rng.random(dims).astype(np.float32) for _ in range(500)]

@@ -1227,7 +1227,7 @@ class TestCliPlumbing:
           for bad in ("0", "-1")],
         *[(command, "--limit", bad, "2") for command in ("saliency", "eval", "pipeline") for bad in ("0", "-1")],
         *[("serve-stub", "--dims", bad, "56,56,3") for bad in ("56,56", "56,56,x", "56,0,3", "56,56,3,1")],
-        *[("serve-stub", flag, bad, "16") for flag in ("--embed-dim", "--max-batch") for bad in ("0", "-3")],
+        *[("serve-stub", "--embed-dim", bad, "16") for bad in ("0", "-3")],
     ])
     def test_out_of_range_input_exits_2(self, command, flag, bad, good, capsys):
         argv = [command, *self._REQUIRED[command], flag]
@@ -1326,7 +1326,7 @@ _SCORER = ["--scorer", "--external-cmd"]
      ["--dataset", "--model", "--out"]),
     ("discover", True, ["--dataset", "--out", "--method", "--k", "--clusters", "--top-n", "--patch", "--jobs"],
      ["--dataset", "--out"]),
-    ("serve-stub", False, ["--dims", "--embed-dim", "--max-batch", "--no-embed"], []),
+    ("serve-stub", False, ["--dims", "--embed-dim", "--no-embed"], []),
 ])
 def test_cli_surface(command, scorer, flags, required):
     """Every subcommand takes exactly its flags and requires exactly its

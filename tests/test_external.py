@@ -42,8 +42,7 @@ DIMS = (10, 10, 3)
 
 def stub_command(*extra):
     return [sys.executable, "-m", "simexplain", "serve-stub",
-            "--dims", "10,10,3", "--embed-dim", "6", "--seed", "31",
-            "--max-batch", "16", *extra]
+            "--dims", "10,10,3", "--embed-dim", "6", "--seed", "31", *extra]
 
 
 HELLO = {"caps": ["score", "embed"], "max_batch": 4, "dims": list(DIMS)}
@@ -107,7 +106,7 @@ class TestStdioRoundTrip:
     def test_scores_match_in_process(self, reference, rng):
         with ExternalScorer(command=stub_command()) as ext:
             assert ext.dims == DIMS
-            assert ext.caps.can_embed and ext.caps.max_batch == 16
+            assert ext.caps.can_embed and ext.caps.max_batch == external._MAX_BATCH == 64
             ref = rng.random(DIMS).astype(np.float32)
             queries = [rng.random(DIMS).astype(np.float32) for _ in range(40)]
             got = ext.score_batch(ref, queries)
@@ -115,23 +114,33 @@ class TestStdioRoundTrip:
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_chunked_equals_reference(self, reference, rng):
-        # 50 queries at max_batch=16 forces four protocol chunks
+        # 150 queries at max_batch=64 force three protocol chunks
         with ExternalScorer(command=stub_command()) as ext:
             ref = rng.random(DIMS).astype(np.float32)
-            queries = [rng.random(DIMS).astype(np.float32) for _ in range(50)]
+            queries = [rng.random(DIMS).astype(np.float32) for _ in range(150)]
             np.testing.assert_allclose(ext.score_batch(ref, queries),
                                        reference.score_batch(ref, queries), atol=1e-6)
 
     def test_each_chunk_is_encoded_just_before_its_request(self, rng):
-        # 40 queries at max_batch=16: the reference, then each chunk's
+        # 150 queries at max_batch=64: the reference, then each chunk's
         # queries, are base64-encoded right before the request that sends them
         events = []
         with ExternalScorer(command=stub_command()) as ext:
             encode, call = ext._encode_image, ext._call
             ext._encode_image = lambda image: events.append("encode") or encode(image)
             ext._call = lambda payload: events.append("call") or call(payload)
-            ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(40)])
-        assert events == ["encode"] * 17 + ["call"] + ["encode"] * 16 + ["call"] + ["encode"] * 8 + ["call"]
+            ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(150)])
+        assert events == ["encode"] * 65 + ["call"] + ["encode"] * 64 + ["call"] + ["encode"] * 22 + ["call"]
+
+    def test_scripted_peer_max_batch_chunks_the_queries(self, monkeypatch, rng):
+        # the client chunks at the max_batch the peer's hello advertises
+        with ExternalScorer(command=scripted_peer(HELLO, {"scores": [0.5, -0.5, 0.25, 0.0]})) as ext:
+            sent = []
+            call = ext._call
+            monkeypatch.setattr(ext, "_call", lambda payload: sent.append(len(payload["queries"])) or call(payload))
+            got = ext.score_batch(rng.random(DIMS), [rng.random(DIMS) for _ in range(8)])
+        assert sent == [4, 4]
+        np.testing.assert_array_equal(got, [0.5, -0.5, 0.25, 0.0] * 2)
 
     def test_embed_roundtrip(self, reference, rng):
         with ExternalScorer(command=stub_command()) as ext:
@@ -213,7 +222,7 @@ class TestTransportRecovery:
             "scorer = LinearToyScorer.random((10, 10, 3), embed_dim=6, seed=31)\n"
             "last = [0]\n"
             "for line in itertools.islice(sys.stdin, 1):\n"
-            "    sys.stdout.write(_handle_line(line, scorer, 64, last) + '\\n')\n"
+            "    sys.stdout.write(_handle_line(line, scorer, last) + '\\n')\n"
             "    sys.stdout.flush()\n"
         )
         with ExternalScorer(command=[sys.executable, str(script)]) as ext:
@@ -262,7 +271,7 @@ class TestTransportRecovery:
 
 class TestServerValidation:
     def _call(self, scorer, line, last):
-        return json.loads(_handle_line(line, scorer, 8, last))
+        return json.loads(_handle_line(line, scorer, last))
 
     def test_unknown_op(self, reference):
         out = self._call(reference, json.dumps({"id": 1, "op": "dance"}), [0])
@@ -276,7 +285,7 @@ class TestServerValidation:
 
     def test_oversized_batch_rejected(self, reference, rng):
         ref = encode_f32(rng.random(DIMS))
-        queries = [ref] * 9  # max_batch is 8 in this harness
+        queries = [ref] * (external._MAX_BATCH + 1)
         out = self._call(reference, json.dumps(
             {"id": 1, "op": "score_batch", "ref": ref, "queries": queries}), [0])
         assert out["error"]["code"] == "bad_input"
@@ -314,6 +323,16 @@ class TestServerValidation:
         assert replies[0]["id"] == 0 and replies[0]["error"]["code"] == "bad_input", replies
         assert replies[1]["id"] == 1 and "caps" in replies[1], replies
 
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--verbose"], ["--json", "--verbose"]],
+                             ids=["plain", "json", "verbose", "json-verbose"])
+    def test_stdout_carries_the_replies_only(self, flags):
+        # --json once printed the command's result, {}, after the last reply
+        done = subprocess.run(stub_command(*flags), input=b'{"id":1,"op":"hello"}\n', capture_output=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        [line] = done.stdout.decode().splitlines()
+        assert json.loads(line)["caps"], line
+
     def test_queries_not_a_list_rejected(self, reference, rng):
         out = self._call(reference, json.dumps(
             {"id": 1, "op": "score_batch", "ref": encode_f32(rng.random(DIMS)), "queries": 5}), [0])
@@ -344,12 +363,12 @@ class TestServerValidation:
                    "score_masks": json.loads(masks_request("selections")),
                    "embed": {"id": 1, "op": op, "image": good}}[op]
         request[field] = [good, bad] if field == "queries" else bad
-        out = self._strict(_handle_line(json.dumps(request), reference, 8, [0]))
+        out = self._strict(_handle_line(json.dumps(request), reference, [0]))
         assert out["error"]["code"] == "bad_input" and "finite" in out["error"]["msg"], out
 
     def test_non_finite_scores_are_bad_input(self):
         # a scorer whose scores are NaN makes score_masked raise InvalidDataError
-        out = self._strict(_handle_line(masks_request("selections"), ConstantScorer(DIMS, value=float("nan")), 8, [0]))
+        out = self._strict(_handle_line(masks_request("selections"), ConstantScorer(DIMS, value=float("nan")), [0]))
         assert out["error"]["code"] == "bad_input" and "non-finite" in out["error"]["msg"], out
 
 
@@ -420,8 +439,8 @@ class TestClientValidation:
 
 CODE_DIMS = (20, 20, 3)
 
-# every mask count below (100, 50, 60, 101) leaves a partial last chunk at
-# max_batch 13, so chunk edges split the codes
+# each map (100, 50 or 60 masks) and each curve (101 steps) goes whole in
+# one request, with more masks than the stub's score_batch bound (64)
 CODE_CFGS = {
     "rise": SaliencyConfig(method=se.Method.RISE, seed=3, rise=RiseCfg(n_masks=100, grid=4)),
     "sliding_window": SaliencyConfig(method=se.Method.SLIDING_WINDOW, seed=3, sliding=SlidingCfg(windows_query=49)),
@@ -433,7 +452,7 @@ CODE_CFGS = {
 
 def code_stub(*extra):
     return [sys.executable, "-m", "simexplain", "serve-stub", "--dims", "20,20,3", "--embed-dim", "6",
-            "--seed", "31", "--max-batch", "13", *extra]
+            "--seed", "31", *extra]
 
 
 @pytest.fixture(scope="module")
@@ -548,15 +567,52 @@ class _CountingWriter:
         self.inner.close()
 
 
-class TestPayload:
-    """Bytes the client writes at default size (56x56x3, max_batch 64).
-    Each request repeats the reference and the query, 2 x 50,176 bytes of
-    base64 f32; the masks add little next to them."""
+@pytest.fixture(scope="module")
+def default_peer():
+    """A stub at default size, 56x56x3."""
+    with ExternalScorer(command=[sys.executable, "-m", "simexplain", "serve-stub", "--seed", "7"]) as ext:
+        yield ext
 
-    @pytest.fixture(scope="class")
-    def default_peer(self):
-        with ExternalScorer(command=[sys.executable, "-m", "simexplain", "serve-stub", "--seed", "7"]) as ext:
-            yield ext
+
+@pytest.fixture
+def roundtrips(monkeypatch):
+    """The op of every request any connection sends while the test runs."""
+    ops = []
+    roundtrip = external._Connection.roundtrip
+    monkeypatch.setattr(external._Connection, "roundtrip",
+                        lambda conn, payload: ops.append(payload["op"]) or roundtrip(conn, payload))
+    return ops
+
+
+class TestRequestCounts:
+    """At default sizes a fixed-mode map and a curve each take one
+    score_masks request, and a dual-mode map one per reference variant."""
+
+    @pytest.mark.parametrize("method, fixed, requests", [
+        (se.Method.RISE, True, 1), (se.Method.LIME, True, 1), (se.Method.SLIDING_WINDOW, True, 1),
+        # M = 30 and 36 reference variants at default sizes
+        (se.Method.RISE, False, 30), (se.Method.SLIDING_WINDOW, False, 36),
+    ], ids=["rise", "lime", "sliding_window", "rise-dual", "sliding_window-dual"])
+    def test_one_request_per_map_and_curve(self, default_peer, roundtrips, method, fixed, requests):
+        rng = np.random.default_rng(8)
+        ref, query = rng.random((56, 56, 3)), rng.random((56, 56, 3))
+        smap = se.generate(default_peer, ref, query, SaliencyConfig(method=method, seed=7, fixed_reference=fixed))
+        assert not smap.degenerate
+        assert roundtrips == ["score_masks"] * requests
+        for curve in (insertion_curve, deletion_curve):
+            curve(default_peer, ref, query, smap)
+        assert roundtrips == ["score_masks"] * (requests + 2)
+
+    def test_an_empty_form_sends_no_request(self, default_peer, roundtrips, rng):
+        got = default_peer.score_masks(rng.random((56, 56, 3)), rng.random((56, 56, 3)),
+                                       bool_masks(rng, 0, (56, 56)))
+        assert got.shape == (0,) and roundtrips == []
+
+
+class TestPayload:
+    """Bytes the client writes at default size (56x56x3). Each map and each
+    curve is one request, the reference and the query, 2 x 50,176 bytes of
+    base64 f32, and the codes of its masks."""
 
     def _bytes_of(self, ext, work):
         writer = _CountingWriter(ext._conn._tx)
@@ -568,18 +624,19 @@ class TestPayload:
         return writer.bytes
 
     def test_rise_map(self, default_peer):
-        # 2,000 masks in 32 requests: 3.21 MB of images, 0.03 MB of grids
-        # and offsets; as masked images they were 102 MB
+        # 2,000 masks in one request: 0.10 MB of images, 0.03 MB of grids
+        # and offsets; in 32 requests of 64 masks they were 3.2 MB, and as
+        # masked images 102 MB
         rng = np.random.default_rng(7)
         ref, query = rng.random((56, 56, 3)), rng.random((56, 56, 3))
         cfg = SaliencyConfig(method=se.Method.RISE, seed=7)
         written = self._bytes_of(default_peer, lambda: se.generate(default_peer, ref, query, cfg))
-        assert written < 3.6e6
+        assert written < 0.15e6
 
     def test_sliding_window_map_and_curves(self, default_peer):
-        # 626 window masks in 10 requests and 2 x 101 curve masks in 2 x 2:
-        # 1.4 MB of images and 0.43 MB of mask bits; as masked images they
-        # were 42 MB
+        # 626 window masks and 2 x 101 curve masks in three requests: 0.30 MB
+        # of images and 0.04 MB of codes; in 14 requests of 64 masks they
+        # were 1.5 MB, and as masked images 42 MB
         rng = np.random.default_rng(7)
         ref, query = rng.random((56, 56, 3)), rng.random((56, 56, 3))
         cfg = SaliencyConfig(method=se.Method.SLIDING_WINDOW, seed=7)
@@ -589,7 +646,7 @@ class TestPayload:
             insertion_curve(default_peer, ref, query, smap)
             deletion_curve(default_peer, ref, query, smap)
 
-        assert self._bytes_of(default_peer, work) < 2.2e6
+        assert self._bytes_of(default_peer, work) < 0.4e6
 
 
 def masks_request(kind, **fields):
@@ -639,7 +696,9 @@ BAD_MASK_REQUESTS = {
     "bits-bad-base64": ("base64", masks_request("selections", keep="@@@@")),
     "bits-not-a-string": ("base64", masks_request("selections", keep=5)),
     "n-zero": ("mask count", masks_request("selections", n=0, keep="")),
-    "n-above-max-batch": ("mask count", masks_request("selections", n=9, keep=ones_bits(9, 4))),
+    # a request unpacks at most 2**24 mask bits, checked before any is decoded
+    "rise-n-g2-above-the-bound": ("mask bits", masks_request("rise", n=2 ** 20 + 1)),
+    "selections-n-s-above-the-bound": ("mask bits", masks_request("selections", n=2 ** 22 + 1)),
     "n-not-the-payload": ("bit payload", masks_request("selections", n=2, keep=ones_bits(3, 4))),
     "n-bool": ("mask count", masks_request("selections", n=True, keep=ones_bits(1, 4))),
     "n-null": ("mask count", masks_request("selections", n=None)),
@@ -723,11 +782,11 @@ def mutated_form(draw):
 
 class TestMaskCodeValidation:
     """The peer answers a malformed score_masks request with bad_input
-    (max_batch is 8 here, DIMS 10x10x3)."""
+    (DIMS 10x10x3)."""
 
     @pytest.mark.parametrize("kind", ["rise", "selections", "boxes", "nested"])
     def test_valid_request_is_scored(self, reference, kind):
-        out = json.loads(_handle_line(masks_request(kind), reference, 8, [0]))
+        out = json.loads(_handle_line(masks_request(kind), reference, [0]))
         assert len(out["scores"]) == 3
 
     @settings(max_examples=300, deadline=None)
@@ -748,7 +807,7 @@ class TestMaskCodeValidation:
 
     @pytest.mark.parametrize("fragment, line", BAD_MASK_REQUESTS.values(), ids=BAD_MASK_REQUESTS.keys())
     def test_malformed_request_is_bad_input(self, reference, fragment, line):
-        out = json.loads(_handle_line(line, reference, 8, [0]))
+        out = json.loads(_handle_line(line, reference, [0]))
         assert out["error"]["code"] == "bad_input" and fragment in out["error"]["msg"], out
 
     @pytest.mark.parametrize("reply", [{"scores": [0.5, 0.25]}, {"scores": [0.5, 0.25, 1.5]},
@@ -769,7 +828,7 @@ class TestMaskCodeValidation:
             "from simexplain.external import _handle_line\n"
             "scorer = LinearToyScorer.random((10, 10, 3), embed_dim=6, seed=31)\n"
             "for line in itertools.islice(sys.stdin, 1):\n"
-            "    sys.stdout.write(_handle_line(line, scorer, 64, [0]) + '\\n')\n"
+            "    sys.stdout.write(_handle_line(line, scorer, [0]) + '\\n')\n"
             "    sys.stdout.flush()\n"
         )
         ref, query, keep = rng.random(DIMS), rng.random(DIMS), bool_masks(rng, 5)
