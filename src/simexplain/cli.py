@@ -13,11 +13,9 @@ import dataclasses
 import json
 import logging
 import math
-import os
 import shlex
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -202,13 +200,17 @@ def _write_result(args, payload: dict, resolved: dict) -> None:
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
-    """Order-preserving map: the results, and the first exception, come in
-    item order, so parallelism never changes the output."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    """``fn`` over ``items`` in order, in the calling thread: the results
+    come in item order, and the first exception stops the map there.
+
+    Every command's per-query work (bank, validation and test maps, the
+    insertion/deletion curves, both discovery passes) goes through here.
+    One item is a few milliseconds of small numpy calls that contend for
+    the interpreter lock, so a thread pool over them saved no wall time
+    and cost CPU and memory (see README). The name, ``jobs`` and
+    ``--jobs`` stay only because ``perfbench`` passes the flag and wraps
+    this function by name; ``jobs`` changes nothing."""
+    return [fn(x) for x in items]
 
 
 def _parse_methods(text: str, saliency_cfg: SaliencyConfig) -> list[tuple[str, SaliencyConfig]]:
@@ -289,16 +291,12 @@ def _dims(text: str) -> tuple[int, int, int]:
     return tuple(_positive_int(v) for v in parts)
 
 
-def _default_jobs() -> int:
-    return min(4, os.cpu_count() or 1)
-
-
 def _maps(scorer: Scorer, dataset: Dataset, pairs: list[Pair], codes: MapCodes, jobs: int) -> list[SaliencyMap]:
     """The saliency map of each pair under the config of ``codes``, in pair
-    order. The pairs are grouped by query, one ``--jobs`` item per query,
-    and ``query_maps`` embeds each query's masked rows once for all its
-    references. A command builds each config's codes once and passes them
-    to all its calls."""
+    order. The pairs are grouped by query, one ``_parallel_map`` item per
+    query, and ``query_maps`` embeds each query's masked rows once for all
+    its references. A command builds each config's codes once and passes
+    them to all its calls."""
 
     def group_maps(query_id: str, ref_ids: list[str]) -> list[SaliencyMap]:
         return query_maps(scorer, [dataset.image(r) for r in ref_ids], dataset.image(query_id), codes)
@@ -746,13 +744,14 @@ def build_parser() -> argparse.ArgumentParser:
         suffix of a second output written at ``--out`` with it), the scorer
         flags (``scorer`` is their default scorer; None for no scorer), the
         required input file flags ``files`` and, if ``method``, ``--method``
-        and, if ``jobs``, ``--jobs``."""
+        and, if ``jobs``, ``--jobs``, which has no effect (see
+        ``_parallel_map``)."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func, out_kind=out, out_second=second)
         p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--config", default=None, help="JSON run-config file")
         if jobs:
-            p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
+            p.add_argument("--jobs", type=_positive_int, default=1, help="accepted for compatibility; no effect")
         p.add_argument("--json", action="store_true", help="print a machine-readable result line")
         p.add_argument("--verbose", action="store_true")
         if scorer:

@@ -148,12 +148,11 @@ def discover(dataset: Dataset, scorer: Scorer, cfg: DiscoveryConfig,
     the query itself, so a ``k_nn`` of N - 1 or more takes all the others.
 
     The maps are made in two passes, each one ``map_fn(fn, items)`` call
-    with one item per query: an order-preserving map, serial by default,
-    that the command line runs over its thread pool. The result does not
-    depend on it. The masks are built once for both passes. The image
-    embeddings go through ``embed_images`` with ``embeddings``. A scorer
-    that cannot embed, or a patch larger than the image side, is refused
-    before any of this work."""
+    with one item per query: an order-preserving map, serial by default
+    and in the command line. The masks are built once for both passes.
+    The image embeddings go through ``embed_images`` with
+    ``embeddings``. A scorer that cannot embed, or a patch larger than the
+    image side, is refused before any of this work."""
     if not scorer.caps.can_embed:
         raise InvalidArgumentError("discovery needs an embedding-capable scorer")
     h, w, _ = dataset.dims

@@ -7,6 +7,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -294,8 +295,9 @@ class TestCliCommands:
         return path
 
     def test_discover_command(self, tmp_path, monkeypatch):
-        """discover makes its maps in two passes through the pool; its
-        result and montage are the same bytes at any --jobs."""
+        """discover makes its maps in two passes, one ``_parallel_map``
+        call each; its result and montage are the same bytes at any
+        --jobs."""
         data = tmp_path / "motifs"
         main(["synth", "--out", str(data), "--n-images", "20", "--attributes", "2",
               "--max-attrs", "1", "--seed", "4"])
@@ -375,6 +377,36 @@ class TestCliPlumbing:
                          "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_commands_start_no_thread(self, tmp_path, monkeypatch):
+        """Maps, curves and discovery passes run in the calling thread at
+        any --jobs."""
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or real_start(thread))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"saliency": {"sliding": {"windows_query": 9, "windows_ref": 4}}}))
+        run = tmp_path / "run"
+        assert main(["pipeline", "--out", str(run), "--n-images", "16", "--attributes", "3", "--epochs", "2",
+                     "--rise-masks", "20", "--methods", "rise,sliding_window", "--limit", "2", "--seed", "3",
+                     "--jobs", "4", "--config", str(cfg)]) == 0
+        assert main(["discover", "--dataset", str(run / "dataset" / "manifest.json"), "--method", "rise",
+                     "--seed", "3", "--k", "3", "--clusters", "2", "--top-n", "2", "--jobs", "4",
+                     "--config", str(cfg), "--out", str(tmp_path / "d.json")]) == 0
+        assert started == []
+
+    def test_map_stops_at_the_first_failure(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            if x == 0:
+                raise ValueError("item 0")
+            return x
+
+        with pytest.raises(ValueError, match="item 0"):
+            cli._parallel_map(fn, [0, 1, 2, 3], 2)
+        assert seen == [0]
 
     def test_dual_method_row_recorded(self, cli_workspace, tmp_path):
         _, manifest, _, model = cli_workspace
